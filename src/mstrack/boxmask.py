@@ -7,7 +7,8 @@ with `lost=True` (or zero area) denotes a missing target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class Box:
 class SegmenterSpec:
     """Which box-to-mask segmenters to run and how to fuse their outputs."""
 
-    kinds: tuple[str, ...] = ("chroma",)
+    kinds: tuple[str, ...] = ("boxfill", "chroma")
     fusion: str = "union"
     chroma_tolerance: float = 0.1
 
@@ -53,8 +54,10 @@ class SegmenterSpec:
             raise ConfigError(f"unknown fusion rule {self.fusion!r}, expected one of {FUSION_RULES}")
         if self.fusion == "none" and len(self.kinds) > 1:
             raise ConfigError("fusion 'none' is only valid with a single segmenter kind")
-        if self.chroma_tolerance < 0:
-            raise ConfigError("chroma_tolerance must be non-negative")
+        if not (math.isfinite(self.chroma_tolerance) and self.chroma_tolerance >= 0):
+            raise ConfigError(
+                f"chroma_tolerance must be non-negative and finite, got {self.chroma_tolerance}"
+            )
 
 
 def clamp_box(box: Box, width: int, height: int) -> Box:
@@ -234,7 +237,3 @@ def segment_box(frame: np.ndarray, box: Box, spec: SegmenterSpec, gt_mask=None) 
     if not fused.any():
         fused = boxfill_segmenter(frame, box)
     return fused
-
-
-def lost_copy(box: Box) -> Box:
-    return replace(box, lost=True)

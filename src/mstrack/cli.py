@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,28 +34,29 @@ from .flatcfg import FlatConfig, parse_flat_file
 from .pnm import read_ppm, write_pgm, write_ppm
 from .synthgen import generate, parse_scene_file, standard_suite
 
+_KINDS = {int: "int", float: "float", str: "str", tuple: "list"}
+
+
+def _section_schema(prefix: str, cls) -> dict:
+    """One key per field of `cls`, defaulting to the dataclass default.
+
+    The engine's nested encoder is a section of its own, and a None default
+    (encoder.weights_path) is written as the empty string.
+    """
+    out = {}
+    for f in fields(cls):
+        if not is_dataclass(f.default):
+            default = "" if f.default is None else f.default
+            out[f"{prefix}.{f.name}"] = (_KINDS[type(default)], default)
+    return out
+
+
 # key -> (converter name, default); every key is documented in the README
 CONFIG_SCHEMA = {
     "threads": ("int", 0),
-    "engine.id_dim": ("int", 32),
-    "engine.max_objects": ("int", 4),
-    "engine.gpm_layers16": ("int", 2),
-    "engine.gpm_layers8": ("int", 1),
-    "engine.temperature": ("float", 0.1),
-    "engine.long_term_every": ("int", 0),
-    "engine.seed": ("int", 7),
-    "engine.match_norm": ("float", 6.0),
-    "engine.prior_weight": ("float", 0.5),
-    "encoder.mode": ("str", "handcrafted"),
-    "encoder.channels16": ("int", 32),
-    "encoder.channels8": ("int", 32),
-    "encoder.seed": ("int", 7),
-    "encoder.position_weight": ("float", 0.15),
-    "encoder.std_weight": ("float", 0.1),
-    "encoder.weights_path": ("str", ""),
-    "segmenter.kinds": ("list", ("boxfill", "chroma")),
-    "segmenter.fusion": ("str", "union"),
-    "segmenter.chroma_tolerance": ("float", 0.1),
+    **_section_schema("engine", EngineConfig),
+    **_section_schema("encoder", EncoderConfig),
+    **_section_schema("segmenter", SegmenterSpec),
     "eval.protocol": ("str", "ope"),
     "eval.anchor_spacing": ("int", 15),
     "eval.absent_policy": ("str", "exclude"),
@@ -89,32 +90,14 @@ def load_run_config(path=None) -> RunConfig:
         }[kind]
         return getter(key, default)
 
-    encoder = EncoderConfig(
-        mode=get("encoder.mode"),
-        channels16=get("encoder.channels16"),
-        channels8=get("encoder.channels8"),
-        seed=get("encoder.seed"),
-        weights_path=get("encoder.weights_path") or None,
-        position_weight=get("encoder.position_weight"),
-        std_weight=get("encoder.std_weight"),
-    )
-    engine = EngineConfig(
-        encoder=encoder,
-        id_dim=get("engine.id_dim"),
-        max_objects=get("engine.max_objects"),
-        gpm_layers16=get("engine.gpm_layers16"),
-        gpm_layers8=get("engine.gpm_layers8"),
-        temperature=get("engine.temperature"),
-        long_term_every=get("engine.long_term_every"),
-        seed=get("engine.seed"),
-        match_norm=get("engine.match_norm"),
-        prior_weight=get("engine.prior_weight"),
-    )
-    segmenter = SegmenterSpec(
-        kinds=tuple(get("segmenter.kinds")),
-        fusion=get("segmenter.fusion"),
-        chroma_tolerance=get("segmenter.chroma_tolerance"),
-    )
+    def section(prefix):
+        keys = [k for k in CONFIG_SCHEMA if k.startswith(prefix + ".")]
+        return {k[len(prefix) + 1 :]: get(k) for k in keys}
+
+    enc = section("encoder")
+    encoder = EncoderConfig(**{**enc, "weights_path": enc["weights_path"] or None})
+    engine = EngineConfig(encoder=encoder, **section("engine"))
+    segmenter = SegmenterSpec(**section("segmenter"))
     protocol = get("eval.protocol").lower()
     if protocol not in ("ope", "mse"):
         raise ConfigError(f"eval.protocol must be ope or mse, got {protocol!r}")
@@ -150,8 +133,7 @@ def resolve_threads(configured: int) -> int:
 
 def _parse_segmenter(value: str, fusion: str, tolerance: float) -> SegmenterSpec:
     kinds = tuple(k.strip() for k in value.split(",") if k.strip())
-    rule = fusion if len(kinds) > 1 else ("none" if fusion == "none" else fusion)
-    return SegmenterSpec(kinds=kinds, fusion=rule, chroma_tolerance=tolerance)
+    return SegmenterSpec(kinds=kinds, fusion=fusion, chroma_tolerance=tolerance)
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +153,10 @@ def read_results(path):
         parts = line.split()
         if len(parts) != 6:
             raise DataError(f"{path}:{lineno}: expected 6 fields")
-        t, x, y, w, h, lost = (int(p) for p in parts)
+        try:
+            t, x, y, w, h, lost = (int(p) for p in parts)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer field") from None
         if t != len(boxes):
             raise DataError(f"{path}:{lineno}: frame index {t} out of order")
         boxes.append(Box(x, y, w, h, lost=bool(lost)))

@@ -2,11 +2,11 @@
 
 One step runs: encode the frame into stride-16 and stride-8 feature maps,
 propagate ID embeddings at stride 16 (2 gated layers), bilinearly upsample
-the propagated IDs to stride 8 and fuse them as a gated coarse prior with an
-(affine, default-zero) ID estimate from the stride-8 features, propagate at
-stride 8 (1 layer), read per-label logits against the ID bank, upsample the
-logits to frame resolution and take the per-pixel argmax.  Boxes are the
-minimum external rectangles of the predicted labels.
+the propagated IDs to stride 8 where they enter as a coarse prior scaled by
+0.5 * prior_weight, propagate at stride 8 (1 layer), read per-label logits
+against the ID bank, upsample the logits to frame resolution and take the
+per-pixel argmax.  Boxes are the minimum external rectangles of the
+predicted labels.
 
 Matching uses cosine-style similarity: the engine rescales every feature row
 to a fixed L2 norm (match_norm * sqrt(C)) before attention, so the softmax
@@ -23,6 +23,7 @@ frame, so propagation can re-acquire from the reference entry later.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,10 +31,12 @@ import numpy as np
 from .boxmask import Box, SegmenterSpec, mask_to_box, segment_box
 from .errors import ConfigError, InitError, ShapeError
 from .features import EncoderConfig, encode_frame, validate_frame
-from .kernels import bilinear_resize, channel_argmax, matmul
+from .kernels import bilinear_resize, channel_argmax
+
+# unused here, but kept importable as engine.matmul: the benchmark's tracer
+# (perfbench/tracer.py) wraps that attribute
+from .kernels import matmul  # noqa: F401
 from .propagation import (
-    Gate,
-    GateParams,
     IdBank,
     MemoryBank,
     MemoryEntry,
@@ -46,9 +49,8 @@ from .propagation import (
     scale_rows,
 )
 
-# default fuse gate is sigmoid(0) = 0.5, so the effective coarse-prior
-# coefficient at default settings is 0.5 * prior_weight
-DEFAULT_PRIOR_COEFF = 0.25
+# the upsampled stride-16 prior enters stride 8 through a fixed half-open fuse
+FUSE_GATE = 0.5
 
 
 @dataclass(frozen=True)
@@ -62,21 +64,23 @@ class EngineConfig:
     long_term_every: int = 0  # 0 = reference frame only
     seed: int = 7
     match_norm: float = 6.0  # feature rows rescaled to match_norm * sqrt(C)
-    prior_weight: float = 0.5  # coarse-prior residual weight before the fuse gate
-    gates: GateParams = GateParams()
-    fuse_gate: Gate = Gate()
-    id_est_weight: np.ndarray | None = None  # [C8, D] affine ID estimate, None = zeros
-    id_est_bias: np.ndarray | None = None  # [D]
+    prior_weight: float = 0.5  # coarse-prior residual weight, scaled by FUSE_GATE
 
     def __post_init__(self):
         if self.gpm_layers16 < 1 or self.gpm_layers8 < 1:
             raise ConfigError("gpm layer counts must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.match_norm <= 0:
-            raise ConfigError(f"match_norm must be positive, got {self.match_norm}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
+        if not (math.isfinite(self.match_norm) and self.match_norm > 0):
+            raise ConfigError(f"match_norm must be positive and finite, got {self.match_norm}")
+        if not math.isfinite(self.prior_weight):
+            raise ConfigError(f"prior_weight must be finite, got {self.prior_weight}")
         if self.max_objects < 1:
             raise ConfigError("max_objects must be >= 1")
+
+
+# effective coarse-prior coefficient at default settings
+DEFAULT_PRIOR_COEFF = FUSE_GATE * EngineConfig.prior_weight
 
 
 @dataclass
@@ -159,23 +163,12 @@ def _decode_step(state: EngineState, pyr) -> tuple:
         state.memory.at(16),
         cfg.gpm_layers16,
         16,
-        cfg.gates,
-        cfg.temperature,
+        temperature=cfg.temperature,
     )
     # unit rows before upsampling so the prior coefficient is scale-free
     ids16 = scale_rows(ids16, 1.0).reshape(h16, w16, d)
     prior8 = _rows(bilinear_resize(ids16, h8, w8))
-
-    # fuse: gated coarse prior + (default-zero) affine ID estimate from level8,
-    # gate driven by the upsampled level16 shortcut per the duplication rule
-    shortcut8 = _rows(bilinear_resize(pyr.level16, h8, w8))
-    gate = cfg.fuse_gate.values(shortcut8)
-    est = np.zeros((h8 * w8, d), dtype=np.float32)
-    if cfg.id_est_weight is not None:
-        est = matmul(_rows(pyr.level8), np.asarray(cfg.id_est_weight, dtype=np.float32))
-    if cfg.id_est_bias is not None:
-        est = est + np.asarray(cfg.id_est_bias, dtype=np.float32)
-    fused8 = est + gate * (np.float32(cfg.prior_weight) * prior8)
+    fused8 = np.float32(FUSE_GATE) * (np.float32(cfg.prior_weight) * prior8)
 
     ids8 = gpm_stage(
         f8,
@@ -184,8 +177,7 @@ def _decode_step(state: EngineState, pyr) -> tuple:
         state.memory.at(8),
         cfg.gpm_layers8,
         8,
-        cfg.gates,
-        cfg.temperature,
+        temperature=cfg.temperature,
     )
     logits8 = read_id_logits(ids8, state.bank, state.k).reshape(h8, w8, state.k + 1)
     logits_full = bilinear_resize(logits8, state.ref_shape[0], state.ref_shape[1])

@@ -21,12 +21,12 @@ Weights file layout (little-endian): magic ``MSWT``, version u32, then one
 record per tensor (name length u32, name bytes, rank u32, dims u32 each, raw
 float32 data), and a trailing CRC32 (u32) over all preceding bytes.
 
-Pyramid levels finer than stride 8 are not computed; decoder shortcuts for
-any such level reuse the stride-16 maps (see ``FeaturePyramid``).
+Pyramid levels finer than stride 8 are not computed.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -59,20 +59,17 @@ class EncoderConfig:
             raise ConfigError("channel counts must be positive")
         if self.mode == "weights-file" and not self.weights_path:
             raise ConfigError("weights-file mode requires weights_path")
+        for name in ("position_weight", "std_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-frame feature maps at strides 16 and 8.
-
-    ``shortcut16dup`` records that decoder shortcut inputs for any
-    level finer than stride 8 reuse (upsampled) level16 maps instead of
-    dedicated finer-scale features.
-    """
+    """Per-frame feature maps at strides 16 and 8."""
 
     level16: np.ndarray  # [H/16, W/16, C16]
     level8: np.ndarray  # [H/8, W/8, C8]
-    shortcut16dup: bool = True
 
 
 def validate_frame(frame: np.ndarray) -> np.ndarray:

@@ -9,10 +9,11 @@ from visual features only, and applies the read to both branches through a
 sigmoid-gated residual:
 
     att     = softmax(query . keys^T / (temperature * sqrt(C)))
-    out     = in + sigmoid(affine(in)) * (att . values)
+    out     = in + sigmoid(bias) * (att . values)
 
 with values = memory keys on the visual branch and memory id_values on the
-ID branch.  All gate affines default to zero, i.e. a uniform half-open gate.
+ID branch.  Each of the four reads has its own scalar gate bias; bias 0 (the
+default) is a uniform half-open gate.
 
 Operation counts and tensor shapes never depend on the number of tracked
 objects; `probe_operations` records (name, shape) signatures so tests can
@@ -22,6 +23,7 @@ assert that.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -242,31 +244,12 @@ def attention_read(query: np.ndarray, memory: MemoryEntry, temperature: float = 
     return att, id_read
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: float) -> float:
     # piecewise form is exact at the saturated ends (sigmoid(-1e4) == 0.0)
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-@dataclass(frozen=True)
-class Gate:
-    """Affine-then-sigmoid row gate; zero affine = uniform 0.5 gate."""
-
-    bias: float = 0.0
-    weight: np.ndarray | None = None  # [C], None = zeros
-
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        z = np.full((rows.shape[0], 1), float(self.bias), dtype=np.float64)
-        if self.weight is not None:
-            w = np.asarray(self.weight, dtype=np.float64)
-            if w.shape != (rows.shape[1],):
-                raise ShapeError(f"gate weight shape {w.shape} vs rows [*, {rows.shape[1]}]")
-            z += rows.astype(np.float64) @ w[:, None]
-        return _sigmoid(z).astype(np.float32)
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
 
 
 CLOSED_GATE_BIAS = -1.0e4
@@ -274,22 +257,24 @@ CLOSED_GATE_BIAS = -1.0e4
 
 @dataclass(frozen=True)
 class GateParams:
-    visual_long: Gate = Gate()
-    id_long: Gate = Gate()
-    visual_short: Gate = Gate()
-    id_short: Gate = Gate()
+    """Gate biases of the four residual reads; each gate is sigmoid(bias)."""
+
+    visual_long: float = 0.0
+    id_long: float = 0.0
+    visual_short: float = 0.0
+    id_short: float = 0.0
 
     @staticmethod
     def closed() -> "GateParams":
-        g = Gate(bias=CLOSED_GATE_BIAS)
-        return GateParams(g, g, g, g)
+        b = CLOSED_GATE_BIAS
+        return GateParams(b, b, b, b)
 
 
-def _gated_read(feats, ids, entry: MemoryEntry, vgate: Gate, igate: Gate, temperature):
+def _gated_read(feats, ids, entry: MemoryEntry, vbias: float, ibias: float, temperature):
     att, id_read = attention_read(feats, entry, temperature)
     vis_read = matmul(att, entry.keys)
-    gv = vgate.values(feats)
-    gi = igate.values(ids)
+    gv = np.float32(_sigmoid(vbias))
+    gi = np.float32(_sigmoid(ibias))
     return feats + gv * vis_read, ids + gi * id_read
 
 

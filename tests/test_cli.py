@@ -1,6 +1,8 @@
 """CLI commands, config loading, results files, and exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,12 +153,19 @@ def test_eval_bad_thread_env_exits_one(mini_dataset, tmp_path, monkeypatch, caps
 
 # -- config ------------------------------------------------------------------
 
-def test_default_config_covers_every_schema_key():
+def test_default_config_covers_every_schema_key(tmp_path):
     cfg = load_run_config(None)
     assert cfg.engine.id_dim == CONFIG_SCHEMA["engine.id_dim"][1]
     assert cfg.engine.encoder.std_weight == CONFIG_SCHEMA["encoder.std_weight"][1]
     assert cfg.segmenter.kinds == ("boxfill", "chroma")
     assert cfg.protocol == "ope" and cfg.threads == 0
+    # the README config table lists every key with a default that loads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| `([a-z0-9_.]+)` \| `([^`]*)` \|", readme, flags=re.M))
+    assert set(table) == set(CONFIG_SCHEMA)
+    p = tmp_path / "readme.cfg"
+    p.write_text("".join(f"{key} = {value}\n" for key, value in table.items()))
+    assert load_run_config(p) == cfg
 
 
 def test_config_file_overrides(tmp_path):
@@ -191,6 +200,15 @@ def test_config_value_validation(tmp_path):
     p.write_text("eval.absent_policy = skip\n")
     with pytest.raises(ConfigError, match="absent_policy"):
         load_run_config(p)
+    for key in ("engine.temperature", "engine.match_norm", "engine.prior_weight",
+                "encoder.position_weight", "encoder.std_weight",
+                "segmenter.chroma_tolerance"):
+        for value in ("nan", "inf", "-inf"):
+            p.write_text(f"{key} = {value}\n")
+            with pytest.raises(ConfigError, match=key.split(".")[1]):
+                load_run_config(p)
+    p.write_text("engine.temperature = nan\n")
+    assert main(["eval", "x", "y", "--config", str(p)]) == 1
 
 
 def test_resolve_threads(monkeypatch):
@@ -224,6 +242,9 @@ def test_results_reject_malformed_rows(tmp_path):
         read_results(p)
     p.write_text("1 0 0 4 4 0\n")
     with pytest.raises(DataError, match="out of order"):
+        read_results(p)
+    p.write_text("2.5 16 16 48 48 0\n")
+    with pytest.raises(DataError, match="r.txt:1: non-integer field"):
         read_results(p)
 
 

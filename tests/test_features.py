@@ -92,12 +92,11 @@ def test_channel_folding_and_padding():
     np.testing.assert_allclose(narrow.level16, folded, atol=1e-6)
 
 
-def test_level8_shape_and_shortcut_flag():
+def test_level8_shape():
     frame = np.zeros((48, 80, 3), dtype=np.float32)
     pyr = encode_frame(frame, EncoderConfig())
     assert pyr.level16.shape[:2] == (3, 5)
     assert pyr.level8.shape[:2] == (6, 10)
-    assert pyr.shortcut16dup is True
 
 
 def test_random_projection_seed_determinism():

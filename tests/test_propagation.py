@@ -6,7 +6,6 @@ import pytest
 from mstrack.errors import ConfigError, LabelError, ShapeError, StateError
 from mstrack.propagation import (
     CLOSED_GATE_BIAS,
-    Gate,
     GateParams,
     IdBank,
     MemoryEntry,
@@ -22,6 +21,7 @@ from mstrack.propagation import (
     probe_operations,
     read_id_logits,
     scale_rows,
+    _sigmoid,
 )
 
 
@@ -203,15 +203,8 @@ def test_closed_gate_identity_is_exact():
 
 
 def test_default_gate_is_half():
-    g = Gate()
-    np.testing.assert_allclose(g.values(np.zeros((3, 2), dtype=np.float32)), 0.5, atol=1e-7)
-    assert Gate(bias=CLOSED_GATE_BIAS).values(np.ones((1, 2), dtype=np.float32))[0, 0] == 0.0
-
-
-def test_gate_weight_shape_checked():
-    g = Gate(weight=np.ones(3, dtype=np.float32))
-    with pytest.raises(ShapeError):
-        g.values(np.zeros((2, 2), dtype=np.float32))
+    assert all(_sigmoid(b) == 0.5 for b in vars(GateParams()).values())
+    assert _sigmoid(CLOSED_GATE_BIAS) == 0.0
 
 
 def test_gpm_layer_matches_hand_unrolled_oracle():
@@ -221,10 +214,7 @@ def test_gpm_layer_matches_hand_unrolled_oracle():
     long_ids = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.float32)
     short_keys = np.array([[0.2, -0.7]], dtype=np.float32)
     short_ids = np.array([[0.0, 0.0, 1.0]], dtype=np.float32)
-    gates = GateParams(
-        visual_long=Gate(bias=0.3), id_long=Gate(bias=-0.2),
-        visual_short=Gate(bias=0.1), id_short=Gate(bias=0.4),
-    )
+    gates = GateParams(visual_long=0.3, id_long=-0.2, visual_short=0.1, id_short=0.4)
     temperature = 0.5
 
     def read(qf, keys, vals):
