@@ -47,6 +47,8 @@ class SegmenterSpec:
     chroma_tolerance: float = 0.1
 
     def __post_init__(self):
+        if not self.kinds:
+            raise ConfigError("segmenter kinds must name at least one segmenter")
         for k in self.kinds:
             if k not in SEGMENTER_KINDS:
                 raise ConfigError(f"unknown segmenter kind {k!r}, expected one of {SEGMENTER_KINDS}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ from .evaluation import (
     load_frame,
     load_mask,
     load_sequence,
+    read_box_rows,
+    write_box_rows,
     write_report,
 )
 from .features import EncoderConfig
@@ -131,9 +133,17 @@ def resolve_threads(configured: int) -> int:
     return configured
 
 
-def _parse_segmenter(value: str, fusion: str, tolerance: float) -> SegmenterSpec:
-    kinds = tuple(k.strip() for k in value.split(",") if k.strip())
-    return SegmenterSpec(kinds=kinds, fusion=fusion, chroma_tolerance=tolerance)
+def _segmenter_specs(cfg: RunConfig, rows, fusion) -> list:
+    """Init segmenters: one per `--segmenter` comma list, else the config's.
+
+    `--fusion` overrides the configured fusion rule for each of them.
+    """
+    seg = cfg.segmenter
+    if rows is None:
+        kinds = [seg.kinds]
+    else:
+        kinds = [tuple(k.strip() for k in row.split(",") if k.strip()) for row in rows]
+    return [replace(seg, kinds=k, fusion=fusion or seg.fusion) for k in kinds]
 
 
 # --------------------------------------------------------------------------
@@ -141,26 +151,11 @@ def _parse_segmenter(value: str, fusion: str, tolerance: float) -> SegmenterSpec
 
 
 def write_results(path, boxes) -> None:
-    lines = [f"{i} {b.x} {b.y} {b.w} {b.h} {1 if b.lost else 0}" for i, b in enumerate(boxes)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_box_rows(path, [(b.x, b.y, b.w, b.h, b.lost) for b in boxes])
 
 
 def read_results(path):
-    boxes = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise DataError(f"{path}:{lineno}: expected 6 fields")
-        try:
-            t, x, y, w, h, lost = (int(p) for p in parts)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer field") from None
-        if t != len(boxes):
-            raise DataError(f"{path}:{lineno}: frame index {t} out of order")
-        boxes.append(Box(x, y, w, h, lost=bool(lost)))
-    return boxes
+    return [Box(x, y, w, h, lost=lost) for x, y, w, h, lost in read_box_rows(path)]
 
 
 # --------------------------------------------------------------------------
@@ -181,18 +176,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _tracker_io(config_path, segmenter, fusion):
-    cfg = load_run_config(config_path)
-    seg = cfg.segmenter
-    if segmenter:
-        seg = _parse_segmenter(segmenter, fusion or cfg.segmenter.fusion, cfg.segmenter.chroma_tolerance)
-    elif fusion:
-        seg = SegmenterSpec(kinds=seg.kinds, fusion=fusion, chroma_tolerance=seg.chroma_tolerance)
-    return cfg, seg
-
-
 def cmd_track(args) -> int:
-    cfg, seg = _tracker_io(args.config, args.segmenter, args.fusion)
+    cfg = load_run_config(args.config)
+    rows = None if args.segmenter is None else [args.segmenter]
+    (seg,) = _segmenter_specs(cfg, rows, args.fusion)
     seq = load_sequence(args.sequence_dir)
     init = seq.gt_boxes[0]
     if init is None:
@@ -232,15 +219,8 @@ def cmd_eval(args) -> int:
     protocol = (args.protocol or cfg.protocol).lower()
     spacing = args.spacing if args.spacing is not None else cfg.anchor_spacing
     threads = resolve_threads(args.threads if args.threads is not None else cfg.threads)
+    specs = _segmenter_specs(cfg, args.segmenter, args.fusion)
     sequences = _discover_sequences(args.dataset_dir)
-
-    if args.segmenter:
-        specs = [
-            _parse_segmenter(s, args.fusion or cfg.segmenter.fusion, cfg.segmenter.chroma_tolerance)
-            for s in args.segmenter
-        ]
-    else:
-        specs = [cfg.segmenter]
 
     report_path = Path(args.report)
     rows = []

@@ -1,4 +1,5 @@
-"""Tracking protocols (one-pass and multi-start), success scoring, reports.
+"""Tracking protocols (one-pass and multi-start), success scoring, box-row
+files and reports.
 
 A tracker is any callable `tracker(frames, init_box, gt_mask) -> [Box]`
 returning one box per frame (the first echoes its initialization); `gt_mask`
@@ -10,13 +11,23 @@ counted frames whose IoU is >= the threshold; the score is the mean of the
 51 curve values.  Frames without visible ground truth are excluded from the
 IoU pool by default (absent_policy="zero" counts them as misses).
 
-The multi-start protocol anchors runs at visible-ground-truth frames with
-index 0, s, 2s, ...; each anchor yields a forward run to the sequence end
-and a backward run over the reversed prefix, runs shorter than 2 frames are
-skipped, and scores are averaged weighted by run length.  The exact anchor
-rule and weighting are conventions fixed by this toolkit, and reports carry
-a note saying so.  With spacing >= sequence length the protocol degenerates
-to exactly the one-pass result.
+A protocol is a run plan: a list of `(anchor, direction, indices)` runs, each
+one tracker run over the frames at `indices`, initialized from the visible
+ground truth of `indices[0]`, the anchor.  One loop scores every plan: a run
+whose initialization fails (InitError) is skipped, and the sequence curve is
+the run-length-weighted mean of the run curves.
+
+* One-pass (OPE): one forward run from the first visible frame to the end.
+* Multi-start (MSE): anchors at the visible frames with index 0, s, 2s, ...;
+  each gives a forward run to the sequence end and a backward run over the
+  reversed prefix, and runs shorter than 2 frames are dropped.  The anchor
+  rule and weighting are conventions fixed by this toolkit, and reports
+  carry a note saying so.  With s >= the sequence length and frame 0
+  visible, the plan is the one-pass plan (for sequences of 2+ frames).
+
+Box-row files (annotations and tracker results) hold one
+`frame_idx x y w h flag` line of integers per frame, indexed in order from 0,
+with a flag of 0 or 1; `read_box_rows` and `write_box_rows` own that format.
 """
 
 from __future__ import annotations
@@ -77,6 +88,41 @@ def load_mask(path) -> np.ndarray:
     return read_pgm(path).astype(np.int32)
 
 
+def read_box_rows(path) -> list:
+    """`(x, y, w, h, flag)` per row of a box-row file; blank lines are skipped.
+
+    A row that is not six integers, whose index is out of order, or whose
+    flag is not 0 or 1 raises DataError naming `path:line`.
+    """
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not an ASCII box-row file") from None
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+        try:
+            t, x, y, w, h, flag = (int(p) for p in parts)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer field") from None
+        if t != len(rows):
+            raise DataError(f"{path}:{lineno}: frame index {t} out of order")
+        if flag not in (0, 1):
+            raise DataError(f"{path}:{lineno}: flag must be 0 or 1, got {flag}")
+        rows.append((x, y, w, h, flag == 1))
+    return rows
+
+
+def write_box_rows(path, rows) -> None:
+    """Write `(x, y, w, h, flag)` rows as `frame_idx x y w h flag` lines."""
+    lines = [f"{t} {x} {y} {w} {h} {int(flag)}" for t, (x, y, w, h, flag) in enumerate(rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 def load_sequence(seq_dir) -> SequenceRecord:
     """Read a sequence directory (frames/, optional masks/, annotations.txt)."""
     root = Path(seq_dir)
@@ -85,20 +131,7 @@ def load_sequence(seq_dir) -> SequenceRecord:
     if not ann.is_file() or not frames_dir.is_dir():
         raise DataError(f"{root} is not a sequence directory (needs frames/ and annotations.txt)")
     frame_paths = sorted(str(p) for p in frames_dir.glob("*.ppm"))
-    boxes = []
-    for lineno, line in enumerate(ann.read_text(encoding="ascii").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise DataError(f"{ann}:{lineno}: expected 6 fields, got {len(parts)}")
-        try:
-            t, x, y, w, h, vis = (int(p) for p in parts)
-        except ValueError:
-            raise DataError(f"{ann}:{lineno}: non-integer field") from None
-        if t != len(boxes):
-            raise DataError(f"{ann}:{lineno}: frame index {t} out of order")
-        boxes.append(Box(x, y, w, h) if vis else None)
+    boxes = [Box(x, y, w, h) if visible else None for x, y, w, h, visible in read_box_rows(ann)]
     if len(frame_paths) != len(boxes):
         raise DataError(
             f"{root}: {len(frame_paths)} frames but {len(boxes)} annotation rows"
@@ -145,9 +178,9 @@ class EvalResult:
 
 
 def _run_once(tracker, seq: SequenceRecord, indices, absent_policy: str):
-    """One tracker run over seq frames at the given original indices.
+    """IoUs of one tracker run over seq frames at the given original indices.
 
-    Returns (ious, n_frames).  indices[0] is the anchor (must be visible).
+    indices[0] is the anchor (must be visible).
     """
     frames = [load_frame(seq.frame_paths[i]) for i in indices]
     init_box = seq.gt_boxes[indices[0]]
@@ -167,97 +200,56 @@ def _run_once(tracker, seq: SequenceRecord, indices, absent_policy: str):
                 ious.append(0.0)
             continue
         ious.append(box_iou(box, gt))
-    return ious, len(indices)
+    return ious
 
 
-def _sequence_entry(ident, runs):
-    """Combine per-run curves into the sequence entry (length-weighted)."""
-    if not runs:
-        return {
-            "id": ident,
-            "score": 0.0,
-            "curve": np.zeros(N_THRESHOLDS, dtype=np.float64),
-            "runs": [],
-        }
-    total = sum(r["length"] for r in runs)
-    curve = np.zeros(N_THRESHOLDS, dtype=np.float64)
-    for r in runs:
-        curve += (r["length"] / total) * r.pop("_curve")
-    return {"id": ident, "score": float(curve.mean()), "curve": curve, "runs": runs}
+def _ope_plan(seq: SequenceRecord):
+    start = seq.first_visible()
+    return [(start, "forward", range(start, len(seq)))]
 
 
-def _check_policy(absent_policy):
+def _mse_plan(seq: SequenceRecord, anchor_spacing: int):
+    if anchor_spacing < 1:
+        raise ValueError(f"anchor_spacing must be >= 1, got {anchor_spacing}")
+    plan = []
+    for anchor in range(0, len(seq), anchor_spacing):
+        if seq.gt_boxes[anchor] is not None:  # anchors start from visible ground truth
+            plan.append((anchor, "forward", range(anchor, len(seq))))
+            plan.append((anchor, "backward", range(anchor, -1, -1)))
+    return [run for run in plan if len(run[2]) >= 2]
+
+
+def _score_runs(tracker, seq: SequenceRecord, plan, absent_policy: str) -> dict:
+    """Run and score a plan: the sequence entry with its length-weighted curve."""
     if absent_policy not in ABSENT_POLICIES:
         raise ValueError(f"absent_policy must be one of {ABSENT_POLICIES}")
+    runs, curves = [], []
+    for anchor, direction, indices in plan:
+        try:
+            curve, score = success_score(_run_once(tracker, seq, indices, absent_policy))
+        except InitError:
+            continue
+        runs.append({"anchor": anchor, "direction": direction, "length": len(indices), "score": score})
+        curves.append(curve)
+    total = sum(r["length"] for r in runs)
+    curve = np.zeros(N_THRESHOLDS, dtype=np.float64)
+    for r, run_curve in zip(runs, curves):
+        curve += (r["length"] / total) * run_curve
+    return {"id": seq.ident, "score": float(curve.mean()), "curve": curve, "runs": runs}
 
 
 def ope(tracker, seq: SequenceRecord, absent_policy: str = "exclude") -> EvalResult:
     """One-pass evaluation: a single run from the first visible frame."""
-    _check_policy(absent_policy)
-    start = seq.first_visible()
-    indices = list(range(start, len(seq)))
-    try:
-        ious, length = _run_once(tracker, seq, indices, absent_policy)
-        curve, score = success_score(ious)
-        runs = [
-            {
-                "anchor": start,
-                "direction": "forward",
-                "length": length,
-                "score": score,
-                "_curve": curve,
-            }
-        ]
-    except InitError:
-        runs = []
-    entry = _sequence_entry(seq.ident, runs)
-    return EvalResult(
-        protocol="OPE",
-        anchor_spacing=None,
-        per_sequence=(entry,),
-        aggregate=entry["score"],
-    )
+    entry = _score_runs(tracker, seq, _ope_plan(seq), absent_policy)
+    return EvalResult("OPE", None, (entry,), entry["score"])
 
 
 def mse(
     tracker, seq: SequenceRecord, anchor_spacing: int, absent_policy: str = "exclude"
 ) -> EvalResult:
     """Multi-start evaluation with anchors every `anchor_spacing` frames."""
-    _check_policy(absent_policy)
-    if anchor_spacing < 1:
-        raise ValueError(f"anchor_spacing must be >= 1, got {anchor_spacing}")
-    runs = []
-    for anchor in range(0, len(seq), anchor_spacing):
-        if seq.gt_boxes[anchor] is None:
-            continue  # anchors must start from visible ground truth
-        for direction, indices in (
-            ("forward", list(range(anchor, len(seq)))),
-            ("backward", list(range(anchor, -1, -1))),
-        ):
-            if len(indices) < 2:
-                continue
-            try:
-                ious, length = _run_once(tracker, seq, indices, absent_policy)
-                curve, score = success_score(ious)
-            except InitError:
-                continue
-            runs.append(
-                {
-                    "anchor": anchor,
-                    "direction": direction,
-                    "length": length,
-                    "score": score,
-                    "_curve": curve,
-                }
-            )
-    entry = _sequence_entry(seq.ident, runs)
-    return EvalResult(
-        protocol="MSE",
-        anchor_spacing=anchor_spacing,
-        per_sequence=(entry,),
-        aggregate=entry["score"],
-        note=MSE_NOTE,
-    )
+    entry = _score_runs(tracker, seq, _mse_plan(seq, anchor_spacing), absent_policy)
+    return EvalResult("MSE", anchor_spacing, (entry,), entry["score"], note=MSE_NOTE)
 
 
 def evaluate_suite(
@@ -280,17 +272,15 @@ def evaluate_suite(
     seqs = sorted(sequences, key=lambda s: s.ident)
 
     def one(seq):
-        if proto == "ope":
-            return ope(tracker, seq, absent_policy)
-        return mse(tracker, seq, anchor_spacing, absent_policy)
+        plan = _ope_plan(seq) if proto == "ope" else _mse_plan(seq, anchor_spacing)
+        return _score_runs(tracker, seq, plan, absent_policy)
 
     if threads > 1 and len(seqs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, seqs))
+            entries = tuple(pool.map(one, seqs))
     else:
-        results = [one(s) for s in seqs]
+        entries = tuple(one(s) for s in seqs)
 
-    entries = tuple(r.per_sequence[0] for r in results)
     if proto == "ope":
         aggregate = float(np.mean([e["score"] for e in entries])) if entries else 0.0
         return EvalResult("OPE", None, entries, aggregate)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .boxmask import mask_to_box
 from .errors import ConfigError
-from .evaluation import SequenceRecord
+from .evaluation import SequenceRecord, write_box_rows
 from .flatcfg import FlatConfig, parse_flat_file
 from .pnm import write_pgm, write_ppm
 
@@ -243,7 +243,6 @@ def generate(spec: SceneSpec, out_dir) -> SequenceRecord:
     frame_paths = []
     mask_paths = []
     gt_boxes = []
-    lines = []
     for t in range(spec.n_frames):
         frame, mask, boxes = render_frame(spec, t)
         fp = frames_dir / f"{t:04d}.ppm"
@@ -252,13 +251,11 @@ def generate(spec: SceneSpec, out_dir) -> SequenceRecord:
         write_pgm(mp, mask.astype(np.uint8))
         frame_paths.append(str(fp))
         mask_paths.append(str(mp))
-        box = boxes.get(1)
-        gt_boxes.append(box)
-        if box is None:
-            lines.append(f"{t} -1 -1 -1 -1 0")
-        else:
-            lines.append(f"{t} {box.x} {box.y} {box.w} {box.h} 1")
-    (root / "annotations.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+        gt_boxes.append(boxes.get(1))
+    write_box_rows(
+        root / "annotations.txt",
+        [(-1, -1, -1, -1, 0) if b is None else (b.x, b.y, b.w, b.h, 1) for b in gt_boxes],
+    )
     return SequenceRecord(
         ident=spec.ident,
         frame_paths=tuple(frame_paths),
@@ -396,16 +393,16 @@ def _parse_object(cfg: FlatConfig, prefix: str) -> ObjectSpec:
     if color is None or size is None or start is None:
         raise ConfigError(f"{cfg.source}: group {prefix!r} needs color, size and start")
     return ObjectSpec(
-        shape=shape,
-        color=tuple(color),
-        size=tuple(size),
-        start=tuple(start),
-        velocity=cfg.get_floats(f"{prefix}.velocity", (0.0, 0.0)),
-        trajectory=cfg.get_str(f"{prefix}.trajectory", "linear"),
-        amplitude=cfg.get_floats(f"{prefix}.amplitude", (0.0, 0.0)),
-        period=cfg.get_float(f"{prefix}.period", 30.0),
-        scale_drift=cfg.get_float(f"{prefix}.scale_drift", 1.0),
+        shape=shape, color=color, size=size, start=start,
+        **_present(cfg, prefix, velocity=cfg.get_floats, trajectory=cfg.get_str,
+                   amplitude=cfg.get_floats, period=cfg.get_float, scale_drift=cfg.get_float),
     )
+
+
+def _present(cfg: FlatConfig, prefix: str, **getters) -> dict:
+    """name -> typed value for each `prefix.name` key the file sets; keys it
+    leaves out are left to the dataclass defaults."""
+    return {n: get(f"{prefix}.{n}") for n, get in getters.items() if f"{prefix}.{n}" in cfg}
 
 
 def parse_scene_file(path) -> SceneSpec:
@@ -419,12 +416,10 @@ def parse_scene_file(path) -> SceneSpec:
             groups[m.group(1)].add(int(m.group(2)))
     objects = tuple(_parse_object(cfg, f"object.{i}") for i in sorted(groups["object"]))
     occluders = tuple(_parse_object(cfg, f"occluder.{i}") for i in sorted(groups["occluder"]))
-    bg_kwargs = {"kind": cfg.get_str("background.kind", "solid")}
-    if cfg.get_floats("background.color") is not None:
-        bg_kwargs["color"] = tuple(cfg.get_floats("background.color"))
-    if cfg.get_floats("background.color2") is not None:
-        bg_kwargs["color2"] = tuple(cfg.get_floats("background.color2"))
-    bg_kwargs["cell"] = cfg.get_int("background.cell", 16)
+    background = _present(
+        cfg, "background", kind=cfg.get_str, color=cfg.get_floats, color2=cfg.get_floats,
+        cell=cfg.get_int,
+    )
     ident = cfg.get_str("scene.id")
     if not ident:
         raise ConfigError(f"{cfg.source}: missing key 'scene.id'")
@@ -437,8 +432,8 @@ def parse_scene_file(path) -> SceneSpec:
         height=cfg.get_int("scene.height"),
         n_frames=cfg.get_int("scene.frames"),
         seed=cfg.get_int("scene.seed", 0),
-        background=Background(**bg_kwargs),
-        noise_sigma=cfg.get_float("background.noise_sigma", DEFAULT_NOISE_SIGMA),
+        background=Background(**background),
         objects=objects,
         occluders=occluders,
+        **_present(cfg, "background", noise_sigma=cfg.get_float),
     )

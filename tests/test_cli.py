@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,19 @@ def test_eval_mse_protocol(mini_dataset, tmp_path):
     assert anchors == {0, 3}
 
 
+def test_eval_fusion_flag_applies_to_configured_segmenters(corpus_dir, tmp_path):
+    # boxfill and chroma disagree on a disc, so the fusion rule changes the score
+    data = tmp_path / "data"
+    shutil.copytree(corpus_dir / "s02_slow_disc", data / "s02_slow_disc")
+    plain, fused, named = (tmp_path / f"{n}.json" for n in ("plain", "fused", "named"))
+    assert main(["eval", str(data), str(plain), "--threads", "1"]) == 0
+    assert main(["eval", str(data), str(fused), "--threads", "1", "--fusion", "intersection"]) == 0
+    assert main(["eval", str(data), str(named), "--threads", "1",
+                 "--segmenter", "boxfill,chroma", "--fusion", "intersection"]) == 0
+    assert fused.read_bytes() == named.read_bytes()
+    assert fused.read_bytes() != plain.read_bytes()
+
+
 def test_eval_empty_dataset_exits_two(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["eval", str(tmp_path / "empty"), str(tmp_path / "r.json")]) == 2
@@ -189,7 +203,7 @@ def test_config_unknown_key_names_the_line(tmp_path, capsys):
     assert "run.cfg:2" in capsys.readouterr().err
 
 
-def test_config_value_validation(tmp_path):
+def test_config_value_validation(tmp_path, mini_dataset, capsys):
     p = tmp_path / "run.cfg"
     p.write_text("eval.protocol = spe\n")
     with pytest.raises(ConfigError, match="ope or mse"):
@@ -209,6 +223,14 @@ def test_config_value_validation(tmp_path):
                 load_run_config(p)
     p.write_text("engine.temperature = nan\n")
     assert main(["eval", "x", "y", "--config", str(p)]) == 1
+    p.write_text("segmenter.kinds = ,\n")
+    with pytest.raises(ConfigError, match="at least one segmenter"):
+        load_run_config(p)
+    seq = str(mini_dataset / "mini")
+    assert main(["track", seq, str(tmp_path / "r.txt"), "--segmenter", ","]) == 1
+    assert main(["track", seq, str(tmp_path / "r.txt"), "--config", str(p)]) == 1
+    assert "at least one segmenter" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_resolve_threads(monkeypatch):
@@ -246,6 +268,19 @@ def test_results_reject_malformed_rows(tmp_path):
     p.write_text("2.5 16 16 48 48 0\n")
     with pytest.raises(DataError, match="r.txt:1: non-integer field"):
         read_results(p)
+    p.write_text("0 16 16 48 48 0\n1 16 16 48 48 7\n")
+    with pytest.raises(DataError, match="r.txt:2: flag must be 0 or 1"):
+        read_results(p)
+    p.write_bytes(b"0 16 16 48 48 \xff\n")
+    with pytest.raises(DataError, match="r.txt: not an ASCII"):
+        read_results(p)
+
+
+def test_overlay_rejects_bad_flag_exits_two(mini_dataset, tmp_path, capsys):
+    p = tmp_path / "flag.txt"
+    p.write_text("".join(f"{t} 16 16 24 24 {7 if t == 3 else 0}\n" for t in range(6)))
+    assert main(["overlay", str(mini_dataset / "mini"), str(p), str(tmp_path / "v")]) == 2
+    assert "flag.txt:4: flag must be 0 or 1" in capsys.readouterr().err
 
 
 # -- overlay --------------------------------------------------------------------

@@ -15,9 +15,11 @@ from mstrack.evaluation import (
     load_sequence,
     mse,
     ope,
+    read_box_rows,
     read_report,
     success_score,
     thresholds,
+    write_box_rows,
     write_report,
 )
 from mstrack.pnm import write_ppm
@@ -151,9 +153,30 @@ def test_load_sequence_reports_bad_lines(tmp_path):
     ann.write_text("1 0 0 4 4 1\n")
     with pytest.raises(DataError, match="out of order"):
         load_sequence(seq_dir)
+    ann.write_text("0 0 0 4 4 7\n")
+    with pytest.raises(DataError, match=r"annotations.txt:1: flag must be 0 or 1"):
+        load_sequence(seq_dir)
     ann.write_text("0 0 0 4 4 1\n1 0 0 4 4 1\n")
     with pytest.raises(DataError, match="1 frames but 2"):
         load_sequence(seq_dir)
+
+
+_ROW = st.tuples(*[st.integers(-(2**40), 2**40)] * 4, st.booleans())
+
+
+@given(st.lists(_ROW, max_size=8), st.text(alphabet="0123456789 -+x.\n", max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_box_rows_round_trip_and_reject_only_as_data_errors(tmp_path_factory, rows, junk):
+    p = tmp_path_factory.mktemp("rows") / "rows.txt"
+    write_box_rows(p, rows)
+    assert read_box_rows(p) == rows
+    p.write_text(junk)
+    try:
+        parsed = read_box_rows(p)
+    except DataError as e:
+        assert str(e).startswith(f"{p}:")
+    else:
+        assert all(len(r) == 5 and r[4] in (True, False) for r in parsed)
 
 
 def test_load_sequence_requires_layout(tmp_path):

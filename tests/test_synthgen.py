@@ -231,6 +231,16 @@ def test_parse_scene_file_round_trip(tmp_path):
     assert sp.occluders[0].size == (8.0, 96.0)
     assert sp.noise_sigma == 0.01
     render_frame(sp, 0)
+    # a file with only the required keys takes every default from the dataclasses
+    p.write_text(
+        "scene.id = bare\nscene.width = 64\nscene.height = 48\nscene.frames = 3\n"
+        "object.1.shape = disc\nobject.1.color = 0.9 0.1 0.1\n"
+        "object.1.size = 20 20\nobject.1.start = 30 24\n"
+    )
+    bare = ObjectSpec(shape="disc", color=(0.9, 0.1, 0.1), size=(20.0, 20.0), start=(30.0, 24.0))
+    assert parse_scene_file(p) == SceneSpec(
+        ident="bare", width=64, height=48, n_frames=3, seed=0, objects=(bare,)
+    )
 
 
 def test_parse_scene_file_rejects_unknown_and_missing(tmp_path):
