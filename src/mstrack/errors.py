@@ -21,6 +21,10 @@ class ConfigError(MstrackError, ValueError):
     """A configuration value is invalid or unsatisfiable."""
 
 
+class NumericError(MstrackError, ValueError):
+    """A kernel met a non-finite tensor, an overflow or a bad numeric parameter."""
+
+
 class StateError(MstrackError, RuntimeError):
     """An operation was called on inconsistent or empty runtime state."""
 

@@ -33,6 +33,7 @@ with a flag of 0 or 1; `read_box_rows` and `write_box_rows` own that format.
 from __future__ import annotations
 
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,10 @@ def load_mask(path) -> np.ndarray:
     return read_pgm(path).astype(np.int32)
 
 
+# plain decimal only: Python's int() also takes "1_0", "+5" and padding
+_BOX_ROW_INT = re.compile(r"-?[0-9]+")
+
+
 def read_box_rows(path) -> list:
     """`(x, y, w, h, flag)` per row of a box-row file; blank lines are skipped.
 
@@ -105,10 +110,9 @@ def read_box_rows(path) -> list:
         parts = line.split()
         if len(parts) != 6:
             raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        try:
-            t, x, y, w, h, flag = (int(p) for p in parts)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer field") from None
+        if not all(_BOX_ROW_INT.fullmatch(p) for p in parts):
+            raise DataError(f"{path}:{lineno}: non-integer field")
+        t, x, y, w, h, flag = (int(p) for p in parts)
         if t != len(rows):
             raise DataError(f"{path}:{lineno}: frame index {t} out of order")
         if flag not in (0, 1):

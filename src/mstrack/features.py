@@ -26,7 +26,9 @@ Pyramid levels finer than stride 8 are not computed.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -157,7 +159,8 @@ def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
     """
     f = validate_frame(frame)
     if cfg.mode == "weights-file":
-        weights = load_weights(cfg.weights_path)
+        st = os.stat(cfg.weights_path)
+        weights = _loaded_weights(cfg.weights_path, st.st_mtime_ns, st.st_size)
         for name, stride, want in (("proj16", 16, cfg.channels16), ("proj8", 8, cfg.channels8)):
             if name not in weights:
                 raise FormatError(f"weights file missing tensor {name!r}")
@@ -207,8 +210,15 @@ def save_weights(path, tensors: dict[str, np.ndarray]) -> None:
         f.write(bytes(body))
 
 
+@functools.lru_cache(maxsize=4)
+def _loaded_weights(path, mtime_ns: int, size: int) -> dict[str, np.ndarray]:
+    # keyed by what stat reports, so a rewritten file is read again; the
+    # tensors are read-only because every caller shares them
+    return load_weights(path)
+
+
 def load_weights(path) -> dict[str, np.ndarray]:
-    """Load an MSWT weights file, verifying structure and checksum."""
+    """Load an MSWT weights file, verifying structure, checksum and finiteness."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < len(WEIGHTS_MAGIC) + 8:
@@ -246,7 +256,10 @@ def load_weights(path) -> dict[str, np.ndarray]:
             raise FormatError(f"truncated data for tensor {name!r} in {path}")
         arr = np.frombuffer(blob[off : off + nbytes], dtype="<f4").reshape(dims)
         off += nbytes
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"tensor {name!r} in {path} has non-finite values")
         tensors[name] = np.ascontiguousarray(arr, dtype=np.float32)
+        tensors[name].setflags(write=False)
     if off != end:
         raise FormatError(f"trailing bytes after tensor records in {path}")
     return tensors

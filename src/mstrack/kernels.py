@@ -1,32 +1,67 @@
 """Deterministic dense-array kernels used by the propagation engine.
 
 All kernels take and return C-contiguous float32 arrays ("tensors") and are
-pure: identical inputs give bit-identical outputs.  Reductions inside matmul
-accumulate in float64 before casting back to float32.
+pure: identical inputs give bit-identical outputs.  `matmul` is a float64
+BLAS product cast back to float32.
+
+Importing this module sets NumPy's OpenBLAS, when the symbol resolves, to
+one thread.  mstrack's only parallelism is its evaluation thread pool
+(`--threads` / `MSTRACK_THREADS`); a BLAS that also starts a thread per core
+for every product oversubscribes the CPUs the pool already fills, and the
+products here are too small to gain from splitting.  The thread count does
+not change the bytes (tests/test_kernels.py checks 1 and 2 threads).
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 __all__ = ["as_tensor", "matmul", "softmax", "bilinear_resize", "channel_argmax"]
+
+
+def _openblas_function(*names):
+    """The first of `names` exported by the BLAS that NumPy links, or None."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in names:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+_set_blas_threads = _openblas_function(
+    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads"
+)
+if _set_blas_threads is not None:
+    _set_blas_threads.argtypes = [ctypes.c_int]
+    _set_blas_threads.restype = None
+    _set_blas_threads(1)
 
 
 def as_tensor(x) -> np.ndarray:
     """Coerce input to a finite, C-contiguous float32 array."""
     a = np.ascontiguousarray(x, dtype=np.float32)
     if not np.all(np.isfinite(a)):
-        raise ValueError("tensor contains non-finite values")
+        raise NumericError("tensor contains non-finite values")
     return a
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a [m,k] and b [k,n] with float64 accumulation.
+    """Matrix product of a [m,k] and b [k,n], summed in float64 by BLAS.
 
-    Uses a fixed single-threaded einsum reduction so the result is
-    bit-reproducible regardless of BLAS threading.
+    A float32 x float32 product is exact in float64, so BLAS can change only
+    the order of the float64 sum, and the cast back to float32 absorbs that
+    on the engine's shapes: tests/test_kernels.py keeps the einsum sum this
+    replaced as the reference, at 1 and 2 BLAS threads.
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -34,11 +69,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dims differ: {a.shape} x {b.shape}")
-    out64 = np.einsum("ij,jk->ik", a.astype(np.float64), b.astype(np.float64), optimize=False)
-    out = out64.astype(np.float32)
+    out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
     if not np.all(np.isfinite(out)):
-        raise ValueError("matmul overflowed float32 range")
-    return np.ascontiguousarray(out)
+        raise NumericError("matmul overflowed float32 range")
+    return out
 
 
 def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0) -> np.ndarray:
@@ -49,7 +83,7 @@ def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0) -> np.ndarr
     """
     x = as_tensor(x)
     if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+        raise NumericError(f"temperature must be positive, got {temperature}")
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} out of range for rank-{x.ndim} tensor")
     z = x.astype(np.float64) / float(temperature)

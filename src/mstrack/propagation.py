@@ -12,8 +12,9 @@ sigmoid-gated residual:
     out     = in + sigmoid(bias) * (att . values)
 
 with values = memory keys on the visual branch and memory id_values on the
-ID branch.  Each of the four reads has its own scalar gate bias; bias 0 (the
-default) is a uniform half-open gate.
+ID branch.  Both branches come from one product, att . [keys | id_values].
+Each of the four reads has its own scalar gate bias; bias 0 (the default) is
+a uniform half-open gate.
 
 Operation counts and tensor shapes never depend on the number of tracked
 objects; `probe_operations` records (name, shape) signatures so tests can
@@ -114,10 +115,19 @@ def permuted_bank(bank: IdBank, perm: dict[int, int]) -> IdBank:
 
 @dataclass(frozen=True)
 class MemoryEntry:
+    """Memory rows of one frame, or of several merged.
+
+    Attention reads use `keys_t` and `values`, built once per entry; `keys`
+    and `id_values` become float32 views into `values`, so the rows are
+    held once.
+    """
+
     scale: int  # stride, 16 or 8
     keys: np.ndarray  # [N, C] flattened spatial cells
     id_values: np.ndarray  # [N, D]
     frame_index: int
+    keys_t: np.ndarray = field(init=False, repr=False, compare=False)  # [C, N]
+    values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, C+D]
 
     def __post_init__(self):
         if self.keys.ndim != 2 or self.id_values.ndim != 2:
@@ -127,6 +137,14 @@ class MemoryEntry:
                 f"memory row mismatch: {self.keys.shape[0]} keys vs "
                 f"{self.id_values.shape[0]} id rows"
             )
+        c = self.keys.shape[1]
+        values = np.concatenate(
+            [np.asarray(self.keys, np.float32), np.asarray(self.id_values, np.float32)], axis=1
+        )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "keys", values[:, :c])
+        object.__setattr__(self, "id_values", values[:, c:])
+        object.__setattr__(self, "keys_t", np.ascontiguousarray(values[:, :c].T))
 
 
 @dataclass
@@ -225,7 +243,8 @@ def attention_read(query: np.ndarray, memory: MemoryEntry, temperature: float = 
     """One softmax attention read over a memory entry.
 
     att[i, j] = softmax_j(query_i . key_j / (temperature * sqrt(C)));
-    id_read = att . id_values.  Returns (att, id_read).
+    vis_read = att . keys and id_read = att . id_values, both columns of the
+    one product att . [keys | id_values].  Returns (att, vis_read, id_read).
     """
     q = np.asarray(query, dtype=np.float32)
     if q.ndim != 2:
@@ -235,13 +254,11 @@ def attention_read(query: np.ndarray, memory: MemoryEntry, temperature: float = 
             f"query channels {q.shape[1]} != memory key channels {memory.keys.shape[1]}"
         )
     c = q.shape[1]
-    scores = matmul(q, np.ascontiguousarray(memory.keys.T)) / np.float32(
-        temperature * np.sqrt(c)
-    )
-    att = softmax(scores, axis=-1)
-    id_read = matmul(att, memory.id_values)
+    # the scores are not kept alive through the read product (peak memory)
+    att = softmax(matmul(q, memory.keys_t) / np.float32(temperature * np.sqrt(c)), axis=-1)
+    read = matmul(att, memory.values)
     _record(("attention_read", q.shape[0], memory.keys.shape[0], c, memory.id_values.shape[1]))
-    return att, id_read
+    return att, read[:, :c], read[:, c:]
 
 
 def _sigmoid(z: float) -> float:
@@ -271,8 +288,7 @@ class GateParams:
 
 
 def _gated_read(feats, ids, entry: MemoryEntry, vbias: float, ibias: float, temperature):
-    att, id_read = attention_read(feats, entry, temperature)
-    vis_read = matmul(att, entry.keys)
+    _, vis_read, id_read = attention_read(feats, entry, temperature)
     gv = np.float32(_sigmoid(vbias))
     gi = np.float32(_sigmoid(ibias))
     return feats + gv * vis_read, ids + gi * id_read

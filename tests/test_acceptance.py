@@ -127,7 +127,7 @@ def test_A2_propagation_invariants():
         n, m, c = rng.integers(1, 10, size=3)
         mem = MemoryEntry(16, rng.normal(size=(m, c)).astype(np.float32),
                           rng.normal(size=(m, 3)).astype(np.float32), 0)
-        att, _ = attention_read(rng.normal(scale=3.0, size=(n, c)).astype(np.float32), mem)
+        att, _, _ = attention_read(rng.normal(scale=3.0, size=(n, c)).astype(np.float32), mem)
         assert np.abs(att.sum(axis=1) - 1.0).max() <= 1e-6
 
     for _ in range(20):

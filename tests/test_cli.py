@@ -18,6 +18,7 @@ from mstrack.cli import (
     write_results,
 )
 from mstrack.errors import ConfigError, DataError
+from mstrack.features import save_weights
 from mstrack.pnm import read_pgm, read_ppm
 
 MINI_SCENE = """\
@@ -93,6 +94,39 @@ def test_track_writes_results_and_masks(mini_dataset, tmp_path, capsys):
 
 def test_track_missing_sequence_dir_exits_two(tmp_path):
     assert main(["track", str(tmp_path / "nothing"), str(tmp_path / "o.txt")]) == 2
+
+
+def _weights_config(tmp_path, scale, nan=False):
+    """Run config for weights-file mode with the default 32+32 channels."""
+    rng = np.random.default_rng(5)
+    proj16 = (scale * rng.normal(size=(16 * 16 * 3, 32))).astype(np.float32)
+    if nan:
+        proj16[0, 0] = np.nan
+    weights = tmp_path / "w.mswt"
+    save_weights(weights, {"proj16": proj16, "proj8": rng.normal(size=(8 * 8 * 3, 32))})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"encoder.mode = weights-file\nencoder.weights_path = {weights}\n")
+    return str(cfg)
+
+
+def test_track_nan_weights_file_exits_two(mini_dataset, tmp_path, capsys):
+    cfg = _weights_config(tmp_path, 1.0, nan=True)
+    code = main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"), "--config", cfg])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'proj16'" in err[0] and "non-finite" in err[0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_track_kernel_fault_exits_three(mini_dataset, tmp_path, capsys):
+    # finite weights whose features overflow float32 reach the kernels as inf
+    cfg = _weights_config(tmp_path, 1e37)
+    code = main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"), "--config", cfg])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "internal error: tensor contains non-finite values"
+    ]
 
 
 def test_track_rejects_unknown_segmenter(mini_dataset, tmp_path, capsys):
@@ -273,6 +307,12 @@ def test_results_reject_malformed_rows(tmp_path):
         read_results(p)
     p.write_bytes(b"0 16 16 48 48 \xff\n")
     with pytest.raises(DataError, match="r.txt: not an ASCII"):
+        read_results(p)
+    p.write_text("0 16 16 48 48 0\n1 1_0 16 48 48 0\n")
+    with pytest.raises(DataError, match="r.txt:2: non-integer field"):
+        read_results(p)
+    p.write_text("0 +5 16 48 48 0\n")
+    with pytest.raises(DataError, match="r.txt:1: non-integer field"):
         read_results(p)
 
 

@@ -1,8 +1,12 @@
 """Encoder tests: per-cell oracles, covariance, MSWT container handling."""
 
+import os
+
 import numpy as np
 import pytest
 
+from mstrack import features
+from mstrack.engine import EngineConfig, track_sequence
 from mstrack.errors import ConfigError, FormatError, ShapeError
 from mstrack.features import (
     BASE_CHANNELS,
@@ -178,6 +182,42 @@ def test_weights_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(12))
     with pytest.raises(FormatError, match="magic"):
         load_weights(path)
+
+
+def test_weights_non_finite_rejected(tmp_path):
+    path = tmp_path / "w.mswt"
+    for bad in (np.nan, np.inf):
+        tensors = _weights_dict()
+        tensors["proj16"][3, 2] = bad
+        save_weights(path, tensors)
+        with pytest.raises(FormatError, match="'proj16'.*non-finite"):
+            load_weights(path)
+
+
+def test_weights_file_read_once_per_file_version(tmp_path, monkeypatch):
+    path = tmp_path / "w.mswt"
+    save_weights(path, _weights_dict())
+    reads = []
+
+    def counted(p):
+        reads.append(p)
+        return load_weights(p)
+
+    monkeypatch.setattr(features, "load_weights", counted)
+    enc = EncoderConfig(mode="weights-file", weights_path=str(path), channels16=6, channels8=4)
+    cfg = EngineConfig(encoder=enc)
+    rng = np.random.default_rng(36)
+    frames = [rng.random((32, 32, 3)).astype(np.float32) for _ in range(10)]
+    mask = np.zeros((32, 32), dtype=np.int32)
+    mask[8:24, 8:24] = 1
+    track_sequence(frames, mask, cfg)
+    assert reads == [str(path)]
+    # a rewritten file is read again
+    save_weights(path, {k: v + 1.0 for k, v in _weights_dict().items()})
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+    track_sequence(frames, mask, cfg)
+    assert reads == [str(path)] * 2
 
 
 def test_weights_rewrite_is_not_cached(tmp_path):

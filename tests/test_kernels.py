@@ -1,14 +1,21 @@
 """Kernel tests against brute-force oracles written independently below."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstrack.errors import ShapeError
+from mstrack import kernels
+from mstrack.errors import MstrackError, NumericError, ShapeError
 from mstrack.kernels import bilinear_resize, channel_argmax, matmul, softmax
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def matmul_oracle(a, b):
@@ -22,6 +29,12 @@ def matmul_oracle(a, b):
                 acc += float(a[i, p]) * float(b[p, j])
             out[i, j] = acc
     return out.astype(np.float32)
+
+
+def einsum_matmul(a, b):
+    """The einsum product matmul computed before it moved to BLAS."""
+    out64 = np.einsum("ij,jk->ik", a.astype(np.float64), b.astype(np.float64), optimize=False)
+    return out64.astype(np.float32)
 
 
 def softmax_oracle(x, axis, temperature):
@@ -94,6 +107,100 @@ def test_matmul_random_vs_oracle():
         a = rng.normal(size=(m, k)).astype(np.float32)
         b = rng.normal(size=(k, n)).astype(np.float32)
         np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-6)
+
+
+def _engine_products(seed):
+    """Operand pairs with the engine's product shapes and value ranges.
+
+    Score products take rows scaled to norm 6 * sqrt(32), as the engine's
+    match rows are; the attention read takes softmax rows against
+    [keys | unit id rows].
+    """
+    rng = np.random.default_rng(seed)
+
+    def rows(n, norm=6.0 * math.sqrt(32)):
+        x = rng.normal(size=(n, 32))
+        return (x / np.linalg.norm(x, axis=1, keepdims=True) * norm).astype(np.float32)
+
+    keys = rows(4096)
+    att = softmax(matmul(rows(256), np.ascontiguousarray(keys.T)) / np.float32(0.1 * math.sqrt(32)))
+    return [
+        (rows(64), np.ascontiguousarray(rows(64).T)),
+        (rows(256), np.ascontiguousarray(keys.T)),
+        (att, np.concatenate([keys, rows(4096, 1.0)], axis=1)),
+        (rows(1024), np.ascontiguousarray(rows(1024).T)),
+    ]
+
+
+def test_matmul_bit_equal_to_einsum_on_engine_shapes():
+    products = _engine_products(16)
+    assert [(a.shape, b.shape) for a, b in products] == [
+        ((64, 32), (32, 64)),
+        ((256, 32), (32, 4096)),
+        ((256, 4096), (4096, 64)),
+        ((1024, 32), (32, 1024)),
+    ]
+    for a, b in products:
+        assert np.array_equal(matmul(a, b), einsum_matmul(a, b))
+
+
+@pytest.mark.skipif(kernels._set_blas_threads is None, reason="BLAS thread count not settable")
+def test_matmul_bytes_do_not_depend_on_blas_threads():
+    products = _engine_products(17)
+    kernels._set_blas_threads(2)
+    try:
+        for a, b in products:
+            assert np.array_equal(matmul(a, b), einsum_matmul(a, b))
+    finally:
+        kernels._set_blas_threads(1)
+
+
+_REPORT_BLAS_THREADS = """
+import ctypes
+import mstrack
+from mstrack.kernels import _openblas_function
+get = _openblas_function("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+if get is not None:
+    get.restype = ctypes.c_int
+print(-1 if get is None else get())
+"""
+
+
+def test_track_bytes_do_not_depend_on_openblas_env(corpus_dir, tmp_path):
+    seq = corpus_dir / "s01_slow_rect"
+    results = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"track-{threads}.txt"
+        subprocess.run(
+            [sys.executable, "-m", "mstrack.cli", "track", str(seq), str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        results[threads] = out.read_bytes()
+        reported = subprocess.run(
+            [sys.executable, "-c", _REPORT_BLAS_THREADS],
+            env=env, check=True, capture_output=True, text=True, timeout=60,
+        ).stdout.split()
+        if kernels._set_blas_threads is not None:
+            assert reported == ["1"]
+    assert results[None] == results["1"] == results["2"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_kernel_errors_are_package_errors():
+    cases = [
+        (lambda: kernels.as_tensor([1.0, np.nan]), "non-finite"),
+        (lambda: matmul(np.full((1, 2), 3e38, np.float32), np.full((2, 1), 3e38, np.float32)),
+         "overflowed"),
+        (lambda: softmax(np.zeros(3, dtype=np.float32), 0, 0.0), "temperature"),
+    ]
+    for call, message in cases:
+        with pytest.raises(NumericError, match=message) as info:
+            call()
+        assert isinstance(info.value, MstrackError) and isinstance(info.value, ValueError)
 
 
 def test_softmax_symmetry():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from mstrack import propagation
 from mstrack.errors import ConfigError, LabelError, ShapeError, StateError
+from mstrack.kernels import matmul
 from mstrack.propagation import (
     CLOSED_GATE_BIAS,
     GateParams,
@@ -139,14 +141,14 @@ def test_encode_mask_label_overflow():
 
 def test_attention_single_cell():
     mem = entry([[1.0, 2.0]], [[0.3, 0.7, 0.1]])
-    att, read = attention_read(np.array([[5.0, 5.0]], dtype=np.float32), mem)
+    att, _, read = attention_read(np.array([[5.0, 5.0]], dtype=np.float32), mem)
     np.testing.assert_allclose(att, [[1.0]], atol=1e-7)
     np.testing.assert_allclose(read, [[0.3, 0.7, 0.1]], atol=1e-6)
 
 
 def test_attention_identical_keys_average_ids():
     mem = entry([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
-    _, read = attention_read(np.array([[2.0, 1.0]], dtype=np.float32), mem)
+    _, _, read = attention_read(np.array([[2.0, 1.0]], dtype=np.float32), mem)
     np.testing.assert_allclose(read, [[0.5, 0.5]], atol=1e-6)
 
 
@@ -156,12 +158,40 @@ def test_attention_matches_softmax_matmul_oracle():
     keys = rng.normal(size=(5, 4)).astype(np.float32)
     ids = rng.normal(size=(5, 3)).astype(np.float32)
     temperature = 0.7
-    att, read = attention_read(q, entry(keys, ids), temperature)
+    att, _, read = attention_read(q, entry(keys, ids), temperature)
     scores = q.astype(np.float64) @ keys.astype(np.float64).T / (temperature * np.sqrt(4))
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     att_o = e / e.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(att, att_o, atol=1e-5)
     np.testing.assert_allclose(read, att_o @ ids.astype(np.float64), atol=1e-5)
+
+
+def test_fused_read_bit_equal_to_separate_products():
+    rng = np.random.default_rng(49)
+
+    def rows(n, c):
+        return scale_rows(rng.normal(size=(n, c)).astype(np.float32), 6.0 * np.sqrt(c))
+
+    for n, m, c, d in ((1, 1, 2, 3), (5, 7, 4, 3), (64, 256, 32, 32), (256, 1024, 32, 32)):
+        parts = [entry(rows(m, c), rng.normal(size=(m, d))) for _ in range(2)]
+        for mem in (parts[0], merge_entries(parts)):
+            att, vis, ids = attention_read(rows(n, c), mem)
+            assert np.array_equal(vis, matmul(att, mem.keys))
+            assert np.array_equal(ids, matmul(att, mem.id_values))
+
+
+def test_gpm_layer_makes_two_products_per_read(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(propagation, "matmul", counted)
+    mem = entry(np.ones((4, 2)), np.ones((4, 3)))
+    gpm_layer(np.ones((2, 2), dtype=np.float32), np.zeros((2, 3), dtype=np.float32), [mem], mem)
+    # per read: scores [2,2]x[2,4], then att [2,4] x [keys | id_values] [4,5]
+    assert calls == [((2, 2), (2, 4)), ((2, 4), (4, 5))] * 2
 
 
 def test_attention_rows_sum_to_one():
@@ -171,7 +201,7 @@ def test_attention_rows_sum_to_one():
         q = rng.normal(scale=3.0, size=(n, c)).astype(np.float32)
         mem = entry(rng.normal(size=(m, c)).astype(np.float32),
                     rng.normal(size=(m, 2)).astype(np.float32))
-        att, _ = attention_read(q, mem)
+        att, _, _ = attention_read(q, mem)
         np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -184,7 +214,7 @@ def test_attention_dim_mismatch():
 def test_attention_self_match_limit():
     keys = (40.0 * np.eye(4)).astype(np.float32)
     mem = entry(keys, np.eye(4, dtype=np.float32))
-    att, read = attention_read(keys, mem, temperature=0.1)
+    att, _, read = attention_read(keys, mem, temperature=0.1)
     np.testing.assert_allclose(att, np.eye(4), atol=1e-7)
     assert np.array_equal(np.argmax(read, axis=1), np.arange(4))
 
@@ -266,6 +296,8 @@ def test_merge_entries_concatenates():
     b = entry(2 * np.ones((3, 3)), np.ones((3, 4)))
     m = merge_entries([a, b])
     assert m.keys.shape == (5, 3) and m.id_values.shape == (5, 4)
+    assert np.array_equal(m.values, np.concatenate([m.keys, m.id_values], axis=1))
+    assert np.array_equal(m.keys_t, m.keys.T) and m.keys_t.flags.c_contiguous
     assert merge_entries([a]) is a
 
 
