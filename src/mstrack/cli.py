@@ -106,17 +106,20 @@ def load_run_config(path=None) -> RunConfig:
     policy = get("eval.absent_policy")
     if policy not in ("exclude", "zero"):
         raise ConfigError(f"eval.absent_policy must be exclude or zero, got {policy!r}")
-    spacing = get("eval.anchor_spacing")
-    if spacing < 1:
-        raise ConfigError("eval.anchor_spacing must be >= 1")
     return RunConfig(
         engine=engine,
         segmenter=segmenter,
         protocol=protocol,
-        anchor_spacing=spacing,
+        anchor_spacing=_check_spacing(get("eval.anchor_spacing"), "eval.anchor_spacing"),
         absent_policy=policy,
         threads=get("threads"),
     )
+
+
+def _check_spacing(spacing: int, name: str) -> int:
+    if spacing < 1:
+        raise ConfigError(f"{name} must be >= 1, got {spacing}")
+    return spacing
 
 
 def resolve_threads(configured: int) -> int:
@@ -217,7 +220,9 @@ def _row_label(spec: SegmenterSpec) -> str:
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     protocol = (args.protocol or cfg.protocol).lower()
-    spacing = args.spacing if args.spacing is not None else cfg.anchor_spacing
+    spacing = cfg.anchor_spacing
+    if args.spacing is not None:
+        spacing = _check_spacing(args.spacing, "--spacing")
     threads = resolve_threads(args.threads if args.threads is not None else cfg.threads)
     specs = _segmenter_specs(cfg, args.segmenter, args.fusion)
     sequences = _discover_sequences(args.dataset_dir)

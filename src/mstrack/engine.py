@@ -37,10 +37,10 @@ from .kernels import bilinear_resize, channel_argmax
 # (perfbench/tracer.py) wraps that attribute
 from .kernels import matmul  # noqa: F401
 from .propagation import (
+    DEFAULT_TEMPERATURE,
     IdBank,
     MemoryBank,
     MemoryEntry,
-    ScaleMemory,
     encode_mask_to_ids,
     gpm_stage,
     majority_downsample,
@@ -60,7 +60,7 @@ class EngineConfig:
     max_objects: int = 4
     gpm_layers16: int = 2
     gpm_layers8: int = 1
-    temperature: float = 0.1
+    temperature: float = DEFAULT_TEMPERATURE
     long_term_every: int = 0  # 0 = reference frame only
     seed: int = 7
     match_norm: float = 6.0  # feature rows rescaled to match_norm * sqrt(C)
@@ -115,9 +115,11 @@ def _validate_mask(mask: np.ndarray, frame: np.ndarray, cfg: EngineConfig) -> np
     return m.astype(np.int32)
 
 
-def _memory_entry(scale, feats_rows, mask, bank, frame_index) -> MemoryEntry:
-    ids = _rows(encode_mask_to_ids(mask, bank, scale))
-    return MemoryEntry(scale=scale, keys=feats_rows, id_values=ids, frame_index=frame_index)
+def _write_memory(memory: MemoryBank, bank, mask, f16, f8, frame_index, long_term) -> None:
+    """Store one frame's feature rows and mask as memory at both scales."""
+    for scale, rows in ((16, f16), (8, f8)):
+        ids = _rows(encode_mask_to_ids(mask, bank, scale))
+        memory.write(MemoryEntry(scale, rows, ids, frame_index), long_term)
 
 
 def init_reference(frame: np.ndarray, mask: np.ndarray, cfg: EngineConfig) -> EngineState:
@@ -130,10 +132,8 @@ def init_reference(frame: np.ndarray, mask: np.ndarray, cfg: EngineConfig) -> En
     bank = make_id_bank(cfg.max_objects, cfg.id_dim, cfg.seed)
     pyr = encode_frame(f, cfg.encoder)
     memory = MemoryBank()
-    for scale, level in ((16, pyr.level16), (8, pyr.level8)):
-        rows = _match_rows(level, cfg)
-        entry = _memory_entry(scale, rows, m, bank, frame_index=0)
-        memory.scales[scale] = ScaleMemory(long_term=[entry], short_term=entry)
+    f16, f8 = _match_rows(pyr.level16, cfg), _match_rows(pyr.level8, cfg)
+    _write_memory(memory, bank, m, f16, f8, frame_index=0, long_term=True)
     boxes = {label: mask_to_box(m, label) for label in range(1, k + 1)}
     return EngineState(
         bank=bank,
@@ -156,29 +156,14 @@ def _decode_step(state: EngineState, pyr) -> tuple:
     f16 = _match_rows(pyr.level16, cfg)
     f8 = _match_rows(pyr.level8, cfg)
 
-    ids16 = gpm_stage(
-        f16,
-        np.zeros((h16 * w16, d), dtype=np.float32),
-        state.bank,
-        state.memory.at(16),
-        cfg.gpm_layers16,
-        16,
-        temperature=cfg.temperature,
-    )
+    zeros16 = np.zeros((h16 * w16, d), dtype=np.float32)
+    ids16 = gpm_stage(f16, zeros16, state.memory.at(16), cfg.gpm_layers16, cfg.temperature)
     # unit rows before upsampling so the prior coefficient is scale-free
     ids16 = scale_rows(ids16, 1.0).reshape(h16, w16, d)
     prior8 = _rows(bilinear_resize(ids16, h8, w8))
     fused8 = np.float32(FUSE_GATE) * (np.float32(cfg.prior_weight) * prior8)
 
-    ids8 = gpm_stage(
-        f8,
-        fused8,
-        state.bank,
-        state.memory.at(8),
-        cfg.gpm_layers8,
-        8,
-        temperature=cfg.temperature,
-    )
+    ids8 = gpm_stage(f8, fused8, state.memory.at(8), cfg.gpm_layers8, cfg.temperature)
     logits8 = read_id_logits(ids8, state.bank, state.k).reshape(h8, w8, state.k + 1)
     logits_full = bilinear_resize(logits8, state.ref_shape[0], state.ref_shape[1])
     return channel_argmax(logits_full), f16, f8
@@ -209,14 +194,11 @@ def step(state: EngineState, frame: np.ndarray):
 
     state.frame_index += 1
     if pred.max(initial=0) > 0:
-        # store this frame as the new short-term memory; optionally extend
-        # the long-term list on the configured cadence
-        for scale, rows in ((16, f16), (8, f8)):
-            entry = _memory_entry(scale, rows, pred, state.bank, state.frame_index)
-            mem = state.memory.at(scale)
-            mem.short_term = entry
-            if cfg.long_term_every > 0 and state.frame_index % cfg.long_term_every == 0:
-                mem.long_term.append(entry)
+        # store this frame as the new short-term memory; it also joins the
+        # long-term list on the configured cadence
+        every = cfg.long_term_every
+        cadence = every > 0 and state.frame_index % every == 0
+        _write_memory(state.memory, state.bank, pred, f16, f8, state.frame_index, cadence)
     return pred, boxes, state
 
 

@@ -82,8 +82,9 @@ def validate_frame(frame: np.ndarray) -> np.ndarray:
     h, w = f.shape[:2]
     if h <= 0 or w <= 0 or h % 16 or w % 16:
         raise ShapeError(f"frame dims must be positive multiples of 16, got {w}x{h}")
-    if f.min() < -1e-6 or f.max() > 1.0 + 1e-6:
-        raise ValueError("frame values must lie in [0,1]")
+    # min and max are NaN when any value is, and then both comparisons fail
+    if not (f.min() >= -1e-6 and f.max() <= 1.0 + 1e-6):
+        raise ShapeError("frame values must be finite and lie in [0,1]")
     return f
 
 

@@ -20,7 +20,6 @@ class FlatConfig:
         # key -> (raw value, line number)
         self.entries = entries
         self.source = source
-        self._used: set[str] = set()
 
     def __contains__(self, key: str) -> bool:
         return key in self.entries
@@ -32,7 +31,6 @@ class FlatConfig:
         return self.entries[key][1]
 
     def raw(self, key: str, default: str | None = None) -> str | None:
-        self._used.add(key)
         if key in self.entries:
             return self.entries[key][0]
         return default

@@ -3,10 +3,13 @@
 The propagation core transfers mask identity from memory frames to the
 current frame.  Each tracked object (plus background, row 0) owns a fixed
 embedding row in an IdBank.  A mask is encoded into a per-cell ID map by
-majority vote inside each stride cell.  A gated propagation layer reads
-long-term then short-term memory through shared softmax attention computed
-from visual features only, and applies the read to both branches through a
-sigmoid-gated residual:
+majority vote inside each stride cell.  Each stride keeps a long-term list
+of per-frame entries, anchored on the reference frame, and a short-term
+entry for the last stored frame; `MemoryBank.write` stores both.  A stage
+merges the long-term list once, and each of its gated propagation layers
+reads long-term then short-term memory through shared softmax attention
+computed from visual features only, and applies the read to both branches
+through a sigmoid-gated residual:
 
     att     = softmax(query . keys^T / (temperature * sqrt(C)))
     out     = in + sigmoid(bias) * (att . values)
@@ -35,6 +38,7 @@ from .kernels import matmul, softmax
 
 MAX_BANK_RESEEDS = 100
 MAX_PAIRWISE_DOT = 0.9
+DEFAULT_TEMPERATURE = 0.1
 
 
 # --------------------------------------------------------------------------
@@ -164,12 +168,18 @@ class MemoryBank:
             raise StateError(f"no memory at scale {scale}")
         return self.scales[scale]
 
+    def write(self, entry: MemoryEntry, long_term: bool) -> None:
+        """Store `entry` as its scale's short-term memory, and in long-term if asked."""
+        mem = self.scales.setdefault(entry.scale, ScaleMemory())
+        mem.short_term = entry
+        if long_term:
+            mem.long_term.append(entry)
 
-def merge_entries(entries) -> MemoryEntry:
-    if isinstance(entries, MemoryEntry):
-        return entries
+
+def merge_entries(entries: list) -> MemoryEntry:
+    """One entry holding the rows of `entries` in order; [a] gives a itself."""
     if not entries:
-        raise StateError("empty memory")
+        raise StateError("empty long-term memory")
     if len(entries) == 1:
         return entries[0]
     keys = np.concatenate([e.keys for e in entries], axis=0)
@@ -239,7 +249,7 @@ def encode_mask_to_ids(mask: np.ndarray, bank: IdBank, stride: int) -> np.ndarra
 # attention + gated propagation
 
 
-def attention_read(query: np.ndarray, memory: MemoryEntry, temperature: float = 0.1):
+def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_TEMPERATURE):
     """One softmax attention read over a memory entry.
 
     att[i, j] = softmax_j(query_i . key_j / (temperature * sqrt(C)));
@@ -297,10 +307,10 @@ def _gated_read(feats, ids, entry: MemoryEntry, vbias: float, ibias: float, temp
 def gpm_layer(
     query_feats: np.ndarray,
     query_ids: np.ndarray,
-    memory_long,
+    memory_long: MemoryEntry,
     memory_short: MemoryEntry,
     gate_params: GateParams | None = None,
-    temperature: float = 0.1,
+    temperature: float = DEFAULT_TEMPERATURE,
 ):
     """One gated propagation layer: long-term read, then short-term read.
 
@@ -308,27 +318,24 @@ def gpm_layer(
     visual branch (values = keys) and the ID branch (values = id_values)
     through per-branch gated residuals.  Returns (feats', ids').
     """
-    if memory_long is None or (isinstance(memory_long, list) and not memory_long):
-        raise StateError("gpm_layer requires non-empty long-term memory")
-    if memory_short is None:
-        raise StateError("gpm_layer requires short-term memory")
+    if memory_long is None or memory_short is None:
+        raise StateError("gpm_layer requires long-term and short-term memory")
     gp = gate_params or GateParams()
     feats = np.asarray(query_feats, dtype=np.float32)
     ids = np.asarray(query_ids, dtype=np.float32)
     if feats.shape[0] != ids.shape[0]:
         raise ShapeError(f"feature rows {feats.shape[0]} != id rows {ids.shape[0]}")
-    long_entry = merge_entries(memory_long)
     _record(
         (
             "gpm_layer",
             feats.shape[0],
             feats.shape[1],
             ids.shape[1],
-            long_entry.keys.shape[0],
+            memory_long.keys.shape[0],
             memory_short.keys.shape[0],
         )
     )
-    feats, ids = _gated_read(feats, ids, long_entry, gp.visual_long, gp.id_long, temperature)
+    feats, ids = _gated_read(feats, ids, memory_long, gp.visual_long, gp.id_long, temperature)
     feats, ids = _gated_read(feats, ids, memory_short, gp.visual_short, gp.id_short, temperature)
     return feats, ids
 
@@ -336,24 +343,24 @@ def gpm_layer(
 def gpm_stage(
     query_feats: np.ndarray,
     mask_ids_in: np.ndarray,
-    bank: IdBank,
     memory: ScaleMemory,
     n_layers: int,
-    scale: int,
-    gate_params: GateParams | None = None,
-    temperature: float = 0.1,
+    temperature: float = DEFAULT_TEMPERATURE,
 ) -> np.ndarray:
-    """Apply n_layers propagation layers at one scale; return final ID rows."""
+    """Run n_layers layers at one scale, merging long-term memory once; return ID rows."""
     if n_layers < 1:
         raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
+    short = memory.short_term
+    if short is None:
+        raise StateError("gpm_stage requires short-term memory")
     feats = np.asarray(query_feats, dtype=np.float32)
     ids = np.asarray(mask_ids_in, dtype=np.float32)
-    if ids.shape[1] != bank.id_dim:
-        raise ShapeError(f"id rows must have {bank.id_dim} dims, got {ids.shape[1]}")
+    d = short.id_values.shape[1]
+    if ids.shape[1] != d:
+        raise ShapeError(f"id rows must have {d} dims, got {ids.shape[1]}")
+    long_entry = merge_entries(memory.long_term)
     for _ in range(n_layers):
-        feats, ids = gpm_layer(
-            feats, ids, memory.long_term, memory.short_term, gate_params, temperature
-        )
+        feats, ids = gpm_layer(feats, ids, long_entry, short, temperature=temperature)
     return ids
 
 

@@ -135,7 +135,7 @@ def test_A2_propagation_invariants():
         ids = rng.normal(size=(6, 4)).astype(np.float32)
         mem = MemoryEntry(16, rng.normal(size=(7, 5)).astype(np.float32),
                           rng.normal(size=(7, 4)).astype(np.float32), 0)
-        f2, i2 = gpm_layer(feats, ids, [mem], mem, GateParams.closed())
+        f2, i2 = gpm_layer(feats, ids, mem, mem, GateParams.closed())
         assert np.array_equal(f2, feats) and np.array_equal(i2, ids)
 
     # identity-permutation equivariance of decoded argmax labels
@@ -149,7 +149,7 @@ def test_A2_propagation_invariants():
         entry = MemoryEntry(16, feats, ids_mem, 0)
         memory = ScaleMemory(long_term=[entry], short_term=entry)
         out = gpm_stage(feats, np.zeros((16, bank.id_dim), dtype=np.float32),
-                        bank, memory, 2, 16)
+                        memory, 2)
         return np.argmax(read_id_logits(out, bank, 2), axis=1)
 
     bank = make_id_bank(2, 16, 9)
@@ -170,7 +170,7 @@ def test_A2_propagation_invariants():
         memory = ScaleMemory(long_term=[entry], short_term=entry)
         with probe_operations() as ops:
             gpm_stage(feats, np.zeros((16, bank.id_dim), dtype=np.float32),
-                      bank, memory, 2, 16)
+                      memory, 2)
         signatures[k] = list(ops)
     assert signatures[1] == signatures[2] == signatures[3]
 

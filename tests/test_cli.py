@@ -174,6 +174,17 @@ def test_eval_mse_protocol(mini_dataset, tmp_path):
     assert anchors == {0, 3}
 
 
+@pytest.mark.parametrize("spacing", ["0", "-1"])
+def test_eval_bad_spacing_exits_one(mini_dataset, tmp_path, capsys, spacing):
+    report = tmp_path / "mse.json"
+    code = main(["eval", str(mini_dataset), str(report), "--protocol", "mse",
+                 "--spacing", spacing])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --spacing must be >= 1")
+    assert not report.exists()
+
+
 def test_eval_fusion_flag_applies_to_configured_segmenters(corpus_dir, tmp_path):
     # boxfill and chroma disagree on a disc, so the fusion rule changes the score
     data = tmp_path / "data"

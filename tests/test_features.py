@@ -38,6 +38,13 @@ def test_validate_frame_contract():
         validate_frame(np.zeros((30, 48, 3), dtype=np.float32))
     with pytest.raises(ValueError):
         validate_frame(np.full((32, 32, 3), 2.0, dtype=np.float32))
+    with pytest.raises(ShapeError, match="finite"):
+        validate_frame(np.full((32, 32, 3), 2.0, dtype=np.float32))
+    for bad in (np.nan, np.inf, -np.inf):
+        one = ok.copy()
+        one[5, 7, 1] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            validate_frame(one)
 
 
 def test_pad_to_multiple_edge_replicates():

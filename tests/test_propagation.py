@@ -10,6 +10,7 @@ from mstrack.propagation import (
     CLOSED_GATE_BIAS,
     GateParams,
     IdBank,
+    MemoryBank,
     MemoryEntry,
     ScaleMemory,
     attention_read,
@@ -189,7 +190,7 @@ def test_gpm_layer_makes_two_products_per_read(monkeypatch):
 
     monkeypatch.setattr(propagation, "matmul", counted)
     mem = entry(np.ones((4, 2)), np.ones((4, 3)))
-    gpm_layer(np.ones((2, 2), dtype=np.float32), np.zeros((2, 3), dtype=np.float32), [mem], mem)
+    gpm_layer(np.ones((2, 2), dtype=np.float32), np.zeros((2, 3), dtype=np.float32), mem, mem)
     # per read: scores [2,2]x[2,4], then att [2,4] x [keys | id_values] [4,5]
     assert calls == [((2, 2), (2, 4)), ((2, 4), (4, 5))] * 2
 
@@ -227,7 +228,7 @@ def test_closed_gate_identity_is_exact():
     ids = rng.normal(size=(5, 3)).astype(np.float32)
     mem = entry(rng.normal(size=(6, 4)).astype(np.float32),
                 rng.normal(size=(6, 3)).astype(np.float32))
-    f2, i2 = gpm_layer(feats, ids, [mem], mem, GateParams.closed())
+    f2, i2 = gpm_layer(feats, ids, mem, mem, GateParams.closed())
     assert np.array_equal(f2, feats)
     assert np.array_equal(i2, ids)
 
@@ -264,7 +265,7 @@ def test_gpm_layer_matches_hand_unrolled_oracle():
     f2 = f1 + sig(0.1) * read(f1.astype(np.float32), short_keys, short_keys)
     i2 = i1 + sig(0.4) * read(f1.astype(np.float32), short_keys, short_ids)
 
-    got_f, got_i = gpm_layer(q_feats, q_ids, [entry(long_keys, long_ids)],
+    got_f, got_i = gpm_layer(q_feats, q_ids, entry(long_keys, long_ids),
                              entry(short_keys, short_ids), gates, temperature)
     np.testing.assert_allclose(got_f, f2, atol=1e-5)
     np.testing.assert_allclose(got_i, i2, atol=1e-5)
@@ -276,7 +277,7 @@ def test_gpm_layer_long_before_short():
     long_mem = entry(np.ones((4, 2)), np.ones((4, 3)))
     short_mem = entry(np.ones((1, 2)), np.ones((1, 3)))
     with probe_operations() as ops:
-        gpm_layer(feats, ids, [long_mem], short_mem)
+        gpm_layer(feats, ids, long_mem, short_mem)
     reads = [op for op in ops if op[0] == "attention_read"]
     assert [op[2] for op in reads] == [4, 1]  # long (4 rows) first, then short
 
@@ -286,9 +287,26 @@ def test_gpm_layer_requires_memory():
     ids = np.zeros((1, 2), dtype=np.float32)
     mem = entry(np.ones((1, 2)), np.ones((1, 2)))
     with pytest.raises(StateError):
-        gpm_layer(feats, ids, [], mem)
+        gpm_layer(feats, ids, mem, None)
+
+
+def test_gpm_stage_requires_memory():
+    feats = np.ones((1, 2), dtype=np.float32)
+    ids = np.zeros((1, 2), dtype=np.float32)
+    mem = entry(np.ones((1, 2)), np.ones((1, 2)))
+    with pytest.raises(StateError, match="empty long-term memory"):
+        gpm_stage(feats, ids, ScaleMemory(long_term=[], short_term=mem), 1)
     with pytest.raises(StateError):
-        gpm_layer(feats, ids, [mem], None)
+        gpm_stage(feats, ids, ScaleMemory(long_term=[mem]), 1)
+
+
+def test_gpm_stage_checks_id_width_against_short_term():
+    feats = np.ones((1, 2), dtype=np.float32)
+    mem = entry(np.ones((1, 2)), np.ones((1, 3)))
+    memory = ScaleMemory(long_term=[mem], short_term=mem)
+    assert gpm_stage(feats, np.zeros((1, 3), dtype=np.float32), memory, 1).shape == (1, 3)
+    with pytest.raises(ShapeError, match="3 dims"):
+        gpm_stage(feats, np.zeros((1, 4), dtype=np.float32), memory, 1)
 
 
 def test_merge_entries_concatenates():
@@ -299,6 +317,23 @@ def test_merge_entries_concatenates():
     assert np.array_equal(m.values, np.concatenate([m.keys, m.id_values], axis=1))
     assert np.array_equal(m.keys_t, m.keys.T) and m.keys_t.flags.c_contiguous
     assert merge_entries([a]) is a
+
+
+def test_memory_bank_write_sets_short_term_and_appends_long_term():
+    bank = MemoryBank()
+    first = entry(np.ones((2, 3)), np.zeros((2, 4)), scale=8, frame_index=0)
+    bank.write(first, long_term=True)
+    mem = bank.at(8)
+    assert mem.short_term is first and mem.long_term == [first]
+    second = entry(np.ones((2, 3)), np.ones((2, 4)), scale=8, frame_index=1)
+    bank.write(second, long_term=False)
+    assert bank.at(8) is mem
+    assert mem.short_term is second and mem.long_term == [first]
+    third = entry(np.ones((2, 3)), np.ones((2, 4)), scale=8, frame_index=2)
+    bank.write(third, long_term=True)
+    assert mem.short_term is third and mem.long_term == [first, third]
+    with pytest.raises(StateError):
+        bank.at(16)
 
 
 def _stage_setup(n_cells=4, d=8):
@@ -313,24 +348,46 @@ def _stage_setup(n_cells=4, d=8):
 def test_gpm_stage_single_layer_equals_gpm_layer():
     bank, keys, labels, memory = _stage_setup()
     ids0 = np.zeros((4, bank.id_dim), dtype=np.float32)
-    got = gpm_stage(keys, ids0, bank, memory, 1, 16)
-    _, want = gpm_layer(keys, ids0, memory.long_term, memory.short_term)
+    got = gpm_stage(keys, ids0, memory, 1)
+    _, want = gpm_layer(keys, ids0, memory.long_term[0], memory.short_term)
     assert np.array_equal(got, want)
 
 
 def test_gpm_stage_two_layers_equal_manual_composition():
     bank, keys, labels, memory = _stage_setup()
     ids0 = np.zeros((4, bank.id_dim), dtype=np.float32)
-    got = gpm_stage(keys, ids0, bank, memory, 2, 16)
-    f1, i1 = gpm_layer(keys, ids0, memory.long_term, memory.short_term)
-    _, want = gpm_layer(f1, i1, memory.long_term, memory.short_term)
+    got = gpm_stage(keys, ids0, memory, 2)
+    f1, i1 = gpm_layer(keys, ids0, memory.long_term[0], memory.short_term)
+    _, want = gpm_layer(f1, i1, memory.long_term[0], memory.short_term)
+    assert np.array_equal(got, want)
+
+
+def test_gpm_stage_merges_long_term_once(monkeypatch):
+    rng = np.random.default_rng(50)
+    parts = [entry(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)), frame_index=t)
+             for t in range(3)]
+    memory = ScaleMemory(long_term=parts, short_term=parts[-1])
+    feats = rng.normal(size=(2, 4)).astype(np.float32)
+    ids0 = np.zeros((2, 5), dtype=np.float32)
+    calls = []
+
+    def counted(entries):
+        calls.append(len(entries))
+        return merge_entries(entries)
+
+    monkeypatch.setattr(propagation, "merge_entries", counted)
+    got = gpm_stage(feats, ids0, memory, 2)
+    assert calls == [3]
+    merged = merge_entries(parts)
+    f1, i1 = gpm_layer(feats, ids0, merged, memory.short_term)
+    _, want = gpm_layer(f1, i1, merged, memory.short_term)
     assert np.array_equal(got, want)
 
 
 def test_gpm_stage_recovers_reference_labels():
     bank, keys, labels, memory = _stage_setup()
     ids0 = np.zeros((4, bank.id_dim), dtype=np.float32)
-    out = gpm_stage(keys, ids0, bank, memory, 1, 16)
+    out = gpm_stage(keys, ids0, memory, 1)
     logits = read_id_logits(out, bank, 3)
     assert np.array_equal(np.argmax(logits, axis=1), labels)
 
@@ -338,7 +395,7 @@ def test_gpm_stage_recovers_reference_labels():
 def test_gpm_stage_rejects_zero_layers():
     bank, keys, labels, memory = _stage_setup()
     with pytest.raises(ConfigError):
-        gpm_stage(keys, np.zeros((4, bank.id_dim), dtype=np.float32), bank, memory, 0, 16)
+        gpm_stage(keys, np.zeros((4, bank.id_dim), dtype=np.float32), memory, 0)
 
 
 # -- readout ------------------------------------------------------------------
@@ -388,7 +445,7 @@ def test_permutation_equivariance_exact():
         mem = ScaleMemory(
             long_term=[entry(feats, ids_mem)], short_term=entry(feats, ids_mem)
         )
-        out = gpm_stage(feats, np.zeros((16, bk.id_dim), dtype=np.float32), bk, mem, 2, 16)
+        out = gpm_stage(feats, np.zeros((16, bk.id_dim), dtype=np.float32), mem, 2)
         logits = read_id_logits(out, bk, 2)
         return logits, np.argmax(logits, axis=1)
 
@@ -413,7 +470,7 @@ def test_operation_counts_independent_of_object_count():
         ids_mem = encode_mask_to_ids(mask, bank, 16).reshape(16, -1)
         mem = ScaleMemory(long_term=[entry(feats, ids_mem)], short_term=entry(feats, ids_mem))
         with probe_operations() as ops:
-            out = gpm_stage(feats, np.zeros((16, bank.id_dim), dtype=np.float32), bank, mem, 2, 16)
+            out = gpm_stage(feats, np.zeros((16, bank.id_dim), dtype=np.float32), mem, 2)
             read_id_logits(out, bank, k)
         signatures[k] = [op for op in ops if op[0] in ("attention_read", "gpm_layer")]
     assert signatures[1] == signatures[2] == signatures[3]
@@ -429,6 +486,6 @@ def test_scale_rows_targets_and_zero_rows():
 def test_stage_output_deterministic():
     bank, keys, labels, memory = _stage_setup()
     ids0 = np.zeros((4, bank.id_dim), dtype=np.float32)
-    a = gpm_stage(keys, ids0, bank, memory, 2, 16)
-    b = gpm_stage(keys, ids0, bank, memory, 2, 16)
+    a = gpm_stage(keys, ids0, memory, 2)
+    b = gpm_stage(keys, ids0, memory, 2)
     assert np.array_equal(a, b)
