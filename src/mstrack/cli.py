@@ -23,9 +23,11 @@ from .boxmask import FUSION_RULES, Box, SegmenterSpec
 from .engine import EngineConfig, make_tracker, track_sequence
 from .errors import ConfigError, DataError, FormatError, InitError, MstrackError
 from .evaluation import (
+    ABSENT_POLICIES,
+    PROTOCOLS,
     evaluate_suite,
-    load_frame,
     load_mask,
+    load_run,
     load_sequence,
     read_box_rows,
     write_box_rows,
@@ -59,9 +61,9 @@ CONFIG_SCHEMA = {
     **_section_schema("engine", EngineConfig),
     **_section_schema("encoder", EncoderConfig),
     **_section_schema("segmenter", SegmenterSpec),
-    "eval.protocol": ("str", "ope"),
+    "eval.protocol": ("str", PROTOCOLS[0]),
     "eval.anchor_spacing": ("int", 15),
-    "eval.absent_policy": ("str", "exclude"),
+    "eval.absent_policy": ("str", ABSENT_POLICIES[0]),
 }
 
 
@@ -101,11 +103,13 @@ def load_run_config(path=None) -> RunConfig:
     engine = EngineConfig(encoder=encoder, **section("engine"))
     segmenter = SegmenterSpec(**section("segmenter"))
     protocol = get("eval.protocol").lower()
-    if protocol not in ("ope", "mse"):
-        raise ConfigError(f"eval.protocol must be ope or mse, got {protocol!r}")
+    if protocol not in PROTOCOLS:
+        raise ConfigError(f"eval.protocol must be {' or '.join(PROTOCOLS)}, got {protocol!r}")
     policy = get("eval.absent_policy")
-    if policy not in ("exclude", "zero"):
-        raise ConfigError(f"eval.absent_policy must be exclude or zero, got {policy!r}")
+    if policy not in ABSENT_POLICIES:
+        raise ConfigError(
+            f"eval.absent_policy must be {' or '.join(ABSENT_POLICIES)}, got {policy!r}"
+        )
     return RunConfig(
         engine=engine,
         segmenter=segmenter,
@@ -184,11 +188,7 @@ def cmd_track(args) -> int:
     rows = None if args.segmenter is None else [args.segmenter]
     (seg,) = _segmenter_specs(cfg, rows, args.fusion)
     seq = load_sequence(args.sequence_dir)
-    init = seq.gt_boxes[0]
-    if init is None:
-        raise DataError(f"{seq.ident}: frame 0 has no visible ground truth to initialize from")
-    frames = [load_frame(p) for p in seq.frame_paths]
-    gt_mask = load_mask(seq.gt_mask_paths[0]) if seq.gt_mask_paths else None
+    frames, init, gt_mask = load_run(seq, range(len(seq)))
     results = track_sequence(frames, init, cfg.engine, seg, gt_mask=gt_mask)
     write_results(args.out_file, [box for box, _ in results])
     if args.masks:
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("dataset_dir")
     ep.add_argument("report")
     ep.add_argument("--config", help="run-config file")
-    ep.add_argument("--protocol", choices=["ope", "mse"])
+    ep.add_argument("--protocol", choices=PROTOCOLS)
     ep.add_argument("--spacing", type=int, help="MSE anchor spacing")
     ep.add_argument("--threads", type=int)
     ep.add_argument(

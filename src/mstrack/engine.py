@@ -4,9 +4,14 @@ One step runs: encode the frame into stride-16 and stride-8 feature maps,
 propagate ID embeddings at stride 16 (2 gated layers), bilinearly upsample
 the propagated IDs to stride 8 where they enter as a coarse prior scaled by
 0.5 * prior_weight, propagate at stride 8 (1 layer), read per-label logits
-against the ID bank, upsample the logits to frame resolution and take the
+against the ID bank, upsample the logits to pixel resolution and take the
 per-pixel argmax.  Boxes are the minimum external rectangles of the
 predicted labels.
+
+Frames may have any size.  The encoder edge-pads each frame to multiples of
+16, memory holds the edge-padded mask, and decoding runs on the padded grid;
+the predicted mask is cropped back to the frame before boxing, so masks and
+boxes are in frame coordinates.
 
 Matching uses cosine-style similarity: the engine rescales every feature row
 to a fixed L2 norm (match_norm * sqrt(C)) before attention, so the softmax
@@ -30,7 +35,7 @@ import numpy as np
 
 from .boxmask import Box, SegmenterSpec, mask_to_box, segment_box
 from .errors import ConfigError, InitError, ShapeError
-from .features import EncoderConfig, encode_frame, validate_frame
+from .features import EncoderConfig, encode_frame, pad_to_multiple, validate_frame
 from .kernels import bilinear_resize, channel_argmax
 
 # unused here, but kept importable as engine.matmul: the benchmark's tracer
@@ -133,7 +138,7 @@ def init_reference(frame: np.ndarray, mask: np.ndarray, cfg: EngineConfig) -> En
     pyr = encode_frame(f, cfg.encoder)
     memory = MemoryBank()
     f16, f8 = _match_rows(pyr.level16, cfg), _match_rows(pyr.level8, cfg)
-    _write_memory(memory, bank, m, f16, f8, frame_index=0, long_term=True)
+    _write_memory(memory, bank, pad_to_multiple(m), f16, f8, frame_index=0, long_term=True)
     boxes = {label: mask_to_box(m, label) for label in range(1, k + 1)}
     return EngineState(
         bank=bank,
@@ -147,7 +152,11 @@ def init_reference(frame: np.ndarray, mask: np.ndarray, cfg: EngineConfig) -> En
 
 
 def _decode_step(state: EngineState, pyr) -> tuple:
-    """Run both propagation stages and decode logits; returns (mask, f16, f8)."""
+    """Run both propagation stages and decode logits; returns (mask, f16, f8).
+
+    The mask covers the padded frame the pyramid was encoded from
+    (8*h8 x 8*w8); `step` crops it to the frame.
+    """
     cfg = state.config
     h16, w16 = pyr.level16.shape[:2]
     h8, w8 = pyr.level8.shape[:2]
@@ -165,7 +174,7 @@ def _decode_step(state: EngineState, pyr) -> tuple:
 
     ids8 = gpm_stage(f8, fused8, state.memory.at(8), cfg.gpm_layers8, cfg.temperature)
     logits8 = read_id_logits(ids8, state.bank, state.k).reshape(h8, w8, state.k + 1)
-    logits_full = bilinear_resize(logits8, state.ref_shape[0], state.ref_shape[1])
+    logits_full = bilinear_resize(logits8, 8 * h8, 8 * w8)
     return channel_argmax(logits_full), f16, f8
 
 
@@ -180,7 +189,10 @@ def step(state: EngineState, frame: np.ndarray):
         raise ShapeError(f"frame shape {f.shape[:2]} != reference {state.ref_shape}")
     cfg = state.config
     pyr = encode_frame(f, cfg.encoder)
-    pred, f16, f8 = _decode_step(state, pyr)
+    padded, f16, f8 = _decode_step(state, pyr)
+    # boxes, the lost test and the result are in frame coordinates; memory
+    # keeps the padded prediction, on the grid the features were encoded on
+    pred = padded[: f.shape[0], : f.shape[1]]
 
     boxes = {}
     for label in range(1, state.k + 1):
@@ -198,7 +210,7 @@ def step(state: EngineState, frame: np.ndarray):
         # long-term list on the configured cadence
         every = cfg.long_term_every
         cadence = every > 0 and state.frame_index % every == 0
-        _write_memory(state.memory, state.bank, pred, f16, f8, state.frame_index, cadence)
+        _write_memory(state.memory, state.bank, padded, f16, f8, state.frame_index, cadence)
     return pred, boxes, state
 
 

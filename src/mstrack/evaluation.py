@@ -13,9 +13,10 @@ IoU pool by default (absent_policy="zero" counts them as misses).
 
 A protocol is a run plan: a list of `(anchor, direction, indices)` runs, each
 one tracker run over the frames at `indices`, initialized from the visible
-ground truth of `indices[0]`, the anchor.  One loop scores every plan: a run
-whose initialization fails (InitError) is skipped, and the sequence curve is
-the run-length-weighted mean of the run curves.
+ground truth of `indices[0]`, the anchor, and loaded by `load_run` (which
+`mstrack track` uses for its one whole-sequence run).  One loop scores every
+plan: a run whose initialization fails (InitError) is skipped, and the
+sequence curve is the run-length-weighted mean of the run curves.
 
 * One-pass (OPE): one forward run from the first visible frame to the end.
 * Multi-start (MSE): anchors at the visible frames with index 0, s, 2s, ...;
@@ -45,6 +46,7 @@ from .errors import DataError, InitError
 from .pnm import read_pgm, read_ppm
 
 N_THRESHOLDS = 51
+PROTOCOLS = ("ope", "mse")
 ABSENT_POLICIES = ("exclude", "zero")
 MSE_NOTE = "multi-start anchor rule and length weighting are defined by this toolkit"
 
@@ -87,6 +89,35 @@ def load_frame(path) -> np.ndarray:
 
 def load_mask(path) -> np.ndarray:
     return read_pgm(path).astype(np.int32)
+
+
+def load_run(seq: SequenceRecord, indices) -> tuple:
+    """`(frames, init_box, gt_mask)` for one tracker run over seq's frames at
+    `indices`, initialized from `indices[0]`, the anchor.
+
+    `gt_mask` is the anchor's ground-truth mask, or None when the sequence has
+    none.  Raises DataError naming the file when the anchor has no visible
+    ground truth, or when a frame or the mask differs in size from the run's
+    first frame.
+    """
+    anchor = indices[0]
+    init_box = seq.gt_boxes[anchor]
+    if init_box is None:
+        raise DataError(f"{seq.frame_paths[anchor]}: no visible ground truth to initialize from")
+    frames = [load_frame(seq.frame_paths[i]) for i in indices]
+    sized = [(seq.frame_paths[i], f) for i, f in zip(indices, frames)]
+    gt_mask = None
+    if seq.gt_mask_paths is not None:
+        gt_mask = load_mask(seq.gt_mask_paths[anchor])
+        sized.append((seq.gt_mask_paths[anchor], gt_mask))
+    h, w = frames[0].shape[:2]
+    for path, a in sized:
+        if a.shape[:2] != (h, w):
+            raise DataError(
+                f"{path}: size {a.shape[1]}x{a.shape[0]} differs from the {w}x{h} "
+                f"of {seq.frame_paths[anchor]}, the run's first frame"
+            )
+    return frames, init_box, gt_mask
 
 
 # plain decimal only: Python's int() also takes "1_0", "+5" and padding
@@ -182,15 +213,8 @@ class EvalResult:
 
 
 def _run_once(tracker, seq: SequenceRecord, indices, absent_policy: str):
-    """IoUs of one tracker run over seq frames at the given original indices.
-
-    indices[0] is the anchor (must be visible).
-    """
-    frames = [load_frame(seq.frame_paths[i]) for i in indices]
-    init_box = seq.gt_boxes[indices[0]]
-    gt_mask = None
-    if seq.gt_mask_paths is not None:
-        gt_mask = load_mask(seq.gt_mask_paths[indices[0]])
+    """IoUs of one tracker run over seq frames at the given original indices."""
+    frames, init_box, gt_mask = load_run(seq, indices)
     boxes = tracker(frames, init_box, gt_mask)
     if len(boxes) != len(indices):
         raise DataError(
@@ -271,8 +295,8 @@ def evaluate_suite(
     are processed in sorted-id order regardless of thread count.
     """
     proto = protocol.lower()
-    if proto not in ("ope", "mse"):
-        raise ValueError(f"protocol must be ope or mse, got {protocol!r}")
+    if proto not in PROTOCOLS:
+        raise ValueError(f"protocol must be {' or '.join(PROTOCOLS)}, got {protocol!r}")
     seqs = sorted(sequences, key=lambda s: s.ident)
 
     def one(seq):

@@ -21,7 +21,9 @@ Weights file layout (little-endian): magic ``MSWT``, version u32, then one
 record per tensor (name length u32, name bytes, rank u32, dims u32 each, raw
 float32 data), and a trailing CRC32 (u32) over all preceding bytes.
 
-Pyramid levels finer than stride 8 are not computed.
+Frames of any size are accepted: `encode_frame` edge-pads them to multiples
+of 16, so both levels tile the padded frame.  Pyramid levels finer than
+stride 8 are not computed.
 """
 
 from __future__ import annotations
@@ -70,32 +72,38 @@ class EncoderConfig:
 class FeaturePyramid:
     """Per-frame feature maps at strides 16 and 8."""
 
-    level16: np.ndarray  # [H/16, W/16, C16]
-    level8: np.ndarray  # [H/8, W/8, C8]
+    level16: np.ndarray  # [ceil(H/16), ceil(W/16), C16]
+    level8: np.ndarray  # [2*ceil(H/16), 2*ceil(W/16), C8]
 
 
 def validate_frame(frame: np.ndarray) -> np.ndarray:
-    """Check the [H,W,3] float-in-[0,1] multiple-of-16 frame contract."""
+    """Check the [H,W,3] float-in-[0,1] frame contract; any H, W >= 1."""
     f = np.asarray(frame, dtype=np.float32)
     if f.ndim != 3 or f.shape[2] != 3:
         raise ShapeError(f"frame must be [H,W,3], got {f.shape}")
     h, w = f.shape[:2]
-    if h <= 0 or w <= 0 or h % 16 or w % 16:
-        raise ShapeError(f"frame dims must be positive multiples of 16, got {w}x{h}")
+    if h <= 0 or w <= 0:
+        raise ShapeError(f"frame must be at least 1x1, got {w}x{h}")
     # min and max are NaN when any value is, and then both comparisons fail
     if not (f.min() >= -1e-6 and f.max() <= 1.0 + 1e-6):
         raise ShapeError("frame values must be finite and lie in [0,1]")
     return f
 
 
-def pad_to_multiple(frame: np.ndarray, multiple: int = 16) -> np.ndarray:
-    """Edge-replicate pad so both spatial dims are multiples of `multiple`."""
-    h, w = frame.shape[:2]
+def pad_to_multiple(a: np.ndarray, multiple: int = 16) -> np.ndarray:
+    """Edge-replicate pad an [H,W] mask or [H,W,C] frame at its bottom and
+    right so both spatial dims are multiples of `multiple`.
+
+    This is the only padding in the package: the encoder pads frames to the
+    stride-16 grid and the engine pads masks to match.  An aligned input is
+    returned as is.
+    """
+    h, w = a.shape[:2]
     ph = (-h) % multiple
     pw = (-w) % multiple
     if ph == 0 and pw == 0:
-        return frame
-    return np.pad(frame, ((0, ph), (0, pw), (0, 0)), mode="edge")
+        return a
+    return np.pad(a, ((0, ph), (0, pw)) + ((0, 0),) * (a.ndim - 2), mode="edge")
 
 
 def _cell_base_features(
@@ -150,15 +158,19 @@ def _project_patches(frame: np.ndarray, stride: int, weights: np.ndarray) -> np.
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
     """Encode a frame into stride-16 and stride-8 feature maps.
 
+    The frame is edge-padded to the next multiples of 16 first
+    (`pad_to_multiple`), so cell grids cover the padded frame.
+
     Args:
-        frame: [H,W,3] array with values in [0,1]; dims multiples of 16.
+        frame: [H,W,3] array with values in [0,1], any H, W >= 1.
         cfg: encoder configuration; output channel counts always equal
             cfg.channels16 / cfg.channels8 regardless of mode.
 
     Returns:
-        FeaturePyramid with level16 [H/16,W/16,C16] and level8 [H/8,W/8,C8].
+        FeaturePyramid with level16 [ceil(H/16),ceil(W/16),C16] and level8
+        twice that size, [2*ceil(H/16),2*ceil(W/16),C8].
     """
-    f = validate_frame(frame)
+    f = pad_to_multiple(validate_frame(frame))
     if cfg.mode == "weights-file":
         st = os.stat(cfg.weights_path)
         weights = _loaded_weights(cfg.weights_path, st.st_mtime_ns, st.st_size)
@@ -243,7 +255,10 @@ def load_weights(path) -> dict[str, np.ndarray]:
         off += 4
         if off + nlen + 4 > end:
             raise FormatError(f"truncated tensor record in {path}")
-        name = blob[off : off + nlen].decode("utf-8")
+        try:
+            name = blob[off : off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"tensor name at byte {off} in {path} is not UTF-8") from None
         off += nlen
         (rank,) = struct.unpack_from("<I", blob, off)
         off += 4
@@ -251,8 +266,11 @@ def load_weights(path) -> dict[str, np.ndarray]:
             raise FormatError(f"bad tensor rank for {name!r} in {path}")
         dims = struct.unpack_from(f"<{rank}I", blob, off)
         off += 4 * rank
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        nbytes = 4 * count
+        # an empty tensor is of no use, and NumPy refuses one whose other dims overflow
+        if 0 in dims:
+            raise FormatError(f"tensor {name!r} in {path} has a zero dimension")
+        # exact integer product: an int64 one can wrap and pass the size check
+        nbytes = 4 * math.prod(dims)
         if off + nbytes > end:
             raise FormatError(f"truncated data for tensor {name!r} in {path}")
         arr = np.frombuffer(blob[off : off + nbytes], dtype="<f4").reshape(dims)

@@ -55,17 +55,6 @@ class FlatConfig:
     def get_float(self, key, default=None):
         return self._typed(key, default, float, "number")
 
-    def get_bool(self, key, default=None):
-        def conv(v):
-            lv = v.lower()
-            if lv in ("true", "yes", "on", "1"):
-                return True
-            if lv in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(v)
-
-        return self._typed(key, default, conv, "boolean")
-
     def get_floats(self, key, default=None):
         return self._typed(key, default, lambda v: tuple(float(p) for p in v.split()), "number list")
 
@@ -107,5 +96,10 @@ def parse_flat_text(text: str, source: str = "<config>") -> FlatConfig:
 
 
 def parse_flat_file(path) -> FlatConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_flat_text(f.read(), source=str(path))
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    return parse_flat_text(text, source=str(path))

@@ -6,9 +6,16 @@ label value as the gray level.  Writing is byte-deterministic.
 
 from __future__ import annotations
 
+import os
+import re
+
 import numpy as np
 
 from .errors import FormatError
+
+# plain decimal only (Python's int() also takes "1_6" and "+16"), and short
+# enough that int() never meets its digit limit
+_HEADER_FIELD = re.compile(rb"[0-9]{1,18}")
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
@@ -16,10 +23,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     a = np.asarray(rgb)
     if a.ndim != 3 or a.shape[2] != 3 or a.dtype != np.uint8:
         raise FormatError(f"P6 writer expects [H,W,3] uint8, got {a.shape} {a.dtype}")
-    h, w = a.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(a).tobytes())
+    _write(path, "P6", a)
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -29,11 +33,29 @@ def write_pgm(path, gray: np.ndarray) -> None:
         raise FormatError(f"P5 writer expects [H,W], got shape {a.shape}")
     if a.min() < 0 or a.max() > 255:
         raise FormatError("P5 values must lie in [0,255]")
-    a = a.astype(np.uint8)
-    h, w = a.shape
+    _write(path, "P5", a.astype(np.uint8))
+
+
+def _write(path, magic: str, a: np.ndarray) -> None:
+    h, w = a.shape[:2]
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        f.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
         f.write(np.ascontiguousarray(a).tobytes())
+
+
+def _read(path, magic: bytes, channels: int) -> np.ndarray:
+    """Parse a binary P5/P6 header and return the [H,W,channels] payload."""
+    with open(path, "rb") as f:
+        try:
+            w, h = _read_header(f, magic)
+        except FormatError as e:
+            raise FormatError(f"{path}: {e}") from None
+        n = w * h * channels
+        # checked before reading, so a huge header size never reaches read()
+        if n > os.fstat(f.fileno()).st_size - f.tell():
+            raise FormatError(f"{magic.decode()} payload truncated in {path}")
+        data = f.read(n)
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, channels)
 
 
 def _read_header(f, magic: bytes):
@@ -55,11 +77,10 @@ def _read_header(f, magic: bytes):
             ch = f.read(1)
         if not tok:
             raise FormatError("truncated header")
-        fields.append(tok)
-    try:
-        w, h, maxval = (int(t) for t in fields)
-    except ValueError as exc:
-        raise FormatError(f"non-numeric header field: {exc}") from exc
+        if not _HEADER_FIELD.fullmatch(tok):
+            raise FormatError(f"header field {tok[:20]!r} is not a decimal number below 10**18")
+        fields.append(int(tok))
+    w, h, maxval = fields
     if w < 1 or h < 1 or maxval != 255:
         raise FormatError(f"unsupported header w={w} h={h} maxval={maxval}")
     return w, h
@@ -67,19 +88,9 @@ def _read_header(f, magic: bytes):
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 file into an [H,W,3] uint8 array."""
-    with open(path, "rb") as f:
-        w, h = _read_header(f, b"P6")
-        data = f.read(w * h * 3)
-    if len(data) != w * h * 3:
-        raise FormatError(f"P6 payload truncated in {path}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
+    return _read(path, b"P6", 3)
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary P5 file into an [H,W] uint8 array."""
-    with open(path, "rb") as f:
-        w, h = _read_header(f, b"P5")
-        data = f.read(w * h)
-    if len(data) != w * h:
-        raise FormatError(f"P5 payload truncated in {path}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
+    return _read(path, b"P5", 1)[:, :, 0]

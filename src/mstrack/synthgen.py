@@ -9,6 +9,9 @@ same shape schema, are drawn above the objects, and are not ground-truthed:
 the ground-truth mask and box of an object cover only its visible pixels,
 and fully hidden frames are marked absent.
 
+Frames may be any size of at least 16x16 pixels; the tracker pads them to
+its stride-16 grid internally.
+
 Noise is drawn from a generator seeded with (scene seed, frame index), so
 frames can be rendered independently, in any order, with identical bytes.
 
@@ -53,6 +56,12 @@ MIN_COLOR_DISTANCE = 0.2
 DEFAULT_NOISE_SIGMA = 0.02
 
 
+def _check_floats(name: str, values: tuple, n: int) -> None:
+    """Raise ConfigError unless `values` holds exactly n finite numbers."""
+    if len(values) != n or not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} needs {n} finite numbers, got {values}")
+
+
 @dataclass(frozen=True)
 class Background:
     kind: str = "solid"  # solid | checker
@@ -61,6 +70,9 @@ class Background:
     cell: int = 16
 
     def __post_init__(self):
+        _check_floats("background.color", self.color, 3)
+        if self.color2 is not None:
+            _check_floats("background.color2", self.color2, 3)
         if self.kind not in ("solid", "checker"):
             raise ConfigError(f"background kind must be solid or checker, got {self.kind!r}")
         if self.kind == "checker" and self.color2 is None:
@@ -85,18 +97,24 @@ class ObjectSpec:
     scale_drift: float = 1.0
 
     def __post_init__(self):
+        for name, n in (("color", 3), ("size", 2), ("start", 2), ("velocity", 2), ("amplitude", 2)):
+            _check_floats(name, getattr(self, name), n)
         if self.shape not in SHAPES:
             raise ConfigError(f"shape must be one of {SHAPES}, got {self.shape!r}")
         if self.trajectory not in TRAJECTORIES:
             raise ConfigError(f"trajectory must be one of {TRAJECTORIES}, got {self.trajectory!r}")
         if min(self.size) < 2:
             raise ConfigError(f"object size must be >= 2 px, got {self.size}")
-        if self.period <= 0:
-            raise ConfigError("period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ConfigError(f"period must be positive and finite, got {self.period}")
+        if not math.isfinite(self.scale_drift):
+            raise ConfigError(f"scale_drift must be finite, got {self.scale_drift}")
 
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """A scene: frame size (any, at least 16x16 px), length, seed and shapes."""
+
     ident: str
     width: int
     height: int
@@ -108,14 +126,16 @@ class SceneSpec:
     occluders: tuple = ()
 
     def __post_init__(self):
-        if self.width % 16 or self.height % 16 or self.width < 16 or self.height < 16:
-            raise ConfigError(f"scene dims must be positive multiples of 16, got {self.width}x{self.height}")
+        if self.width < 16 or self.height < 16:
+            raise ConfigError(f"scene dims must be at least 16x16, got {self.width}x{self.height}")
         if self.n_frames < 1:
             raise ConfigError("n_frames must be >= 1")
         if not self.objects:
             raise ConfigError("scene needs at least one object")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"scene seed must be >= 0, got {self.seed}")
         colors = [o.color for o in self.objects]
         for i, c in enumerate(colors):
             for bg in self.background.colors():
@@ -380,23 +400,15 @@ _GROUP_RE = re.compile(r"^(object|occluder)\.([0-9]+)\.(shape|color|size|start|v
 
 
 def _parse_object(cfg: FlatConfig, prefix: str) -> ObjectSpec:
-    def need(name):
-        val = cfg.raw(f"{prefix}.{name}")
-        if val is None:
-            raise ConfigError(f"{cfg.source}: missing key {prefix}.{name!r}")
-        return val
-
-    shape = need("shape")
-    color = cfg.get_floats(f"{prefix}.color")
-    size = cfg.get_floats(f"{prefix}.size")
-    start = cfg.get_floats(f"{prefix}.start")
-    if color is None or size is None or start is None:
-        raise ConfigError(f"{cfg.source}: group {prefix!r} needs color, size and start")
-    return ObjectSpec(
-        shape=shape, color=color, size=size, start=start,
-        **_present(cfg, prefix, velocity=cfg.get_floats, trajectory=cfg.get_str,
-                   amplitude=cfg.get_floats, period=cfg.get_float, scale_drift=cfg.get_float),
+    fields = _present(
+        cfg, prefix, shape=cfg.get_str, color=cfg.get_floats, size=cfg.get_floats,
+        start=cfg.get_floats, velocity=cfg.get_floats, trajectory=cfg.get_str,
+        amplitude=cfg.get_floats, period=cfg.get_float, scale_drift=cfg.get_float,
     )
+    missing = [n for n in ("shape", "color", "size", "start") if n not in fields]
+    if missing:
+        raise ConfigError(f"{cfg.source}: group {prefix!r} needs {', '.join(missing)}")
+    return ObjectSpec(**fields)
 
 
 def _present(cfg: FlatConfig, prefix: str, **getters) -> dict:
@@ -420,14 +432,11 @@ def parse_scene_file(path) -> SceneSpec:
         cfg, "background", kind=cfg.get_str, color=cfg.get_floats, color2=cfg.get_floats,
         cell=cfg.get_int,
     )
-    ident = cfg.get_str("scene.id")
-    if not ident:
-        raise ConfigError(f"{cfg.source}: missing key 'scene.id'")
-    for name in ("scene.width", "scene.height", "scene.frames"):
-        if name not in cfg:
+    for name in ("scene.id", "scene.width", "scene.height", "scene.frames"):
+        if not cfg.raw(name):
             raise ConfigError(f"{cfg.source}: missing key {name!r}")
     return SceneSpec(
-        ident=ident,
+        ident=cfg.get_str("scene.id"),
         width=cfg.get_int("scene.width"),
         height=cfg.get_int("scene.height"),
         n_frames=cfg.get_int("scene.frames"),

@@ -19,7 +19,7 @@ from mstrack.cli import (
 )
 from mstrack.errors import ConfigError, DataError
 from mstrack.features import save_weights
-from mstrack.pnm import read_pgm, read_ppm
+from mstrack.pnm import read_pgm, read_ppm, write_ppm
 
 MINI_SCENE = """\
 scene.id = mini
@@ -94,6 +94,73 @@ def test_track_writes_results_and_masks(mini_dataset, tmp_path, capsys):
 
 def test_track_missing_sequence_dir_exits_two(tmp_path):
     assert main(["track", str(tmp_path / "nothing"), str(tmp_path / "o.txt")]) == 2
+
+
+# scene id -> (width, height, scene-file lines for object 1 and the background)
+ODD_SCENES = {
+    "odd_100x75": (100, 75, "rectangle", "0.15 0.2 0.8", "30 26", "40 36", "1.5 0.6", "0.9 0.9 0.85"),
+    "odd_56x64": (56, 64, "rectangle", "0.8 0.2 0.2", "24 24", "28 26", "1.0 0.8", "0.1 0.12 0.1"),
+}
+
+
+@pytest.fixture(scope="module")
+def odd_dataset(tmp_path_factory):
+    """Scenes whose frame sizes are not multiples of 16, from scene files."""
+    root = tmp_path_factory.mktemp("odd")
+    for ident, (w, h, shape, color, size, start, velocity, bg) in ODD_SCENES.items():
+        spec = root / f"{ident}.scene"
+        spec.write_text(
+            f"scene.id = {ident}\nscene.width = {w}\nscene.height = {h}\nscene.frames = 30\n"
+            f"scene.seed = 3\nbackground.color = {bg}\nobject.1.shape = {shape}\n"
+            f"object.1.color = {color}\nobject.1.size = {size}\nobject.1.start = {start}\n"
+            f"object.1.velocity = {velocity}\n"
+        )
+        assert main(["synth", str(spec), str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("ident", sorted(ODD_SCENES))
+def test_track_any_frame_size(odd_dataset, tmp_path, ident):
+    w, h = ODD_SCENES[ident][:2]
+    out, masks = tmp_path / "boxes.txt", tmp_path / "masks"
+    assert main(["track", str(odd_dataset / ident), str(out), "--masks", str(masks)]) == 0
+    boxes = read_results(out)
+    assert len(boxes) == 30
+    for b in boxes:
+        assert b.x >= 0 and b.y >= 0 and b.x + b.w <= w and b.y + b.h <= h, b
+    mask_files = sorted(masks.glob("*.pgm"))
+    assert len(mask_files) == 30
+    assert all(read_pgm(p).shape == (h, w) for p in mask_files)
+
+
+def test_eval_any_frame_size(odd_dataset, tmp_path):
+    report = tmp_path / "odd.json"
+    assert main(["eval", str(odd_dataset), str(report), "--threads", "1"]) == 0
+    doc = json.loads(report.read_text())
+    assert [e["id"] for e in doc["per_sequence"]] == sorted(ODD_SCENES)
+    assert doc["aggregate"] >= 0.60
+
+
+def test_mixed_frame_sizes_exit_two(mini_dataset, tmp_path, capsys):
+    seq = tmp_path / "data" / "mini"
+    shutil.copytree(mini_dataset / "mini", seq)
+    bad = seq / "frames" / "0003.ppm"
+    write_ppm(bad, np.zeros((48, 64, 3), dtype=np.uint8))
+    assert main(["track", str(seq), str(tmp_path / "o.txt")]) == 2
+    assert main(["eval", str(seq.parent), str(tmp_path / "r.json"), "--threads", "1"]) == 2
+    for line in capsys.readouterr().err.splitlines():
+        assert line.startswith(f"error: {bad}: size 64x48 differs from the 64x64")
+
+
+def test_track_needs_a_visible_first_frame(mini_dataset, tmp_path, capsys):
+    seq = tmp_path / "mini"
+    shutil.copytree(mini_dataset / "mini", seq)
+    ann = seq / "annotations.txt"
+    rows = ann.read_text().splitlines()
+    ann.write_text("\n".join(["0 -1 -1 -1 -1 0"] + rows[1:]) + "\n")
+    assert main(["track", str(seq), str(tmp_path / "o.txt")]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert "0000.ppm: no visible ground truth" in err
 
 
 def _weights_config(tmp_path, scale, nan=False):
@@ -246,6 +313,15 @@ def test_config_unknown_key_names_the_line(tmp_path, capsys):
         load_run_config(p)
     assert main(["eval", "x", "y", "--config", str(p)]) == 1
     assert "run.cfg:2" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_one(mini_dataset, tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(b"threads = 1\n# caf\xe9\n")
+    assert main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"),
+                 "--config", str(p)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == f"error: {p}: not UTF-8 text (byte 17)"
 
 
 def test_config_value_validation(tmp_path, mini_dataset, capsys):

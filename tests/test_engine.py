@@ -13,6 +13,7 @@ from mstrack.engine import (
     track_sequence,
 )
 from mstrack.errors import ConfigError, InitError, ShapeError
+from mstrack.features import pad_to_multiple
 
 CFG = EngineConfig()
 
@@ -134,6 +135,26 @@ def test_lost_target_repeats_last_box_and_freezes_memory():
     pred2, boxes2, _ = step(state, frame0)
     assert not boxes2[1].lost
     assert mask_iou(pred2, mask0, 1) >= 0.9
+
+
+def test_unaligned_frames_track_in_frame_coordinates():
+    # 75x100 pads to 80x112: memory covers the padded cell grid, while masks
+    # and boxes stay in the frame, also for a target touching its far corner
+    frame = np.full((75, 100, 3), (0.2, 0.25, 0.3), dtype=np.float32)
+    mask = np.zeros((75, 100), dtype=np.int32)
+    frame[45:, 70:] = (0.9, 0.15, 0.1)
+    mask[45:, 70:] = 1
+    state = init_reference(frame, mask, CFG)
+    assert state.memory.at(16).short_term.keys.shape[0] == 5 * 7
+    assert state.memory.at(8).short_term.keys.shape[0] == 10 * 14
+    pred, boxes, _ = step(state, frame)
+    assert pred.shape == (75, 100)
+    # as A3 on the padded grid: the coarse reconstruction of the padded mask
+    ref = coarse_reconstruct(pad_to_multiple(mask))[:75, :100]
+    assert mask_iou(pred, ref, 1) >= 0.99
+    b = boxes[1]
+    assert not b.lost and b.x + b.w == 100 and b.y + b.h == 75
+    assert state.memory.at(8).short_term.frame_index == 1
 
 
 # -- track_sequence ----------------------------------------------------------------

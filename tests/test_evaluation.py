@@ -12,6 +12,7 @@ from mstrack.evaluation import (
     EvalResult,
     SequenceRecord,
     evaluate_suite,
+    load_run,
     load_sequence,
     mse,
     ope,
@@ -177,6 +178,26 @@ def test_box_rows_round_trip_and_reject_only_as_data_errors(tmp_path_factory, ro
         assert str(e).startswith(f"{p}:")
     else:
         assert all(len(r) == 5 and r[4] in (True, False) for r in parsed)
+
+
+def test_load_run_loads_frames_box_and_anchor_mask(corpus_dir):
+    seq = load_sequence(corpus_dir / "s06_full_occ")
+    frames, init_box, gt_mask = load_run(seq, range(5, 1, -1))
+    assert len(frames) == 4 and frames[0].shape == (128, 128, 3)
+    assert init_box == seq.gt_boxes[5]
+    assert gt_mask.shape == (128, 128) and gt_mask.max() >= 1
+    absent = next(i for i, b in enumerate(seq.gt_boxes) if b is None)
+    with pytest.raises(DataError, match=f"{absent:04d}.ppm: no visible ground truth"):
+        load_run(seq, [absent, 0])
+
+
+def test_load_run_rejects_mixed_sizes_naming_the_file(tmp_path):
+    seq = write_sequence(tmp_path, "mixed", GT10)
+    write_ppm(seq.frame_paths[3], np.zeros((8, 16, 3), dtype=np.uint8))
+    with pytest.raises(DataError, match=r"0003.ppm: size 16x8 differs from the 16x16"):
+        load_run(seq, range(10))
+    frames, _, _ = load_run(seq, range(3))  # a run that leaves it out still loads
+    assert len(frames) == 3
 
 
 def test_load_sequence_requires_layout(tmp_path):

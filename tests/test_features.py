@@ -1,6 +1,8 @@
 """Encoder tests: per-cell oracles, covariance, MSWT container handling."""
 
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ def test_validate_frame_contract():
     with pytest.raises(ShapeError):
         validate_frame(np.zeros((32, 48), dtype=np.float32))
     with pytest.raises(ShapeError):
-        validate_frame(np.zeros((30, 48, 3), dtype=np.float32))
+        validate_frame(np.zeros((0, 48, 3), dtype=np.float32))
     with pytest.raises(ValueError):
         validate_frame(np.full((32, 32, 3), 2.0, dtype=np.float32))
     with pytest.raises(ShapeError, match="finite"):
@@ -53,6 +55,13 @@ def test_pad_to_multiple_edge_replicates():
     assert padded.shape == (16, 16, 3)
     assert np.array_equal(padded[0, :3], frame[0])
     assert np.array_equal(padded[5, 2], frame[1, 2])
+    mask = np.arange(3 * 17, dtype=np.int32).reshape(3, 17)
+    padded = pad_to_multiple(mask, 16)
+    assert padded.shape == (16, 32) and padded.dtype == np.int32
+    assert np.array_equal(padded[:3, :17], mask)
+    assert np.array_equal(padded[15, :17], mask[2]) and np.all(padded[:3, 31] == mask[:, 16])
+    aligned = np.zeros((32, 48, 3), dtype=np.float32)
+    assert pad_to_multiple(aligned) is aligned
 
 
 def test_uniform_frame_gives_constant_level16():
@@ -235,3 +244,38 @@ def test_weights_rewrite_is_not_cached(tmp_path):
     second = {k: v + 1.0 for k, v in first.items()}
     save_weights(path, second)
     np.testing.assert_array_equal(load_weights(path)["proj16"], second["proj16"])
+
+
+@pytest.mark.parametrize("mode", ["handcrafted", "random-projection"])
+def test_encode_frame_pads_any_frame_size(mode):
+    rng = np.random.default_rng(11)
+    frame = rng.random((75, 100, 3)).astype(np.float32)
+    cfg = EncoderConfig(mode=mode)
+    pyr = encode_frame(frame, cfg)
+    assert pyr.level16.shape[:2] == (5, 7) and pyr.level8.shape[:2] == (10, 14)
+    edge = np.pad(frame, ((0, 5), (0, 12), (0, 0)), mode="edge")
+    ref = encode_frame(edge, cfg)
+    assert np.array_equal(pyr.level16, ref.level16) and np.array_equal(pyr.level8, ref.level8)
+    one = encode_frame(np.full((1, 1, 3), 0.5, dtype=np.float32), cfg)
+    assert one.level16.shape[:2] == (1, 1) and one.level8.shape[:2] == (2, 2)
+
+
+def _mswt_blob(name: bytes, dims) -> bytes:
+    body = features.WEIGHTS_MAGIC + struct.pack("<I", features.WEIGHTS_VERSION)
+    body += struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
+    body += b"".join(struct.pack("<I", d) for d in dims)
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def test_weights_bad_name_or_dims_are_format_errors(tmp_path):
+    p = tmp_path / "w.mswt"
+    for name, dims, match in (
+        (b"\xff\xfe", [1], "not UTF-8"),
+        # the int64 products of these two dims wrap, to a negative count and to 0
+        (b"x", [2**32 - 1] * 4 + [16], "truncated data"),
+        (b"x", [2**31, 2**31, 4], "truncated data"),
+        (b"x", [0, 2**31, 2**31], "zero dimension"),
+    ):
+        p.write_bytes(_mswt_blob(name, dims))
+        with pytest.raises(FormatError, match=match):
+            load_weights(p)

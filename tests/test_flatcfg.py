@@ -22,7 +22,6 @@ def test_typed_getters():
     assert cfg.get_int("a.int", 0) == 3
     assert cfg.get_float("a.float", 0.0) == 2.5
     assert cfg.get_str("a.str", "") == "hello"
-    assert cfg.get_bool("a.bool", False) is True
     assert cfg.get_floats("a.floats", ()) == (1.0, 2.0, 3.0)
     assert cfg.get_list("a.list", ()) == ("x", "y", "z")
 

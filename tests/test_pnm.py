@@ -34,7 +34,7 @@ def test_write_is_deterministic(tmp_path):
 def test_read_rejects_wrong_magic(tmp_path):
     p = tmp_path / "bad.ppm"
     p.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"{p}: bad magic"):
         read_ppm(p)
 
 
@@ -56,3 +56,23 @@ def test_comment_headers_are_accepted(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
     assert np.array_equal(read_pgm(p), np.array([[1, 2], [3, 4]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "header", [b"P6\n1_6 1_6\n255\n", b"P6\n+16 16\n255\n", b"P6\n16 16 2_55\n"]
+)
+def test_header_fields_must_be_plain_decimal(tmp_path, header):
+    p = tmp_path / "u.ppm"
+    p.write_bytes(header + bytes(16 * 16 * 3))
+    with pytest.raises(FormatError, match="decimal"):
+        read_ppm(p)
+
+
+def test_header_size_beyond_the_file_is_rejected_before_reading(tmp_path):
+    p = tmp_path / "big.ppm"
+    p.write_bytes(b"P6\n99999999999 99999999999\n255\n")
+    with pytest.raises(FormatError, match="truncated"):
+        read_ppm(p)
+    p.write_bytes(b"P5\n" + b"9" * 5000 + b" 2\n255\n")
+    with pytest.raises(FormatError, match="decimal"):
+        read_pgm(p)

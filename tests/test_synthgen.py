@@ -112,18 +112,55 @@ def test_checker_background_has_two_tones():
 
 def test_scene_validation_errors():
     with pytest.raises(ConfigError):
-        scene(width=100)  # not a multiple of 16
+        scene(width=8)  # under the 16 px minimum
     with pytest.raises(ConfigError):
         scene(n_frames=0)
     with pytest.raises(ConfigError):
         scene(objects=())
-    with pytest.raises(ConfigError):
-        scene(noise_sigma=-0.1)
+    for kw in (dict(noise_sigma=-0.1), dict(noise_sigma=float("nan")),
+               dict(noise_sigma=float("inf")), dict(seed=-1)):
+        with pytest.raises(ConfigError):
+            scene(**kw)
     with pytest.raises(ConfigError):
         scene(background=Background(color=(0.9, 0.1, 0.1)))  # too close to object
     near = ObjectSpec(shape="disc", color=(0.9, 0.1, 0.12), size=(20, 20), start=(70, 70))
     with pytest.raises(ConfigError):
         scene(objects=(RECT, near))
+
+
+def test_scene_values_need_their_arity_and_finite_numbers():
+    for kw in (
+        dict(color=(0.1, 0.2)),
+        dict(size=()),
+        dict(start=(40.0,)),
+        dict(velocity=(1.0, 2.0, 3.0)),
+        dict(amplitude=(float("nan"), 0.0)),
+        dict(period=float("inf")),
+        dict(scale_drift=float("nan")),
+    ):
+        with pytest.raises(ConfigError):
+            ObjectSpec(**{**dict(shape="disc", color=(0.9, 0.1, 0.1), size=(20, 20),
+                                 start=(30, 30)), **kw})
+    with pytest.raises(ConfigError):
+        Background(color=(0.5, 0.5))
+    with pytest.raises(ConfigError):
+        Background(kind="checker", color2=(0.1, float("inf"), 0.1))
+
+
+@pytest.mark.parametrize("line", [
+    "object.1.color = 0.1 0.2",
+    "object.1.size =",
+    "object.1.start = 40",
+    "background.noise_sigma = nan",
+])
+def test_parse_scene_file_rejects_bad_values(tmp_path, line):
+    p = tmp_path / "bad.scene"
+    text = SCENE_TEXT
+    key = line.split("=")[0].strip()
+    text = "".join(ln + "\n" for ln in text.splitlines() if not ln.startswith(key + " "))
+    p.write_text(text + line + "\n")
+    with pytest.raises(ConfigError):
+        parse_scene_file(p)
 
 
 # -- the fixed suite ----------------------------------------------------------------
