@@ -6,7 +6,8 @@ box); unknown keys are rejected with their line number.  `MSTRACK_THREADS`
 overrides the configured thread count.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (missing or
-malformed inputs), 3 internal invariant violation.
+malformed inputs, or any other file-system error such as an output path
+that is a directory), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DataError, FormatError, InitError, FileNotFoundError, NotADirectoryError) as e:
+    except (DataError, FormatError, InitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MstrackError as e:

@@ -109,17 +109,34 @@ def pad_to_multiple(a: np.ndarray, multiple: int = 16) -> np.ndarray:
 def _cell_base_features(
     frame: np.ndarray, stride: int, position_weight: float, std_weight: float = 1.0
 ) -> np.ndarray:
+    """Per-cell [mean RGB, x, y, std RGB] of an [H,W,3] frame, float32 [H/s, W/s, 8].
+
+    The pixels are copied to float64 as [stride*stride, cells, 3], with each
+    cell's pixels in row-major order along axis 0.  A sum over axis 0 then
+    adds whole rows of cells one pixel at a time, in the order
+    `mean(axis=(1, 3))` on the [hc, s, wc, s, 3] blocks adds them, so the
+    float64 mean, the squared deviations and their sum are bit-identical to
+    NumPy's `mean` and `std` (tests/test_features.py keeps that form as the
+    reference), without a 3-element inner loop per pixel.
+    """
     h, w = frame.shape[:2]
     hc, wc = h // stride, w // stride
-    blocks = frame.reshape(hc, stride, wc, stride, 3).astype(np.float64)
-    mean = blocks.mean(axis=(1, 3))
-    std = blocks.std(axis=(1, 3)) * std_weight
+    n = stride * stride
+    px = np.empty((stride, stride, hc, wc, 3), dtype=np.float64)
+    px[...] = frame.reshape(hc, stride, wc, stride, 3).transpose(1, 3, 0, 2, 4)
+    px = px.reshape(n, hc, wc, 3)
+    mean = px.sum(axis=0) / n
+    px -= mean
+    px *= px
+    std = np.sqrt(px.sum(axis=0) / n) * std_weight
     cx = (np.arange(wc, dtype=np.float64) + 0.5) / wc
     cy = (np.arange(hc, dtype=np.float64) + 0.5) / hc
-    pos = np.empty((hc, wc, 2), dtype=np.float64)
-    pos[:, :, 0] = cx[None, :] * position_weight
-    pos[:, :, 1] = cy[:, None] * position_weight
-    return np.concatenate([mean, pos, std], axis=2).astype(np.float32)
+    out = np.empty((hc, wc, BASE_CHANNELS), dtype=np.float32)
+    out[:, :, :3] = mean
+    out[:, :, 3] = cx[None, :] * position_weight
+    out[:, :, 4] = cy[:, None] * position_weight
+    out[:, :, 5:] = std
+    return out
 
 
 def _fit_channels(base: np.ndarray, channels: int) -> np.ndarray:

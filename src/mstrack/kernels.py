@@ -100,6 +100,12 @@ def bilinear_resize(x: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     range.  The interpolation is factored (v0 + (v1 - v0) * t) so constant
     inputs map to bit-identical constant outputs, and every output value lies
     within the input's [min, max] range.
+
+    The resize is separable: each source row is interpolated along x once,
+    and the output rows blend two of those rows along y.  Every output value
+    is the same float32 expression, in the same order, as interpolating the
+    four corner pixels of that output pixel (tests/test_kernels.py keeps
+    that per-pixel form as the reference), so the bytes are the same.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -117,13 +123,16 @@ def bilinear_resize(x: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     fy = (sy - y0).astype(np.float32)[:, None, None]
     fx = (sx - x0).astype(np.float32)[None, :, None]
 
-    v00 = x[y0[:, None], x0[None, :]]
-    v01 = x[y0[:, None], x1[None, :]]
-    v10 = x[y1[:, None], x0[None, :]]
-    v11 = x[y1[:, None], x1[None, :]]
-    top = v00 + (v01 - v00) * fx
-    bot = v10 + (v11 - v10) * fx
-    return np.ascontiguousarray(top + (bot - top) * fy)
+    # take, not x[:, x0]: that result keeps the gathered axis outermost in
+    # memory, so the row gathers below would copy strided memory
+    xa = np.take(x, x0, axis=1)
+    rows = xa + (np.take(x, x1, axis=1) - xa) * fx
+    top = rows[y0]
+    out = rows[y1]
+    out -= top
+    out *= fy
+    out += top
+    return out
 
 
 def channel_argmax(x: np.ndarray) -> np.ndarray:

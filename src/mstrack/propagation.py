@@ -215,18 +215,29 @@ def _record(sig: tuple) -> None:
 
 
 def majority_downsample(mask: np.ndarray, stride: int, num_labels: int) -> np.ndarray:
-    """Per-cell area-majority label, ties resolved to the lowest label."""
+    """Per-cell area-majority label, ties resolved to the lowest label.
+
+    The label counts of all cells come from one `np.bincount` over
+    `cell * num_labels + label`.  They are the integers a one-hot sum per
+    cell gives, so the argmax and its lowest-label tie rule are unchanged
+    (tests/test_propagation.py keeps the one-hot form as the reference).  A
+    label outside [0, num_labels) would be counted in a neighbouring cell,
+    so it raises `LabelError`.
+    """
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ShapeError(f"mask must be 2-d, got shape {m.shape}")
     h, w = m.shape
     if h % stride or w % stride:
         raise ShapeError(f"mask dims {w}x{h} not divisible by stride {stride}")
-    onehot = np.equal(m[:, :, None], np.arange(num_labels)[None, None, :])
-    counts = (
-        onehot.reshape(h // stride, stride, w // stride, stride, num_labels)
-        .sum(axis=(1, 3), dtype=np.int64)
-    )
+    if m.size and (m.min() < 0 or m.max() >= num_labels):
+        raise LabelError(
+            f"mask labels must lie in [0, {num_labels - 1}], got {m.min()}..{m.max()}"
+        )
+    hc, wc = h // stride, w // stride
+    cell = (np.arange(h) // stride * wc)[:, None] + np.arange(w) // stride
+    counts = np.bincount((cell * num_labels + m).ravel(), minlength=hc * wc * num_labels)
+    counts = counts.reshape(hc, wc, num_labels)
     return np.argmax(counts, axis=2).astype(np.int32)
 
 
@@ -234,14 +245,10 @@ def encode_mask_to_ids(mask: np.ndarray, bank: IdBank, stride: int) -> np.ndarra
     """Map a label mask to per-cell ID embeddings at the given stride.
 
     Each stride cell receives the exact bank row of its area-majority label.
-    Returns [H/stride, W/stride, D].
+    Labels outside [0, max_objects] raise `LabelError`.  Returns
+    [H/stride, W/stride, D].
     """
-    m = np.asarray(mask)
-    if m.size and (m.min() < 0 or m.max() > bank.max_objects):
-        raise LabelError(
-            f"mask labels must lie in [0, {bank.max_objects}], got max {m.max()}"
-        )
-    labels = majority_downsample(m, stride, bank.max_objects + 1)
+    labels = majority_downsample(mask, stride, bank.max_objects + 1)
     return bank.embeddings[labels]
 
 

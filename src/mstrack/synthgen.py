@@ -174,7 +174,11 @@ def _fold(value: float, lo: float, hi: float) -> float:
 
 def object_geometry(spec: SceneSpec, obj: ObjectSpec, t: int):
     """Center and size of an object at frame t: (cx, cy, w, h)."""
-    drift = obj.scale_drift**t
+    try:
+        drift = obj.scale_drift**t
+    except OverflowError:
+        # the power saturates, and the size is clamped to the frame below
+        drift = -math.inf if obj.scale_drift < 0 and t % 2 else math.inf
     w = min(max(obj.size[0] * drift, 4.0), spec.width - 2.0)
     h = min(max(obj.size[1] * drift, 4.0), spec.height - 2.0)
     if obj.trajectory == "linear":

@@ -96,6 +96,15 @@ def test_track_missing_sequence_dir_exits_two(tmp_path):
     assert main(["track", str(tmp_path / "nothing"), str(tmp_path / "o.txt")]) == 2
 
 
+def test_track_output_path_that_is_a_directory_exits_two(mini_dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["track", str(mini_dataset / "mini"), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # scene id -> (width, height, scene-file lines for object 1 and the background)
 ODD_SCENES = {
     "odd_100x75": (100, 75, "rectangle", "0.15 0.2 0.8", "30 26", "40 36", "1.5 0.6", "0.9 0.9 0.85"),

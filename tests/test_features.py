@@ -6,6 +6,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mstrack import features
 from mstrack.engine import EngineConfig, track_sequence
@@ -29,6 +32,50 @@ def cell_mean_oracle(frame, stride):
         for j in range(wc):
             out[i, j] = frame[i * stride:(i + 1) * stride, j * stride:(j + 1) * stride].mean(axis=(0, 1))
     return out.astype(np.float32)
+
+
+def mean_std_cell_features(frame, stride, position_weight, std_weight=1.0):
+    """`_cell_base_features` as NumPy's mean and std over the cell axes, before
+    the sums moved to a pixel-major float64 copy."""
+    h, w = frame.shape[:2]
+    hc, wc = h // stride, w // stride
+    blocks = frame.reshape(hc, stride, wc, stride, 3).astype(np.float64)
+    mean = blocks.mean(axis=(1, 3))
+    std = blocks.std(axis=(1, 3)) * std_weight
+    cx = (np.arange(wc, dtype=np.float64) + 0.5) / wc
+    cy = (np.arange(hc, dtype=np.float64) + 0.5) / hc
+    pos = np.empty((hc, wc, 2), dtype=np.float64)
+    pos[:, :, 0] = cx[None, :] * position_weight
+    pos[:, :, 1] = cy[:, None] * position_weight
+    return np.concatenate([mean, pos, std], axis=2).astype(np.float32)
+
+
+@st.composite
+def cell_frames(draw, elements):
+    stride = draw(st.sampled_from([16, 8]))
+    hc, wc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    frame = draw(hnp.arrays(elements[0], (hc * stride, wc * stride, 3), elements=elements[1]))
+    return stride, frame
+
+
+_WEIGHTS = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_frames((np.uint8, st.integers(0, 255))), _WEIGHTS, _WEIGHTS)
+def test_cell_features_bytes_equal_mean_std_on_ppm_frames(sf, pw, sw):
+    stride, raw = sf
+    frame = raw.astype(np.float32) / 255.0  # as evaluation.load_frame scales a PPM
+    want = mean_std_cell_features(frame, stride, pw, sw)
+    assert features._cell_base_features(frame, stride, pw, sw).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_frames((np.float32, st.floats(0.0, 1.0, width=32))), _WEIGHTS, _WEIGHTS)
+def test_cell_features_bytes_equal_mean_std_on_float_frames(sf, pw, sw):
+    stride, frame = sf
+    want = mean_std_cell_features(frame, stride, pw, sw)
+    assert features._cell_base_features(frame, stride, pw, sw).tobytes() == want.tobytes()
 
 
 def test_validate_frame_contract():

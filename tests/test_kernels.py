@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mstrack import kernels
 from mstrack.errors import MstrackError, NumericError, ShapeError
@@ -70,6 +71,27 @@ def bilinear_oracle(x, nh, nw):
             bot = x[y1c, x0c] * (1 - fx) + x[y1c, x1c] * fx
             out[oy, ox] = top * (1 - fy) + bot * fy
     return out.astype(np.float32)
+
+
+def corner_bilinear(x, new_h, new_w):
+    """`bilinear_resize` as it interpolated the four corners of every output
+    pixel, before it became separable."""
+    h, w, _ = x.shape
+    sy = np.clip((np.arange(new_h, dtype=np.float64) + 0.5) * (h / new_h) - 0.5, 0.0, h - 1.0)
+    sx = np.clip((np.arange(new_w, dtype=np.float64) + 0.5) * (w / new_w) - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(sy).astype(np.int64)
+    x0 = np.floor(sx).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (sy - y0).astype(np.float32)[:, None, None]
+    fx = (sx - x0).astype(np.float32)[None, :, None]
+    v00 = x[y0[:, None], x0[None, :]]
+    v01 = x[y0[:, None], x1[None, :]]
+    v10 = x[y1[:, None], x0[None, :]]
+    v11 = x[y1[:, None], x1[None, :]]
+    top = v00 + (v01 - v00) * fx
+    bot = v10 + (v11 - v10) * fx
+    return np.ascontiguousarray(top + (bot - top) * fy)
 
 
 def argmax_oracle(x):
@@ -275,6 +297,31 @@ def test_bilinear_random_vs_oracle():
         got = bilinear_resize(x, int(nh), int(nw))
         np.testing.assert_allclose(got, bilinear_oracle(x, int(nh), int(nw)), atol=1e-5)
         assert got.min() >= x.min() - 1e-6 and got.max() <= x.max() + 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hnp.arrays(
+        np.float32,
+        st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6)),
+        elements=st.floats(-1e6, 1e6, width=32),
+    ),
+    st.integers(1, 40),
+    st.integers(1, 40),
+)
+def test_bilinear_bytes_equal_corner_form(x, new_h, new_w):
+    # sizes from 1 to 40 against sources of 1 to 12 both shrink and grow
+    got = bilinear_resize(x, new_h, new_w)
+    assert got.flags["C_CONTIGUOUS"]
+    assert got.tobytes() == corner_bilinear(x, new_h, new_w).tobytes()
+
+
+def test_bilinear_bytes_equal_corner_form_at_engine_scales():
+    rng = np.random.default_rng(16)
+    for h, w, c, f in ((8, 6, 32, 2), (16, 12, 2, 8), (32, 32, 6, 8), (16, 16, 3, 0.25)):
+        x = rng.normal(size=(h, w, c)).astype(np.float32)
+        nh, nw = max(1, int(h * f)), max(1, int(w * f))
+        assert bilinear_resize(x, nh, nw).tobytes() == corner_bilinear(x, nh, nw).tobytes()
 
 
 def test_argmax_single_channel_all_zero():

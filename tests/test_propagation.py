@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mstrack import propagation
 from mstrack.errors import ConfigError, LabelError, ShapeError, StateError
@@ -100,6 +103,50 @@ def test_majority_tie_goes_to_lowest_label():
     mask = np.zeros((8, 8), dtype=np.int32)
     mask[:, 4:] = 2  # exactly half the cell
     assert majority_downsample(mask, 8, 3)[0, 0] == 0
+
+
+def onehot_majority(mask, stride, num_labels):
+    """`majority_downsample` as a one-hot sum per cell, before the bincount."""
+    h, w = mask.shape
+    onehot = np.equal(mask[:, :, None], np.arange(num_labels)[None, None, :])
+    counts = (
+        onehot.reshape(h // stride, stride, w // stride, stride, num_labels)
+        .sum(axis=(1, 3), dtype=np.int64)
+    )
+    return np.argmax(counts, axis=2).astype(np.int32)
+
+
+@st.composite
+def tied_masks(draw):
+    """A label mask in which some cells split exactly in half between two labels."""
+    num_labels = draw(st.integers(1, 5))
+    stride = draw(st.sampled_from([2, 4, 8, 16]))
+    hc, wc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    labels = st.integers(0, num_labels - 1)
+    mask = draw(hnp.arrays(np.int32, (hc * stride, wc * stride), elements=labels))
+    for i in range(hc):
+        for j in range(wc):
+            if draw(st.booleans()):
+                cell = mask[i * stride:(i + 1) * stride, j * stride:(j + 1) * stride]
+                cell[: stride // 2] = draw(labels)
+                cell[stride // 2:] = draw(labels)
+    return mask, stride, num_labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_masks())
+def test_majority_bytes_equal_onehot_form(case):
+    mask, stride, num_labels = case
+    got = majority_downsample(mask, stride, num_labels)
+    assert got.tobytes() == onehot_majority(mask, stride, num_labels).tobytes()
+
+
+def test_majority_rejects_labels_outside_range():
+    mask = np.zeros((16, 16), dtype=np.int32)
+    for bad in (3, -1):
+        mask[5, 9] = bad
+        with pytest.raises(LabelError):
+            majority_downsample(mask, 8, 3)
 
 
 def test_majority_rejects_indivisible_dims():

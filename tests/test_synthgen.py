@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mstrack.boxmask import mask_to_box
+from mstrack.cli import main
 from mstrack.errors import ConfigError
+from mstrack.evaluation import read_box_rows
 from mstrack.pnm import read_pgm, read_ppm
 from mstrack.synthgen import (
     MIN_COLOR_DISTANCE,
@@ -85,6 +87,28 @@ def test_scale_drift_shrinks_and_grows():
     _, _, w9, _ = object_geometry(sp, obj, 9)
     assert w9 == pytest.approx(24 * 0.9**9)
     assert w9 < w0
+
+
+def test_overflowing_scale_drift_saturates_at_the_frame(tmp_path):
+    # 1e10**31 overflows a float; the size saturates and is clamped to the frame
+    spec = tmp_path / "drift.scene"
+    spec.write_text(
+        "scene.id = drift\nscene.width = 64\nscene.height = 48\nscene.frames = 40\n"
+        "object.1.shape = rectangle\nobject.1.color = 0.2 0.2 0.8\n"
+        "object.1.size = 10 10\nobject.1.start = 30 24\nobject.1.scale_drift = 1e10\n"
+    )
+    assert main(["synth", str(spec), str(tmp_path / "data")]) == 0
+    rows = read_box_rows(tmp_path / "data" / "drift" / "annotations.txt")
+    assert len(rows) == 40
+    for x, y, w, h, _ in rows:
+        assert x >= 0 and y >= 0 and w >= 1 and h >= 1
+        assert x + w <= 64 and y + h <= 48
+    for drift in (1e10, -1e10):
+        obj = ObjectSpec(shape="rectangle", color=(0.2, 0.2, 0.8), size=(10, 10),
+                         start=(30, 24), scale_drift=drift)
+        for t in (30, 31, 5000):
+            _, _, w, h = object_geometry(scene(objects=(obj,)), obj, t)
+            assert 4.0 <= w <= 94.0 and 4.0 <= h <= 94.0
 
 
 def test_occluder_hides_pixels_from_ground_truth():
