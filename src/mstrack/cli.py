@@ -290,7 +290,13 @@ def cmd_overlay(args) -> int:
     for t, (path, box) in enumerate(zip(seq.frame_paths, boxes)):
         img = read_ppm(path).copy()
         if args.masks:
-            mask = load_mask(Path(args.masks) / f"{t:04d}.pgm")
+            mask_path = Path(args.masks) / f"{t:04d}.pgm"
+            mask = load_mask(mask_path)
+            if mask.shape != img.shape[:2]:
+                raise DataError(
+                    f"{mask_path}: size {mask.shape[1]}x{mask.shape[0]} differs from the "
+                    f"{img.shape[1]}x{img.shape[0]} of {path}"
+                )
             hit = mask > 0
             img[hit] = ((img[hit].astype(np.float64) + tint) / 2.0).astype(np.uint8)
         _draw_box(img, box, box_color)

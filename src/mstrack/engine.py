@@ -56,10 +56,23 @@ from .propagation import (
 
 # the upsampled stride-16 prior enters stride 8 through a fixed half-open fuse
 FUSE_GATE = 0.5
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """Engine settings, bounded so every attention and decode value fits float32.
+
+    Feature rows have norm r = match_norm * sqrt(C), with C = encoder.channels16
+    or channels8, and each gated read adds at most r, so after L layers at that
+    stride a query's norm is at most r * (1 + 2L).  So r^2 * (1 + 2L), the
+    largest score, must fit in float32, and so must its quotient by
+    float32(temperature * sqrt(C)).  Stride-8 logits are at most
+    |prior_weight| / 2 + 2 * gpm_layers8, and the full-resolution resize takes
+    their differences, so that sum must stay <= FLOAT32_MAX / 2.  The engine's
+    gates are 0.5, not 1, so scores stay inside these bounds after rounding.
+    """
+
     encoder: EncoderConfig = EncoderConfig()
     id_dim: int = 32
     max_objects: int = 4
@@ -82,6 +95,21 @@ class EngineConfig:
             raise ConfigError(f"prior_weight must be finite, got {self.prior_weight}")
         if self.max_objects < 1:
             raise ConfigError("max_objects must be >= 1")
+        enc = self.encoder
+        for c, layers in ((enc.channels16, self.gpm_layers16), (enc.channels8, self.gpm_layers8)):
+            r = self.match_norm * math.sqrt(c)
+            score = r * r * (1 + 2 * layers)
+            with np.errstate(over="ignore"):
+                scale = float(np.float32(self.temperature * math.sqrt(c)))
+            if score > FLOAT32_MAX:
+                raise ConfigError(f"match_norm {self.match_norm} overflows float32 attention scores")
+            if scale == 0.0 or score / scale > FLOAT32_MAX:
+                raise ConfigError(
+                    f"temperature {self.temperature} is too small for match_norm "
+                    f"{self.match_norm}: attention logits overflow float32"
+                )
+        if abs(self.prior_weight) / 2 + 2 * self.gpm_layers8 > FLOAT32_MAX / 2:
+            raise ConfigError(f"prior_weight {self.prior_weight} overflows float32 logits")
 
 
 # effective coarse-prior coefficient at default settings
@@ -95,7 +123,7 @@ class EngineState:
     k: int  # current object count
     frame_index: int
     config: EngineConfig
-    ref_shape: tuple  # (H, W)
+    ref_mask: np.ndarray  # [H, W] int32 reference labels
     last_boxes: dict = field(default_factory=dict)  # label -> last non-lost Box
 
 
@@ -127,10 +155,18 @@ def _write_memory(memory: MemoryBank, bank, mask, f16, f8, frame_index, long_ter
         memory.write(MemoryEntry(scale, rows, ids, frame_index), long_term)
 
 
-def init_reference(frame: np.ndarray, mask: np.ndarray, cfg: EngineConfig) -> EngineState:
-    """Store the reference frame and its mask as memory at both scales."""
+def init_reference(
+    frame: np.ndarray, init, cfg: EngineConfig, segmenter_spec=None, gt_mask=None
+) -> EngineState:
+    """Store the reference frame and its mask as memory at both scales.
+
+    `init` is an integer label mask, or a Box that `segment_box` turns into
+    one on `frame` (default `SegmenterSpec()`; `gt_mask` is for the oracle).
+    """
     f = validate_frame(frame)
-    m = _validate_mask(mask, f, cfg)
+    if isinstance(init, Box):
+        init = segment_box(f, init, segmenter_spec or SegmenterSpec(), gt_mask=gt_mask)
+    m = _validate_mask(init, f, cfg)
     k = int(m.max(initial=0))
     if k < 1:
         raise InitError("reference mask has no foreground labels")
@@ -146,7 +182,7 @@ def init_reference(frame: np.ndarray, mask: np.ndarray, cfg: EngineConfig) -> En
         k=k,
         frame_index=0,
         config=cfg,
-        ref_shape=f.shape[:2],
+        ref_mask=m,
         last_boxes=boxes,
     )
 
@@ -185,8 +221,8 @@ def step(state: EngineState, frame: np.ndarray):
     boxes) and also returned.  Lost labels keep their last box, flagged.
     """
     f = validate_frame(frame)
-    if f.shape[:2] != state.ref_shape:
-        raise ShapeError(f"frame shape {f.shape[:2]} != reference {state.ref_shape}")
+    if f.shape[:2] != state.ref_mask.shape:
+        raise ShapeError(f"frame shape {f.shape[:2]} != reference {state.ref_mask.shape}")
     cfg = state.config
     pyr = encode_frame(f, cfg.encoder)
     padded, f16, f8 = _decode_step(state, pyr)
@@ -245,24 +281,14 @@ def track_sequence(
 ):
     """Track through a frame list; returns one (Box, mask) pair per frame.
 
-    `init` is either a Box (converted to a mask by the configured segmenter
-    pipeline on frame 0, with `gt_mask` available to the oracle kind) or an
-    integer label mask.  Frame 0 echoes the initialization.
+    `init` is a Box or a label mask, as `init_reference` takes it.  Frame 0
+    echoes the reference box and mask.
     """
     frames = list(frames)
     if not frames:
         raise InitError("track_sequence needs at least one frame")
-    first = validate_frame(frames[0])
-    if isinstance(init, Box):
-        spec = segmenter_spec or SegmenterSpec()
-        mask0 = segment_box(first, init, spec, gt_mask=gt_mask)
-    else:
-        mask0 = np.asarray(init)
-    if mask0.max(initial=0) < 1:
-        raise InitError("initialization produced an empty mask")
-    state = init_reference(first, mask0, cfg)
-    box0 = mask_to_box(mask0, 1)
-    outputs = [(box0, mask0.astype(np.int32))]
+    state = init_reference(frames[0], init, cfg, segmenter_spec, gt_mask=gt_mask)
+    outputs = [(state.last_boxes[1], state.ref_mask)]
     for frame in frames[1:]:
         pred, boxes, state = step(state, frame)
         outputs.append((boxes[1], pred))

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
+from .kernels import as_tensor
 
 WEIGHTS_MAGIC = b"MSWT"
 WEIGHTS_VERSION = 1
@@ -169,17 +170,18 @@ def _project_patches(frame: np.ndarray, stride: int, weights: np.ndarray) -> np.
         .astype(np.float64)
     )
     out = patches @ weights.astype(np.float64)
-    return out.reshape(hc, wc, weights.shape[1]).astype(np.float32)
+    # finite weights can still overflow float32 here
+    return as_tensor(out.reshape(hc, wc, weights.shape[1]))
 
 
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
-    """Encode a frame into stride-16 and stride-8 feature maps.
+    """Encode a validated frame into stride-16 and stride-8 feature maps.
 
     The frame is edge-padded to the next multiples of 16 first
     (`pad_to_multiple`), so cell grids cover the padded frame.
 
     Args:
-        frame: [H,W,3] array with values in [0,1], any H, W >= 1.
+        frame: [H,W,3] float32 in [0,1] from `validate_frame`, any H, W >= 1.
         cfg: encoder configuration; output channel counts always equal
             cfg.channels16 / cfg.channels8 regardless of mode.
 
@@ -187,7 +189,7 @@ def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
         FeaturePyramid with level16 [ceil(H/16),ceil(W/16),C16] and level8
         twice that size, [2*ceil(H/16),2*ceil(W/16),C8].
     """
-    f = pad_to_multiple(validate_frame(frame))
+    f = pad_to_multiple(frame)
     if cfg.mode == "weights-file":
         st = os.stat(cfg.weights_path)
         weights = _loaded_weights(cfg.weights_path, st.st_mtime_ns, st.st_size)

@@ -1,8 +1,16 @@
 """Deterministic dense-array kernels used by the propagation engine.
 
-All kernels take and return C-contiguous float32 arrays ("tensors") and are
-pure: identical inputs give bit-identical outputs.  `matmul` is a float64
-BLAS product cast back to float32.
+All kernels return C-contiguous float32 arrays ("tensors"; `channel_argmax`
+int32 labels) and are pure: identical inputs give bit-identical outputs.
+`matmul` is a float64 BLAS product cast back to float32.
+
+`matmul` does not scan its operands for non-finite values.  A NaN or inf in
+row i of `a` (or column j of `b`) makes every output of that row (or
+column) NaN or inf, so the check on the product, which `matmul` needs anyway
+for float32 overflow, raises `NumericError` for it as well
+(tests/test_kernels.py draws single-entry cases up to 8x8x8).  The
+other kernels check their input with `as_tensor`: nothing before `softmax`
+checks its scores, and a -inf score would not show in its output.
 
 Importing this module sets NumPy's OpenBLAS, when the symbol resolves, to
 one thread.  mstrack's only parallelism is its evaluation thread pool
@@ -63,8 +71,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     on the engine's shapes: tests/test_kernels.py keeps the einsum sum this
     replaced as the reference, at 1 and 2 BLAS threads.
     """
-    a = as_tensor(a)
-    b = as_tensor(b)
+    a = np.asarray(a, dtype=np.float32)
+    b = np.asarray(b, dtype=np.float32)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:

@@ -19,7 +19,7 @@ from mstrack.cli import (
 )
 from mstrack.errors import ConfigError, DataError
 from mstrack.features import save_weights
-from mstrack.pnm import read_pgm, read_ppm, write_ppm
+from mstrack.pnm import read_pgm, read_ppm, write_pgm, write_ppm
 
 MINI_SCENE = """\
 scene.id = mini
@@ -363,6 +363,38 @@ def test_config_value_validation(tmp_path, mini_dataset, capsys):
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("engine.temperature = 1e-40", "temperature"),
+        ("engine.temperature = 1e-36", "temperature"),
+        ("engine.match_norm = 1e20", "match_norm"),
+        ("engine.prior_weight = 1e39", "prior_weight"),
+        ("engine.prior_weight = -1e39", "prior_weight"),
+    ],
+)
+def test_config_values_that_overflow_float32_exit_one(line, key, mini_dataset, tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(p)
+    assert main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"),
+                 "--config", str(p)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {key} ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["engine.temperature = 1e-30", "engine.match_norm = 1e-30", "engine.prior_weight = 1e38"],
+)
+def test_extreme_config_values_inside_float32_still_track(line, mini_dataset, tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text(line + "\n")
+    assert main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"),
+                 "--config", str(p)]) == 0
+
+
 def test_resolve_threads(monkeypatch):
     assert resolve_threads(3) == 3
     assert 1 <= resolve_threads(0) <= 8
@@ -440,6 +472,19 @@ def test_overlay_row_count_mismatch_exits_two(mini_dataset, tmp_path, capsys):
     write_results(p, [Box(0, 0, 4, 4)])
     assert main(["overlay", str(mini_dataset / "mini"), str(p), str(tmp_path / "v")]) == 2
     assert "result rows" in capsys.readouterr().err
+
+
+def test_overlay_mask_of_another_size_exits_two(mini_dataset, tmp_path, capsys):
+    results = tmp_path / "boxes.txt"
+    write_results(results, [Box(16, 16, 24, 24)] * 6)
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    for t in range(6):
+        write_pgm(masks / f"{t:04d}.pgm", np.ones((32, 48), dtype=np.uint8))
+    assert main(["overlay", str(mini_dataset / "mini"), str(results), str(tmp_path / "v"),
+                 "--masks", str(masks)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {masks / '0000.pgm'}: size 48x32 differs from the 64x64 of ")
 
 
 # -- argparse mapping --------------------------------------------------------------

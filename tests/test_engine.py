@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mstrack.boxmask import Box, SegmenterSpec, mask_iou, mask_to_box
+from mstrack import engine
+from mstrack.boxmask import Box, SegmenterSpec, mask_iou, mask_to_box, segment_box
 from mstrack.engine import (
     EngineConfig,
     coarse_reconstruct,
@@ -13,7 +14,7 @@ from mstrack.engine import (
     track_sequence,
 )
 from mstrack.errors import ConfigError, InitError, ShapeError
-from mstrack.features import pad_to_multiple
+from mstrack.features import EncoderConfig, pad_to_multiple
 
 CFG = EngineConfig()
 
@@ -55,6 +56,22 @@ def test_init_rejects_empty_or_oversized_masks():
         init_reference(frame, mask[:48], CFG)
     with pytest.raises(ShapeError):
         init_reference(frame, mask.astype(np.float32), CFG)
+
+
+def test_init_from_box_equals_init_from_its_segmented_mask():
+    frame, mask = make_square_frame(96, (16, 16), 48)
+    box = mask_to_box(mask, 1)
+    spec = SegmenterSpec(kinds=("chroma",))
+    from_box = init_reference(frame, box, CFG, spec)
+    from_mask = init_reference(frame, segment_box(frame, box, spec), CFG)
+    assert np.array_equal(from_box.ref_mask, from_mask.ref_mask)
+    assert from_box.last_boxes == from_mask.last_boxes and from_box.k == from_mask.k
+    for scale in (16, 8):
+        a, b = from_box.memory.at(scale), from_mask.memory.at(scale)
+        assert a.short_term.values.tobytes() == b.short_term.values.tobytes()
+        assert [e.values.tobytes() for e in a.long_term] == [e.values.tobytes() for e in b.long_term]
+    with pytest.raises(InitError):
+        init_reference(frame, Box(0.0, 0.0, 0.0, 0.0, lost=True), CFG, spec)
 
 
 def test_coarse_reconstruct_rounds_only_the_corners():
@@ -196,6 +213,22 @@ def test_track_sequence_requires_frames_and_foreground():
         track_sequence([frame], lost_box, CFG, SegmenterSpec(kinds=("chroma",)))
 
 
+@pytest.mark.parametrize("init", ["box", "mask"])
+def test_track_sequence_validates_each_frame_once(init, monkeypatch):
+    frame, mask = make_square_frame(96, (16, 16), 48)
+    calls = []
+    validate = engine.validate_frame
+
+    def counting(f):
+        calls.append(f)
+        return validate(f)
+
+    monkeypatch.setattr(engine, "validate_frame", counting)
+    start = mask_to_box(mask, 1) if init == "box" else mask
+    out = track_sequence([frame] * 4, start, CFG, SegmenterSpec(kinds=("chroma",)))
+    assert len(out) == 4 and len(calls) == 4
+
+
 def test_make_tracker_returns_boxes_per_frame(rendered_suite):
     frames, masks, gt_boxes = rendered_suite["s00_static"]
     tracker = make_tracker(CFG, SegmenterSpec(kinds=("oracle",)))
@@ -225,3 +258,23 @@ def test_engine_config_validation():
         EngineConfig(match_norm=-1.0)
     with pytest.raises(ConfigError):
         EngineConfig(max_objects=0)
+
+
+def test_engine_config_bounds_keep_attention_and_logits_in_float32():
+    # a score is at most (match_norm * sqrt(32))^2 * (1 + 2 * 2) at stride 16
+    EngineConfig(match_norm=1.45e18, temperature=1e10)
+    with pytest.raises(ConfigError, match="match_norm"):
+        EngineConfig(match_norm=1.46e18, temperature=1e10)
+    # default scores reach 36 * 32 * 5 = 5760, divided by float32(t * sqrt(32))
+    EngineConfig(temperature=3.0e-36)
+    for t in (2.98e-36, 1e-40, 1e-46):
+        with pytest.raises(ConfigError, match="temperature"):
+            EngineConfig(temperature=t)
+    # more stride-8 channels raise the stride-8 score bound
+    with pytest.raises(ConfigError, match="match_norm"):
+        EngineConfig(encoder=EncoderConfig(channels8=2**20), match_norm=2e16)
+    EngineConfig(match_norm=2e16)
+    # |prior_weight| / 2 + 2 must stay within half the float32 range
+    EngineConfig(prior_weight=-3.4e38)
+    with pytest.raises(ConfigError, match="prior_weight"):
+        EngineConfig(prior_weight=3.41e38)

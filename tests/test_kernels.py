@@ -225,6 +225,24 @@ def test_kernel_errors_are_package_errors():
         assert isinstance(info.value, MstrackError) and isinstance(info.value, ValueError)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matmul_raises_on_any_non_finite_operand_entry(data):
+    # matmul does not scan its operands: a non-finite entry of a (or b)
+    # makes its whole output row (or column) non-finite, and the output
+    # check sees that for every m, k, n >= 1
+    m, k, n = (data.draw(st.integers(1, 8)) for _ in range(3))
+    finite = st.floats(-1e3, 1e3, width=32)
+    a = data.draw(hnp.arrays(np.float32, (m, k), elements=finite))
+    b = data.draw(hnp.arrays(np.float32, (k, n), elements=finite))
+    target = a if data.draw(st.booleans()) else b
+    target.flat[data.draw(st.integers(0, target.size - 1))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf])
+    )
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericError, match="overflowed"):
+        matmul(a, b)
+
+
 def test_softmax_symmetry():
     np.testing.assert_allclose(softmax(np.zeros(3, dtype=np.float32), 0, 1.0), np.full(3, 1 / 3), atol=1e-7)
 

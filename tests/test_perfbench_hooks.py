@@ -9,6 +9,7 @@ import numpy as np
 
 import mstrack
 from mstrack import engine
+from mstrack.boxmask import Box, SegmenterSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,3 +58,31 @@ def test_tracer_resize_names_read_positional_size(monkeypatch):
     state = engine.init_reference(frame, mask, engine.EngineConfig())
     engine.step(state, frame)
     assert names == ["kernels.bilinear_resize.cell", "kernels.bilinear_resize.full"]
+
+
+def test_tracer_spans_cover_the_engine_path(monkeypatch):
+    # every span the benchmark reads from a box-initialized run must still be
+    # recorded: a call that moves to another function must keep its span
+    tracer = _load_tracer(monkeypatch)
+    targets = tracer.layer_targets(mstrack)
+    expected = set()
+    for _, _, name, _ in targets:
+        if name is tracer._resize_name:
+            expected |= {"kernels.bilinear_resize.cell", "kernels.bilinear_resize.full"}
+        elif name is tracer._gpm_layer_name:
+            expected |= {"propagation.gpm_layer16", "propagation.gpm_layer8"}
+        else:
+            expected.add(name)
+    expected.discard("evaluation.load_frame")  # the engine is given frames, it loads none
+
+    frame = np.full((32, 48, 3), 0.5, dtype=np.float32)
+    frame[8:24, 16:32] = (0.9, 0.1, 0.1)
+    t = tracer.Tracer()
+    t.install(targets)
+    try:
+        engine.track_sequence(
+            [frame, frame], Box(16, 8, 16, 16), engine.EngineConfig(), SegmenterSpec()
+        )
+    finally:
+        t.uninstall()
+    assert expected - {s.name for s in t.drain()} == set()
