@@ -118,7 +118,9 @@ def chroma_segmenter(frame: np.ndarray, box: Box, tolerance: float = 0.1) -> np.
 
     roi = frame[cb.y : cb.y + cb.h, cb.x : cb.x + cb.w]
     dist = np.sqrt(np.sum((roi - color[None, None, :]) ** 2, axis=2))
-    hit = dist <= tolerance
+    # distances are at most sqrt(3) < 2, so capping the tolerance at 2 keeps
+    # every hit and keeps its float32 cast finite
+    hit = dist <= min(tolerance, 2.0)
     if not hit.any():
         return boxfill_segmenter(frame, box)
     mask = np.zeros((h, w), dtype=np.int32)

@@ -36,7 +36,7 @@ import numpy as np
 from .boxmask import Box, SegmenterSpec, mask_to_box, segment_box
 from .errors import ConfigError, InitError, ShapeError
 from .features import EncoderConfig, encode_frame, pad_to_multiple, validate_frame
-from .kernels import bilinear_resize, channel_argmax
+from .kernels import FLOAT32_MAX, bilinear_resize, channel_argmax
 
 # unused here, but kept importable as engine.matmul: the benchmark's tracer
 # (perfbench/tracer.py) wraps that attribute
@@ -56,7 +56,6 @@ from .propagation import (
 
 # the upsampled stride-16 prior enters stride 8 through a fixed half-open fuse
 FUSE_GATE = 0.5
-FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,11 @@ class EngineConfig:
     or channels8, and each gated read adds at most r, so after L layers at that
     stride a query's norm is at most r * (1 + 2L).  So r^2 * (1 + 2L), the
     largest score, must fit in float32, and so must its quotient by
-    float32(temperature * sqrt(C)).  Stride-8 logits are at most
-    |prior_weight| / 2 + 2 * gpm_layers8, and the full-resolution resize takes
-    their differences, so that sum must stay <= FLOAT32_MAX / 2.  The engine's
-    gates are 0.5, not 1, so scores stay inside these bounds after rounding.
+    float32(temperature * sqrt(C)), itself finite.  Stride-8 logits are at
+    most |prior_weight| / 2 + 2 * gpm_layers8, and the full-resolution resize
+    takes their differences, so that sum must stay <= FLOAT32_MAX / 2.  The
+    engine's gates are 0.5, not 1, so scores stay inside these bounds after
+    rounding.  Seeds and long_term_every must be >= 0.
     """
 
     encoder: EncoderConfig = EncoderConfig()
@@ -95,6 +95,10 @@ class EngineConfig:
             raise ConfigError(f"prior_weight must be finite, got {self.prior_weight}")
         if self.max_objects < 1:
             raise ConfigError("max_objects must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"engine.seed must be >= 0, got {self.seed}")
+        if self.long_term_every < 0:
+            raise ConfigError(f"engine.long_term_every must be >= 0, got {self.long_term_every}")
         enc = self.encoder
         for c, layers in ((enc.channels16, self.gpm_layers16), (enc.channels8, self.gpm_layers8)):
             r = self.match_norm * math.sqrt(c)
@@ -103,6 +107,8 @@ class EngineConfig:
                 scale = float(np.float32(self.temperature * math.sqrt(c)))
             if score > FLOAT32_MAX:
                 raise ConfigError(f"match_norm {self.match_norm} overflows float32 attention scores")
+            if scale == math.inf:
+                raise ConfigError(f"temperature {self.temperature} overflows float32")
             if scale == 0.0 or score / scale > FLOAT32_MAX:
                 raise ConfigError(
                     f"temperature {self.temperature} is too small for match_norm "

@@ -1,21 +1,25 @@
 """Per-frame feature extraction and feature-pyramid assembly.
 
 The engine consumes feature maps at strides 16 and 8.  Instead of a learned
-backbone, three deterministic encoders are provided:
+backbone, each level is cell rows x a channel map: one row per stride-s cell,
+times an [inputs, C] float32 map, in one `kernels.matmul`.  The three
+deterministic encoders differ only in their rows and maps:
 
-* ``handcrafted`` (default): each stride-s cell is described by its mean RGB,
-  its normalized (x, y) cell-center coordinates scaled by a position weight,
-  and its per-channel RGB standard deviation scaled by a std weight (8 base
-  channels), zero-padded or linearly folded to the configured channel count.
+* ``handcrafted`` (default): each row holds the cell's mean RGB, its
+  normalized (x, y) cell-center coordinates scaled by a position weight, and
+  its per-channel RGB standard deviation scaled by a std weight (8 base
+  channels).  The 0/1 map adds base channel i into channel i % C, which
+  zero-pads up to C or folds down to it.
   The std weight defaults low: cells straddling an object boundary share a
   common high-variance signature regardless of which side holds the majority,
   so a large std term drags boundary cells toward whichever stored neighbor
   has texture rather than toward the right label.
-* ``random-projection``: the handcrafted base features multiplied by a fixed
-  seeded Gaussian matrix.
-* ``weights-file``: a linear patch projection loaded from disk; each cell's
-  raw s*s*3 pixels are flattened row-major and multiplied by the loaded
-  matrix ("proj16" / "proj8").
+* ``random-projection``: the same rows times a fixed seeded Gaussian map.
+* ``weights-file``: each row is the cell's raw s*s*3 pixels, flattened
+  row-major, and the maps are the file's "proj16" / "proj8".
+
+The maps are built, and a weights file read and checked, once per config
+and file version (`_channel_maps`).
 
 Weights file layout (little-endian): magic ``MSWT``, version u32, then one
 record per tensor (name length u32, name bytes, rank u32, dims u32 each, raw
@@ -38,17 +42,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .kernels import as_tensor
+from .kernels import FLOAT32_MAX, matmul
 
 WEIGHTS_MAGIC = b"MSWT"
 WEIGHTS_VERSION = 1
 BASE_CHANNELS = 8  # mean RGB (3) + cell-center xy (2) + RGB std (3)
+MAX_FEATURE_WEIGHT = FLOAT32_MAX / 2**19  # see EncoderConfig
 
 ENCODER_MODES = ("handcrafted", "random-projection", "weights-file")
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """Encoder settings, bounded so every handcrafted or random-projection
+    feature fits float32.
+
+    Base features are means in [0, 1], cell centres in (0, 1) times
+    position_weight, and standard deviations of values in [0, 1], at most
+    1/2, times std_weight, so none exceeds w = max(1, |position_weight|,
+    |std_weight|).  Each output sums at most 8 of them, each times a map
+    entry: 0 or 1, or a standard normal draw over sqrt(8), which NumPy's
+    sampler keeps far below 2^16.  So w <= MAX_FEATURE_WEIGHT = FLOAT32_MAX /
+    2^19 keeps every output below 8 * 2^16 * w <= FLOAT32_MAX.  A weights
+    file's maps are data: `kernels.matmul` checks their output.
+    """
+
     mode: str = "handcrafted"
     channels16: int = 32
     channels8: int = 32
@@ -64,9 +82,15 @@ class EncoderConfig:
             raise ConfigError("channel counts must be positive")
         if self.mode == "weights-file" and not self.weights_path:
             raise ConfigError("weights-file mode requires weights_path")
+        if self.seed < 0:
+            raise ConfigError(f"encoder.seed must be >= 0, got {self.seed}")
         for name in ("position_weight", "std_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not abs(value) <= MAX_FEATURE_WEIGHT:
+                raise ConfigError(
+                    f"encoder.{name} must be finite with |{name}| <= "
+                    f"{MAX_FEATURE_WEIGHT:.3g}, got {value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -140,45 +164,47 @@ def _cell_base_features(
     return out
 
 
-def _fit_channels(base: np.ndarray, channels: int) -> np.ndarray:
-    """Zero-pad base features up to `channels`, or fold them down linearly."""
-    c = base.shape[2]
-    if channels == c:
-        return base
-    if channels > c:
-        out = np.zeros(base.shape[:2] + (channels,), dtype=np.float32)
-        out[:, :, :c] = base
-        return out
-    out = np.zeros(base.shape[:2] + (channels,), dtype=np.float32)
-    for i in range(c):
-        out[:, :, i % channels] += base[:, :, i]
-    return out
+@functools.lru_cache(maxsize=8)
+def _channel_maps(cfg: EncoderConfig, version) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only [inputs, C] float32 maps of the stride-16 and stride-8 levels.
 
-
-def _random_projection(channels: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((BASE_CHANNELS, channels)) / np.sqrt(BASE_CHANNELS)).astype(np.float32)
-
-
-def _project_patches(frame: np.ndarray, stride: int, weights: np.ndarray) -> np.ndarray:
-    h, w = frame.shape[:2]
-    hc, wc = h // stride, w // stride
-    patches = (
-        frame.reshape(hc, stride, wc, stride, 3)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(hc * wc, stride * stride * 3)
-        .astype(np.float64)
-    )
-    out = patches @ weights.astype(np.float64)
-    # finite weights can still overflow float32 here
-    return as_tensor(out.reshape(hc, wc, weights.shape[1]))
+    `version` is the weights file's (st_mtime_ns, st_size) in weights-file
+    mode, so a rewritten file is read and checked again.
+    """
+    if cfg.mode == "weights-file":
+        weights = load_weights(cfg.weights_path)
+        for name, stride, want in (("proj16", 16, cfg.channels16), ("proj8", 8, cfg.channels8)):
+            if name not in weights:
+                raise FormatError(f"weights file missing tensor {name!r}")
+            t = weights[name]
+            if t.ndim != 2 or t.shape[0] != stride * stride * 3:
+                raise FormatError(f"{name} must be [{stride * stride * 3}, C], got {t.shape}")
+            if t.shape[1] != want:
+                raise FormatError(
+                    f"{name} provides {t.shape[1]} channels but config asks for {want}"
+                )
+        return weights["proj16"], weights["proj8"]
+    maps = []
+    for channels, seed in ((cfg.channels16, cfg.seed), (cfg.channels8, cfg.seed + 1)):
+        if cfg.mode == "handcrafted":
+            # base channel i adds into channel i % C: zero-pads up to C, folds down to it
+            m = np.arange(BASE_CHANNELS)[:, None] % channels == np.arange(channels)
+        else:
+            rng = np.random.default_rng(seed)
+            m = rng.standard_normal((BASE_CHANNELS, channels)) / np.sqrt(BASE_CHANNELS)
+        m = m.astype(np.float32)
+        m.setflags(write=False)
+        maps.append(m)
+    return tuple(maps)
 
 
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
     """Encode a validated frame into stride-16 and stride-8 feature maps.
 
     The frame is edge-padded to the next multiples of 16 first
-    (`pad_to_multiple`), so cell grids cover the padded frame.
+    (`pad_to_multiple`), so cell grids cover the padded frame.  Each level
+    is `matmul(cell rows, channel map)`: base features or, in weights-file
+    mode, raw pixels, one row per cell in row-major cell order.
 
     Args:
         frame: [H,W,3] float32 in [0,1] from `validate_frame`, any H, W >= 1.
@@ -190,36 +216,19 @@ def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
         twice that size, [2*ceil(H/16),2*ceil(W/16),C8].
     """
     f = pad_to_multiple(frame)
+    version = None
     if cfg.mode == "weights-file":
         st = os.stat(cfg.weights_path)
-        weights = _loaded_weights(cfg.weights_path, st.st_mtime_ns, st.st_size)
-        for name, stride, want in (("proj16", 16, cfg.channels16), ("proj8", 8, cfg.channels8)):
-            if name not in weights:
-                raise FormatError(f"weights file missing tensor {name!r}")
-            t = weights[name]
-            if t.ndim != 2 or t.shape[0] != stride * stride * 3:
-                raise FormatError(f"{name} must be [{stride * stride * 3}, C], got {t.shape}")
-            if t.shape[1] != want:
-                raise FormatError(
-                    f"{name} provides {t.shape[1]} channels but config asks for {want}"
-                )
-        lvl16 = _project_patches(f, 16, weights["proj16"])
-        lvl8 = _project_patches(f, 8, weights["proj8"])
-        return FeaturePyramid(level16=lvl16, level8=lvl8)
-
-    base16 = _cell_base_features(f, 16, cfg.position_weight, cfg.std_weight)
-    base8 = _cell_base_features(f, 8, cfg.position_weight, cfg.std_weight)
-    if cfg.mode == "handcrafted":
-        return FeaturePyramid(
-            level16=_fit_channels(base16, cfg.channels16),
-            level8=_fit_channels(base8, cfg.channels8),
-        )
-    # random-projection: fixed seeded mixing matrices per scale
-    p16 = _random_projection(cfg.channels16, cfg.seed)
-    p8 = _random_projection(cfg.channels8, cfg.seed + 1)
-    lvl16 = np.einsum("hwc,cd->hwd", base16.astype(np.float64), p16.astype(np.float64))
-    lvl8 = np.einsum("hwc,cd->hwd", base8.astype(np.float64), p8.astype(np.float64))
-    return FeaturePyramid(level16=lvl16.astype(np.float32), level8=lvl8.astype(np.float32))
+        version = (st.st_mtime_ns, st.st_size)
+    levels = []
+    for stride, m in zip((16, 8), _channel_maps(cfg, version)):
+        hc, wc = f.shape[0] // stride, f.shape[1] // stride
+        if cfg.mode == "weights-file":
+            cells = f.reshape(hc, stride, wc, stride, 3).transpose(0, 2, 1, 3, 4)
+        else:
+            cells = _cell_base_features(f, stride, cfg.position_weight, cfg.std_weight)
+        levels.append(matmul(cells.reshape(hc * wc, -1), m).reshape(hc, wc, -1))
+    return FeaturePyramid(*levels)
 
 
 def save_weights(path, tensors: dict[str, np.ndarray]) -> None:
@@ -240,13 +249,6 @@ def save_weights(path, tensors: dict[str, np.ndarray]) -> None:
     body += struct.pack("<I", crc)
     with open(path, "wb") as f:
         f.write(bytes(body))
-
-
-@functools.lru_cache(maxsize=4)
-def _loaded_weights(path, mtime_ns: int, size: int) -> dict[str, np.ndarray]:
-    # keyed by what stat reports, so a rewritten file is read again; the
-    # tensors are read-only because every caller shares them
-    return load_weights(path)
 
 
 def load_weights(path) -> dict[str, np.ndarray]:

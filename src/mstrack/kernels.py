@@ -30,6 +30,8 @@ from .errors import NumericError, ShapeError
 
 __all__ = ["as_tensor", "matmul", "softmax", "bilinear_resize", "channel_argmax"]
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 def _openblas_function(*names):
     """The first of `names` exported by the BLAS that NumPy links, or None."""
@@ -77,8 +79,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dims differ: {a.shape} x {b.shape}")
-    out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
-    if not np.all(np.isfinite(out)):
+    # an overflowing cast gives inf, which the check below reports; the
+    # method form of all() skips np.all's Python wrapper, which costs more
+    # per call than the errstate
+    with np.errstate(over="ignore"):
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+    if not np.isfinite(out).all():
         raise NumericError("matmul overflowed float32 range")
     return out
 

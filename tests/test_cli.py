@@ -193,15 +193,13 @@ def test_track_nan_weights_file_exits_two(mini_dataset, tmp_path, capsys):
     assert len(err) == 1 and "'proj16'" in err[0] and "non-finite" in err[0]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_track_kernel_fault_exits_three(mini_dataset, tmp_path, capsys):
     # finite weights whose features overflow float32 reach the kernels as inf
     cfg = _weights_config(tmp_path, 1e37)
     code = main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"), "--config", cfg])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
-        "internal error: tensor contains non-finite values"
+        "internal error: matmul overflowed float32 range"
     ]
 
 
@@ -393,6 +391,55 @@ def test_extreme_config_values_inside_float32_still_track(line, mini_dataset, tm
     p.write_text(line + "\n")
     assert main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"),
                  "--config", str(p)]) == 0
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        (["engine.seed = -1"], "engine.seed"),
+        (["encoder.mode = random-projection", "encoder.seed = -3"], "encoder.seed"),
+        (["engine.long_term_every = -5"], "engine.long_term_every"),
+        (["encoder.position_weight = 1e39"], "encoder.position_weight"),
+        (["encoder.std_weight = 1e39"], "encoder.std_weight"),
+        (["encoder.mode = random-projection", "encoder.std_weight = -1e39"], "encoder.std_weight"),
+        (["engine.temperature = 1e300"], "temperature"),
+    ],
+)
+@pytest.mark.parametrize("command", ["track", "eval"])
+def test_out_of_range_config_values_exit_one_with_one_line(
+    lines, key, command, mini_dataset, tmp_path, capsys
+):
+    # negative seeds once ended in a NumPy traceback, negative cadences ran
+    # as 0, and overflowing weights and temperatures warned before failing
+    p = tmp_path / "run.cfg"
+    p.write_text("".join(line + "\n" for line in lines))
+    src = mini_dataset / "mini" if command == "track" else mini_dataset
+    assert main([command, str(src), str(tmp_path / "o.txt"), "--config", str(p),
+                 *(["--threads", "1"] if command == "eval" else [])]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("mode", ["handcrafted", "random-projection"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "encoder.position_weight = 1e30",
+        "encoder.position_weight = -1e30",
+        "encoder.std_weight = 1e30",
+        "encoder.std_weight = -1e30",
+        "segmenter.chroma_tolerance = 1e308",
+    ],
+)
+def test_large_encoder_and_segmenter_values_track_without_warnings(
+    line, mode, mini_dataset, tmp_path, capsys
+):
+    # RuntimeWarnings are errors in this suite, so a stray overflow fails here
+    p = tmp_path / "run.cfg"
+    p.write_text(f"encoder.mode = {mode}\n{line}\n")
+    assert main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"),
+                 "--config", str(p)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_resolve_threads(monkeypatch):

@@ -15,6 +15,7 @@ from mstrack.engine import EngineConfig, track_sequence
 from mstrack.errors import ConfigError, FormatError, ShapeError
 from mstrack.features import (
     BASE_CHANNELS,
+    MAX_FEATURE_WEIGHT,
     EncoderConfig,
     encode_frame,
     load_weights,
@@ -76,6 +77,128 @@ def test_cell_features_bytes_equal_mean_std_on_float_frames(sf, pw, sw):
     stride, frame = sf
     want = mean_std_cell_features(frame, stride, pw, sw)
     assert features._cell_base_features(frame, stride, pw, sw).tobytes() == want.tobytes()
+
+
+def fit_channels_loop(base, channels):
+    """The handcrafted channel fit before the 0/1 channel map: zero-pad, or
+    fold base channel i into channel i % channels with float32 adds."""
+    c = base.shape[2]
+    if channels == c:
+        return base
+    out = np.zeros(base.shape[:2] + (channels,), dtype=np.float32)
+    if channels > c:
+        out[:, :, :c] = base
+        return out
+    for i in range(c):
+        out[:, :, i % channels] += base[:, :, i]
+    return out
+
+
+def einsum_projection(base, channels, seed):
+    """The random projection before the cached map: a fresh seeded Gaussian
+    matrix and a float64 einsum, cast to float32."""
+    rng = np.random.default_rng(seed)
+    p = (rng.standard_normal((BASE_CHANNELS, channels)) / np.sqrt(BASE_CHANNELS)).astype(np.float32)
+    out = np.einsum("hwc,cd->hwd", base.astype(np.float64), p.astype(np.float64))
+    return out.astype(np.float32)
+
+
+def _reference_levels(frame, cfg, fit):
+    """Both levels as the replaced forms computed them; `fit(base, level)`."""
+    f = pad_to_multiple(frame)
+    return [
+        fit(features._cell_base_features(f, stride, cfg.position_weight, cfg.std_weight), level)
+        for level, stride in enumerate((16, 8))
+    ]
+
+
+_FEATURE_WEIGHTS = st.floats(-MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT)
+
+
+@st.composite
+def encoder_frames(draw):
+    h, w = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, 256, size=(h, w, 3)).astype(np.float32) / 255.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(encoder_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS, st.integers(8, 40), st.integers(8, 40))
+def test_handcrafted_map_bytes_equal_pad_loop(frame, pw, sw, c16, c8):
+    # a product sum adds +0.0 terms, so the -0.0 of a zero-deviation cell
+    # times a negative (or -0.0) weight comes out as +0.0; adding 0.0 to both
+    # sides maps -0.0 to +0.0 and leaves every other value as it is
+    cfg = EncoderConfig(channels16=c16, channels8=c8, position_weight=pw, std_weight=sw)
+    pyr = encode_frame(frame, cfg)
+    want = _reference_levels(frame, cfg, lambda base, level: fit_channels_loop(base, (c16, c8)[level]))
+    assert (pyr.level16 + 0.0).tobytes() == (want[0] + 0.0).tobytes()
+    assert (pyr.level8 + 0.0).tobytes() == (want[1] + 0.0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(encoder_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS, st.integers(1, 7), st.integers(1, 7))
+def test_handcrafted_fold_map_matches_fold_loop(frame, pw, sw, c16, c8):
+    # the map sums each channel in float64 and rounds once; the loop rounded
+    # after every float32 add, so a channel of 3 or more base channels can
+    # differ in its last bits.  The tolerance is relative to the fold of the
+    # absolute terms, which bounds the loop's rounding when terms cancel.
+    cfg = EncoderConfig(channels16=c16, channels8=c8, position_weight=pw, std_weight=sw)
+    pyr = encode_frame(frame, cfg)
+    for got, level, c in ((pyr.level16, 0, c16), (pyr.level8, 1, c8)):
+        want = _reference_levels(frame, cfg, lambda base, _: fit_channels_loop(base, c))[level]
+        scale = _reference_levels(frame, cfg, lambda base, _: fit_channels_loop(np.abs(base), c))[level]
+        assert np.all(np.abs(got.astype(np.float64) - want) <= 1e-6 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    encoder_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS,
+    st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32),
+)
+def test_random_projection_map_within_one_ulp_of_einsum(frame, pw, sw, c16, c8, seed):
+    cfg = EncoderConfig(mode="random-projection", channels16=c16, channels8=c8, seed=seed,
+                        position_weight=pw, std_weight=sw)
+    pyr = encode_frame(frame, cfg)
+    want = _reference_levels(
+        frame, cfg, lambda base, level: einsum_projection(base, (c16, c8)[level], seed + level)
+    )
+    np.testing.assert_array_max_ulp(pyr.level16, want[0], maxulp=1)
+    np.testing.assert_array_max_ulp(pyr.level8, want[1], maxulp=1)
+
+
+def test_random_projection_draws_its_maps_once_for_many_frames(monkeypatch):
+    draws = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        draws.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    features._channel_maps.cache_clear()
+    cfg = EncoderConfig(mode="random-projection", seed=123)
+    rng = default_rng(37)
+    for _ in range(10):
+        encode_frame(rng.random((48, 64, 3)).astype(np.float32), cfg)
+    assert draws == [123, 124]
+
+
+def test_encoder_weight_bound_keeps_features_in_float32():
+    # cells of alternating 0 and 1 pixels have mean 1/2 and the largest std, 1/2
+    frame = np.zeros((32, 32, 3), dtype=np.float32)
+    frame[::2, ::2] = frame[1::2, 1::2] = 1.0
+    for mode in ("handcrafted", "random-projection"):
+        for channels in (1, 3, 8, 32):
+            for pw, sw in ((MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT),
+                           (-MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT)):
+                cfg = EncoderConfig(mode=mode, channels16=channels, channels8=channels,
+                                    position_weight=pw, std_weight=sw)
+                pyr = encode_frame(frame, cfg)
+                assert np.all(np.isfinite(pyr.level16)) and np.all(np.isfinite(pyr.level8))
+    for name in ("position_weight", "std_weight"):
+        for value in (np.nextafter(MAX_FEATURE_WEIGHT, np.inf), -1e39, np.inf, np.nan):
+            with pytest.raises(ConfigError, match=name):
+                EncoderConfig(**{name: value})
 
 
 def test_validate_frame_contract():

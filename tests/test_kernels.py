@@ -211,7 +211,6 @@ def test_track_bytes_do_not_depend_on_openblas_env(corpus_dir, tmp_path):
     assert results[None] == results["1"] == results["2"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_kernel_errors_are_package_errors():
     cases = [
         (lambda: kernels.as_tensor([1.0, np.nan]), "non-finite"),
