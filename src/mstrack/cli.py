@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,7 @@ from .boxmask import FUSION_RULES, Box, SegmenterSpec
 from .engine import EngineConfig, make_tracker, track_sequence
 from .errors import ConfigError, DataError, FormatError, InitError, MstrackError
 from .evaluation import (
-    ABSENT_POLICIES,
-    PROTOCOLS,
+    EvalConfig,
     evaluate_suite,
     load_mask,
     load_run,
@@ -62,9 +61,7 @@ CONFIG_SCHEMA = {
     **_section_schema("engine", EngineConfig),
     **_section_schema("encoder", EncoderConfig),
     **_section_schema("segmenter", SegmenterSpec),
-    "eval.protocol": ("str", PROTOCOLS[0]),
-    "eval.anchor_spacing": ("int", 15),
-    "eval.absent_policy": ("str", ABSENT_POLICIES[0]),
+    **_section_schema("eval", EvalConfig),
 }
 
 
@@ -72,59 +69,26 @@ CONFIG_SCHEMA = {
 class RunConfig:
     engine: EngineConfig
     segmenter: SegmenterSpec
-    protocol: str
-    anchor_spacing: int
-    absent_policy: str
+    eval: EvalConfig
     threads: int
 
 
 def load_run_config(path=None) -> RunConfig:
-    if path is not None:
-        cfg = parse_flat_file(path)
-    else:
-        cfg = FlatConfig({}, source="<defaults>")
+    cfg = FlatConfig({}, source="<defaults>") if path is None else parse_flat_file(path)
     cfg.reject_unknown(set(CONFIG_SCHEMA))
-
-    def get(key):
-        kind, default = CONFIG_SCHEMA[key]
-        getter = {
-            "int": cfg.get_int,
-            "float": cfg.get_float,
-            "str": cfg.get_str,
-            "list": cfg.get_list,
-        }[kind]
-        return getter(key, default)
-
-    def section(prefix):
-        keys = [k for k in CONFIG_SCHEMA if k.startswith(prefix + ".")]
-        return {k[len(prefix) + 1 :]: get(k) for k in keys}
-
-    enc = section("encoder")
+    # section prefix -> {field: value}; "threads" has the empty prefix
+    sections = {}
+    for key, (kind, default) in CONFIG_SCHEMA.items():
+        prefix, _, name = key.rpartition(".")
+        sections.setdefault(prefix, {})[name] = getattr(cfg, f"get_{kind}")(key, default)
+    enc = sections["encoder"]
     encoder = EncoderConfig(**{**enc, "weights_path": enc["weights_path"] or None})
-    engine = EngineConfig(encoder=encoder, **section("engine"))
-    segmenter = SegmenterSpec(**section("segmenter"))
-    protocol = get("eval.protocol").lower()
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"eval.protocol must be {' or '.join(PROTOCOLS)}, got {protocol!r}")
-    policy = get("eval.absent_policy")
-    if policy not in ABSENT_POLICIES:
-        raise ConfigError(
-            f"eval.absent_policy must be {' or '.join(ABSENT_POLICIES)}, got {policy!r}"
-        )
     return RunConfig(
-        engine=engine,
-        segmenter=segmenter,
-        protocol=protocol,
-        anchor_spacing=_check_spacing(get("eval.anchor_spacing"), "eval.anchor_spacing"),
-        absent_policy=policy,
-        threads=get("threads"),
+        engine=EngineConfig(encoder=encoder, **sections["engine"]),
+        segmenter=SegmenterSpec(**sections["segmenter"]),
+        eval=EvalConfig(**sections["eval"]),
+        threads=sections[""]["threads"],
     )
-
-
-def _check_spacing(spacing: int, name: str) -> int:
-    if spacing < 1:
-        raise ConfigError(f"{name} must be >= 1, got {spacing}")
-    return spacing
 
 
 def resolve_threads(configured: int) -> int:
@@ -220,10 +184,8 @@ def _row_label(spec: SegmenterSpec) -> str:
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
-    protocol = (args.protocol or cfg.protocol).lower()
-    spacing = cfg.anchor_spacing
-    if args.spacing is not None:
-        spacing = _check_spacing(args.spacing, "--spacing")
+    flags = {"protocol": args.protocol, "anchor_spacing": args.spacing}
+    ev = replace(cfg.eval, **{k: v for k, v in flags.items() if v is not None})
     threads = resolve_threads(args.threads if args.threads is not None else cfg.threads)
     specs = _segmenter_specs(cfg, args.segmenter, args.fusion)
     sequences = _discover_sequences(args.dataset_dir)
@@ -232,14 +194,7 @@ def cmd_eval(args) -> int:
     rows = []
     for spec in specs:
         tracker = make_tracker(cfg.engine, spec)
-        result = evaluate_suite(
-            tracker,
-            sequences,
-            protocol=protocol,
-            anchor_spacing=spacing,
-            absent_policy=cfg.absent_policy,
-            threads=threads,
-        )
+        result = evaluate_suite(tracker, sequences, threads=threads, **asdict(ev))
         if len(specs) == 1:
             out = report_path
         else:
@@ -249,7 +204,7 @@ def cmd_eval(args) -> int:
         rows.append((_row_label(spec), result, out))
 
     width = max(len(label) for label, _, _ in rows)
-    print(f"{'init':<{width}}  {protocol.upper()} score")
+    print(f"{'init':<{width}}  {ev.protocol.upper()} score")
     for label, result, out in rows:
         print(f"{label:<{width}}  {result.aggregate:.6f}  [{out}]")
     return 0
@@ -338,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("dataset_dir")
     ep.add_argument("report")
     ep.add_argument("--config", help="run-config file")
-    ep.add_argument("--protocol", choices=PROTOCOLS)
-    ep.add_argument("--spacing", type=int, help="MSE anchor spacing")
+    ep.add_argument("--protocol", help="ope or mse; overrides eval.protocol")
+    ep.add_argument("--spacing", type=int, help="MSE anchor spacing; overrides eval.anchor_spacing")
     ep.add_argument("--threads", type=int)
     ep.add_argument(
         "--segmenter",

@@ -70,7 +70,7 @@ class EngineConfig:
     most |prior_weight| / 2 + 2 * gpm_layers8, and the full-resolution resize
     takes their differences, so that sum must stay <= FLOAT32_MAX / 2.  The
     engine's gates are 0.5, not 1, so scores stay inside these bounds after
-    rounding.  Seeds and long_term_every must be >= 0.
+    rounding.  Seeds and long_term_every must be >= 0, and id_dim >= 2.
     """
 
     encoder: EncoderConfig = EncoderConfig()
@@ -95,6 +95,8 @@ class EngineConfig:
             raise ConfigError(f"prior_weight must be finite, got {self.prior_weight}")
         if self.max_objects < 1:
             raise ConfigError("max_objects must be >= 1")
+        if self.id_dim < 2:
+            raise ConfigError(f"engine.id_dim must be >= 2, got {self.id_dim}")
         if self.seed < 0:
             raise ConfigError(f"engine.seed must be >= 0, got {self.seed}")
         if self.long_term_every < 0:
@@ -261,21 +263,24 @@ def coarse_reconstruct(
 ) -> np.ndarray:
     """Reference mask as the decode path reproduces it from its own memory.
 
-    Majority-downsample the mask to strides 16 and 8, one-hot both, add the
-    bilinearly upsampled stride-16 plane scaled by the effective prior
-    coefficient to the stride-8 plane, upsample to full resolution and take
-    the per-pixel argmax.  With default engine settings, stepping on a frame
+    Edge-pad the mask to multiples of 16 as `step` does, majority-downsample
+    it to strides 16 and 8, one-hot both, add the bilinearly upsampled
+    stride-16 plane scaled by the effective prior coefficient to the stride-8
+    plane, upsample to the padded resolution, take the per-pixel argmax and
+    crop back to the mask.  With default engine settings, stepping on a frame
     identical to the reference decodes to exactly this mask (up to attention
     leakage between look-alike cells).
     """
     m = np.asarray(mask)
     n = int(num_labels if num_labels is not None else m.max(initial=0) + 1)
     h, w = m.shape
-    l16 = majority_downsample(m, 16, n)
-    l8 = majority_downsample(m, 8, n)
+    p = pad_to_multiple(m)
+    ph, pw = p.shape
+    l16 = majority_downsample(p, 16, n)
+    l8 = majority_downsample(p, 8, n)
     eye = np.eye(n, dtype=np.float32)
-    coeff = prior * bilinear_resize(eye[l16], h // 8, w // 8) + eye[l8]
-    return channel_argmax(bilinear_resize(coeff, h, w))
+    coeff = prior * bilinear_resize(eye[l16], ph // 8, pw // 8) + eye[l8]
+    return channel_argmax(bilinear_resize(coeff, ph, pw))[:h, :w]
 
 
 def track_sequence(

@@ -16,7 +16,9 @@ one tracker run over the frames at `indices`, initialized from the visible
 ground truth of `indices[0]`, the anchor, and loaded by `load_run` (which
 `mstrack track` uses for its one whole-sequence run).  One loop scores every
 plan: a run whose initialization fails (InitError) is skipped, and the
-sequence curve is the run-length-weighted mean of the run curves.
+sequence curve is the run-length-weighted mean of the run curves.  The
+protocol, its anchor spacing and the absent policy form one `EvalConfig`,
+the `eval.*` config section, which checks them when it is built.
 
 * One-pass (OPE): one forward run from the first visible frame to the end.
 * Multi-start (MSE): anchors at the visible frames with index 0, s, 2s, ...;
@@ -42,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxmask import Box, box_iou
-from .errors import DataError, InitError
+from .errors import ConfigError, DataError, InitError
 from .pnm import read_pgm, read_ppm
 
 N_THRESHOLDS = 51
@@ -53,6 +55,24 @@ MSE_NOTE = "multi-start anchor rule and length weighting are defined by this too
 
 def thresholds() -> np.ndarray:
     return np.arange(N_THRESHOLDS, dtype=np.float64) / (N_THRESHOLDS - 1)
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The `eval.*` config section; the protocol is case-insensitive."""
+
+    protocol: str = PROTOCOLS[0]
+    anchor_spacing: int = 15  # MSE anchors every this many frames
+    absent_policy: str = ABSENT_POLICIES[0]
+
+    def __post_init__(self):
+        object.__setattr__(self, "protocol", self.protocol.lower())
+        for name, allowed in (("protocol", PROTOCOLS), ("absent_policy", ABSENT_POLICIES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"eval.{name} must be {' or '.join(allowed)}, got {value!r}")
+        if self.anchor_spacing < 1:
+            raise ConfigError(f"eval.anchor_spacing must be >= 1, got {self.anchor_spacing}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +178,12 @@ def write_box_rows(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _frame_paths(directory: Path, pattern: str) -> list:
+    # by frame number (`synthgen.generate` writes 0000..9999, then 10000..);
+    # the paths share one directory and suffix, so shorter path = shorter name
+    return sorted((str(p) for p in directory.glob(pattern)), key=lambda s: (len(s), s))
+
+
 def load_sequence(seq_dir) -> SequenceRecord:
     """Read a sequence directory (frames/, optional masks/, annotations.txt)."""
     root = Path(seq_dir)
@@ -165,7 +191,7 @@ def load_sequence(seq_dir) -> SequenceRecord:
     frames_dir = root / "frames"
     if not ann.is_file() or not frames_dir.is_dir():
         raise DataError(f"{root} is not a sequence directory (needs frames/ and annotations.txt)")
-    frame_paths = sorted(str(p) for p in frames_dir.glob("*.ppm"))
+    frame_paths = _frame_paths(frames_dir, "*.ppm")
     boxes = [Box(x, y, w, h) if visible else None for x, y, w, h, visible in read_box_rows(ann)]
     if len(frame_paths) != len(boxes):
         raise DataError(
@@ -174,7 +200,7 @@ def load_sequence(seq_dir) -> SequenceRecord:
     masks_dir = root / "masks"
     mask_paths = None
     if masks_dir.is_dir():
-        found = sorted(str(p) for p in masks_dir.glob("*.pgm"))
+        found = _frame_paths(masks_dir, "*.pgm")
         if len(found) == len(frame_paths):
             mask_paths = tuple(found)
     return SequenceRecord(
@@ -237,8 +263,6 @@ def _ope_plan(seq: SequenceRecord):
 
 
 def _mse_plan(seq: SequenceRecord, anchor_spacing: int):
-    if anchor_spacing < 1:
-        raise ValueError(f"anchor_spacing must be >= 1, got {anchor_spacing}")
     plan = []
     for anchor in range(0, len(seq), anchor_spacing):
         if seq.gt_boxes[anchor] is not None:  # anchors start from visible ground truth
@@ -247,14 +271,13 @@ def _mse_plan(seq: SequenceRecord, anchor_spacing: int):
     return [run for run in plan if len(run[2]) >= 2]
 
 
-def _score_runs(tracker, seq: SequenceRecord, plan, absent_policy: str) -> dict:
-    """Run and score a plan: the sequence entry with its length-weighted curve."""
-    if absent_policy not in ABSENT_POLICIES:
-        raise ValueError(f"absent_policy must be one of {ABSENT_POLICIES}")
+def _score_runs(tracker, seq: SequenceRecord, ev: EvalConfig) -> dict:
+    """Run and score ev's plan: the sequence entry with its length-weighted curve."""
+    plan = _ope_plan(seq) if ev.protocol == "ope" else _mse_plan(seq, ev.anchor_spacing)
     runs, curves = [], []
     for anchor, direction, indices in plan:
         try:
-            curve, score = success_score(_run_once(tracker, seq, indices, absent_policy))
+            curve, score = success_score(_run_once(tracker, seq, indices, ev.absent_policy))
         except InitError:
             continue
         runs.append({"anchor": anchor, "direction": direction, "length": len(indices), "score": score})
@@ -266,26 +289,26 @@ def _score_runs(tracker, seq: SequenceRecord, plan, absent_policy: str) -> dict:
     return {"id": seq.ident, "score": float(curve.mean()), "curve": curve, "runs": runs}
 
 
-def ope(tracker, seq: SequenceRecord, absent_policy: str = "exclude") -> EvalResult:
+def ope(tracker, seq: SequenceRecord, absent_policy=EvalConfig.absent_policy) -> EvalResult:
     """One-pass evaluation: a single run from the first visible frame."""
-    entry = _score_runs(tracker, seq, _ope_plan(seq), absent_policy)
+    entry = _score_runs(tracker, seq, EvalConfig("ope", absent_policy=absent_policy))
     return EvalResult("OPE", None, (entry,), entry["score"])
 
 
 def mse(
-    tracker, seq: SequenceRecord, anchor_spacing: int, absent_policy: str = "exclude"
+    tracker, seq: SequenceRecord, anchor_spacing: int, absent_policy=EvalConfig.absent_policy
 ) -> EvalResult:
     """Multi-start evaluation with anchors every `anchor_spacing` frames."""
-    entry = _score_runs(tracker, seq, _mse_plan(seq, anchor_spacing), absent_policy)
+    entry = _score_runs(tracker, seq, EvalConfig("mse", anchor_spacing, absent_policy))
     return EvalResult("MSE", anchor_spacing, (entry,), entry["score"], note=MSE_NOTE)
 
 
 def evaluate_suite(
     tracker,
     sequences,
-    protocol: str = "ope",
-    anchor_spacing: int = 15,
-    absent_policy: str = "exclude",
+    protocol: str = EvalConfig.protocol,
+    anchor_spacing: int = EvalConfig.anchor_spacing,
+    absent_policy: str = EvalConfig.absent_policy,
     threads: int = 1,
 ) -> EvalResult:
     """Run a protocol over many sequences; aggregation in canonical order.
@@ -294,14 +317,11 @@ def evaluate_suite(
     run-length-weighted mean over every run of every sequence.  Sequences
     are processed in sorted-id order regardless of thread count.
     """
-    proto = protocol.lower()
-    if proto not in PROTOCOLS:
-        raise ValueError(f"protocol must be {' or '.join(PROTOCOLS)}, got {protocol!r}")
+    ev = EvalConfig(protocol, anchor_spacing, absent_policy)
     seqs = sorted(sequences, key=lambda s: s.ident)
 
     def one(seq):
-        plan = _ope_plan(seq) if proto == "ope" else _mse_plan(seq, anchor_spacing)
-        return _score_runs(tracker, seq, plan, absent_policy)
+        return _score_runs(tracker, seq, ev)
 
     if threads > 1 and len(seqs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -309,7 +329,7 @@ def evaluate_suite(
     else:
         entries = tuple(one(s) for s in seqs)
 
-    if proto == "ope":
+    if ev.protocol == "ope":
         aggregate = float(np.mean([e["score"] for e in entries])) if entries else 0.0
         return EvalResult("OPE", None, entries, aggregate)
     all_runs = [r for e in entries for r in e["runs"]]
@@ -317,7 +337,7 @@ def evaluate_suite(
     aggregate = (
         float(sum(r["score"] * r["length"] for r in all_runs) / total) if total else 0.0
     )
-    return EvalResult("MSE", anchor_spacing, entries, aggregate, note=MSE_NOTE)
+    return EvalResult("MSE", ev.anchor_spacing, entries, aggregate, note=MSE_NOTE)
 
 
 # --------------------------------------------------------------------------

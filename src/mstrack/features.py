@@ -48,6 +48,7 @@ WEIGHTS_MAGIC = b"MSWT"
 WEIGHTS_VERSION = 1
 BASE_CHANNELS = 8  # mean RGB (3) + cell-center xy (2) + RGB std (3)
 MAX_FEATURE_WEIGHT = FLOAT32_MAX / 2**19  # see EncoderConfig
+MAX_WEIGHTS_COLUMN_SUM = FLOAT32_MAX / 2  # see EncoderConfig
 
 ENCODER_MODES = ("handcrafted", "random-projection", "weights-file")
 
@@ -64,7 +65,11 @@ class EncoderConfig:
     entry: 0 or 1, or a standard normal draw over sqrt(8), which NumPy's
     sampler keeps far below 2^16.  So w <= MAX_FEATURE_WEIGHT = FLOAT32_MAX /
     2^19 keeps every output below 8 * 2^16 * w <= FLOAT32_MAX.  A weights
-    file's maps are data: `kernels.matmul` checks their output.
+    file's maps are data, checked before they are cached: its features are
+    pixels in [0, 1] times a column of proj16 or proj8, so a column whose
+    absolute values sum to at most MAX_WEIGHTS_COLUMN_SUM = FLOAT32_MAX / 2
+    keeps them inside float32 with room for rounding, and a larger column is
+    a FormatError.
     """
 
     mode: str = "handcrafted"
@@ -182,6 +187,14 @@ def _channel_maps(cfg: EncoderConfig, version) -> tuple[np.ndarray, np.ndarray]:
             if t.shape[1] != want:
                 raise FormatError(
                     f"{name} provides {t.shape[1]} channels but config asks for {want}"
+                )
+            col = np.abs(t.astype(np.float64)).sum(axis=0)
+            if col.max() > MAX_WEIGHTS_COLUMN_SUM:
+                j = int(col.argmax())
+                raise FormatError(
+                    f"tensor {name!r} in {cfg.weights_path}: column {j} has absolute sum "
+                    f"{col[j]:.3g} > {MAX_WEIGHTS_COLUMN_SUM:.3g}, so its features could "
+                    "overflow float32"
                 )
         return weights["proj16"], weights["proj8"]
     maps = []

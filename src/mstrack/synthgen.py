@@ -126,6 +126,12 @@ class SceneSpec:
     occluders: tuple = ()
 
     def __post_init__(self):
+        # the id names the scene's directory under the output directory and
+        # comes back as that directory's name (`load_sequence`)
+        if self.ident in ("", ".", "..") or any(c in self.ident for c in "/\\\0"):
+            raise ConfigError(
+                f"scene.id must be a single plain path component, got {self.ident!r}"
+            )
         if self.width < 16 or self.height < 16:
             raise ConfigError(f"scene dims must be at least 16x16, got {self.width}x{self.height}")
         if self.n_frames < 1:

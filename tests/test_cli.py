@@ -76,6 +76,17 @@ def test_synth_missing_spec_file_is_a_data_error(tmp_path):
     assert main(["synth", str(tmp_path / "nope.scene"), str(tmp_path / "d")]) == 2
 
 
+@pytest.mark.parametrize("ident", ["../escaped", "a/b", "a\\b", ".", ".."])
+def test_synth_scene_id_must_be_one_path_component(ident, tmp_path, capsys):
+    # the id names a directory under out/: "../escaped" once wrote next to it
+    spec = tmp_path / "s.scene"
+    spec.write_text(MINI_SCENE.replace("scene.id = mini", f"scene.id = {ident}"))
+    assert main(["synth", str(spec), str(tmp_path / "out")]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == f"error: scene.id must be a single plain path component, got {ident!r}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.scene"]
+
+
 # -- track -----------------------------------------------------------------
 
 def test_track_writes_results_and_masks(mini_dataset, tmp_path, capsys):
@@ -193,14 +204,23 @@ def test_track_nan_weights_file_exits_two(mini_dataset, tmp_path, capsys):
     assert len(err) == 1 and "'proj16'" in err[0] and "non-finite" in err[0]
 
 
-def test_track_kernel_fault_exits_three(mini_dataset, tmp_path, capsys):
-    # finite weights whose features overflow float32 reach the kernels as inf
+def test_track_overflowing_weights_file_exits_two(mini_dataset, tmp_path, capsys):
+    # finite weights whose features would overflow float32 are rejected with the file
     cfg = _weights_config(tmp_path, 1e37)
     code = main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"), "--config", cfg])
-    assert code == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "internal error: matmul overflowed float32 range"
-    ]
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'proj16'" in err[0] and "overflow float32" in err[0]
+
+
+def test_track_checks_id_dim_when_the_config_loads(tmp_path, capsys):
+    # checked before the sequence is read: a missing sequence would exit 2
+    p = tmp_path / "run.cfg"
+    p.write_text("engine.id_dim = 1\n")
+    code = main(["track", str(tmp_path / "no-such-seq"), str(tmp_path / "o.txt"),
+                 "--config", str(p)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: engine.id_dim must be >= 2, got 1"]
 
 
 def test_track_rejects_unknown_segmenter(mini_dataset, tmp_path, capsys):
@@ -255,8 +275,20 @@ def test_eval_bad_spacing_exits_one(mini_dataset, tmp_path, capsys, spacing):
                  "--spacing", spacing])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: --spacing must be >= 1")
+    assert err == [f"error: eval.anchor_spacing must be >= 1, got {spacing}"]
     assert not report.exists()
+
+
+def test_eval_protocol_flag_is_checked_as_the_config_key(mini_dataset, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["eval", str(mini_dataset), str(report), "--protocol", "spe"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: eval.protocol must be ope or mse, got 'spe'"
+    ]
+    assert not report.exists()
+    assert main(["eval", str(mini_dataset), str(report), "--protocol", "OPE",
+                 "--threads", "1"]) == 0
+    assert "OPE score" in capsys.readouterr().out
 
 
 def test_eval_fusion_flag_applies_to_configured_segmenters(corpus_dir, tmp_path):
@@ -291,7 +323,7 @@ def test_default_config_covers_every_schema_key(tmp_path):
     assert cfg.engine.id_dim == CONFIG_SCHEMA["engine.id_dim"][1]
     assert cfg.engine.encoder.std_weight == CONFIG_SCHEMA["encoder.std_weight"][1]
     assert cfg.segmenter.kinds == ("boxfill", "chroma")
-    assert cfg.protocol == "ope" and cfg.threads == 0
+    assert cfg.eval.protocol == "ope" and cfg.threads == 0
     # the README config table lists every key with a default that loads
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = dict(re.findall(r"^\| `([a-z0-9_.]+)` \| `([^`]*)` \|", readme, flags=re.M))
@@ -310,7 +342,7 @@ def test_config_file_overrides(tmp_path):
     cfg = load_run_config(p)
     assert cfg.engine.id_dim == 16
     assert cfg.segmenter.kinds == ("chroma",)
-    assert (cfg.protocol, cfg.anchor_spacing, cfg.threads) == ("mse", 7, 2)
+    assert (cfg.eval.protocol, cfg.eval.anchor_spacing, cfg.threads) == ("mse", 7, 2)
 
 
 def test_config_unknown_key_names_the_line(tmp_path, capsys):

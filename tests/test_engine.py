@@ -87,13 +87,17 @@ def test_coarse_reconstruct_rounds_only_the_corners():
 # -- step ------------------------------------------------------------------------
 
 def test_step_on_identical_frame_recovers_coarse_mask(rendered_suite):
+    # also on frames cropped off the 16-px grid, which both pad and crop back
     for ident in ("s00_static", "s05_partial_occ"):
         frames, masks, _ = rendered_suite[ident]
-        state = init_reference(frames[0], masks[0], CFG)
-        pred, boxes, _ = step(state, frames[0])
-        ref = coarse_reconstruct(masks[0], num_labels=state.k + 1)
-        assert mask_iou(pred, ref, 1) >= 0.99, ident
-        assert not boxes[1].lost
+        for h, w in ((96, 96), (87, 91)):
+            frame, mask = frames[0][:h, :w], masks[0][:h, :w]
+            state = init_reference(frame, mask, CFG)
+            pred, boxes, _ = step(state, frame)
+            ref = coarse_reconstruct(mask, num_labels=state.k + 1)
+            assert ref.shape == (h, w)
+            assert mask_iou(pred, ref, 1) >= 0.99, (ident, h, w)
+            assert not boxes[1].lost
 
 
 def test_step_tracks_a_sixteen_pixel_translation():

@@ -1,14 +1,17 @@
 """Scoring, sequence records, OPE/MSE protocols, and report files."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstrack.boxmask import Box
-from mstrack.errors import DataError, InitError
+from mstrack.errors import ConfigError, DataError, InitError
 from mstrack.evaluation import (
     N_THRESHOLDS,
+    EvalConfig,
     EvalResult,
     SequenceRecord,
     evaluate_suite,
@@ -200,6 +203,21 @@ def test_load_run_rejects_mixed_sizes_naming_the_file(tmp_path):
     assert len(frames) == 3
 
 
+def test_load_sequence_orders_frames_past_9999_by_number(tmp_path):
+    # generated names are 0000..9999 then 10000..; as strings 10000 sorts before 1001
+    n = 10002
+    seq_dir = tmp_path / "long"
+    for sub in ("frames", "masks"):
+        (seq_dir / sub).mkdir(parents=True)
+    for t in range(n):
+        (seq_dir / "frames" / f"{t:04d}.ppm").touch()
+        (seq_dir / "masks" / f"{t:04d}.pgm").touch()
+    write_box_rows(seq_dir / "annotations.txt", [(0, 0, 4, 4, 1)] * n)
+    seq = load_sequence(seq_dir)  # reads no pixels
+    assert [Path(p).stem for p in seq.frame_paths] == [f"{t:04d}" for t in range(n)]
+    assert [Path(p).stem for p in seq.gt_mask_paths] == [f"{t:04d}" for t in range(n)]
+
+
 def test_load_sequence_requires_layout(tmp_path):
     with pytest.raises(DataError, match="not a sequence directory"):
         load_sequence(tmp_path)
@@ -313,6 +331,19 @@ def test_mse_skips_single_frame_runs(tmp_path):
               for r in res.per_sequence[0]["runs"]]
     # anchor 0 backward and anchor 2 forward are single frames: dropped
     assert layout == [(0, "forward", 3), (2, "backward", 3)]
+
+
+# -- protocol settings ------------------------------------------------------------
+
+def test_eval_config_defaults_and_checks():
+    assert EvalConfig() == EvalConfig("ope", 15, "exclude")
+    assert EvalConfig(protocol="MSE").protocol == "mse"  # case-insensitive, stored lower-case
+    for kwargs, key in (({"protocol": "spe"}, "eval.protocol"),
+                        ({"anchor_spacing": 0}, "eval.anchor_spacing"),
+                        ({"absent_policy": "skip"}, "eval.absent_policy")):
+        with pytest.raises(ConfigError, match=key):
+            EvalConfig(**kwargs)
+    assert issubclass(ConfigError, ValueError)  # library callers keep their exception type
 
 
 # -- suite aggregation ----------------------------------------------------------------

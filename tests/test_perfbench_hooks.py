@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import mstrack
-from mstrack import engine
+from mstrack import cli, engine, evaluation
 from mstrack.boxmask import Box, SegmenterSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -86,3 +86,13 @@ def test_tracer_spans_cover_the_engine_path(monkeypatch):
     finally:
         t.uninstall()
     assert expected - {s.name for s in t.drain()} == set()
+
+
+def test_benchmark_call_shapes_bind():
+    # perfbench/workloads.py calls these by keyword; a renamed or removed
+    # parameter would break the suite_mse workload, so bind the same calls
+    tracker, records = object(), []
+    inspect.signature(evaluation.evaluate_suite).bind(
+        tracker, records, protocol="mse", anchor_spacing=15, threads=2
+    )
+    inspect.signature(cli.resolve_threads).bind(0)
