@@ -42,7 +42,7 @@ class Box:
 class SegmenterSpec:
     """Which box-to-mask segmenters to run and how to fuse their outputs."""
 
-    kinds: tuple[str, ...] = ("boxfill", "chroma")
+    kinds: tuple[str, ...] = ("boxfill",)
     fusion: str = "union"
     chroma_tolerance: float = 0.1
 

@@ -185,7 +185,11 @@ def _frame_paths(directory: Path, pattern: str) -> list:
 
 
 def load_sequence(seq_dir) -> SequenceRecord:
-    """Read a sequence directory (frames/, optional masks/, annotations.txt)."""
+    """Read a sequence directory (frames/, optional masks/, annotations.txt).
+
+    A masks/ directory must hold one mask per frame; otherwise `DataError`
+    names the first missing one.
+    """
     root = Path(seq_dir)
     ann = root / "annotations.txt"
     frames_dir = root / "frames"
@@ -201,8 +205,14 @@ def load_sequence(seq_dir) -> SequenceRecord:
     mask_paths = None
     if masks_dir.is_dir():
         found = _frame_paths(masks_dir, "*.pgm")
-        if len(found) == len(frame_paths):
-            mask_paths = tuple(found)
+        if len(found) != len(frame_paths):
+            have = set(found)
+            expected = (str(masks_dir / f"{Path(f).stem}.pgm") for f in frame_paths)
+            missing = next((m for m in expected if m not in have), None)
+            if missing is not None:
+                raise DataError(f"{root}: missing mask file {missing}")
+            raise DataError(f"{root}: {len(found)} mask files but {len(frame_paths)} frames")
+        mask_paths = tuple(found)
     return SequenceRecord(
         ident=root.name,
         frame_paths=tuple(frame_paths),

@@ -2,7 +2,21 @@
 
 All kernels return C-contiguous float32 arrays ("tensors"; `channel_argmax`
 int32 labels) and are pure: identical inputs give bit-identical outputs.
-`matmul` is a float64 BLAS product cast back to float32.
+`matmul` is a float64 BLAS product cast back to float32.  It converts a
+float32 operand to float64 once per call and uses a float64 operand as it
+is, without a copy, so a caller that multiplies by the same array on every
+call (the propagation memory) keeps it in float64 once.  A float64 operand
+holding float32 values gives the bytes its float32 form gives.
+
+`softmax` works in one float64 buffer.  After the row max is subtracted it
+clamps the logits at -708 before `exp`: below about -708.4, `exp` returns a
+subnormal double and takes a path 19-130x slower.  The clamp does not
+change the bytes.  A clamped entry's weight is exp(z) / sum with sum >= 1
+(the max entry contributes exp(0) = 1), below 3.3e-308 either way, which
+casts to float32 0.  All clamped terms of a row add at most n * 3.3e-308 to
+a sum >= 1, far below half its float64 ulp, so the row sum, and with it
+every other weight, rounds to the same value (tests/test_kernels.py keeps
+the unclamped form as the reference, on rows whose logits spread past 745).
 
 `matmul` does not scan its operands for non-finite values.  A NaN or inf in
 row i of `a` (or column j of `b`) makes every output of that row (or
@@ -31,6 +45,8 @@ from .errors import NumericError, ShapeError
 __all__ = ["as_tensor", "matmul", "softmax", "bilinear_resize", "channel_argmax"]
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
+# softmax logits below this take exp's subnormal path and weigh 0 in float32
+EXP_CLAMP = -708.0
 
 
 def _openblas_function(*names):
@@ -65,16 +81,24 @@ def as_tensor(x) -> np.ndarray:
     return a
 
 
+def _float64(x) -> np.ndarray:
+    """x as float64: a float64 array as is, anything else through float32."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        return x
+    return np.asarray(x, dtype=np.float32).astype(np.float64)
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of a [m,k] and b [k,n], summed in float64 by BLAS.
 
     A float32 x float32 product is exact in float64, so BLAS can change only
     the order of the float64 sum, and the cast back to float32 absorbs that
     on the engine's shapes: tests/test_kernels.py keeps the einsum sum this
-    replaced as the reference, at 1 and 2 BLAS threads.
+    replaced as the reference, at 1 and 2 BLAS threads.  A float64 operand
+    is used without a copy; it must hold float32 values for that to hold.
     """
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
+    a = _float64(a)
+    b = _float64(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -83,7 +107,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # method form of all() skips np.all's Python wrapper, which costs more
     # per call than the errstate
     with np.errstate(over="ignore"):
-        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        out = (a @ b).astype(np.float32)
     if not np.isfinite(out).all():
         raise NumericError("matmul overflowed float32 range")
     return out
@@ -93,18 +117,23 @@ def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0) -> np.ndarr
     """Temperature softmax along `axis` with max-subtraction.
 
     Each slice of the output sums to 1 (within float tolerance) and the
-    result is invariant to adding a constant to a slice.
+    result is invariant to adding a constant to a slice.  The work is done
+    in place in one float64 copy of `x`, with logits clamped at `EXP_CLAMP`.
     """
     x = as_tensor(x)
     if temperature <= 0.0:
         raise NumericError(f"temperature must be positive, got {temperature}")
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} out of range for rank-{x.ndim} tensor")
-    z = x.astype(np.float64) / float(temperature)
-    z -= np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / np.sum(e, axis=axis, keepdims=True)
-    return np.ascontiguousarray(out.astype(np.float32))
+    z = x.astype(np.float64)
+    if temperature != 1.0:
+        z /= float(temperature)
+    z -= z.max(axis=axis, keepdims=True)
+    # exp(-708) is still a normal double; see the module docstring
+    np.maximum(z, EXP_CLAMP, out=z)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z.astype(np.float32)
 
 
 def bilinear_resize(x: np.ndarray, new_h: int, new_w: int) -> np.ndarray:

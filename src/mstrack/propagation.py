@@ -5,11 +5,13 @@ current frame.  Each tracked object (plus background, row 0) owns a fixed
 embedding row in an IdBank.  A mask is encoded into a per-cell ID map by
 majority vote inside each stride cell.  Each stride keeps a long-term list
 of per-frame entries, anchored on the reference frame, and a short-term
-entry for the last stored frame; `MemoryBank.write` stores both.  A stage
-merges the long-term list once, and each of its gated propagation layers
-reads long-term then short-term memory through shared softmax attention
-computed from visual features only, and applies the read to both branches
-through a sigmoid-gated residual:
+entry for the last stored frame; `MemoryBank.write` stores both.  Each
+`ScaleMemory` keeps its long-term list merged into one entry and merges
+again only when entries were appended, so steps without a long-term write
+read the cached merge.  Each gated propagation layer of a stage reads
+long-term then short-term memory through shared softmax attention computed
+from visual features only, and applies the read to both branches through a
+sigmoid-gated residual:
 
     att     = softmax(query . keys^T / (temperature * sqrt(C)))
     out     = in + sigmoid(bias) * (att . values)
@@ -18,6 +20,13 @@ with values = memory keys on the visual branch and memory id_values on the
 ID branch.  Both branches come from one product, att . [keys | id_values].
 Each of the four reads has its own scalar gate bias; bias 0 (the default) is
 a uniform half-open gate.
+
+Memory entries hold their keys (transposed) and values in float64 as well,
+built once per entry, so a read converts only the query and the attention
+map.  A read takes at most `ATTENTION_CHUNK_ROWS` query rows at a time,
+which bounds its float64 temporaries on large frames; every chunk is the
+same `softmax(matmul(...))` and `matmul` over those rows, so the bytes do
+not depend on the chunking (tests/test_propagation.py compares the two).
 
 Operation counts and tensor shapes never depend on the number of tracked
 objects; `probe_operations` records (name, shape) signatures so tests can
@@ -39,6 +48,9 @@ from .kernels import matmul, softmax
 MAX_BANK_RESEEDS = 100
 MAX_PAIRWISE_DOT = 0.9
 DEFAULT_TEMPERATURE = 0.1
+# query rows per attention chunk: a 128 px frame has 256 stride-8 cells, so
+# its reads take one chunk
+ATTENTION_CHUNK_ROWS = 512
 
 
 # --------------------------------------------------------------------------
@@ -121,17 +133,18 @@ def permuted_bank(bank: IdBank, perm: dict[int, int]) -> IdBank:
 class MemoryEntry:
     """Memory rows of one frame, or of several merged.
 
-    Attention reads use `keys_t` and `values`, built once per entry; `keys`
-    and `id_values` become float32 views into `values`, so the rows are
-    held once.
+    `keys` and `id_values` become float32 views into one [N, C+D] array, so
+    the rows are held once in float32.  Attention reads use `keys_t`
+    [C, N] and `values` [N, C+D], float64 copies built once per entry, so
+    `matmul` takes them without converting memory on every read.
     """
 
     scale: int  # stride, 16 or 8
     keys: np.ndarray  # [N, C] flattened spatial cells
     id_values: np.ndarray  # [N, D]
     frame_index: int
-    keys_t: np.ndarray = field(init=False, repr=False, compare=False)  # [C, N]
-    values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, C+D]
+    keys_t: np.ndarray = field(init=False, repr=False, compare=False)  # [C, N] float64
+    values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, C+D] float64
 
     def __post_init__(self):
         if self.keys.ndim != 2 or self.id_values.ndim != 2:
@@ -142,21 +155,42 @@ class MemoryEntry:
                 f"{self.id_values.shape[0]} id rows"
             )
         c = self.keys.shape[1]
-        values = np.concatenate(
+        rows = np.concatenate(
             [np.asarray(self.keys, np.float32), np.asarray(self.id_values, np.float32)], axis=1
         )
+        values = rows.astype(np.float64)
+        object.__setattr__(self, "keys", rows[:, :c])
+        object.__setattr__(self, "id_values", rows[:, c:])
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "keys", values[:, :c])
-        object.__setattr__(self, "id_values", values[:, c:])
         object.__setattr__(self, "keys_t", np.ascontiguousarray(values[:, :c].T))
 
 
 @dataclass
 class ScaleMemory:
-    """Per-stride memory: reference-anchored long term plus previous frame."""
+    """Per-stride memory: reference-anchored long term plus previous frame.
+
+    `long_term` is the list of per-frame entries.  `merged_long_term`
+    caches their merge and, after entries are appended, merges the cache
+    with the new entries only.
+    """
 
     long_term: list = field(default_factory=list)
     short_term: MemoryEntry | None = None
+    _merged: MemoryEntry | None = field(default=None, init=False, repr=False, compare=False)
+    _merged_from: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def merged_long_term(self) -> MemoryEntry:
+        """One entry with the rows of `long_term`, merged once per append."""
+        entries, done = self.long_term, self._merged_from
+        if not entries:
+            raise StateError("empty long-term memory")
+        if len(entries) < len(done) or any(a is not b for a, b in zip(entries, done)):
+            done = []  # long_term was edited, not appended to: merge all of it
+        if len(entries) > len(done):
+            new = entries[len(done):]
+            self._merged = merge_entries([self._merged, *new] if done else new)
+            self._merged_from = list(entries)
+        return self._merged
 
 
 @dataclass
@@ -256,12 +290,22 @@ def encode_mask_to_ids(mask: np.ndarray, bank: IdBank, stride: int) -> np.ndarra
 # attention + gated propagation
 
 
+def _read_rows(q: np.ndarray, memory: MemoryEntry, scale: np.float32):
+    s = matmul(q, memory.keys_t)
+    s /= scale
+    att = softmax(s, axis=-1)
+    del s  # the scores are not kept alive through the read product (peak memory)
+    return att, matmul(att, memory.values)
+
+
 def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_TEMPERATURE):
     """One softmax attention read over a memory entry.
 
     att[i, j] = softmax_j(query_i . key_j / (temperature * sqrt(C)));
     vis_read = att . keys and id_read = att . id_values, both columns of the
     one product att . [keys | id_values].  Returns (att, vis_read, id_read).
+    Queries of more than `ATTENTION_CHUNK_ROWS` rows are read in chunks of
+    that many rows, into preallocated float32 `att` and read arrays.
     """
     q = np.asarray(query, dtype=np.float32)
     if q.ndim != 2:
@@ -270,11 +314,17 @@ def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_T
         raise ShapeError(
             f"query channels {q.shape[1]} != memory key channels {memory.keys.shape[1]}"
         )
-    c = q.shape[1]
-    # the scores are not kept alive through the read product (peak memory)
-    att = softmax(matmul(q, memory.keys_t) / np.float32(temperature * np.sqrt(c)), axis=-1)
-    read = matmul(att, memory.values)
-    _record(("attention_read", q.shape[0], memory.keys.shape[0], c, memory.id_values.shape[1]))
+    n, c = q.shape
+    scale = np.float32(temperature * np.sqrt(c))
+    if n <= ATTENTION_CHUNK_ROWS:
+        att, read = _read_rows(q, memory, scale)
+    else:
+        att = np.empty((n, memory.keys.shape[0]), dtype=np.float32)
+        read = np.empty((n, memory.values.shape[1]), dtype=np.float32)
+        for lo in range(0, n, ATTENTION_CHUNK_ROWS):
+            rows = slice(lo, lo + ATTENTION_CHUNK_ROWS)
+            att[rows], read[rows] = _read_rows(q[rows], memory, scale)
+    _record(("attention_read", n, memory.keys.shape[0], c, memory.id_values.shape[1]))
     return att, read[:, :c], read[:, c:]
 
 
@@ -354,7 +404,7 @@ def gpm_stage(
     n_layers: int,
     temperature: float = DEFAULT_TEMPERATURE,
 ) -> np.ndarray:
-    """Run n_layers layers at one scale, merging long-term memory once; return ID rows."""
+    """Run n_layers layers at one scale over the cached long-term merge; return ID rows."""
     if n_layers < 1:
         raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
     short = memory.short_term
@@ -365,7 +415,7 @@ def gpm_stage(
     d = short.id_values.shape[1]
     if ids.shape[1] != d:
         raise ShapeError(f"id rows must have {d} dims, got {ids.shape[1]}")
-    long_entry = merge_entries(memory.long_term)
+    long_entry = memory.merged_long_term()
     for _ in range(n_layers):
         feats, ids = gpm_layer(feats, ids, long_entry, short, temperature=temperature)
     return ids

@@ -183,6 +183,17 @@ def test_track_needs_a_visible_first_frame(mini_dataset, tmp_path, capsys):
     assert "0000.ppm: no visible ground truth" in err
 
 
+def test_missing_mask_file_exits_two_naming_it(mini_dataset, tmp_path, capsys):
+    seq = tmp_path / "data" / "mini"
+    shutil.copytree(mini_dataset / "mini", seq)
+    gone = seq / "masks" / "0005.pgm"
+    gone.unlink()
+    assert main(["track", str(seq), str(tmp_path / "o.txt"), "--segmenter", "oracle"]) == 2
+    assert main(["eval", str(seq.parent), str(tmp_path / "r.json"), "--threads", "1"]) == 2
+    for line in capsys.readouterr().err.splitlines():
+        assert line == f"error: {seq}: missing mask file {gone}"
+
+
 def _weights_config(tmp_path, scale, nan=False):
     """Run config for weights-file mode with the default 32+32 channels."""
     rng = np.random.default_rng(5)
@@ -237,7 +248,7 @@ def test_eval_writes_report_and_grid(mini_dataset, tmp_path, capsys):
     assert main(["eval", str(mini_dataset), str(report), "--threads", "1"]) == 0
     out = capsys.readouterr().out
     assert "OPE score" in out
-    assert "boxfill+chroma (union)" in out
+    assert re.search(r"^boxfill +0\.\d{6} ", out, flags=re.M)  # the default segmenter
     doc = json.loads(report.read_text())
     assert doc["protocol"] == "OPE"
     assert doc["per_sequence"][0]["id"] == "mini"
@@ -295,9 +306,12 @@ def test_eval_fusion_flag_applies_to_configured_segmenters(corpus_dir, tmp_path)
     # boxfill and chroma disagree on a disc, so the fusion rule changes the score
     data = tmp_path / "data"
     shutil.copytree(corpus_dir / "s02_slow_disc", data / "s02_slow_disc")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("segmenter.kinds = boxfill,chroma\n")
     plain, fused, named = (tmp_path / f"{n}.json" for n in ("plain", "fused", "named"))
-    assert main(["eval", str(data), str(plain), "--threads", "1"]) == 0
-    assert main(["eval", str(data), str(fused), "--threads", "1", "--fusion", "intersection"]) == 0
+    assert main(["eval", str(data), str(plain), "--threads", "1", "--config", str(cfg)]) == 0
+    assert main(["eval", str(data), str(fused), "--threads", "1", "--config", str(cfg),
+                 "--fusion", "intersection"]) == 0
     assert main(["eval", str(data), str(named), "--threads", "1",
                  "--segmenter", "boxfill,chroma", "--fusion", "intersection"]) == 0
     assert fused.read_bytes() == named.read_bytes()
@@ -322,7 +336,7 @@ def test_default_config_covers_every_schema_key(tmp_path):
     cfg = load_run_config(None)
     assert cfg.engine.id_dim == CONFIG_SCHEMA["engine.id_dim"][1]
     assert cfg.engine.encoder.std_weight == CONFIG_SCHEMA["encoder.std_weight"][1]
-    assert cfg.segmenter.kinds == ("boxfill", "chroma")
+    assert cfg.segmenter.kinds == ("boxfill",)
     assert cfg.eval.protocol == "ope" and cfg.threads == 0
     # the README config table lists every key with a default that loads
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -38,6 +38,23 @@ def einsum_matmul(a, b):
     return out64.astype(np.float32)
 
 
+def float32_matmul(a, b):
+    """`matmul` as it was before it took float64 operands: both operands cast
+    to float32 and converted to float64 again on every call."""
+    a = np.asarray(a, dtype=np.float32).astype(np.float64)
+    b = np.asarray(b, dtype=np.float32).astype(np.float64)
+    return (a @ b).astype(np.float32)
+
+
+def out_of_place_softmax(x, axis=-1, temperature=1.0):
+    """`softmax` as it was before it worked in place: a new float64 array per
+    step, a division by the temperature even at 1.0, and no clamp."""
+    z = np.asarray(x, dtype=np.float32).astype(np.float64) / float(temperature)
+    z -= np.max(z, axis=axis, keepdims=True)
+    e = np.exp(z)
+    return np.ascontiguousarray((e / np.sum(e, axis=axis, keepdims=True)).astype(np.float32))
+
+
 def softmax_oracle(x, axis, temperature):
     x = np.asarray(x, dtype=np.float64)
     moved = np.moveaxis(x, axis, -1)
@@ -166,6 +183,29 @@ def test_matmul_bit_equal_to_einsum_on_engine_shapes():
         assert np.array_equal(matmul(a, b), einsum_matmul(a, b))
 
 
+def test_matmul_float64_operands_give_the_float32_bytes():
+    # a float64 operand holding float32 values is used without a copy and
+    # gives the product the float32 operand gives
+    for a, b in _engine_products(18):
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        assert kernels._float64(b64) is b64
+        want = float32_matmul(a, b).tobytes()
+        for x, y in ((a, b64), (a64, b), (a64, b64)):
+            got = matmul(x, y)
+            assert got.dtype == np.float32 and got.tobytes() == want
+
+
+def test_matmul_float64_operands_keep_the_checks():
+    with pytest.raises(ShapeError, match="2-d"):
+        matmul(np.zeros(3), np.zeros((3, 1)))
+    with pytest.raises(ShapeError, match="inner dims"):
+        matmul(np.zeros((2, 3)), np.zeros((2, 3), dtype=np.float32))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="overflowed"):
+        matmul(np.array([[np.nan, 1.0]]), np.ones((2, 2)))
+    with pytest.raises(NumericError, match="overflowed"):
+        matmul(np.full((1, 2), 3e38), np.full((2, 1), 3e38))
+
+
 @pytest.mark.skipif(kernels._set_blas_threads is None, reason="BLAS thread count not settable")
 def test_matmul_bytes_do_not_depend_on_blas_threads():
     products = _engine_products(17)
@@ -288,6 +328,33 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(vals, temp):
     assert abs(float(out.sum()) - 1.0) < 1e-6
     shifted = softmax(x + np.float32(3.5), 0, temp)
     np.testing.assert_allclose(out, shifted, atol=1e-6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hnp.arrays(
+        np.float32,
+        st.tuples(st.integers(1, 6), st.integers(1, 40)),
+        elements=st.floats(-3000, 3000, width=32),
+    ),
+    st.sampled_from([0, 1, -1]),
+    st.sampled_from([1.0, 0.1, 0.7, 2.5]),
+)
+def test_softmax_bytes_equal_out_of_place_form(x, axis, temperature):
+    # logits spread up to 6000 / temperature, far past the -708 clamp
+    got = softmax(x, axis, temperature)
+    assert got.flags["C_CONTIGUOUS"]
+    assert got.tobytes() == out_of_place_softmax(x, axis, temperature).tobytes()
+
+
+def test_softmax_bytes_equal_out_of_place_form_on_engine_scores():
+    # the engine's score products; most logits of each row lie below the clamp
+    products = _engine_products(19)
+    for a, b in (products[1], products[3]):
+        scores = matmul(a, b) / np.float32(0.1 * math.sqrt(32))
+        z = scores.astype(np.float64)
+        assert ((z - z.max(axis=1, keepdims=True)) < kernels.EXP_CLAMP).mean() > 0.5
+        assert softmax(scores).tobytes() == out_of_place_softmax(scores).tobytes()
 
 
 def test_bilinear_constant_preserved():

@@ -10,7 +10,9 @@ from mstrack import propagation
 from mstrack.errors import ConfigError, LabelError, ShapeError, StateError
 from mstrack.kernels import matmul
 from mstrack.propagation import (
+    ATTENTION_CHUNK_ROWS,
     CLOSED_GATE_BIAS,
+    DEFAULT_TEMPERATURE,
     GateParams,
     IdBank,
     MemoryBank,
@@ -29,6 +31,7 @@ from mstrack.propagation import (
     scale_rows,
     _sigmoid,
 )
+from test_kernels import float32_matmul, out_of_place_softmax
 
 
 def majority_oracle(mask, stride, num_labels):
@@ -228,6 +231,60 @@ def test_fused_read_bit_equal_to_separate_products():
             assert np.array_equal(ids, matmul(att, mem.id_values))
 
 
+def composed_read(q, keys, ids, temperature):
+    """`attention_read` as the one unchunked composition it replaced, with
+    the float32-operand `matmul` and the out-of-place `softmax`."""
+    scale = np.float32(temperature * np.sqrt(q.shape[1]))
+    att = out_of_place_softmax(float32_matmul(q, keys.T) / scale)
+    return att, float32_matmul(att, np.concatenate([keys, ids], axis=1))
+
+
+def _assert_read_bytes(q, keys, ids, temperature):
+    att, vis, id_read = attention_read(q, entry(keys, ids), temperature)
+    want_att, want = composed_read(q, keys, ids, temperature)
+    c = keys.shape[1]
+    assert att.tobytes() == want_att.tobytes()
+    assert vis.tobytes() == want[:, :c].tobytes()
+    assert id_read.tobytes() == want[:, c:].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 511, 512, 513, 1025]),
+    st.integers(2, 48),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.sampled_from([DEFAULT_TEMPERATURE, 0.7]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_chunked_attention_read_bytes_equal_one_composed_read(n, m, c, d, temperature, wide, seed):
+    # row counts on both sides of each chunk boundary; `wide` rows spread
+    # their scaled scores past 745, so exp underflows in the reference
+    assert ATTENTION_CHUNK_ROWS == 512
+    rng = np.random.default_rng(seed)
+    norm = 30.0 if wide else 1.0
+    q = (norm * rng.normal(size=(n, c))).astype(np.float32)
+    keys = (norm * rng.normal(size=(m, c))).astype(np.float32)
+    ids = rng.normal(size=(m, d)).astype(np.float32)
+    if wide:
+        q[-1], keys[0], keys[-1] = norm, norm, -norm
+        scores = q[-1:].astype(np.float64) @ keys.T.astype(np.float64)
+        assert np.ptp(scores) / (temperature * np.sqrt(c)) > 745
+    _assert_read_bytes(q, keys, ids, temperature)
+
+
+def test_chunked_attention_read_bytes_on_engine_shapes():
+    # 1025 query rows (chunks of 512, 512 and 1) against 2048 memory rows,
+    # with the engine's row norm and channel counts
+    rng = np.random.default_rng(51)
+    c = 32
+    q = scale_rows(rng.normal(size=(1025, c)).astype(np.float32), 6.0 * np.sqrt(c))
+    keys = scale_rows(rng.normal(size=(2048, c)).astype(np.float32), 6.0 * np.sqrt(c))
+    ids = scale_rows(rng.normal(size=(2048, 32)).astype(np.float32), 1.0)
+    _assert_read_bytes(q, keys, ids, DEFAULT_TEMPERATURE)
+
+
 def test_gpm_layer_makes_two_products_per_read(monkeypatch):
     calls = []
 
@@ -381,6 +438,46 @@ def test_memory_bank_write_sets_short_term_and_appends_long_term():
     assert mem.short_term is third and mem.long_term == [first, third]
     with pytest.raises(StateError):
         bank.at(16)
+
+
+def test_scale_memory_merges_long_term_once_per_write(monkeypatch):
+    rng = np.random.default_rng(52)
+    parts = [entry(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)), frame_index=t)
+             for t in range(4)]
+    calls = []
+
+    def counted(entries):
+        calls.append(list(entries))
+        return merge_entries(entries)
+
+    monkeypatch.setattr(propagation, "merge_entries", counted)
+    bank = MemoryBank()
+    bank.write(parts[0], long_term=True)
+    mem = bank.at(16)
+    first = mem.merged_long_term()
+    assert first is parts[0] and len(calls) == 1
+    # a short-term write does not merge again: the same entry comes back
+    bank.write(parts[1], long_term=False)
+    assert mem.merged_long_term() is first and len(calls) == 1
+    # long-term writes merge the cached entry with the new entries only
+    bank.write(parts[1], long_term=True)
+    bank.write(parts[2], long_term=True)
+    merged = mem.merged_long_term()
+    assert len(calls) == 2 and [id(e) for e in calls[1]] == [id(first), id(parts[1]), id(parts[2])]
+    want = merge_entries(mem.long_term)
+    for name in ("keys", "id_values", "values", "keys_t"):
+        assert getattr(merged, name).tobytes() == getattr(want, name).tobytes()
+    assert mem.merged_long_term() is merged and len(calls) == 2
+    # a list edited in place, not appended to, is merged whole again
+    mem.long_term[1:] = [parts[3]]
+    again = mem.merged_long_term()
+    assert [id(e) for e in calls[2]] == [id(parts[0]), id(parts[3])]
+    assert again.values.tobytes() == merge_entries([parts[0], parts[3]]).values.tobytes()
+    mem.long_term.clear()
+    with pytest.raises(StateError, match="empty long-term memory"):
+        mem.merged_long_term()
+    with pytest.raises(StateError, match="empty long-term memory"):
+        ScaleMemory(long_term=[], short_term=parts[0]).merged_long_term()
 
 
 def _stage_setup(n_cells=4, d=8):
