@@ -14,7 +14,6 @@ from .boxmask import (
     box_iou,
     boxfill_segmenter,
     chroma_segmenter,
-    fuse_masks,
     mask_iou,
     mask_to_box,
     oracle_segmenter,
@@ -100,7 +99,6 @@ __all__ = [
     "encode_frame",
     "encode_mask_to_ids",
     "evaluate_suite",
-    "fuse_masks",
     "generate",
     "gpm_layer",
     "gpm_stage",

@@ -52,6 +52,8 @@ class SegmenterSpec:
         for k in self.kinds:
             if k not in SEGMENTER_KINDS:
                 raise ConfigError(f"unknown segmenter kind {k!r}, expected one of {SEGMENTER_KINDS}")
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ConfigError(f"segmenter kinds repeat: {', '.join(self.kinds)}")
         if self.fusion not in FUSION_RULES:
             raise ConfigError(f"unknown fusion rule {self.fusion!r}, expected one of {FUSION_RULES}")
         if self.fusion == "none" and len(self.kinds) > 1:
@@ -147,39 +149,27 @@ def oracle_segmenter(gt_mask: np.ndarray, box: Box) -> np.ndarray:
     return (gt_mask == best).astype(np.int32)
 
 
-def fuse_masks(a: np.ndarray, b: np.ndarray, rule: str = "union") -> np.ndarray:
-    """Fuse two binary masks under the given rule."""
-    return fuse_mask_list([a, b], rule)
-
-
 def fuse_mask_list(masks, rule: str = "union") -> np.ndarray:
-    """Fuse >= 1 binary masks: union, intersection, or majority vote.
+    """Fuse >= 1 binary masks: keep a pixel that at least `need` masks hold.
 
-    Vote behaves like union for two inputs and as a strict pixel majority for
-    three or more.
+    `union` and `none` need 1, `intersection` needs all n, and `vote` needs
+    (n + 1) // 2, so vote is union for n <= 2 and keeps ties for even n.
+    `none` takes exactly one mask.
     """
     if rule not in FUSION_RULES:
         raise ConfigError(f"unknown fusion rule {rule!r}")
     if not masks:
         raise ShapeError("no masks to fuse")
+    n = len(masks)
+    if rule == "none" and n > 1:
+        raise ConfigError(f"fusion 'none' takes one mask, got {n}")
     shape = masks[0].shape
     for m in masks:
         if m.shape != shape:
             raise ShapeError(f"mask shapes differ: {m.shape} vs {shape}")
-    stack = np.stack([(m > 0) for m in masks], axis=0)
-    n = len(masks)
-    if rule == "none" or n == 1:
-        out = stack[0]
-    elif rule == "union":
-        out = stack.any(axis=0)
-    elif rule == "intersection":
-        out = stack.all(axis=0)
-    else:  # vote
-        if n == 2:
-            out = stack.any(axis=0)
-        else:
-            out = stack.sum(axis=0) > n // 2
-    return out.astype(np.int32)
+    need = {"intersection": n, "vote": (n + 1) // 2}.get(rule, 1)
+    held = np.sum([m > 0 for m in masks], axis=0)
+    return (held >= need).astype(np.int32)
 
 
 def mask_to_box(mask: np.ndarray, label: int = 1) -> Box:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxmask import FUSION_RULES, Box, SegmenterSpec
+from .boxmask import FUSION_RULES, Box, SegmenterSpec, clamp_box
 from .engine import EngineConfig, make_tracker, track_sequence
 from .errors import ConfigError, DataError, FormatError, InitError, MstrackError
 from .evaluation import (
@@ -211,24 +211,11 @@ def cmd_eval(args) -> int:
 
 
 def _draw_box(img: np.ndarray, box: Box, color) -> None:
-    if box.w < 1 or box.h < 1:
-        return
-    h, w = img.shape[:2]
-    x0, y0 = max(box.x, 0), max(box.y, 0)
-    x1, y1 = min(box.x + box.w, w), min(box.y + box.h, h)
-    if x0 >= x1 or y0 >= y1:
-        return
-    for side in range(2):  # 2-px outline
-        ya, yb = y0 + side, y1 - 1 - side
-        if ya < y1:
-            img[ya, x0:x1] = color
-        if 0 <= yb < h:
-            img[yb, x0:x1] = color
-        xa, xb = x0 + side, x1 - 1 - side
-        if xa < x1:
-            img[y0:y1, xa] = color
-        if 0 <= xb < w:
-            img[y0:y1, xb] = color
+    """Paint a 2-px outline on the inside of the box, clipped to the frame."""
+    cb = clamp_box(box, img.shape[1], img.shape[0])
+    region = img[cb.y : cb.y + cb.h, cb.x : cb.x + cb.w]
+    for edge in (region[:2], region[-2:], region[:, :2], region[:, -2:]):
+        edge[...] = color
 
 
 def cmd_overlay(args) -> int:

@@ -3,12 +3,12 @@
 The propagation core transfers mask identity from memory frames to the
 current frame.  Each tracked object (plus background, row 0) owns a fixed
 embedding row in an IdBank.  A mask is encoded into a per-cell ID map by
-majority vote inside each stride cell.  Each stride keeps a long-term list
-of per-frame entries, anchored on the reference frame, and a short-term
-entry for the last stored frame; `MemoryBank.write` stores both.  Each
-`ScaleMemory` keeps its long-term list merged into one entry and merges
-again only when entries were appended, so steps without a long-term write
-read the cached merge.  Each gated propagation layer of a stage reads
+majority vote inside each stride cell.  Each stride keeps a long-term
+tuple of per-frame entries, anchored on the reference frame, their merge
+into one entry, and a short-term entry for the last stored frame.
+`MemoryBank.write` is the only code that extends long-term memory; it
+merges each new long-term entry into the merged one there, so no read
+merges anything.  Each gated propagation layer of a stage reads
 long-term then short-term memory through shared softmax attention computed
 from visual features only, and applies the read to both branches through a
 sigmoid-gated residual:
@@ -169,28 +169,18 @@ class MemoryEntry:
 class ScaleMemory:
     """Per-stride memory: reference-anchored long term plus previous frame.
 
-    `long_term` is the list of per-frame entries.  `merged_long_term`
-    caches their merge and, after entries are appended, merges the cache
-    with the new entries only.
+    `long_term` is the tuple of per-frame entries and `merged` their merge,
+    None while `long_term` is empty.  A given list becomes a tuple, merged
+    once; after that `MemoryBank.write` appends and merges.
     """
 
-    long_term: list = field(default_factory=list)
+    long_term: tuple = ()
     short_term: MemoryEntry | None = None
-    _merged: MemoryEntry | None = field(default=None, init=False, repr=False, compare=False)
-    _merged_from: list = field(default_factory=list, init=False, repr=False, compare=False)
+    merged: MemoryEntry | None = field(default=None, init=False, repr=False, compare=False)
 
-    def merged_long_term(self) -> MemoryEntry:
-        """One entry with the rows of `long_term`, merged once per append."""
-        entries, done = self.long_term, self._merged_from
-        if not entries:
-            raise StateError("empty long-term memory")
-        if len(entries) < len(done) or any(a is not b for a, b in zip(entries, done)):
-            done = []  # long_term was edited, not appended to: merge all of it
-        if len(entries) > len(done):
-            new = entries[len(done):]
-            self._merged = merge_entries([self._merged, *new] if done else new)
-            self._merged_from = list(entries)
-        return self._merged
+    def __post_init__(self):
+        self.long_term = tuple(self.long_term)
+        self.merged = merge_entries(list(self.long_term)) if self.long_term else None
 
 
 @dataclass
@@ -203,11 +193,12 @@ class MemoryBank:
         return self.scales[scale]
 
     def write(self, entry: MemoryEntry, long_term: bool) -> None:
-        """Store `entry` as its scale's short-term memory, and in long-term if asked."""
+        """Store `entry` as short-term memory; if asked, append it to long term and merge it."""
         mem = self.scales.setdefault(entry.scale, ScaleMemory())
         mem.short_term = entry
         if long_term:
-            mem.long_term.append(entry)
+            mem.long_term += (entry,)
+            mem.merged = merge_entries([entry] if mem.merged is None else [mem.merged, entry])
 
 
 def merge_entries(entries: list) -> MemoryEntry:
@@ -404,7 +395,7 @@ def gpm_stage(
     n_layers: int,
     temperature: float = DEFAULT_TEMPERATURE,
 ) -> np.ndarray:
-    """Run n_layers layers at one scale over the cached long-term merge; return ID rows."""
+    """Run n_layers layers at one scale over the merged long-term memory; return ID rows."""
     if n_layers < 1:
         raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
     short = memory.short_term
@@ -415,9 +406,10 @@ def gpm_stage(
     d = short.id_values.shape[1]
     if ids.shape[1] != d:
         raise ShapeError(f"id rows must have {d} dims, got {ids.shape[1]}")
-    long_entry = memory.merged_long_term()
+    if memory.merged is None:
+        raise StateError("empty long-term memory")
     for _ in range(n_layers):
-        feats, ids = gpm_layer(feats, ids, long_entry, short, temperature=temperature)
+        feats, ids = gpm_layer(feats, ids, memory.merged, short, temperature=temperature)
     return ids
 
 

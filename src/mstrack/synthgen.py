@@ -46,7 +46,7 @@ import numpy as np
 
 from .boxmask import mask_to_box
 from .errors import ConfigError
-from .evaluation import SequenceRecord, write_box_rows
+from .evaluation import write_box_rows
 from .flatcfg import FlatConfig, parse_flat_file
 from .pnm import write_pgm, write_ppm
 
@@ -258,40 +258,28 @@ def render_sequence(spec: SceneSpec):
     return [render_frame(spec, t) for t in range(spec.n_frames)]
 
 
-def generate(spec: SceneSpec, out_dir) -> SequenceRecord:
-    """Write a scene to disk; returns the record describing the files.
+def generate(spec: SceneSpec, out_dir) -> Path:
+    """Write a scene to disk; returns its sequence directory.
 
     Layout: <out_dir>/<ident>/frames/NNNN.ppm, masks/NNNN.pgm, and
     annotations.txt with one `frame_idx x y w h visible_flag` line per frame
     for object 1 (absent frames as `idx -1 -1 -1 -1 0`).
+    `evaluation.load_sequence` reads the directory back.
     """
     root = Path(out_dir) / spec.ident
     frames_dir = root / "frames"
     masks_dir = root / "masks"
     frames_dir.mkdir(parents=True, exist_ok=True)
     masks_dir.mkdir(parents=True, exist_ok=True)
-    frame_paths = []
-    mask_paths = []
-    gt_boxes = []
+    rows = []
     for t in range(spec.n_frames):
         frame, mask, boxes = render_frame(spec, t)
-        fp = frames_dir / f"{t:04d}.ppm"
-        mp = masks_dir / f"{t:04d}.pgm"
-        write_ppm(fp, frame)
-        write_pgm(mp, mask.astype(np.uint8))
-        frame_paths.append(str(fp))
-        mask_paths.append(str(mp))
-        gt_boxes.append(boxes.get(1))
-    write_box_rows(
-        root / "annotations.txt",
-        [(-1, -1, -1, -1, 0) if b is None else (b.x, b.y, b.w, b.h, 1) for b in gt_boxes],
-    )
-    return SequenceRecord(
-        ident=spec.ident,
-        frame_paths=tuple(frame_paths),
-        gt_boxes=tuple(gt_boxes),
-        gt_mask_paths=tuple(mask_paths),
-    )
+        write_ppm(frames_dir / f"{t:04d}.ppm", frame)
+        write_pgm(masks_dir / f"{t:04d}.pgm", mask.astype(np.uint8))
+        b = boxes.get(1)
+        rows.append((-1, -1, -1, -1, 0) if b is None else (b.x, b.y, b.w, b.h, 1))
+    write_box_rows(root / "annotations.txt", rows)
+    return root
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from mstrack.boxmask import (
     chroma_segmenter,
     clamp_box,
     fuse_mask_list,
-    fuse_masks,
     mask_iou,
     mask_to_box,
     oracle_segmenter,
@@ -130,11 +129,25 @@ def test_fusion_union_intersection_vote():
     a = np.array([[1, 1, 0, 0]], dtype=np.int32)
     b = np.array([[0, 1, 1, 0]], dtype=np.int32)
     c = np.array([[0, 1, 0, 1]], dtype=np.int32)
-    assert np.array_equal(fuse_masks(a, b, "union"), [[1, 1, 1, 0]])
-    assert np.array_equal(fuse_masks(a, b, "intersection"), [[0, 1, 0, 0]])
+    assert np.array_equal(fuse_mask_list([a, b], "union"), [[1, 1, 1, 0]])
+    assert np.array_equal(fuse_mask_list([a, b], "intersection"), [[0, 1, 0, 0]])
     # vote == union for two masks, strict majority for three
-    assert np.array_equal(fuse_masks(a, b, "vote"), [[1, 1, 1, 0]])
+    assert np.array_equal(fuse_mask_list([a, b], "vote"), [[1, 1, 1, 0]])
     assert np.array_equal(fuse_mask_list([a, b, c], "vote"), [[0, 1, 0, 0]])
+    assert np.array_equal(fuse_mask_list([a], "none"), a)
+    with pytest.raises(ConfigError, match="one mask"):
+        fuse_mask_list([a, b], "none")
+
+
+def test_fusion_vote_keeps_ties_of_four_masks():
+    # vote needs (n + 1) // 2 masks: 2 of 4 keep a pixel
+    masks = [np.array([[1, 1, 1, 0, 0]], dtype=np.int32),
+             np.array([[1, 1, 0, 0, 0]], dtype=np.int32),
+             np.array([[1, 0, 0, 1, 0]], dtype=np.int32),
+             np.array([[1, 0, 0, 0, 0]], dtype=np.int32)]
+    assert np.array_equal(fuse_mask_list(masks, "vote"), [[1, 1, 0, 0, 0]])
+    assert np.array_equal(fuse_mask_list(masks, "union"), [[1, 1, 1, 1, 0]])
+    assert np.array_equal(fuse_mask_list(masks, "intersection"), [[1, 0, 0, 0, 0]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,8 +156,8 @@ def test_fusion_is_commutative_and_idempotent(abits, bbits):
     a = np.array([(abits >> i) & 1 for i in range(12)], dtype=np.int32).reshape(3, 4)
     b = np.array([(bbits >> i) & 1 for i in range(12)], dtype=np.int32).reshape(3, 4)
     for rule in ("union", "intersection", "vote"):
-        assert np.array_equal(fuse_masks(a, b, rule), fuse_masks(b, a, rule))
-        assert np.array_equal(fuse_masks(a, a, rule), (a > 0).astype(np.int32))
+        assert np.array_equal(fuse_mask_list([a, b], rule), fuse_mask_list([b, a], rule))
+        assert np.array_equal(fuse_mask_list([a, a], rule), (a > 0).astype(np.int32))
 
 
 def test_segmenter_spec_validation():
@@ -154,6 +167,10 @@ def test_segmenter_spec_validation():
         SegmenterSpec(fusion="xor")
     with pytest.raises(ConfigError):
         SegmenterSpec(kinds=("boxfill", "chroma"), fusion="none")
+    with pytest.raises(ConfigError, match="repeat"):
+        SegmenterSpec(kinds=("boxfill", "boxfill"))
+    with pytest.raises(ConfigError, match="repeat"):
+        SegmenterSpec(kinds=("chroma", "boxfill", "chroma"), fusion="vote")
 
 
 def test_segment_box_fuses_and_falls_back():

@@ -11,6 +11,7 @@ import pytest
 from mstrack.boxmask import Box
 from mstrack.cli import (
     CONFIG_SCHEMA,
+    _draw_box,
     load_run_config,
     main,
     read_results,
@@ -239,6 +240,15 @@ def test_track_rejects_unknown_segmenter(mini_dataset, tmp_path, capsys):
                  "--segmenter", "wizard"])
     assert code == 1
     assert "wizard" in capsys.readouterr().err
+
+
+def test_track_rejects_repeated_segmenter_kind(mini_dataset, tmp_path, capsys):
+    code = main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"),
+                 "--segmenter", "boxfill,boxfill"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: segmenter kinds repeat: boxfill, boxfill"
+    ]
 
 
 # -- eval --------------------------------------------------------------------
@@ -579,6 +589,75 @@ def test_overlay_mask_of_another_size_exits_two(mini_dataset, tmp_path, capsys):
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith(f"error: {masks / '0000.pgm'}: size 48x32 differs from the 64x64 of ")
 
+
+
+def _painted(box, h=10, w=12):
+    img = np.zeros((h, w, 3), dtype=np.uint8)
+    _draw_box(img, box, np.array([255, 48, 48], dtype=np.uint8))
+    return {(int(y), int(x)) for y, x in zip(*np.nonzero(img[:, :, 0]))}
+
+
+def _outline(y0, y1, x0, x1):
+    return {(y, x) for y in range(y0, y1) for x in range(x0, x1)
+            if y - y0 < 2 or y1 - 1 - y < 2 or x - x0 < 2 or x1 - 1 - x < 2}
+
+
+def _draw_box_two_sided_loop(img, box, color):
+    # the outline loop drawn before the region slices; it paints outside
+    # boxes thinner than 2 px, so it is a reference for thicker ones only
+    h, w = img.shape[:2]
+    x0, y0 = max(box.x, 0), max(box.y, 0)
+    x1, y1 = min(box.x + box.w, w), min(box.y + box.h, h)
+    for side in range(2):
+        ya, yb = y0 + side, y1 - 1 - side
+        if ya < y1:
+            img[ya, x0:x1] = color
+        if 0 <= yb < h:
+            img[yb, x0:x1] = color
+        xa, xb = x0 + side, x1 - 1 - side
+        if xa < x1:
+            img[y0:y1, xa] = color
+        if 0 <= xb < w:
+            img[y0:y1, xb] = color
+
+
+def test_draw_box_stays_inside_thin_and_clipped_boxes():
+    # 1-px boxes: only the box's own pixels
+    assert _painted(Box(3, 5, 4, 1)) == {(5, x) for x in range(3, 7)}
+    assert _painted(Box(5, 3, 1, 4)) == {(y, 5) for y in range(3, 7)}
+    assert _painted(Box(2, 2, 1, 1)) == {(2, 2)}
+    # 2-px boxes are filled, and a 5x5 box keeps a 1-px hole
+    assert _painted(Box(3, 5, 4, 2)) == {(y, x) for y in (5, 6) for x in range(3, 7)}
+    assert _painted(Box(3, 3, 2, 2)) == {(y, x) for y in (3, 4) for x in (3, 4)}
+    assert _painted(Box(2, 2, 5, 5)) == _outline(2, 7, 2, 7) == {
+        (y, x) for y in range(2, 7) for x in range(2, 7)} - {(4, 4)}
+    # clipped by the frame edge: the outline runs along the edge
+    assert _painted(Box(-3, -2, 8, 6)) == _outline(0, 4, 0, 5)
+    assert _painted(Box(9, 7, 10, 10)) == _outline(7, 10, 9, 12)
+    assert _painted(Box(11, 0, 5, 3)) == _outline(0, 3, 11, 12)
+    # boxes outside the frame or without area paint nothing
+    for box in (Box(12, 0, 3, 3), Box(-5, 2, 3, 3), Box(2, 2, 0, 4), Box(2, 2, 4, -1)):
+        assert _painted(box) == set()
+
+
+def test_draw_box_pixels_unchanged_for_boxes_of_two_px_or_more():
+    rng = np.random.default_rng(7)
+    color = np.array([255, 48, 48], dtype=np.uint8)
+    checked = 0
+    for _ in range(400):
+        x, y = (int(v) for v in rng.integers(-6, 14, size=2))
+        bw, bh = (int(v) for v in rng.integers(1, 12, size=2))
+        # the clipped box must be at least 2 px on each side
+        if min(x + bw, 12) - max(x, 0) < 2 or min(y + bh, 10) - max(y, 0) < 2:
+            continue
+        box = Box(x, y, bw, bh)
+        got = np.zeros((10, 12, 3), dtype=np.uint8)
+        want = np.zeros_like(got)
+        _draw_box(got, box, color)
+        _draw_box_two_sided_loop(want, box, color)
+        assert got.tobytes() == want.tobytes(), box
+        checked += 1
+    assert checked > 100
 
 # -- argparse mapping --------------------------------------------------------------
 

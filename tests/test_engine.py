@@ -15,6 +15,7 @@ from mstrack.engine import (
 )
 from mstrack.errors import ConfigError, InitError, ShapeError
 from mstrack.features import EncoderConfig, pad_to_multiple
+from mstrack.propagation import merge_entries
 
 CFG = EngineConfig()
 
@@ -140,6 +141,20 @@ def test_long_term_cadence_appends_entries():
         step(state, frame)
     mem = state.memory.at(16)
     assert [e.frame_index for e in mem.long_term] == [0, 2, 4]
+
+
+def test_merged_long_term_memory_equals_the_merge_of_its_entries():
+    cfg = EngineConfig(long_term_every=2)
+    frame, mask = make_square_frame(96, (16, 16), 48)
+    state = init_reference(frame, mask, cfg)
+    for _ in range(5):
+        step(state, frame)
+    for scale in (16, 8):
+        mem = state.memory.at(scale)
+        assert isinstance(mem.long_term, tuple) and len(mem.long_term) == 3
+        want = merge_entries(list(mem.long_term))
+        for name in ("keys", "id_values", "values", "keys_t"):
+            assert getattr(mem.merged, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_lost_target_repeats_last_box_and_freezes_memory():

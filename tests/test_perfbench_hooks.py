@@ -12,15 +12,20 @@ from mstrack import cli, engine, evaluation
 from mstrack.boxmask import Box, SegmenterSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
+
+
+def _load(monkeypatch, name, path):
+    # loaded the way perfbench/run.py loads it: no bytecode left in the checkout
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracer(monkeypatch):
-    # loaded the way perfbench/run.py loads it: no bytecode left in the checkout
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load(monkeypatch, "perfbench_tracer", TRACER)
 
 
 def test_tracer_layer_targets_resolve(monkeypatch):
@@ -96,3 +101,21 @@ def test_benchmark_call_shapes_bind():
         tracker, records, protocol="mse", anchor_spacing=15, threads=2
     )
     inspect.signature(cli.resolve_threads).bind(0)
+
+
+def test_benchmark_memory_rows_count_the_merged_long_term_rows(monkeypatch):
+    # propagation.memory_rows16/8 sum the rows of the per-frame long-term
+    # entries; the attention reads the merged entry, so the two must agree
+    workloads = _load(monkeypatch, "perfbench_workloads", WORKLOADS)
+    frame = np.full((32, 48, 3), 0.5, dtype=np.float32)
+    frame[8:24, 16:32] = (0.9, 0.1, 0.1)
+    mask = np.zeros((32, 48), dtype=np.int32)
+    mask[8:24, 16:32] = 1
+    state = engine.init_reference(frame, mask, engine.EngineConfig(long_term_every=2))
+    for _ in range(5):
+        engine.step(state, frame)
+    for s in (16, 8):
+        mem = state.memory.at(s)
+        rows = sum(e.keys.shape[0] for e in mem.long_term)
+        assert len(mem.long_term) == 3
+        assert workloads._long_term_rows(state, s) == rows == mem.merged.keys.shape[0]

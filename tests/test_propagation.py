@@ -428,56 +428,63 @@ def test_memory_bank_write_sets_short_term_and_appends_long_term():
     first = entry(np.ones((2, 3)), np.zeros((2, 4)), scale=8, frame_index=0)
     bank.write(first, long_term=True)
     mem = bank.at(8)
-    assert mem.short_term is first and mem.long_term == [first]
+    assert mem.short_term is first and mem.long_term == (first,)
     second = entry(np.ones((2, 3)), np.ones((2, 4)), scale=8, frame_index=1)
     bank.write(second, long_term=False)
     assert bank.at(8) is mem
-    assert mem.short_term is second and mem.long_term == [first]
+    assert mem.short_term is second and mem.long_term == (first,)
     third = entry(np.ones((2, 3)), np.ones((2, 4)), scale=8, frame_index=2)
     bank.write(third, long_term=True)
-    assert mem.short_term is third and mem.long_term == [first, third]
+    assert mem.short_term is third and mem.long_term == (first, third)
     with pytest.raises(StateError):
         bank.at(16)
 
 
-def test_scale_memory_merges_long_term_once_per_write(monkeypatch):
+def test_memory_write_merges_each_long_term_entry_once(monkeypatch):
     rng = np.random.default_rng(52)
     parts = [entry(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)), frame_index=t)
-             for t in range(4)]
+             for t in range(3)]
     calls = []
 
     def counted(entries):
-        calls.append(list(entries))
+        calls.append([id(e) for e in entries])
         return merge_entries(entries)
 
     monkeypatch.setattr(propagation, "merge_entries", counted)
     bank = MemoryBank()
     bank.write(parts[0], long_term=True)
     mem = bank.at(16)
-    first = mem.merged_long_term()
-    assert first is parts[0] and len(calls) == 1
-    # a short-term write does not merge again: the same entry comes back
+    assert mem.merged is parts[0] and calls == [[id(parts[0])]]
+    # a short-term write merges nothing and keeps the merged entry
     bank.write(parts[1], long_term=False)
-    assert mem.merged_long_term() is first and len(calls) == 1
-    # long-term writes merge the cached entry with the new entries only
-    bank.write(parts[1], long_term=True)
-    bank.write(parts[2], long_term=True)
-    merged = mem.merged_long_term()
-    assert len(calls) == 2 and [id(e) for e in calls[1]] == [id(first), id(parts[1]), id(parts[2])]
-    want = merge_entries(mem.long_term)
+    assert mem.merged is parts[0] and len(calls) == 1
+    # a long-term write merges the merged entry with the new entry only
+    for part in parts[1:]:
+        before = mem.merged
+        bank.write(part, long_term=True)
+        assert calls[-1] == [id(before), id(part)]
+    assert len(calls) == 3 and mem.long_term == tuple(parts)
+    want = merge_entries(list(parts))
     for name in ("keys", "id_values", "values", "keys_t"):
-        assert getattr(merged, name).tobytes() == getattr(want, name).tobytes()
-    assert mem.merged_long_term() is merged and len(calls) == 2
-    # a list edited in place, not appended to, is merged whole again
-    mem.long_term[1:] = [parts[3]]
-    again = mem.merged_long_term()
-    assert [id(e) for e in calls[2]] == [id(parts[0]), id(parts[3])]
-    assert again.values.tobytes() == merge_entries([parts[0], parts[3]]).values.tobytes()
-    mem.long_term.clear()
-    with pytest.raises(StateError, match="empty long-term memory"):
-        mem.merged_long_term()
-    with pytest.raises(StateError, match="empty long-term memory"):
-        ScaleMemory(long_term=[], short_term=parts[0]).merged_long_term()
+        assert getattr(mem.merged, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_scale_memory_merges_a_given_long_term_list_once(monkeypatch):
+    rng = np.random.default_rng(53)
+    parts = [entry(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)), frame_index=t)
+             for t in range(3)]
+    calls = []
+
+    def counted(entries):
+        calls.append(len(entries))
+        return merge_entries(entries)
+
+    monkeypatch.setattr(propagation, "merge_entries", counted)
+    mem = ScaleMemory(long_term=list(parts), short_term=parts[-1])
+    assert mem.long_term == tuple(parts) and calls == [3]
+    assert mem.merged.values.tobytes() == merge_entries(list(parts)).values.tobytes()
+    empty = ScaleMemory(long_term=[], short_term=parts[0])
+    assert empty.long_term == () and empty.merged is None and calls == [3]
 
 
 def _stage_setup(n_cells=4, d=8):
@@ -506,7 +513,7 @@ def test_gpm_stage_two_layers_equal_manual_composition():
     assert np.array_equal(got, want)
 
 
-def test_gpm_stage_merges_long_term_once(monkeypatch):
+def test_gpm_stage_reads_the_merged_entry_without_merging(monkeypatch):
     rng = np.random.default_rng(50)
     parts = [entry(rng.normal(size=(3, 4)), rng.normal(size=(3, 5)), frame_index=t)
              for t in range(3)]
@@ -521,7 +528,7 @@ def test_gpm_stage_merges_long_term_once(monkeypatch):
 
     monkeypatch.setattr(propagation, "merge_entries", counted)
     got = gpm_stage(feats, ids0, memory, 2)
-    assert calls == [3]
+    assert calls == []
     merged = merge_entries(parts)
     f1, i1 = gpm_layer(feats, ids0, merged, memory.short_term)
     _, want = gpm_layer(f1, i1, merged, memory.short_term)

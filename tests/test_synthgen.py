@@ -6,13 +6,14 @@ import pytest
 from mstrack.boxmask import mask_to_box
 from mstrack.cli import main
 from mstrack.errors import ConfigError
-from mstrack.evaluation import read_box_rows
+from mstrack.evaluation import load_sequence, read_box_rows
 from mstrack.pnm import read_pgm, read_ppm
 from mstrack.synthgen import (
     MIN_COLOR_DISTANCE,
     Background,
     ObjectSpec,
     SceneSpec,
+    generate,
     object_geometry,
     parse_scene_file,
     render_frame,
@@ -259,6 +260,15 @@ def test_generate_marks_absent_frames(corpus_dir):
         if parts[5] == "0":
             assert parts[1:5] == ["-1", "-1", "-1", "-1"]
 
+
+
+def test_generate_returns_the_sequence_directory(tmp_path):
+    sp = scene(ident="gen", n_frames=3)
+    root = generate(sp, tmp_path)
+    assert root == tmp_path / "gen"
+    seq = load_sequence(root)
+    assert seq.ident == "gen" and len(seq) == 3 and seq.gt_mask_paths is not None
+    assert seq.gt_boxes == tuple(render_frame(sp, t)[2].get(1) for t in range(3))
 
 # -- scene-spec files -------------------------------------------------------------------
 
