@@ -3,7 +3,8 @@
 All behavior is driven by a flat `key = value` config file (every key has a
 default, so the zero-flag pipeline `synth -> track -> eval` works out of the
 box); unknown keys are rejected with their line number.  `MSTRACK_THREADS`
-overrides the configured thread count.
+overrides the configured thread count; it also sets the threads a large
+attention read splits over (`propagation`), so `track` checks it too.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (missing or
 malformed inputs, or any other file-system error such as an output path
@@ -13,7 +14,6 @@ that is a directory), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -35,6 +35,7 @@ from .evaluation import (
 )
 from .features import EncoderConfig
 from .flatcfg import FlatConfig, parse_flat_file
+from .kernels import resolve_threads
 from .pnm import read_ppm, write_pgm, write_ppm
 from .synthgen import generate, parse_scene_file, standard_suite
 
@@ -91,20 +92,6 @@ def load_run_config(path=None) -> RunConfig:
     )
 
 
-def resolve_threads(configured: int) -> int:
-    env = os.environ.get("MSTRACK_THREADS")
-    if env is not None:
-        try:
-            configured = int(env)
-        except ValueError:
-            raise ConfigError(f"MSTRACK_THREADS must be an integer, got {env!r}") from None
-    if configured < 0:
-        raise ConfigError(f"thread count must be >= 0, got {configured}")
-    if configured == 0:
-        return min(os.cpu_count() or 1, 8)
-    return configured
-
-
 def _segmenter_specs(cfg: RunConfig, rows, fusion) -> list:
     """Init segmenters: one per `--segmenter` comma list, else the config's.
 
@@ -150,6 +137,8 @@ def cmd_synth(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = load_run_config(args.config)
+    # a large attention read resolves its thread count; check it before any frame
+    resolve_threads(0)
     rows = None if args.segmenter is None else [args.segmenter]
     (seg,) = _segmenter_specs(cfg, rows, args.fusion)
     seq = load_sequence(args.sequence_dir)
@@ -228,6 +217,8 @@ def cmd_overlay(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     box_color = np.array([255, 48, 48], dtype=np.uint8)
+    # a lost row repeats the last tracked box; its own colour shows where the target was lost
+    lost_color = np.array([255, 208, 0], dtype=np.uint8)
     tint = np.array([255, 96, 96], dtype=np.float64)
     for t, (path, box) in enumerate(zip(seq.frame_paths, boxes)):
         img = read_ppm(path).copy()
@@ -241,7 +232,7 @@ def cmd_overlay(args) -> int:
                 )
             hit = mask > 0
             img[hit] = ((img[hit].astype(np.float64) + tint) / 2.0).astype(np.uint8)
-        _draw_box(img, box, box_color)
+        _draw_box(img, box, lost_color if box.lost else box_color)
         write_ppm(out_dir / f"{t:04d}.ppm", img)
     print(f"{len(boxes)} overlays -> {out_dir}")
     return 0

@@ -46,6 +46,7 @@ import numpy as np
 from .boxmask import Box, box_iou
 from .errors import ConfigError, DataError, InitError
 from .pnm import read_pgm, read_ppm
+from .propagation import read_serially
 
 N_THRESHOLDS = 51
 PROTOCOLS = ("ope", "mse")
@@ -334,7 +335,8 @@ def evaluate_suite(
         return _score_runs(tracker, seq, ev)
 
     if threads > 1 and len(seqs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # the pool fills the CPUs, so its attention reads are not split again
+        with ThreadPoolExecutor(max_workers=threads, initializer=read_serially) as pool:
             entries = tuple(pool.map(one, seqs))
     else:
         entries = tuple(one(s) for s in seqs)

@@ -9,14 +9,22 @@ call (the propagation memory) keeps it in float64 once.  A float64 operand
 holding float32 values gives the bytes its float32 form gives.
 
 `softmax` works in one float64 buffer.  After the row max is subtracted it
-clamps the logits at -708 before `exp`: below about -708.4, `exp` returns a
-subnormal double and takes a path 19-130x slower.  The clamp does not
-change the bytes.  A clamped entry's weight is exp(z) / sum with sum >= 1
-(the max entry contributes exp(0) = 1), below 3.3e-308 either way, which
-casts to float32 0.  All clamped terms of a row add at most n * 3.3e-308 to
-a sum >= 1, far below half its float64 ulp, so the row sum, and with it
-every other weight, rounds to the same value (tests/test_kernels.py keeps
-the unclamped form as the reference, on rows whose logits spread past 745).
+clamps the logits at `EXP_CLAMP` = -200 before `exp`.  Below about -707.8,
+`exp` leaves its fast path (15-170x slower per value), and dividing a
+subnormal `exp` by the row sum is ~12x slower again.  The clamp does not
+change the bytes, because -200 meets four conditions:
+
+1. exp(-200) = 1.4e-87 is a normal double, on `exp`'s fast path.
+2. exp(-200) / n stays normal for any row length n, so the division stays
+   off the subnormal path too.
+3. exp(-200) < 2^-150, so a clamped weight, exp(-200) / sum with sum >= 1
+   (the max entry contributes exp(0) = 1), casts to float32 0, as the
+   unclamped weight does.
+4. n * exp(-200) is far below half the float64 ulp of a row sum >= 1, so
+   the row sum, and with it every other weight, rounds to the same value.
+
+tests/test_kernels.py keeps the unclamped form as the reference, on rows
+whose logits spread past 745.
 
 `matmul` does not scan its operands for non-finite values.  A NaN or inf in
 row i of `a` (or column j of `b`) makes every output of that row (or
@@ -27,26 +35,31 @@ other kernels check their input with `as_tensor`: nothing before `softmax`
 checks its scores, and a -inf score would not show in its output.
 
 Importing this module sets NumPy's OpenBLAS, when the symbol resolves, to
-one thread.  mstrack's only parallelism is its evaluation thread pool
-(`--threads` / `MSTRACK_THREADS`); a BLAS that also starts a thread per core
-for every product oversubscribes the CPUs the pool already fills, and the
-products here are too small to gain from splitting.  The thread count does
-not change the bytes (tests/test_kernels.py checks 1 and 2 threads).
+one thread.  mstrack spreads work over threads of its own instead: the
+evaluation pool (`--threads` / `MSTRACK_THREADS`) runs sequences side by
+side, and a large attention read outside that pool splits its query rows
+over `resolve_threads(0)` threads (see `propagation`).  A BLAS that also
+started a thread per core for every product would oversubscribe the CPUs
+those threads fill, and the products here are too small to gain from it.
+The thread count does not change the bytes (tests/test_kernels.py checks 1
+and 2 BLAS threads).
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 __all__ = ["as_tensor", "matmul", "softmax", "bilinear_resize", "channel_argmax"]
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
-# softmax logits below this take exp's subnormal path and weigh 0 in float32
-EXP_CLAMP = -708.0
+# softmax logits are clamped here, off exp's slow paths; they weigh 0 in
+# float32 either way (see the module docstring)
+EXP_CLAMP = -200.0
 
 
 def _openblas_function(*names):
@@ -71,6 +84,21 @@ if _set_blas_threads is not None:
     _set_blas_threads.argtypes = [ctypes.c_int]
     _set_blas_threads.restype = None
     _set_blas_threads(1)
+
+
+def resolve_threads(configured: int) -> int:
+    """Thread count: `MSTRACK_THREADS` if set, else `configured`; 0 means min(cpus, 8)."""
+    env = os.environ.get("MSTRACK_THREADS")
+    if env is not None:
+        try:
+            configured = int(env)
+        except ValueError:
+            raise ConfigError(f"MSTRACK_THREADS must be an integer, got {env!r}") from None
+    if configured < 0:
+        raise ConfigError(f"thread count must be >= 0, got {configured}")
+    if configured == 0:
+        return min(os.cpu_count() or 1, 8)
+    return configured
 
 
 def as_tensor(x) -> np.ndarray:
@@ -113,27 +141,34 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0, out=None) -> np.ndarray:
     """Temperature softmax along `axis` with max-subtraction.
 
     Each slice of the output sums to 1 (within float tolerance) and the
     result is invariant to adding a constant to a slice.  The work is done
     in place in one float64 copy of `x`, with logits clamped at `EXP_CLAMP`.
+    The float32 result goes to `out` when given (a float32 array of x's
+    shape, such as a row range of a larger map), else to a new array.
     """
     x = as_tensor(x)
     if temperature <= 0.0:
         raise NumericError(f"temperature must be positive, got {temperature}")
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} out of range for rank-{x.ndim} tensor")
+    if out is not None and (out.shape != x.shape or out.dtype != np.float32):
+        raise ShapeError(f"softmax out must be float32 {x.shape}, got {out.dtype} {out.shape}")
     z = x.astype(np.float64)
     if temperature != 1.0:
         z /= float(temperature)
     z -= z.max(axis=axis, keepdims=True)
-    # exp(-708) is still a normal double; see the module docstring
+    # exp(EXP_CLAMP) / sum stays a normal double; see the module docstring
     np.maximum(z, EXP_CLAMP, out=z)
     np.exp(z, out=z)
     z /= z.sum(axis=axis, keepdims=True)
-    return z.astype(np.float32)
+    if out is None:
+        return z.astype(np.float32)
+    out[...] = z  # the rounding astype applies
+    return out
 
 
 def bilinear_resize(x: np.ndarray, new_h: int, new_w: int) -> np.ndarray:

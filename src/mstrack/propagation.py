@@ -24,9 +24,17 @@ a uniform half-open gate.
 Memory entries hold their keys (transposed) and values in float64 as well,
 built once per entry, so a read converts only the query and the attention
 map.  A read takes at most `ATTENTION_CHUNK_ROWS` query rows at a time,
-which bounds its float64 temporaries on large frames; every chunk is the
-same `softmax(matmul(...))` and `matmul` over those rows, so the bytes do
-not depend on the chunking (tests/test_propagation.py compares the two).
+which bounds its float64 temporaries on large frames.  A read of at least
+`PARALLEL_READ_CELLS` query rows x memory rows is also split into one
+contiguous row range per thread of `kernels.resolve_threads(0)`: the
+calling thread reads the first range and a module pool of helper threads,
+started by the first such read, reads the others.  NumPy releases the GIL
+in BLAS and in its ufunc loops, so the ranges run side by side.  Reads made
+on an evaluation pool thread (`read_serially`) are not split, since that
+pool already fills the CPUs, and `MSTRACK_THREADS=1` splits nothing.  Every
+chunk is the same `softmax(matmul(...))` and `matmul` over its rows, so the
+bytes depend neither on the chunking nor on the thread count
+(tests/test_propagation.py compares both with one composed read).
 
 Operation counts and tensor shapes never depend on the number of tracked
 objects; `probe_operations` records (name, shape) signatures so tests can
@@ -36,14 +44,17 @@ assert that.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, LabelError, ShapeError, StateError
-from .kernels import matmul, softmax
+from .kernels import matmul, resolve_threads, softmax
 
 MAX_BANK_RESEEDS = 100
 MAX_PAIRWISE_DOT = 0.9
@@ -51,6 +62,9 @@ DEFAULT_TEMPERATURE = 0.1
 # query rows per attention chunk: a 128 px frame has 256 stride-8 cells, so
 # its reads take one chunk
 ATTENTION_CHUNK_ROWS = 512
+# query rows x memory rows from which a read is split across threads; below
+# it, handing rows to a helper thread costs more than it saves
+PARALLEL_READ_CELLS = 1 << 17
 
 
 # --------------------------------------------------------------------------
@@ -165,13 +179,15 @@ class MemoryEntry:
         object.__setattr__(self, "keys_t", np.ascontiguousarray(values[:, :c].T))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScaleMemory:
     """Per-stride memory: reference-anchored long term plus previous frame.
 
     `long_term` is the tuple of per-frame entries and `merged` their merge,
     None while `long_term` is empty.  A given list becomes a tuple, merged
-    once; after that `MemoryBank.write` appends and merges.
+    once.  The memory is frozen: `MemoryBank.write` replaces it with one
+    that holds the new entry, so `merged` cannot fall out of step with
+    `long_term`, and a read never sees a memory half written.
     """
 
     long_term: tuple = ()
@@ -179,8 +195,10 @@ class ScaleMemory:
     merged: MemoryEntry | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.long_term = tuple(self.long_term)
-        self.merged = merge_entries(list(self.long_term)) if self.long_term else None
+        long_term = tuple(self.long_term)
+        object.__setattr__(self, "long_term", long_term)
+        if long_term:
+            object.__setattr__(self, "merged", merge_entries(list(long_term)))
 
 
 @dataclass
@@ -193,12 +211,17 @@ class MemoryBank:
         return self.scales[scale]
 
     def write(self, entry: MemoryEntry, long_term: bool) -> None:
-        """Store `entry` as short-term memory; if asked, append it to long term and merge it."""
-        mem = self.scales.setdefault(entry.scale, ScaleMemory())
-        mem.short_term = entry
+        """Replace the memory at `entry.scale` with one holding `entry` as short
+        term; if asked, `entry` is also appended to long term and merged."""
+        old = self.scales.get(entry.scale) or ScaleMemory()
+        # a copy skips __post_init__, which would merge all of long term again
+        mem = copy.copy(old)
+        object.__setattr__(mem, "short_term", entry)
         if long_term:
-            mem.long_term += (entry,)
-            mem.merged = merge_entries([entry] if mem.merged is None else [mem.merged, entry])
+            merged = merge_entries([entry] if old.merged is None else [old.merged, entry])
+            object.__setattr__(mem, "long_term", old.long_term + (entry,))
+            object.__setattr__(mem, "merged", merged)
+        self.scales[entry.scale] = mem
 
 
 def merge_entries(entries: list) -> MemoryEntry:
@@ -281,12 +304,61 @@ def encode_mask_to_ids(mask: np.ndarray, bank: IdBank, stride: int) -> np.ndarra
 # attention + gated propagation
 
 
-def _read_rows(q: np.ndarray, memory: MemoryEntry, scale: np.float32):
+def _read_rows(q: np.ndarray, memory: MemoryEntry, scale: np.float32, att=None):
     s = matmul(q, memory.keys_t)
     s /= scale
-    att = softmax(s, axis=-1)
+    att = softmax(s, axis=-1, out=att)
     del s  # the scores are not kept alive through the read product (peak memory)
     return att, matmul(att, memory.values)
+
+
+_serial = threading.local()
+_helper_pools: dict[int, ThreadPoolExecutor] = {}
+_helper_pools_lock = threading.Lock()
+# a forked child has none of the parent's helper threads
+os.register_at_fork(after_in_child=_helper_pools.clear)
+
+
+def read_serially() -> None:
+    """Keep the calling thread's attention reads on that thread.
+
+    The evaluation pool calls it in each of its threads, which already fill
+    the CPUs between them.
+    """
+    _serial.on = True
+
+
+def _read_threads(cells: int) -> int:
+    if cells < PARALLEL_READ_CELLS or getattr(_serial, "on", False):
+        return 1
+    return resolve_threads(0)
+
+
+def _helpers(count: int) -> ThreadPoolExecutor:
+    """The pool of `count` helper threads, started on first use."""
+    with _helper_pools_lock:
+        pool = _helper_pools.get(count)
+        if pool is None:
+            pool = _helper_pools[count] = ThreadPoolExecutor(count, "mstrack-read")
+    return pool
+
+
+def _run_split(fn, ranges) -> None:
+    """fn(lo, hi) for each range: the first on this thread, the rest on helpers.
+
+    Returns, or raises the first error, only once every range has finished,
+    so no helper still writes into the caller's arrays.
+    """
+    futures = []
+    if len(ranges) > 1:
+        pool = _helpers(len(ranges) - 1)
+        futures = [pool.submit(fn, *r) for r in ranges[1:]]
+    try:
+        fn(*ranges[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_TEMPERATURE):
@@ -295,8 +367,10 @@ def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_T
     att[i, j] = softmax_j(query_i . key_j / (temperature * sqrt(C)));
     vis_read = att . keys and id_read = att . id_values, both columns of the
     one product att . [keys | id_values].  Returns (att, vis_read, id_read).
-    Queries of more than `ATTENTION_CHUNK_ROWS` rows are read in chunks of
-    that many rows, into preallocated float32 `att` and read arrays.
+    Query rows are read in chunks of at most `ATTENTION_CHUNK_ROWS`, and a
+    read of at least `PARALLEL_READ_CELLS` cells in one row range per
+    thread (module docstring); more than one chunk fills preallocated
+    float32 `att` and read arrays.
     """
     q = np.asarray(query, dtype=np.float32)
     if q.ndim != 2:
@@ -306,16 +380,26 @@ def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_T
             f"query channels {q.shape[1]} != memory key channels {memory.keys.shape[1]}"
         )
     n, c = q.shape
+    m = memory.keys.shape[0]
     scale = np.float32(temperature * np.sqrt(c))
-    if n <= ATTENTION_CHUNK_ROWS:
+    parts = min(_read_threads(n * m), n)
+    if parts <= 1 and n <= ATTENTION_CHUNK_ROWS:
         att, read = _read_rows(q, memory, scale)
     else:
-        att = np.empty((n, memory.keys.shape[0]), dtype=np.float32)
+        att = np.empty((n, m), dtype=np.float32)
         read = np.empty((n, memory.values.shape[1]), dtype=np.float32)
-        for lo in range(0, n, ATTENTION_CHUNK_ROWS):
-            rows = slice(lo, lo + ATTENTION_CHUNK_ROWS)
-            att[rows], read[rows] = _read_rows(q[rows], memory, scale)
-    _record(("attention_read", n, memory.keys.shape[0], c, memory.id_values.shape[1]))
+
+        # the threads together hold at most ATTENTION_CHUNK_ROWS rows of temporaries
+        chunk = -(-ATTENTION_CHUNK_ROWS // parts)
+
+        def read_range(lo, hi):
+            for start in range(lo, hi, chunk):
+                rows = slice(start, min(start + chunk, hi))
+                _, read[rows] = _read_rows(q[rows], memory, scale, att[rows])
+
+        bounds = [n * i // parts for i in range(parts + 1)]
+        _run_split(read_range, list(zip(bounds, bounds[1:])))
+    _record(("attention_read", n, m, c, memory.id_values.shape[1]))
     return att, read[:, :c], read[:, c:]
 
 

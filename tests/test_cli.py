@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mstrack.boxmask import Box
+from mstrack.boxmask import Box, clamp_box
 from mstrack.cli import (
     CONFIG_SCHEMA,
     _draw_box,
@@ -340,6 +340,15 @@ def test_eval_bad_thread_env_exits_one(mini_dataset, tmp_path, monkeypatch, caps
     assert "MSTRACK_THREADS" in capsys.readouterr().err
 
 
+def test_track_bad_thread_env_exits_one_on_any_frame_size(mini_dataset, tmp_path, monkeypatch,
+                                                          capsys):
+    # the mini frames make no read large enough to split, yet the variable is checked
+    monkeypatch.setenv("MSTRACK_THREADS", "lots")
+    out = tmp_path / "o.txt"
+    assert main(["track", str(mini_dataset / "mini"), str(out)]) == 1
+    assert "MSTRACK_THREADS" in capsys.readouterr().err and not out.exists()
+
+
 # -- config ------------------------------------------------------------------
 
 def test_default_config_covers_every_schema_key(tmp_path):
@@ -568,6 +577,27 @@ def test_overlay_draws_boxes(mini_dataset, tmp_path):
     assert len(files) == 6
     img = read_ppm(files[0])
     assert (img == np.array([255, 48, 48], dtype=np.uint8)).all(axis=2).any()
+
+
+def test_overlay_marks_lost_rows_in_their_own_colour(corpus_dir, tmp_path):
+    seq = corpus_dir / "s06_full_occ"
+    results = tmp_path / "s06.txt"
+    assert main(["track", str(seq), str(results)]) == 0
+    boxes = read_results(results)
+    lost = [t for t, box in enumerate(boxes) if box.lost]
+    assert lost and len(lost) < len(boxes)
+    out = tmp_path / "vis"
+    assert main(["overlay", str(seq), str(results), str(out)]) == 0
+    tracked_color = np.array([255, 48, 48], dtype=np.uint8)
+    lost_color = np.array([255, 208, 0], dtype=np.uint8)
+    for t, box in enumerate(boxes):
+        img = read_ppm(out / f"{t:04d}.ppm")
+        cb = clamp_box(box, img.shape[1], img.shape[0])
+        edge = img[cb.y, cb.x : cb.x + cb.w]  # the box's top outline row
+        want = lost_color if box.lost else tracked_color
+        assert (edge == want).all(), t
+        other = tracked_color if box.lost else lost_color
+        assert not (img == other).all(axis=2).any(), t
 
 
 def test_overlay_row_count_mismatch_exits_two(mini_dataset, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Scoring, sequence records, OPE/MSE protocols, and report files."""
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mstrack import propagation
 from mstrack.boxmask import Box
 from mstrack.errors import ConfigError, DataError, InitError
 from mstrack.evaluation import (
@@ -27,6 +29,7 @@ from mstrack.evaluation import (
     write_report,
 )
 from mstrack.pnm import write_ppm
+from mstrack.propagation import MemoryEntry
 
 
 def success_oracle(ious):
@@ -382,6 +385,37 @@ def test_evaluate_suite_threads_do_not_change_results(tmp_path):
     write_report(a, pa)
     write_report(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_evaluate_suite_pool_threads_do_not_split_reads(tmp_path, monkeypatch):
+    monkeypatch.setenv("MSTRACK_THREADS", "2")
+    seqs, tracker = make_three(tmp_path)
+    rng = np.random.default_rng(61)
+    q = rng.normal(size=(256, 8)).astype(np.float32)
+    mem = MemoryEntry(8, rng.normal(size=(1024, 8)).astype(np.float32),
+                      rng.normal(size=(1024, 4)).astype(np.float32), 0)
+    assert q.shape[0] * mem.keys.shape[0] >= propagation.PARALLEL_READ_CELLS
+    run_threads, product_threads = set(), []
+    matmul = propagation.matmul
+
+    def traced(a, b):
+        product_threads.append(threading.get_ident())
+        return matmul(a, b)
+
+    def reading_tracker(frames, init_box, gt_mask=None):
+        run_threads.add(threading.get_ident())
+        propagation.attention_read(q, mem)
+        return tracker(frames, init_box, gt_mask)
+
+    monkeypatch.setattr(propagation, "matmul", traced)
+    evaluate_suite(reading_tracker, seqs, protocol="ope", threads=2)
+    # every product of every read ran on the pool thread that made the read
+    assert threading.get_ident() not in run_threads
+    assert len(product_threads) == 2 * 3 and set(product_threads) <= run_threads
+    # the same read outside the pool is split
+    product_threads.clear()
+    evaluate_suite(reading_tracker, seqs[:1], protocol="ope", threads=2)
+    assert len(set(product_threads)) == 2
 
 
 # -- reports ------------------------------------------------------------------------

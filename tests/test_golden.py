@@ -4,8 +4,9 @@ one pass of the benchmark's online workloads at seed 1.
 Any change to a box, a mask, a score or the file formats changes these
 digests, so a refactor that is meant to keep every output byte fails here
 when it does not.  The bytes do not depend on the thread count, nor on the
-OpenBLAS kernel: the long_memory pass and the attention byte tests run again
-in a subprocess under OPENBLAS_CORETYPE=Prescott.
+OpenBLAS kernel: the long_memory pass and the attention byte tests, the
+thread-split reads among them, run again in a subprocess under
+OPENBLAS_CORETYPE=Prescott.
 """
 
 import ctypes
@@ -107,6 +108,7 @@ def prescott_run(tmp_path_factory):
                 f"{__file__}::test_benchmark_pass_bytes[long_memory]",
                 f"{attention}::test_chunked_attention_read_bytes_equal_one_composed_read",
                 f"{attention}::test_chunked_attention_read_bytes_on_engine_shapes",
+                f"{attention}::test_split_read_bytes_equal_the_serial_read_on_engine_shapes",
             ],
             env=env, cwd=ROOT, stdout=log, stderr=subprocess.STDOUT, text=True,
         )
@@ -137,4 +139,4 @@ def test_bytes_hold_under_the_prescott_blas_kernel(prescott_run):
     log.seek(0)
     out = log.read()
     assert proc.returncode == 0, out[-4000:]
-    assert "3 passed" in out
+    assert "5 passed" in out

@@ -341,7 +341,8 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(vals, temp):
     st.sampled_from([1.0, 0.1, 0.7, 2.5]),
 )
 def test_softmax_bytes_equal_out_of_place_form(x, axis, temperature):
-    # logits spread up to 6000 / temperature, far past the -708 clamp
+    # logits spread up to 6000 / temperature, far past the clamp and exp's
+    # subnormal range
     got = softmax(x, axis, temperature)
     assert got.flags["C_CONTIGUOUS"]
     assert got.tobytes() == out_of_place_softmax(x, axis, temperature).tobytes()
@@ -355,6 +356,44 @@ def test_softmax_bytes_equal_out_of_place_form_on_engine_scores():
         z = scores.astype(np.float64)
         assert ((z - z.max(axis=1, keepdims=True)) < kernels.EXP_CLAMP).mean() > 0.5
         assert softmax(scores).tobytes() == out_of_place_softmax(scores).tobytes()
+
+
+def test_exp_clamp_meets_its_four_conditions():
+    c = kernels.EXP_CLAMP
+    w = math.exp(c)
+    tiny = np.finfo(np.float64).tiny
+    # 1. exp(c) is a normal double, on exp's fast path (which ends near -707.8)
+    assert w >= tiny and c > -707.0
+    # 2. exp(c) / n stays normal for any row length an array can have
+    assert w / 2.0**63 >= tiny
+    # 3. a clamped weight, at most exp(c), is float32 0
+    assert w < 2.0**-150 and np.float32(w) == 0.0
+    # 4. n clamped terms stay far below half an ulp of a row sum >= 1
+    assert 2.0**63 * w < np.spacing(1.0) / 2.0**100
+
+
+def test_softmax_bytes_equal_out_of_place_form_between_the_clamp_and_exp_slow_path():
+    # logits from 0 down to -800: rows with many terms in (-708, EXP_CLAMP),
+    # where the clamp now acts and exp is still on its fast path
+    rng = np.random.default_rng(20)
+    x = rng.uniform(-800.0, 0.0, size=(64, 4096)).astype(np.float32)
+    x[:, 0] = 0.0
+    x[1::2, 1:2048] = rng.uniform(-60.0, 0.0, size=(32, 2047))
+    assert ((x > -708) & (x < kernels.EXP_CLAMP)).mean() > 0.3
+    assert softmax(x).tobytes() == out_of_place_softmax(x).tobytes()
+
+
+def test_softmax_writes_into_out():
+    rng = np.random.default_rng(21)
+    x = (40.0 * rng.normal(size=(6, 9))).astype(np.float32)
+    big = np.zeros((10, 9), dtype=np.float32)
+    got = softmax(x, -1, 0.7, out=big[2:8])
+    assert np.shares_memory(got, big)
+    assert big[2:8].tobytes() == softmax(x, -1, 0.7).tobytes()
+    assert not big[:2].any() and not big[8:].any()
+    for bad in (np.zeros((6, 8), np.float32), np.zeros((6, 9), np.float64)):
+        with pytest.raises(ShapeError):
+            softmax(x, out=bad)
 
 
 def test_bilinear_constant_preserved():

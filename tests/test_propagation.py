@@ -1,5 +1,14 @@
 """ID bank, memory, attention reads, gated propagation layers and stages."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mstrack import propagation
-from mstrack.errors import ConfigError, LabelError, ShapeError, StateError
+from mstrack.engine import EngineConfig, init_reference, step
+from mstrack.errors import ConfigError, LabelError, NumericError, ShapeError, StateError
 from mstrack.kernels import matmul
 from mstrack.propagation import (
     ATTENTION_CHUNK_ROWS,
@@ -17,6 +27,7 @@ from mstrack.propagation import (
     IdBank,
     MemoryBank,
     MemoryEntry,
+    PARALLEL_READ_CELLS,
     ScaleMemory,
     attention_read,
     encode_mask_to_ids,
@@ -285,6 +296,182 @@ def test_chunked_attention_read_bytes_on_engine_shapes():
     _assert_read_bytes(q, keys, ids, DEFAULT_TEMPERATURE)
 
 
+def _engine_rows(rng, n, c=32, norm=None):
+    norm = 6.0 * np.sqrt(c) if norm is None else norm
+    return scale_rows(rng.normal(size=(n, c)).astype(np.float32), norm)
+
+
+def _read_threads_seen(monkeypatch):
+    """Names of the threads each `matmul` of a read runs on, in call order."""
+    seen = []
+
+    def traced(a, b):
+        seen.append(threading.current_thread().name)
+        return matmul(a, b)
+
+    monkeypatch.setattr(propagation, "matmul", traced)
+    return seen
+
+
+# (query rows, memory rows): long_memory's widest stride-8 read, a 256 px
+# frame's stride-8 read, and row counts that split unevenly or into
+# several chunks per thread
+SPLIT_SHAPES = ((256, 4352), (1024, 1024), (257, 512), (1025, 640))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_split_read_bytes_equal_the_serial_read_on_engine_shapes(threads, monkeypatch):
+    monkeypatch.setenv("MSTRACK_THREADS", threads)
+    rng = np.random.default_rng(55)
+    for n, m in SPLIT_SHAPES:
+        assert n * m >= PARALLEL_READ_CELLS
+        q, keys = _engine_rows(rng, n), _engine_rows(rng, m)
+        ids = _engine_rows(rng, m, norm=1.0)
+        seen = _read_threads_seen(monkeypatch)
+        _assert_read_bytes(q, keys, ids, DEFAULT_TEMPERATURE)
+        assert len(set(seen)) == int(threads)
+
+
+def test_concurrent_split_reads_share_the_helpers_and_keep_their_bytes(monkeypatch):
+    # more read threads than CPUs, four callers at once, and a short switch
+    # interval: a row range written twice, or not at all, changes the bytes
+    monkeypatch.setenv("MSTRACK_THREADS", "4")
+    rng = np.random.default_rng(62)
+    cases = []
+    for n, m in ((256, 1024), (300, 700)):
+        q, keys, ids = _engine_rows(rng, n), _engine_rows(rng, m), _engine_rows(rng, m, norm=1.0)
+        cases.append((q, entry(keys, ids), composed_read(q, keys, ids, DEFAULT_TEMPERATURE)))
+    failures = []
+
+    def caller():
+        for q, mem, (want_att, want) in cases * 3:
+            att, vis, id_read = attention_read(q, mem)
+            got = np.concatenate([vis, id_read], axis=1)
+            if att.tobytes() != want_att.tobytes() or got.tobytes() != want.tobytes():
+                failures.append(q.shape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_read_splits_from_parallel_read_cells_on(monkeypatch):
+    monkeypatch.setenv("MSTRACK_THREADS", "2")
+    rng = np.random.default_rng(56)
+    q = _engine_rows(rng, 256)
+    for m, threads in ((PARALLEL_READ_CELLS // 256 - 1, 1), (PARALLEL_READ_CELLS // 256, 2)):
+        mem = entry(_engine_rows(rng, m), _engine_rows(rng, m, norm=1.0))
+        seen = _read_threads_seen(monkeypatch)
+        attention_read(q, mem)
+        # scores and read product per thread; the caller reads the first rows
+        assert len(seen) == 2 * threads and seen[0] == threading.current_thread().name
+        assert len(set(seen)) == threads
+
+
+def test_reads_on_a_read_serially_thread_are_not_split(monkeypatch):
+    monkeypatch.setenv("MSTRACK_THREADS", "2")
+    rng = np.random.default_rng(57)
+    q, keys = _engine_rows(rng, 256), _engine_rows(rng, 1024)
+    mem = entry(keys, _engine_rows(rng, 1024, norm=1.0))
+    seen = _read_threads_seen(monkeypatch)
+
+    def read_on_pool_thread():
+        attention_read(q, mem)
+        return threading.current_thread().name
+
+    with ThreadPoolExecutor(1, initializer=propagation.read_serially) as pool:
+        name = pool.submit(read_on_pool_thread).result(timeout=60)
+    assert seen == [name, name]
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+@pytest.mark.parametrize("bad_part", ["helper", "caller"])
+def test_non_finite_score_in_a_split_read_raises_after_every_range_finished(
+    threads, bad_part, monkeypatch
+):
+    monkeypatch.setenv("MSTRACK_THREADS", threads)
+    rng = np.random.default_rng(58)
+    n, m = 256, 1024
+    q, keys = _engine_rows(rng, n), _engine_rows(rng, m)
+    # a NaN query row makes that row's scores NaN
+    q[-1 if bad_part == "helper" else 0, 0] = np.nan
+    mem = entry(keys, _engine_rows(rng, m, norm=1.0))
+    caller = threading.current_thread().name
+    running = []
+    finished = []
+
+    def slow_on_helpers(a, b):
+        name = threading.current_thread().name
+        running.append(name)
+        try:
+            if name != caller:
+                time.sleep(0.05)  # the caller's range ends long before
+            return matmul(a, b)
+        finally:
+            finished.append(name)
+
+    monkeypatch.setattr(propagation, "matmul", slow_on_helpers)
+    with pytest.raises(NumericError):
+        attention_read(q, mem)
+    helpers = {name for name in running if name != caller}
+    assert len(helpers) == int(threads) - 1
+    assert sorted(finished) == sorted(running)
+
+
+def test_probe_signatures_do_not_depend_on_read_threads(monkeypatch):
+    rng = np.random.default_rng(59)
+    frames = [rng.uniform(size=(256, 256, 3)).astype(np.float32) for _ in range(3)]
+    mask = np.zeros((256, 256), dtype=np.int32)
+    mask[64:160, 80:192] = 1
+    cfg = EngineConfig(long_term_every=1)
+    signatures = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MSTRACK_THREADS", threads)
+        with probe_operations() as ops:
+            state = init_reference(frames[0], mask, cfg)
+            for frame in frames[1:]:
+                step(state, frame)
+        signatures[threads] = ops
+    reads = [op for op in signatures["2"] if op[0] == "attention_read"]
+    assert max(op[1] * op[2] for op in reads) >= PARALLEL_READ_CELLS
+    assert signatures["1"] == signatures["2"]
+
+
+_HELPER_THREADS = """
+import threading
+import numpy as np
+from mstrack import propagation
+from mstrack.engine import EngineConfig, init_reference, step
+rng = np.random.default_rng(60)
+frames = [rng.uniform(size=(256, 256, 3)).astype(np.float32) for _ in range(2)]
+mask = np.zeros((256, 256), dtype=np.int32)
+mask[64:160, 80:192] = 1
+step(init_reference(frames[0], mask, EngineConfig()), frames[1])
+print(threading.active_count(), len(propagation._helper_pools))
+"""
+
+
+@pytest.mark.parametrize("threads, want", [("1", "1 0"), ("2", "2 1")])
+def test_one_read_thread_starts_no_helper_thread(threads, want):
+    env = {**os.environ, "MSTRACK_THREADS": threads}
+    src = str(Path(propagation.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _HELPER_THREADS],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.split()[-2:] == want.split()
+
+
 def test_gpm_layer_makes_two_products_per_read(monkeypatch):
     calls = []
 
@@ -431,13 +618,34 @@ def test_memory_bank_write_sets_short_term_and_appends_long_term():
     assert mem.short_term is first and mem.long_term == (first,)
     second = entry(np.ones((2, 3)), np.ones((2, 4)), scale=8, frame_index=1)
     bank.write(second, long_term=False)
-    assert bank.at(8) is mem
-    assert mem.short_term is second and mem.long_term == (first,)
+    # a write replaces the scale's memory and leaves the one it replaced as it was
+    assert bank.at(8) is not mem
+    assert mem.short_term is first and mem.long_term == (first,)
+    mem = bank.at(8)
+    assert mem.short_term is second and mem.long_term == (first,) and mem.merged is first
     third = entry(np.ones((2, 3)), np.ones((2, 4)), scale=8, frame_index=2)
     bank.write(third, long_term=True)
+    mem = bank.at(8)
     assert mem.short_term is third and mem.long_term == (first, third)
     with pytest.raises(StateError):
         bank.at(16)
+
+
+def test_scale_memory_cannot_be_edited_outside_the_bank_write():
+    rng = np.random.default_rng(54)
+    bank = MemoryBank()
+    for t in range(3):
+        bank.write(entry(rng.normal(size=(2, 4)), rng.normal(size=(2, 5)), frame_index=t), True)
+    mem = bank.at(16)
+    assert mem.merged.keys.shape[0] == 6
+    # cutting long term by hand would leave a stale 6-row merged entry
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mem.long_term = mem.long_term[:1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mem.merged = mem.long_term[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mem.short_term = None
+    assert len(mem.long_term) == 3 and mem.merged.keys.shape[0] == 6
 
 
 def test_memory_write_merges_each_long_term_entry_once(monkeypatch):
@@ -453,16 +661,16 @@ def test_memory_write_merges_each_long_term_entry_once(monkeypatch):
     monkeypatch.setattr(propagation, "merge_entries", counted)
     bank = MemoryBank()
     bank.write(parts[0], long_term=True)
-    mem = bank.at(16)
-    assert mem.merged is parts[0] and calls == [[id(parts[0])]]
+    assert bank.at(16).merged is parts[0] and calls == [[id(parts[0])]]
     # a short-term write merges nothing and keeps the merged entry
     bank.write(parts[1], long_term=False)
-    assert mem.merged is parts[0] and len(calls) == 1
+    assert bank.at(16).merged is parts[0] and len(calls) == 1
     # a long-term write merges the merged entry with the new entry only
     for part in parts[1:]:
-        before = mem.merged
+        before = bank.at(16).merged
         bank.write(part, long_term=True)
         assert calls[-1] == [id(before), id(part)]
+    mem = bank.at(16)
     assert len(calls) == 3 and mem.long_term == tuple(parts)
     want = merge_entries(list(parts))
     for name in ("keys", "id_values", "values", "keys_t"):
