@@ -4,7 +4,9 @@ All behavior is driven by a flat `key = value` config file (every key has a
 default, so the zero-flag pipeline `synth -> track -> eval` works out of the
 box); unknown keys are rejected with their line number.  `MSTRACK_THREADS`
 overrides the configured thread count; it also sets the threads a large
-attention read splits over (`propagation`), so `track` checks it too.
+attention read on the main thread splits over (`propagation`), so `track`
+checks it too.  `eval --threads 1` reads on the main thread and splits such
+reads; an evaluation pool of more threads does not.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (missing or
 malformed inputs, or any other file-system error such as an output path
@@ -73,6 +75,10 @@ class RunConfig:
     eval: EvalConfig
     threads: int
 
+    def __post_init__(self):
+        if self.threads < 0:
+            raise ConfigError(f"threads must be >= 0, got {self.threads}")
+
 
 def load_run_config(path=None) -> RunConfig:
     cfg = FlatConfig({}, source="<defaults>") if path is None else parse_flat_file(path)
@@ -95,14 +101,19 @@ def load_run_config(path=None) -> RunConfig:
 def _segmenter_specs(cfg: RunConfig, rows, fusion) -> list:
     """Init segmenters: one per `--segmenter` comma list, else the config's.
 
-    `--fusion` overrides the configured fusion rule for each of them.
+    `--fusion` overrides the configured fusion rule for each of them.  A row
+    given twice would score the suite twice into one report, so it is an error.
     """
     seg = cfg.segmenter
     if rows is None:
         kinds = [seg.kinds]
     else:
         kinds = [tuple(k.strip() for k in row.split(",") if k.strip()) for row in rows]
-    return [replace(seg, kinds=k, fusion=fusion or seg.fusion) for k in kinds]
+    specs = [replace(seg, kinds=k, fusion=fusion or seg.fusion) for k in kinds]
+    for i, spec in enumerate(specs):
+        if spec in specs[:i]:
+            raise ConfigError(f"--segmenter row {','.join(spec.kinds)} is given twice")
+    return specs
 
 
 # --------------------------------------------------------------------------

@@ -37,10 +37,11 @@ checks its scores, and a -inf score would not show in its output.
 Importing this module sets NumPy's OpenBLAS, when the symbol resolves, to
 one thread.  mstrack spreads work over threads of its own instead: the
 evaluation pool (`--threads` / `MSTRACK_THREADS`) runs sequences side by
-side, and a large attention read outside that pool splits its query rows
-over `resolve_threads(0)` threads (see `propagation`).  A BLAS that also
-started a thread per core for every product would oversubscribe the CPUs
-those threads fill, and the products here are too small to gain from it.
+side, and a large attention read made on the main thread splits its query
+rows over `resolve_threads(0)` threads: the main thread and helpers from
+one executor (see `propagation`).  A BLAS that also started a thread per
+core for every product would oversubscribe the CPUs those threads fill,
+and the products here are too small to gain from it.
 The thread count does not change the bytes (tests/test_kernels.py checks 1
 and 2 BLAS threads).
 """

@@ -25,13 +25,14 @@ Memory entries hold their keys (transposed) and values in float64 as well,
 built once per entry, so a read converts only the query and the attention
 map.  A read takes at most `ATTENTION_CHUNK_ROWS` query rows at a time,
 which bounds its float64 temporaries on large frames.  A read of at least
-`PARALLEL_READ_CELLS` query rows x memory rows is also split into one
-contiguous row range per thread of `kernels.resolve_threads(0)`: the
-calling thread reads the first range and a module pool of helper threads,
-started by the first such read, reads the others.  NumPy releases the GIL
-in BLAS and in its ufunc loops, so the ranges run side by side.  Reads made
-on an evaluation pool thread (`read_serially`) are not split, since that
-pool already fills the CPUs, and `MSTRACK_THREADS=1` splits nothing.  Every
+`PARALLEL_READ_CELLS` query rows x memory rows made on the main thread is
+also split into one contiguous row range per thread of
+`kernels.resolve_threads(0)`: the main thread reads the first range and one
+module executor of helper threads, started by the first such read, reads
+the others.  NumPy releases the GIL in BLAS and in its ufunc loops, so the
+ranges run side by side.  Reads on any other thread, such as the evaluation
+pool's, which already fills the CPUs, are not split, so no two split reads
+share the helpers; `MSTRACK_THREADS=1` splits nothing.  Every
 chunk is the same `softmax(matmul(...))` and `matmul` over its rows, so the
 bytes depend neither on the chunking nor on the thread count
 (tests/test_propagation.py compares both with one composed read).
@@ -312,35 +313,20 @@ def _read_rows(q: np.ndarray, memory: MemoryEntry, scale: np.float32, att=None):
     return att, matmul(att, memory.values)
 
 
-_serial = threading.local()
-_helper_pools: dict[int, ThreadPoolExecutor] = {}
-_helper_pools_lock = threading.Lock()
-# a forked child has none of the parent's helper threads
-os.register_at_fork(after_in_child=_helper_pools.clear)
+def _bind_read_executor() -> None:
+    """Bind `_read_helpers`, the one executor of split-read helper threads.
 
-
-def read_serially() -> None:
-    """Keep the calling thread's attention reads on that thread.
-
-    The evaluation pool calls it in each of its threads, which already fill
-    the CPUs between them.
+    It starts no thread before its first submit, and its default size,
+    min(32, cpus + 4), is at least the min(cpus, 8) - 1 helpers a read asks
+    for by default; more ranges than that wait for a free helper.  A forked
+    child has none of the parent's helper threads, so it binds a new one.
     """
-    _serial.on = True
+    global _read_helpers
+    _read_helpers = ThreadPoolExecutor(thread_name_prefix="mstrack-read")
 
 
-def _read_threads(cells: int) -> int:
-    if cells < PARALLEL_READ_CELLS or getattr(_serial, "on", False):
-        return 1
-    return resolve_threads(0)
-
-
-def _helpers(count: int) -> ThreadPoolExecutor:
-    """The pool of `count` helper threads, started on first use."""
-    with _helper_pools_lock:
-        pool = _helper_pools.get(count)
-        if pool is None:
-            pool = _helper_pools[count] = ThreadPoolExecutor(count, "mstrack-read")
-    return pool
+_bind_read_executor()
+os.register_at_fork(after_in_child=_bind_read_executor)
 
 
 def _run_split(fn, ranges) -> None:
@@ -349,10 +335,7 @@ def _run_split(fn, ranges) -> None:
     Returns, or raises the first error, only once every range has finished,
     so no helper still writes into the caller's arrays.
     """
-    futures = []
-    if len(ranges) > 1:
-        pool = _helpers(len(ranges) - 1)
-        futures = [pool.submit(fn, *r) for r in ranges[1:]]
+    futures = [_read_helpers.submit(fn, *r) for r in ranges[1:]]
     try:
         fn(*ranges[0])
     finally:
@@ -382,7 +365,9 @@ def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_T
     n, c = q.shape
     m = memory.keys.shape[0]
     scale = np.float32(temperature * np.sqrt(c))
-    parts = min(_read_threads(n * m), n)
+    # only the main thread splits: other threads, the evaluation pool's, fill the CPUs already
+    split = n * m >= PARALLEL_READ_CELLS and threading.current_thread() is threading.main_thread()
+    parts = min(resolve_threads(0), n) if split else 1
     if parts <= 1 and n <= ATTENTION_CHUNK_ROWS:
         att, read = _read_rows(q, memory, scale)
     else:

@@ -328,6 +328,26 @@ def test_eval_fusion_flag_applies_to_configured_segmenters(corpus_dir, tmp_path)
     assert fused.read_bytes() != plain.read_bytes()
 
 
+def test_eval_repeated_segmenter_row_exits_one(mini_dataset, tmp_path, capsys):
+    # rows that parse to the same kinds would score the suite twice into one report
+    report = tmp_path / "r.json"
+    for rows in (["boxfill", "boxfill"], ["boxfill", "chroma", " boxfill,"]):
+        argv = ["eval", str(mini_dataset), str(report), "--threads", "1"]
+        for row in rows:
+            argv += ["--segmenter", row]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --segmenter row boxfill is given twice"
+        ]
+    assert list(tmp_path.iterdir()) == []
+    # the same kinds in another order are another row
+    assert main(["eval", str(mini_dataset), str(report), "--threads", "1",
+                 "--segmenter", "boxfill,chroma", "--segmenter", "chroma,boxfill"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "r-boxfill-chroma.json", "r-chroma-boxfill.json"
+    ]
+
+
 def test_eval_empty_dataset_exits_two(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["eval", str(tmp_path / "empty"), str(tmp_path / "r.json")]) == 2
@@ -396,7 +416,7 @@ def test_non_utf8_config_exits_one(mini_dataset, tmp_path, capsys):
     assert err == f"error: {p}: not UTF-8 text (byte 17)"
 
 
-def test_config_value_validation(tmp_path, mini_dataset, capsys):
+def test_config_value_validation(tmp_path, mini_dataset, capsys, monkeypatch):
     p = tmp_path / "run.cfg"
     p.write_text("eval.protocol = spe\n")
     with pytest.raises(ConfigError, match="ope or mse"):
@@ -424,6 +444,16 @@ def test_config_value_validation(tmp_path, mini_dataset, capsys):
     assert main(["track", seq, str(tmp_path / "r.txt"), "--config", str(p)]) == 1
     assert "at least one segmenter" in capsys.readouterr().err
     assert not (tmp_path / "r.txt").exists()
+    p.write_text("threads = -3\n")
+    with pytest.raises(ConfigError, match="threads must be >= 0, got -3"):
+        load_run_config(p)
+    # every command checks it, whether or not MSTRACK_THREADS overrides it
+    assert main(["track", seq, str(tmp_path / "r.txt"), "--config", str(p)]) == 1
+    assert main(["eval", str(mini_dataset), str(tmp_path / "r.json"), "--config", str(p)]) == 1
+    monkeypatch.setenv("MSTRACK_THREADS", "1")
+    assert main(["eval", str(mini_dataset), str(tmp_path / "r.json"), "--config", str(p)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: threads must be >= 0, got -3"] * 3
+    assert not (tmp_path / "r.txt").exists() and not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize(

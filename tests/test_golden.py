@@ -5,8 +5,8 @@ Any change to a box, a mask, a score or the file formats changes these
 digests, so a refactor that is meant to keep every output byte fails here
 when it does not.  The bytes do not depend on the thread count, nor on the
 OpenBLAS kernel: the long_memory pass and the attention byte tests, the
-thread-split reads among them, run again in a subprocess under
-OPENBLAS_CORETYPE=Prescott.
+thread-split reads among them, run again in subprocesses under
+OPENBLAS_CORETYPE=Prescott and OPENBLAS_CORETYPE=Haswell.
 """
 
 import ctypes
@@ -74,22 +74,23 @@ print(get().decode())
 """
 
 
-@pytest.fixture(scope="module")
-def prescott_run(tmp_path_factory):
+def _run_under_coretype(core, tmp_path_factory):
     """The long_memory pass and the attention byte tests in a subprocess
-    under OPENBLAS_CORETYPE=Prescott, or None where that selects no other
-    kernel.  The first test that asks for it starts it, so it runs beside
-    the in-process passes; `test_bytes_hold_under_the_prescott_blas_kernel`
-    waits for it.
+    under OPENBLAS_CORETYPE=`core`; yields (process, log), or None where
+    that selects no other kernel.  The first test that asks for the fixtures
+    below starts both subprocesses, so they run beside the in-process
+    passes; the test named after each kernel waits for its subprocess.  A
+    process under any forced kernel, such as one of these subprocesses,
+    starts none, so a subprocess does not start the other kernel's in turn.
     """
     get = _openblas_function(*_CORENAME)
-    if get is None or os.environ.get("OPENBLAS_CORETYPE") == "Prescott":
+    if get is None or "OPENBLAS_CORETYPE" in os.environ:
         yield None
         return
     # the variable is read when the BLAS loads, so it is set per subprocess
     env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["OPENBLAS_CORETYPE"] = "Prescott"
+    env["OPENBLAS_CORETYPE"] = core
     get.restype = ctypes.c_char_p
     forced = subprocess.run(
         [sys.executable, "-c", _PRINT_CORENAME],
@@ -98,7 +99,7 @@ def prescott_run(tmp_path_factory):
     if forced == get().decode():
         yield None
         return
-    tmp = tmp_path_factory.mktemp("prescott")
+    tmp = tmp_path_factory.mktemp(core.lower())
     attention = ROOT / "tests" / "test_propagation.py"
     with open(tmp / "pytest.log", "w+") as log:
         proc = subprocess.Popen(
@@ -119,9 +120,19 @@ def prescott_run(tmp_path_factory):
             proc.wait()
 
 
+@pytest.fixture(scope="module")
+def prescott_run(tmp_path_factory):
+    yield from _run_under_coretype("Prescott", tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def haswell_run(tmp_path_factory):
+    yield from _run_under_coretype("Haswell", tmp_path_factory)
+
+
 @pytest.mark.parametrize("name", sorted(PASS_SHA256))
-def test_benchmark_pass_bytes(name, prescott_run, monkeypatch, tmp_path):
-    # prescott_run is asked for only to start it beside these passes
+def test_benchmark_pass_bytes(name, prescott_run, haswell_run, monkeypatch, tmp_path):
+    # the coretype runs are asked for only to start them beside these passes
     workloads = _load_workloads(monkeypatch)
     workload = workloads.make(name, mstrack, 1, tmp_path)
     workload.setup()
@@ -131,12 +142,20 @@ def test_benchmark_pass_bytes(name, prescott_run, monkeypatch, tmp_path):
     assert record.digest() == PASS_SHA256[name]
 
 
-def test_bytes_hold_under_the_prescott_blas_kernel(prescott_run):
-    if prescott_run is None:
-        pytest.skip("already under Prescott, or OPENBLAS_CORETYPE selects no other kernel here")
-    proc, log = prescott_run
+def _assert_coretype_run_passed(run, core):
+    if run is None:
+        pytest.skip(f"already under a forced kernel, or {core} selects no other kernel here")
+    proc, log = run
     proc.wait(timeout=600)
     log.seek(0)
     out = log.read()
     assert proc.returncode == 0, out[-4000:]
     assert "5 passed" in out
+
+
+def test_bytes_hold_under_the_prescott_blas_kernel(prescott_run):
+    _assert_coretype_run_passed(prescott_run, "Prescott")
+
+
+def test_bytes_hold_under_the_haswell_blas_kernel(haswell_run):
+    _assert_coretype_run_passed(haswell_run, "Haswell")
