@@ -88,18 +88,17 @@ if _set_blas_threads is not None:
 
 
 def resolve_threads(configured: int) -> int:
-    """Thread count: `MSTRACK_THREADS` if set, else `configured`; 0 means min(cpus, 8)."""
+    """Thread count: `MSTRACK_THREADS` if set, else `configured`, each >= 0; 0 means min(cpus, 8)."""
     env = os.environ.get("MSTRACK_THREADS")
-    if env is not None:
-        try:
-            configured = int(env)
-        except ValueError:
-            raise ConfigError(f"MSTRACK_THREADS must be an integer, got {env!r}") from None
-    if configured < 0:
-        raise ConfigError(f"thread count must be >= 0, got {configured}")
-    if configured == 0:
+    try:
+        threads = configured if env is None else int(env)
+    except ValueError:
+        raise ConfigError(f"MSTRACK_THREADS must be an integer, got {env!r}") from None
+    if min(configured, threads) < 0:
+        raise ConfigError(f"thread count must be >= 0, got {min(configured, threads)}")
+    if threads == 0:
         return min(os.cpu_count() or 1, 8)
-    return configured
+    return threads
 
 
 def as_tensor(x) -> np.ndarray:

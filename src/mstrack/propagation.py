@@ -28,8 +28,8 @@ which bounds its float64 temporaries on large frames.  A read of at least
 `PARALLEL_READ_CELLS` query rows x memory rows made on the main thread is
 also split into one contiguous row range per thread of
 `kernels.resolve_threads(0)`: the main thread reads the first range and one
-module executor of helper threads, started by the first such read, reads
-the others.  NumPy releases the GIL in BLAS and in its ufunc loops, so the
+module executor of at most 7 helper threads, started by the first such
+read, reads the others.  NumPy releases the GIL in BLAS and in its ufunc loops, so the
 ranges run side by side.  Reads on any other thread, such as the evaluation
 pool's, which already fills the CPUs, are not split, so no two split reads
 share the helpers; `MSTRACK_THREADS=1` splits nothing.  Every
@@ -316,13 +316,13 @@ def _read_rows(q: np.ndarray, memory: MemoryEntry, scale: np.float32, att=None):
 def _bind_read_executor() -> None:
     """Bind `_read_helpers`, the one executor of split-read helper threads.
 
-    It starts no thread before its first submit, and its default size,
-    min(32, cpus + 4), is at least the min(cpus, 8) - 1 helpers a read asks
-    for by default; more ranges than that wait for a free helper.  A forked
-    child has none of the parent's helper threads, so it binds a new one.
+    It starts no thread before its first submit and at most 7, the helpers
+    of a read at the default maximum of 8 threads; more ranges wait for a
+    free helper.  A forked child has none of the parent's helper threads, so
+    it binds a new executor.
     """
     global _read_helpers
-    _read_helpers = ThreadPoolExecutor(thread_name_prefix="mstrack-read")
+    _read_helpers = ThreadPoolExecutor(7, thread_name_prefix="mstrack-read")
 
 
 _bind_read_executor()

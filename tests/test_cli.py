@@ -453,6 +453,8 @@ def test_config_value_validation(tmp_path, mini_dataset, capsys, monkeypatch):
     monkeypatch.setenv("MSTRACK_THREADS", "1")
     assert main(["eval", str(mini_dataset), str(tmp_path / "r.json"), "--config", str(p)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: threads must be >= 0, got -3"] * 3
+    assert main(["eval", str(mini_dataset), str(tmp_path / "r.json"), "--threads", "-3"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: thread count must be >= 0, got -3"]
     assert not (tmp_path / "r.txt").exists() and not (tmp_path / "r.json").exists()
 
 
@@ -542,6 +544,11 @@ def test_resolve_threads(monkeypatch):
     assert 1 <= resolve_threads(0) <= 8
     monkeypatch.setenv("MSTRACK_THREADS", "5")
     assert resolve_threads(1) == 5
+    with pytest.raises(ConfigError, match="thread count must be >= 0, got -1"):
+        resolve_threads(-1)
+    monkeypatch.setenv("MSTRACK_THREADS", "-2")
+    with pytest.raises(ConfigError, match="thread count must be >= 0, got -2"):
+        resolve_threads(1)
     monkeypatch.setenv("MSTRACK_THREADS", "x")
     with pytest.raises(ConfigError):
         resolve_threads(1)

@@ -19,6 +19,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
 import mstrack
 from mstrack.cli import main
 from mstrack.kernels import _openblas_function
@@ -65,6 +70,8 @@ def _load_workloads(monkeypatch):
 
 
 _CORENAME = ("scipy_openblas_get_corename64_", "openblas_get_corename")
+# the instructions each forced kernel runs; OpenBLAS does not check them
+_CORETYPE_CPU_FEATURES = {"Prescott": ("SSE3",), "Haswell": ("AVX2", "FMA3")}
 _PRINT_CORENAME = f"""
 import ctypes
 from mstrack.kernels import _openblas_function
@@ -77,14 +84,15 @@ print(get().decode())
 def _run_under_coretype(core, tmp_path_factory):
     """The long_memory pass and the attention byte tests in a subprocess
     under OPENBLAS_CORETYPE=`core`; yields (process, log), or None where
-    that selects no other kernel.  The first test that asks for the fixtures
+    that selects no other kernel or the CPU lacks its instructions.  The first test that asks for the fixtures
     below starts both subprocesses, so they run beside the in-process
     passes; the test named after each kernel waits for its subprocess.  A
     process under any forced kernel, such as one of these subprocesses,
     starts none, so a subprocess does not start the other kernel's in turn.
     """
     get = _openblas_function(*_CORENAME)
-    if get is None or "OPENBLAS_CORETYPE" in os.environ:
+    runnable = all(__cpu_features__.get(f) for f in _CORETYPE_CPU_FEATURES[core])
+    if get is None or "OPENBLAS_CORETYPE" in os.environ or not runnable:
         yield None
         return
     # the variable is read when the BLAS loads, so it is set per subprocess
@@ -144,7 +152,7 @@ def test_benchmark_pass_bytes(name, prescott_run, haswell_run, monkeypatch, tmp_
 
 def _assert_coretype_run_passed(run, core):
     if run is None:
-        pytest.skip(f"already under a forced kernel, or {core} selects no other kernel here")
+        pytest.skip(f"already under a forced kernel, or {core} cannot run or selects no other kernel here")
     proc, log = run
     proc.wait(timeout=600)
     log.seek(0)

@@ -379,14 +379,24 @@ def test_read_splits_from_parallel_read_cells_on(monkeypatch):
     monkeypatch.setenv("MSTRACK_THREADS", "2")
     rng = np.random.default_rng(56)
     q = _engine_rows(rng, 256)
+    first_row = q.__array_interface__["data"][0]
+    caller = threading.current_thread().name
     for m, threads in ((PARALLEL_READ_CELLS // 256 - 1, 1), (PARALLEL_READ_CELLS // 256, 2)):
         mem = entry(_engine_rows(rng, m), _engine_rows(rng, m, norm=1.0))
-        seen = _read_threads_seen(monkeypatch)
+        seen = []
+
+        def traced(a, b):
+            seen.append((threading.current_thread().name, a.__array_interface__["data"][0]))
+            return matmul(a, b)
+
+        monkeypatch.setattr(propagation, "matmul", traced)
         attention_read(q, mem)
-        # scores and read product per thread, the caller's among them; a helper
-        # left idle by an earlier read may start its range before the caller
-        assert len(seen) == 2 * threads and threading.current_thread().name in seen
-        assert len(set(seen)) == threads
+        # scores and read product per thread, in whatever order the threads
+        # ran; the caller's first product, and only it, starts at query row 0
+        assert len(seen) == 2 * threads and len({name for name, _ in seen}) == threads
+        mine = [start for name, start in seen if name == caller]
+        assert mine[0] == first_row
+        assert [start for _, start in seen].count(first_row) == 1
 
 
 def test_reads_on_a_worker_thread_are_not_split(monkeypatch):
