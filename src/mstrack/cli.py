@@ -4,9 +4,9 @@ All behavior is driven by a flat `key = value` config file (every key has a
 default, so the zero-flag pipeline `synth -> track -> eval` works out of the
 box); unknown keys are rejected with their line number.  `MSTRACK_THREADS`
 overrides the configured thread count; it also sets the threads a large
-attention read on the main thread splits over (`propagation`), so `track`
-checks it too.  `eval --threads 1` reads on the main thread and splits such
-reads; an evaluation pool of more threads does not.
+attention read on the main thread splits over (see the `propagation`
+docstring), so `track` checks it too.  `eval --threads 1` reads on the main
+thread and splits such reads; an evaluation pool of more threads does not.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (missing or
 malformed inputs, or any other file-system error such as an output path

@@ -258,14 +258,12 @@ def step(state: EngineState, frame: np.ndarray):
     return pred, boxes, state
 
 
-def coarse_reconstruct(
-    mask: np.ndarray, num_labels: int | None = None, prior: float = DEFAULT_PRIOR_COEFF
-) -> np.ndarray:
+def coarse_reconstruct(mask: np.ndarray, num_labels: int | None = None) -> np.ndarray:
     """Reference mask as the decode path reproduces it from its own memory.
 
     Edge-pad the mask to multiples of 16 as `step` does, majority-downsample
     it to strides 16 and 8, one-hot both, add the bilinearly upsampled
-    stride-16 plane scaled by the effective prior coefficient to the stride-8
+    stride-16 plane scaled by `DEFAULT_PRIOR_COEFF` to the stride-8
     plane, upsample to the padded resolution, take the per-pixel argmax and
     crop back to the mask.  With default engine settings, stepping on a frame
     identical to the reference decodes to exactly this mask (up to attention
@@ -279,7 +277,7 @@ def coarse_reconstruct(
     l16 = majority_downsample(p, 16, n)
     l8 = majority_downsample(p, 8, n)
     eye = np.eye(n, dtype=np.float32)
-    coeff = prior * bilinear_resize(eye[l16], ph // 8, pw // 8) + eye[l8]
+    coeff = DEFAULT_PRIOR_COEFF * bilinear_resize(eye[l16], ph // 8, pw // 8) + eye[l8]
     return channel_argmax(bilinear_resize(coeff, ph, pw))[:h, :w]
 
 

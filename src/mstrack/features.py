@@ -137,7 +137,7 @@ def pad_to_multiple(a: np.ndarray, multiple: int = 16) -> np.ndarray:
 
 
 def _cell_base_features(
-    frame: np.ndarray, stride: int, position_weight: float, std_weight: float = 1.0
+    frame: np.ndarray, stride: int, position_weight: float, std_weight: float
 ) -> np.ndarray:
     """Per-cell [mean RGB, x, y, std RGB] of an [H,W,3] frame, float32 [H/s, W/s, 8].
 

@@ -38,8 +38,8 @@ Importing this module sets NumPy's OpenBLAS, when the symbol resolves, to
 one thread.  mstrack spreads work over threads of its own instead: the
 evaluation pool (`--threads` / `MSTRACK_THREADS`) runs sequences side by
 side, and a large attention read made on the main thread splits its query
-rows over `resolve_threads(0)` threads: the main thread and helpers from
-one executor (see `propagation`).  A BLAS that also started a thread per
+rows over `resolve_threads(0)` threads, at most `MAX_THREADS` (see the
+`propagation` docstring).  A BLAS that also started a thread per
 core for every product would oversubscribe the CPUs those threads fill,
 and the products here are too small to gain from it.
 The thread count does not change the bytes (tests/test_kernels.py checks 1
@@ -61,6 +61,7 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
 # softmax logits are clamped here, off exp's slow paths; they weigh 0 in
 # float32 either way (see the module docstring)
 EXP_CLAMP = -200.0
+MAX_THREADS = 8  # caps the default thread count and every attention read's threads
 
 
 def _openblas_function(*names):
@@ -88,7 +89,7 @@ if _set_blas_threads is not None:
 
 
 def resolve_threads(configured: int) -> int:
-    """Thread count: `MSTRACK_THREADS` if set, else `configured`, each >= 0; 0 means min(cpus, 8)."""
+    """`MSTRACK_THREADS` if set, else `configured`, each >= 0; 0 means min(cpus, MAX_THREADS)."""
     env = os.environ.get("MSTRACK_THREADS")
     try:
         threads = configured if env is None else int(env)
@@ -97,7 +98,7 @@ def resolve_threads(configured: int) -> int:
     if min(configured, threads) < 0:
         raise ConfigError(f"thread count must be >= 0, got {min(configured, threads)}")
     if threads == 0:
-        return min(os.cpu_count() or 1, 8)
+        return min(os.cpu_count() or 1, MAX_THREADS)
     return threads
 
 

@@ -27,12 +27,12 @@ map.  A read takes at most `ATTENTION_CHUNK_ROWS` query rows at a time,
 which bounds its float64 temporaries on large frames.  A read of at least
 `PARALLEL_READ_CELLS` query rows x memory rows made on the main thread is
 also split into one contiguous row range per thread of
-`kernels.resolve_threads(0)`: the main thread reads the first range and one
-module executor of at most 7 helper threads, started by the first such
-read, reads the others.  NumPy releases the GIL in BLAS and in its ufunc loops, so the
-ranges run side by side.  Reads on any other thread, such as the evaluation
-pool's, which already fills the CPUs, are not split, so no two split reads
-share the helpers; `MSTRACK_THREADS=1` splits nothing.  Every
+`kernels.resolve_threads(0)`, at most `kernels.MAX_THREADS`: the main thread
+reads the first range, and helper threads started for that read alone read
+the others, so no helper outlives its read.  NumPy releases the GIL in BLAS
+and in its ufunc loops, so the ranges run side by side.  Reads on any other
+thread, such as the evaluation pool's, which already fills the CPUs, are not
+split; `MSTRACK_THREADS=1` splits nothing.  Every
 chunk is the same `softmax(matmul(...))` and `matmul` over its rows, so the
 bytes depend neither on the chunking nor on the thread count
 (tests/test_propagation.py compares both with one composed read).
@@ -47,15 +47,14 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, LabelError, ShapeError, StateError
-from .kernels import matmul, resolve_threads, softmax
+from .kernels import MAX_THREADS, matmul, resolve_threads, softmax
 
 MAX_BANK_RESEEDS = 100
 MAX_PAIRWISE_DOT = 0.9
@@ -313,33 +312,17 @@ def _read_rows(q: np.ndarray, memory: MemoryEntry, scale: np.float32, att=None):
     return att, matmul(att, memory.values)
 
 
-def _bind_read_executor() -> None:
-    """Bind `_read_helpers`, the one executor of split-read helper threads.
-
-    It starts no thread before its first submit and at most 7, the helpers
-    of a read at the default maximum of 8 threads; more ranges wait for a
-    free helper.  A forked child has none of the parent's helper threads, so
-    it binds a new executor.
-    """
-    global _read_helpers
-    _read_helpers = ThreadPoolExecutor(7, thread_name_prefix="mstrack-read")
-
-
-_bind_read_executor()
-os.register_at_fork(after_in_child=_bind_read_executor)
-
-
 def _run_split(fn, ranges) -> None:
-    """fn(lo, hi) for each range: the first on this thread, the rest on helpers.
+    """fn(lo, hi) for each range: the first on this thread, the rest on new helpers.
 
     Returns, or raises the first error, only once every range has finished,
-    so no helper still writes into the caller's arrays.
+    so no helper still writes into the caller's arrays or outlives the call.
     """
-    futures = [_read_helpers.submit(fn, *r) for r in ranges[1:]]
-    try:
+    if len(ranges) == 1:
+        return fn(*ranges[0])
+    with ThreadPoolExecutor(len(ranges) - 1, thread_name_prefix="mstrack-read") as helpers:
+        futures = [helpers.submit(fn, *r) for r in ranges[1:]]
         fn(*ranges[0])
-    finally:
-        wait(futures)
     for f in futures:
         f.result()
 
@@ -367,7 +350,7 @@ def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_T
     scale = np.float32(temperature * np.sqrt(c))
     # only the main thread splits: other threads, the evaluation pool's, fill the CPUs already
     split = n * m >= PARALLEL_READ_CELLS and threading.current_thread() is threading.main_thread()
-    parts = min(resolve_threads(0), n) if split else 1
+    parts = min(resolve_threads(0), n, MAX_THREADS) if split else 1
     if parts <= 1 and n <= ATTENTION_CHUNK_ROWS:
         att, read = _read_rows(q, memory, scale)
     else:

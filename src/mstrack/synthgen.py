@@ -153,6 +153,18 @@ class SceneSpec:
             for j in range(i):
                 if _color_dist(c, colors[j]) < MIN_COLOR_DISTANCE:
                     raise ConfigError(f"objects {j + 1} and {i + 1} have near-identical colors")
+        # an infinite center would reach `math.fmod` or `math.sin`: a linear one
+        # peaks at the last frame, a sinusoidal one at |start| + |amplitude|
+        t = self.n_frames - 1
+        for group, shapes in (("object", self.objects), ("occluder", self.occluders)):
+            for i, o in enumerate(shapes, start=1):
+                if o.trajectory == "linear":
+                    reach = [s + v * t for s, v in zip(o.start, o.velocity)]
+                else:
+                    reach = [2.0 * math.pi * t / o.period]
+                    reach += [abs(s) + abs(a) for s, a in zip(o.start, o.amplitude)]
+                if not all(math.isfinite(r) for r in reach):
+                    raise ConfigError(f"{group} {i} moves beyond the float range by frame {t}")
 
     @property
     def total_pixels(self) -> int:

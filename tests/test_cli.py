@@ -88,6 +88,28 @@ def test_synth_scene_id_must_be_one_path_component(ident, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.scene"]
 
 
+@pytest.mark.parametrize(
+    "lines, group",
+    [
+        (["object.1.velocity = 1e308 0"], "object 1"),
+        (["object.1.trajectory = sinusoidal", "object.1.period = 1e-320"], "object 1"),
+        (["occluder.1.shape = disc", "occluder.1.color = 0.3 0.3 0.3", "occluder.1.size = 8 8",
+          "occluder.1.start = 1e308 0", "occluder.1.velocity = 1e308 0"], "occluder 1"),
+    ],
+)
+def test_synth_motion_past_the_float_range_exits_one_with_one_line(
+    lines, group, tmp_path, capsys
+):
+    # an infinite center once ended in `ValueError: math domain error` from
+    # math.fmod or math.sin
+    spec = tmp_path / "s.scene"
+    text = MINI_SCENE.replace("scene.frames = 6", "scene.frames = 3")
+    spec.write_text(text.replace("object.1.velocity = 2 1\n", "") + "\n".join(lines) + "\n")
+    assert main(["synth", str(spec), str(tmp_path / "out")]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and group in err
+
+
 # -- track -----------------------------------------------------------------
 
 def test_track_writes_results_and_masks(mini_dataset, tmp_path, capsys):

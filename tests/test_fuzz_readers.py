@@ -20,7 +20,7 @@ from mstrack.errors import ConfigError, DataError, FormatError
 from mstrack.evaluation import SequenceRecord, load_sequence
 from mstrack.features import WEIGHTS_MAGIC, WEIGHTS_VERSION, load_weights
 from mstrack.pnm import read_pgm, read_ppm
-from mstrack.synthgen import SceneSpec, parse_scene_file
+from mstrack.synthgen import SceneSpec, parse_scene_file, render_frame
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -150,13 +150,28 @@ _SCENE_KEYS = [
 ]
 _SCENE_VALUES = st.lists(
     st.sampled_from(["0.1", "0.9", "24", "16", "-3", "0", "nan", "inf", "x", "disc",
-                     "rectangle", "checker", "sinusoidal"]),
+                     "rectangle", "checker", "sinusoidal", "1e308", "1e-320"]),
     max_size=4,
 ).map(" ".join)
+_VALID_SCENE = {
+    "scene.id": "f", "scene.width": "24", "scene.height": "16", "scene.frames": "3",
+    "object.1.shape": "disc", "object.1.color": "0.9 0.1 0.1", "object.1.size": "4 4",
+    "object.1.start": "8 8",
+}
+# a valid scene with a few motion keys set to one or two values: random lines
+# almost never make a scene that parses, and so never reach the renderer
+_EDITED_SCENES = st.dictionaries(
+    st.sampled_from([f"object.1.{f}" for f in ("velocity", "trajectory", "amplitude", "period")]),
+    st.lists(st.sampled_from(["0", "-3", "24", "1e308", "1e-320", "sinusoidal"]),
+             min_size=1, max_size=2).map(" ".join),
+    max_size=3,
+).map(
+    lambda edits: "".join(f"{k} = {v}\n" for k, v in {**_VALID_SCENE, **edits}.items()).encode()
+)
 
 
 @FUZZ
-@given(_lines(_SCENE_KEYS, _SCENE_VALUES))
+@given(_lines(_SCENE_KEYS, _SCENE_VALUES) | _EDITED_SCENES)
 def test_scene_file_parses_or_raises_config_error(tmp_path_factory, text):
     root = tmp_path_factory.mktemp("scene")
     p = root / "scene.txt"
@@ -166,7 +181,9 @@ def test_scene_file_parses_or_raises_config_error(tmp_path_factory, text):
     except ConfigError:
         _assert_one_line_exit(["synth", p, root / "out"], 1)
     else:
+        # motion that overflows only shows once a frame is rendered
         assert isinstance(spec, SceneSpec)
+        render_frame(spec, spec.n_frames - 1)
 
 
 # -- MSWT weights ----------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from mstrack import propagation
 from mstrack.engine import EngineConfig, init_reference, step
 from mstrack.errors import ConfigError, LabelError, NumericError, ShapeError, StateError
-from mstrack.kernels import matmul
+from mstrack.kernels import MAX_THREADS, matmul
 from mstrack.propagation import (
     ATTENTION_CHUNK_ROWS,
     CLOSED_GATE_BIAS,
@@ -464,37 +464,56 @@ def test_probe_signatures_do_not_depend_on_read_threads(monkeypatch):
     assert signatures["1"] == signatures["2"]
 
 
-_HELPER_THREADS = """
+def test_a_read_uses_at_most_max_threads_whatever_mstrack_threads_says(monkeypatch):
+    monkeypatch.setenv("MSTRACK_THREADS", "16")
+    rng = np.random.default_rng(64)
+    q, keys, ids = _engine_rows(rng, 256), _engine_rows(rng, 1024), _engine_rows(rng, 1024, norm=1.0)
+    seen = _read_threads_seen(monkeypatch)
+    _assert_read_bytes(q, keys, ids, DEFAULT_TEMPERATURE)
+    # two products per range: 8 ranges of 32 rows, not 16; a helper that
+    # finished its range may take another, so the names can be fewer
+    assert MAX_THREADS == 8 and len(seen) == 2 * MAX_THREADS
+    assert len(set(seen)) <= MAX_THREADS
+
+
+_READ_THREADS = """
 import threading
 import numpy as np
 from mstrack import propagation
 from mstrack.engine import EngineConfig, init_reference, step
+from mstrack.kernels import matmul
+names = set()
+def traced(a, b):
+    names.add(threading.current_thread().name)
+    return matmul(a, b)
+propagation.matmul = traced
 rng = np.random.default_rng(60)
 frames = [rng.uniform(size=(256, 256, 3)).astype(np.float32) for _ in range(2)]
 mask = np.zeros((256, 256), dtype=np.int32)
 mask[64:160, 80:192] = 1
 step(init_reference(frames[0], mask, EngineConfig()), frames[1])
-print(threading.active_count())
+print(len(names), threading.active_count())
 """
 
 
-@pytest.mark.parametrize("threads, want", [("1", "1"), ("2", "2")])
-def test_one_read_thread_starts_no_helper_thread(threads, want):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_no_read_helper_outlives_its_read(threads):
     env = {**os.environ, "MSTRACK_THREADS": threads}
     src = str(Path(propagation.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _HELPER_THREADS],
+        [sys.executable, "-c", _READ_THREADS],
         env=env, check=True, capture_output=True, text=True, timeout=120,
     )
-    assert out.stdout.split()[-1] == want
+    # the step's reads ran on `threads` threads, and only the main one is left
+    assert out.stdout.split()[-2:] == [threads, "1"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_a_forked_child_splits_reads_over_helpers_of_its_own(monkeypatch):
-    # the child inherits the helper executor but not its started thread; a
-    # split read there waits for that thread unless the executor is rebound
+    # helper threads live only for their read, so the child has no executor
+    # state to inherit and starts helpers of its own
     monkeypatch.setenv("MSTRACK_THREADS", "2")
     rng = np.random.default_rng(63)
     q, keys, ids = _engine_rows(rng, 256), _engine_rows(rng, 1024), _engine_rows(rng, 1024, norm=1.0)
