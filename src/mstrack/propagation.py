@@ -23,19 +23,23 @@ a uniform half-open gate.
 
 Memory entries hold their keys (transposed) and values in float64 as well,
 built once per entry, so a read converts only the query and the attention
-map.  A read takes at most `ATTENTION_CHUNK_ROWS` query rows at a time,
-which bounds its float64 temporaries on large frames.  A read of at least
-`PARALLEL_READ_CELLS` query rows x memory rows made on the main thread is
-also split into one contiguous row range per thread of
-`kernels.resolve_threads(0)`, at most `kernels.MAX_THREADS`: the main thread
-reads the first range, and helper threads started for that read alone read
-the others, so no helper outlives its read.  NumPy releases the GIL in BLAS
-and in its ufunc loops, so the ranges run side by side.  Reads on any other
-thread, such as the evaluation pool's, which already fills the CPUs, are not
-split; `MSTRACK_THREADS=1` splits nothing.  Every
-chunk is the same `softmax(matmul(...))` and `matmul` over its rows, so the
-bytes depend neither on the chunking nor on the thread count
-(tests/test_propagation.py compares both with one composed read).
+map.  A read takes its query rows in chunks of `CELL_BUDGET // m` rows
+(at least one) against m memory rows, so a chunk's float64 scores take at
+most 1 MB whatever the frame size or memory width, small enough for a core's
+L2 cache.  The engine asks for no attention map (`keep_att=False`): each
+chunk's weights then live only for that chunk, and no read holds a query x
+memory map.  A read of at least `PARALLEL_READ_CELLS` query rows x memory
+rows made on the main thread is also split into one contiguous row range
+per thread of `kernels.resolve_threads(0)`, at most `kernels.MAX_THREADS`,
+and each range runs the same chunk loop: the main thread reads the first
+range, and helper threads started for that read alone read the others, so
+no helper outlives its read.  NumPy releases the GIL in BLAS and in its
+ufunc loops, so the ranges run side by side.  Reads on any other thread,
+such as the evaluation pool's, which already fills the CPUs, are not split;
+`MSTRACK_THREADS=1` splits nothing.  Every chunk is the same
+`softmax(matmul(...))` and `matmul` over its rows, so the bytes depend
+neither on the chunking nor on the thread count (tests/test_propagation.py
+compares both with one composed read).
 
 Operation counts and tensor shapes never depend on the number of tracked
 objects; `probe_operations` records (name, shape) signatures so tests can
@@ -59,9 +63,8 @@ from .kernels import MAX_THREADS, matmul, resolve_threads, softmax
 MAX_BANK_RESEEDS = 100
 MAX_PAIRWISE_DOT = 0.9
 DEFAULT_TEMPERATURE = 0.1
-# query rows per attention chunk: a 128 px frame has 256 stride-8 cells, so
-# its reads take one chunk
-ATTENTION_CHUNK_ROWS = 512
+# query rows x memory rows per attention chunk: 1 MB of float64 scores
+CELL_BUDGET = 1 << 17
 # query rows x memory rows from which a read is split across threads; below
 # it, handing rows to a helper thread costs more than it saves
 PARALLEL_READ_CELLS = 1 << 17
@@ -168,6 +171,8 @@ class MemoryEntry:
                 f"memory row mismatch: {self.keys.shape[0]} keys vs "
                 f"{self.id_values.shape[0]} id rows"
             )
+        if self.keys.shape[0] == 0:
+            raise ShapeError("memory entry has no rows; a read needs at least one")
         c = self.keys.shape[1]
         rows = np.concatenate(
             [np.asarray(self.keys, np.float32), np.asarray(self.id_values, np.float32)], axis=1
@@ -309,7 +314,7 @@ def _read_rows(q: np.ndarray, memory: MemoryEntry, scale: np.float32, att=None):
     s /= scale
     att = softmax(s, axis=-1, out=att)
     del s  # the scores are not kept alive through the read product (peak memory)
-    return att, matmul(att, memory.values)
+    return matmul(att, memory.values)
 
 
 def _run_split(fn, ranges) -> None:
@@ -327,16 +332,18 @@ def _run_split(fn, ranges) -> None:
         f.result()
 
 
-def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_TEMPERATURE):
+def attention_read(
+    query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_TEMPERATURE, *, keep_att=True
+):
     """One softmax attention read over a memory entry.
 
     att[i, j] = softmax_j(query_i . key_j / (temperature * sqrt(C)));
     vis_read = att . keys and id_read = att . id_values, both columns of the
-    one product att . [keys | id_values].  Returns (att, vis_read, id_read).
-    Query rows are read in chunks of at most `ATTENTION_CHUNK_ROWS`, and a
-    read of at least `PARALLEL_READ_CELLS` cells in one row range per
-    thread (module docstring); more than one chunk fills preallocated
-    float32 `att` and read arrays.
+    one product att . [keys | id_values].  Returns (att, vis_read, id_read),
+    with att None under `keep_att=False`.  Query rows are read in chunks of
+    `CELL_BUDGET // m` rows, and a read of at least `PARALLEL_READ_CELLS`
+    cells in one row range per thread (module docstring).  The chunks fill
+    preallocated float32 read arrays, and `att` only when it is kept.
     """
     q = np.asarray(query, dtype=np.float32)
     if q.ndim != 2:
@@ -351,22 +358,17 @@ def attention_read(query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_T
     # only the main thread splits: other threads, the evaluation pool's, fill the CPUs already
     split = n * m >= PARALLEL_READ_CELLS and threading.current_thread() is threading.main_thread()
     parts = min(resolve_threads(0), n, MAX_THREADS) if split else 1
-    if parts <= 1 and n <= ATTENTION_CHUNK_ROWS:
-        att, read = _read_rows(q, memory, scale)
-    else:
-        att = np.empty((n, m), dtype=np.float32)
-        read = np.empty((n, memory.values.shape[1]), dtype=np.float32)
+    chunk = max(1, CELL_BUDGET // m)
+    att = np.empty((n, m), dtype=np.float32) if keep_att else None
+    read = np.empty((n, memory.values.shape[1]), dtype=np.float32)
 
-        # the threads together hold at most ATTENTION_CHUNK_ROWS rows of temporaries
-        chunk = -(-ATTENTION_CHUNK_ROWS // parts)
+    def read_range(lo, hi):
+        for start in range(lo, hi, chunk):
+            rows = slice(start, min(start + chunk, hi))
+            read[rows] = _read_rows(q[rows], memory, scale, None if att is None else att[rows])
 
-        def read_range(lo, hi):
-            for start in range(lo, hi, chunk):
-                rows = slice(start, min(start + chunk, hi))
-                _, read[rows] = _read_rows(q[rows], memory, scale, att[rows])
-
-        bounds = [n * i // parts for i in range(parts + 1)]
-        _run_split(read_range, list(zip(bounds, bounds[1:])))
+    bounds = [n * i // parts for i in range(parts + 1)]
+    _run_split(read_range, list(zip(bounds, bounds[1:])))
     _record(("attention_read", n, m, c, memory.id_values.shape[1]))
     return att, read[:, :c], read[:, c:]
 
@@ -398,7 +400,7 @@ class GateParams:
 
 
 def _gated_read(feats, ids, entry: MemoryEntry, vbias: float, ibias: float, temperature):
-    _, vis_read, id_read = attention_read(feats, entry, temperature)
+    _, vis_read, id_read = attention_read(feats, entry, temperature, keep_att=False)
     gv = np.float32(_sigmoid(vbias))
     gi = np.float32(_sigmoid(ibias))
     return feats + gv * vis_read, ids + gi * id_read

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,9 @@ class ObjectSpec:
     amplitude: tuple = (0.0, 0.0)
     period: float = 30.0
     scale_drift: float = 1.0
+    # the scene-file group it was parsed from ("object.5"), which scene errors
+    # name; shapes built in code are named by their position
+    key: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         for name, n in (("color", 3), ("size", 2), ("start", 2), ("velocity", 2), ("amplitude", 2)):
@@ -142,29 +145,32 @@ class SceneSpec:
             raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"scene seed must be >= 0, got {self.seed}")
-        colors = [o.color for o in self.objects]
-        for i, c in enumerate(colors):
+        named = [
+            (o.key or f"{group}.{i}", o)
+            for group, shapes in (("object", self.objects), ("occluder", self.occluders))
+            for i, o in enumerate(shapes, start=1)
+        ]
+        objects = named[: len(self.objects)]
+        for i, (name, o) in enumerate(objects):
             for bg in self.background.colors():
-                if _color_dist(c, bg) < MIN_COLOR_DISTANCE:
+                if _color_dist(o.color, bg) < MIN_COLOR_DISTANCE:
                     raise ConfigError(
-                        f"object {i + 1} color too close to background "
-                        f"(distance < {MIN_COLOR_DISTANCE})"
+                        f"{name} color too close to background (distance < {MIN_COLOR_DISTANCE})"
                     )
-            for j in range(i):
-                if _color_dist(c, colors[j]) < MIN_COLOR_DISTANCE:
-                    raise ConfigError(f"objects {j + 1} and {i + 1} have near-identical colors")
+            for other_name, other in objects[:i]:
+                if _color_dist(o.color, other.color) < MIN_COLOR_DISTANCE:
+                    raise ConfigError(f"{other_name} and {name} have near-identical colors")
         # an infinite center would reach `math.fmod` or `math.sin`: a linear one
         # peaks at the last frame, a sinusoidal one at |start| + |amplitude|
         t = self.n_frames - 1
-        for group, shapes in (("object", self.objects), ("occluder", self.occluders)):
-            for i, o in enumerate(shapes, start=1):
-                if o.trajectory == "linear":
-                    reach = [s + v * t for s, v in zip(o.start, o.velocity)]
-                else:
-                    reach = [2.0 * math.pi * t / o.period]
-                    reach += [abs(s) + abs(a) for s, a in zip(o.start, o.amplitude)]
-                if not all(math.isfinite(r) for r in reach):
-                    raise ConfigError(f"{group} {i} moves beyond the float range by frame {t}")
+        for name, o in named:
+            if o.trajectory == "linear":
+                reach = [s + v * t for s, v in zip(o.start, o.velocity)]
+            else:
+                reach = [2.0 * math.pi * t / o.period]
+                reach += [abs(s) + abs(a) for s, a in zip(o.start, o.amplitude)]
+            if not all(math.isfinite(r) for r in reach):
+                raise ConfigError(f"{name} moves beyond the float range by frame {t}")
 
     @property
     def total_pixels(self) -> int:
@@ -418,7 +424,10 @@ def _parse_object(cfg: FlatConfig, prefix: str) -> ObjectSpec:
     missing = [n for n in ("shape", "color", "size", "start") if n not in fields]
     if missing:
         raise ConfigError(f"{cfg.source}: group {prefix!r} needs {', '.join(missing)}")
-    return ObjectSpec(**fields)
+    try:
+        return ObjectSpec(**fields, key=prefix)
+    except ConfigError as e:
+        raise ConfigError(f"{prefix}: {e}") from None
 
 
 def _present(cfg: FlatConfig, prefix: str, **getters) -> dict:

@@ -91,10 +91,10 @@ def test_synth_scene_id_must_be_one_path_component(ident, tmp_path, capsys):
 @pytest.mark.parametrize(
     "lines, group",
     [
-        (["object.1.velocity = 1e308 0"], "object 1"),
-        (["object.1.trajectory = sinusoidal", "object.1.period = 1e-320"], "object 1"),
+        (["object.1.velocity = 1e308 0"], "object.1"),
+        (["object.1.trajectory = sinusoidal", "object.1.period = 1e-320"], "object.1"),
         (["occluder.1.shape = disc", "occluder.1.color = 0.3 0.3 0.3", "occluder.1.size = 8 8",
-          "occluder.1.start = 1e308 0", "occluder.1.velocity = 1e308 0"], "occluder 1"),
+          "occluder.1.start = 1e308 0", "occluder.1.velocity = 1e308 0"], "occluder.1"),
     ],
 )
 def test_synth_motion_past_the_float_range_exits_one_with_one_line(
@@ -108,6 +108,30 @@ def test_synth_motion_past_the_float_range_exits_one_with_one_line(
     assert main(["synth", str(spec), str(tmp_path / "out")]) == 1
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith("error: ") and group in err
+
+
+@pytest.mark.parametrize(
+    "lines, err",
+    [
+        (["object.5.velocity = 1e308 0"],
+         "error: object.5 moves beyond the float range by frame 2"),
+        (["object.5.velocity = 1 0", "object.9.shape = disc", "object.9.color = 0.15 0.2 0.81",
+          "object.9.size = 8 8", "object.9.start = 40 40"],
+         "error: object.5 and object.9 have near-identical colors"),
+        (["object.5.velocity = 1 0", "occluder.3.shape = disc", "occluder.3.color = 0.3 0.3",
+          "occluder.3.size = 8 8", "occluder.3.start = 40 40"],
+         "error: occluder.3: color needs 3 finite numbers, got (0.3, 0.3)"),
+    ],
+)
+def test_synth_errors_name_the_scene_files_own_keys(lines, err, tmp_path, capsys):
+    # the groups were once numbered by position: a file whose only object is
+    # object.5 reported "object 1"
+    spec = tmp_path / "s.scene"
+    text = MINI_SCENE.replace("scene.frames = 6", "scene.frames = 3")
+    text = text.replace("object.1.velocity = 2 1\n", "").replace("object.1.", "object.5.")
+    spec.write_text(text + "\n".join(lines) + "\n")
+    assert main(["synth", str(spec), str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [err]
 
 
 # -- track -----------------------------------------------------------------

@@ -411,7 +411,9 @@ def test_evaluate_suite_pool_threads_do_not_split_reads(tmp_path, monkeypatch):
     evaluate_suite(reading_tracker, seqs, protocol="ope", threads=2)
     # every product of every read ran on the pool thread that made the read
     assert threading.get_ident() not in run_threads
-    assert len(product_threads) == 2 * 3 and set(product_threads) <= run_threads
+    # each read: two chunks of CELL_BUDGET // 1024 = 128 rows, two products each
+    assert propagation.CELL_BUDGET // 1024 == 128
+    assert len(product_threads) == 2 * 2 * 3 and set(product_threads) <= run_threads
     # the same read outside the pool is split
     product_threads.clear()
     evaluate_suite(reading_tracker, seqs[:1], protocol="ope", threads=2)

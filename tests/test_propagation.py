@@ -7,12 +7,13 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,7 +22,7 @@ from mstrack.engine import EngineConfig, init_reference, step
 from mstrack.errors import ConfigError, LabelError, NumericError, ShapeError, StateError
 from mstrack.kernels import MAX_THREADS, matmul
 from mstrack.propagation import (
-    ATTENTION_CHUNK_ROWS,
+    CELL_BUDGET,
     CLOSED_GATE_BIAS,
     DEFAULT_TEMPERATURE,
     GateParams,
@@ -262,18 +263,23 @@ def _assert_read_bytes(q, keys, ids, temperature):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([1, 511, 512, 513, 1025]),
-    st.integers(2, 48),
+    st.one_of(st.integers(2, 48), st.integers(49, 4352), st.just(CELL_BUDGET + 1)),
+    st.integers(1, 3),
+    st.sampled_from([-1, 0, 1]),
     st.integers(1, 8),
     st.integers(1, 4),
     st.sampled_from([DEFAULT_TEMPERATURE, 0.7]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_chunked_attention_read_bytes_equal_one_composed_read(n, m, c, d, temperature, wide, seed):
-    # row counts on both sides of each chunk boundary; `wide` rows spread
+@example(CELL_BUDGET + 1, 2, 1, 3, 2, DEFAULT_TEMPERATURE, True, 0)  # one-row chunks
+def test_chunked_attention_read_bytes_equal_one_composed_read(
+    m, k, offset, c, d, temperature, wide, seed
+):
+    # query rows on both sides of the k-th chunk boundary, chunks of
+    # CELL_BUDGET // m rows (one row once m > CELL_BUDGET); `wide` rows spread
     # their scaled scores past 745, so exp underflows in the reference
-    assert ATTENTION_CHUNK_ROWS == 512
+    n = max(1, k * max(1, CELL_BUDGET // m) + offset)
     rng = np.random.default_rng(seed)
     norm = 30.0 if wide else 1.0
     q = (norm * rng.normal(size=(n, c))).astype(np.float32)
@@ -287,14 +293,53 @@ def test_chunked_attention_read_bytes_equal_one_composed_read(n, m, c, d, temper
 
 
 def test_chunked_attention_read_bytes_on_engine_shapes():
-    # 1025 query rows (chunks of 512, 512 and 1) against 2048 memory rows,
-    # with the engine's row norm and channel counts
+    # with the engine's row norm and channel counts: 1025 query rows in
+    # 64-row chunks against 2048 memory rows, and 3 query rows in one-row
+    # chunks against more memory rows than CELL_BUDGET
     rng = np.random.default_rng(51)
     c = 32
-    q = scale_rows(rng.normal(size=(1025, c)).astype(np.float32), 6.0 * np.sqrt(c))
-    keys = scale_rows(rng.normal(size=(2048, c)).astype(np.float32), 6.0 * np.sqrt(c))
-    ids = scale_rows(rng.normal(size=(2048, 32)).astype(np.float32), 1.0)
-    _assert_read_bytes(q, keys, ids, DEFAULT_TEMPERATURE)
+    for n, m in ((1025, 2048), (3, CELL_BUDGET + 1)):
+        q = scale_rows(rng.normal(size=(n, c)).astype(np.float32), 6.0 * np.sqrt(c))
+        keys = scale_rows(rng.normal(size=(m, c)).astype(np.float32), 6.0 * np.sqrt(c))
+        ids = scale_rows(rng.normal(size=(m, 32)).astype(np.float32), 1.0)
+        _assert_read_bytes(q, keys, ids, DEFAULT_TEMPERATURE)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_read_without_its_map_keeps_its_bytes(threads, monkeypatch):
+    # keep_att=False, the engine's read, gives the bytes of the read that keeps it
+    monkeypatch.setenv("MSTRACK_THREADS", threads)
+    rng = np.random.default_rng(65)
+    for n, m in ((1, 1), (5, 7), (256, 1088), (257, 4352), (1025, 640)):
+        q, keys, ids = _engine_rows(rng, n), _engine_rows(rng, m), _engine_rows(rng, m, norm=1.0)
+        mem = entry(keys, ids)
+        att, want_vis, want_ids = attention_read(q, mem)
+        none, vis, id_read = attention_read(q, mem, keep_att=False)
+        assert att.shape == (n, m) and none is None
+        assert vis.tobytes() == want_vis.tobytes()
+        assert id_read.tobytes() == want_ids.tobytes()
+
+
+def _gpm_layer_peak_bytes(m, n=1024, c=32):
+    rng = np.random.default_rng(66)
+    feats, ids = _engine_rows(rng, n, c), _engine_rows(rng, n, c, norm=1.0)
+    long = entry(_engine_rows(rng, m, c), _engine_rows(rng, m, c, norm=1.0), scale=8)
+    short = entry(_engine_rows(rng, n, c), _engine_rows(rng, n, c, norm=1.0), scale=8)
+    tracemalloc.start()
+    try:
+        gpm_layer(feats, ids, long, short)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gpm_layer_allocations_do_not_grow_with_memory_rows(monkeypatch):
+    # a chunk holds CELL_BUDGET cells whatever m is, and the engine's reads
+    # keep no query x memory map, so 4x the long-term rows allocate no more
+    monkeypatch.setenv("MSTRACK_THREADS", "1")
+    peak = {m: _gpm_layer_peak_bytes(m) for m in (2048, 8192)}
+    assert peak[8192] <= peak[2048]
+    assert peak[8192] < 1024 * 8192  # a quarter of one float32 map of the read
 
 
 def _engine_rows(rng, n, c=32, norm=None):
@@ -366,13 +411,14 @@ def test_a_split_read_beside_serial_reads_on_worker_threads_keeps_its_bytes(monk
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert failures == []
-    # two products per range: each worker's 6 reads stay on it, and each of
-    # the main thread's 6 reads runs in 4 ranges, 3 of them on helpers
+    # two products per chunk: each worker's 6 reads stay on it, 2 chunks of
+    # CELL_BUDGET // m = 128 or 187 rows each; each of the main thread's 6 reads runs in 4
+    # ranges of 64 or 75 rows, one chunk each, 3 of them on helpers
     counts = Counter(seen)
     on_helpers = sum(k for name, k in counts.items() if name.startswith("mstrack-read"))
-    assert [counts[t.name] for t in workers] == [2 * 6] * 3
+    assert [counts[t.name] for t in workers] == [4 * 6] * 3
     assert counts[threading.current_thread().name] == 2 * 6
-    assert on_helpers == 2 * 6 * 3 and sum(counts.values()) == 2 * 6 * 7
+    assert on_helpers == 2 * 6 * 3 and sum(counts.values()) == 4 * 6 * 3 + 2 * 6 * 4
 
 
 def test_read_splits_from_parallel_read_cells_on(monkeypatch):
@@ -408,7 +454,8 @@ def test_reads_on_a_worker_thread_are_not_split(monkeypatch):
     worker = threading.Thread(target=attention_read, args=(q, mem), name="worker")
     worker.start()
     worker.join(timeout=60)
-    assert seen == ["worker", "worker"]
+    # two chunks of CELL_BUDGET // 1024 = 128 rows, two products each
+    assert seen == ["worker"] * 4
 
 
 @pytest.mark.parametrize("threads", ["2", "3"])
@@ -575,6 +622,21 @@ def test_attention_dim_mismatch():
     mem = entry([[1.0, 0.0]], [[1.0]])
     with pytest.raises(ShapeError):
         attention_read(np.zeros((2, 3), dtype=np.float32), mem)
+
+
+def test_a_memory_entry_without_rows_is_a_shape_error():
+    # a read over it once ended in NumPy's "zero-size array to reduction
+    # operation maximum" ValueError
+    with pytest.raises(ShapeError, match="no rows"):
+        entry(np.zeros((0, 4)), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("keep_att", [True, False])
+def test_a_query_without_rows_reads_empty_arrays(keep_att):
+    mem = entry(np.ones((5, 4)), np.ones((5, 3)))
+    att, vis, id_read = attention_read(np.zeros((0, 4), dtype=np.float32), mem, keep_att=keep_att)
+    assert (vis.shape, id_read.shape) == ((0, 4), (0, 3))
+    assert att is None if not keep_att else att.shape == (0, 5)
 
 
 def test_attention_self_match_limit():
