@@ -24,7 +24,7 @@ import numpy as np
 
 from .boxmask import FUSION_RULES, Box, SegmenterSpec, clamp_box
 from .engine import EngineConfig, make_tracker, track_sequence
-from .errors import ConfigError, DataError, FormatError, InitError, MstrackError
+from .errors import ConfigError, DataError, FormatError, InitError, MstrackError, check_range
 from .evaluation import (
     EvalConfig,
     evaluate_suite,
@@ -76,8 +76,7 @@ class RunConfig:
     threads: int
 
     def __post_init__(self):
-        if self.threads < 0:
-            raise ConfigError(f"threads must be >= 0, got {self.threads}")
+        check_range("threads", self.threads, 0)
 
 
 def load_run_config(path=None) -> RunConfig:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .boxmask import Box, SegmenterSpec, mask_to_box, segment_box
-from .errors import ConfigError, InitError, ShapeError
+from .errors import ConfigError, InitError, ShapeError, check_range
 from .features import EncoderConfig, encode_frame, pad_to_multiple, validate_frame
 from .kernels import FLOAT32_MAX, bilinear_resize, channel_argmax
 
@@ -71,6 +71,11 @@ class EngineConfig:
     takes their differences, so that sum must stay <= FLOAT32_MAX / 2.  The
     engine's gates are 0.5, not 1, so scores stay inside these bounds after
     rounding.  Seeds and long_term_every must be >= 0, and id_dim >= 2.
+
+    Sizes are bounded above, so an absurd one is a config error, not a failed
+    allocation or an endless step: max_objects <= 255, as masks are 8-bit
+    PGM levels; id_dim <= 1024, 4x the 256 dims that make 256 bank rows
+    orthogonal; gpm_layers16/8 <= 64, each layer being two reads per step.
     """
 
     encoder: EncoderConfig = EncoderConfig()
@@ -85,22 +90,18 @@ class EngineConfig:
     prior_weight: float = 0.5  # coarse-prior residual weight, scaled by FUSE_GATE
 
     def __post_init__(self):
-        if self.gpm_layers16 < 1 or self.gpm_layers8 < 1:
-            raise ConfigError("gpm layer counts must be >= 1")
+        check_range("engine.gpm_layers16", self.gpm_layers16, 1, 64)
+        check_range("engine.gpm_layers8", self.gpm_layers8, 1, 64)
+        check_range("engine.max_objects", self.max_objects, 1, 255)
+        check_range("engine.id_dim", self.id_dim, 2, 1024)
+        check_range("engine.seed", self.seed, 0)
+        check_range("engine.long_term_every", self.long_term_every, 0)
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
         if not (math.isfinite(self.match_norm) and self.match_norm > 0):
             raise ConfigError(f"match_norm must be positive and finite, got {self.match_norm}")
         if not math.isfinite(self.prior_weight):
             raise ConfigError(f"prior_weight must be finite, got {self.prior_weight}")
-        if self.max_objects < 1:
-            raise ConfigError("max_objects must be >= 1")
-        if self.id_dim < 2:
-            raise ConfigError(f"engine.id_dim must be >= 2, got {self.id_dim}")
-        if self.seed < 0:
-            raise ConfigError(f"engine.seed must be >= 0, got {self.seed}")
-        if self.long_term_every < 0:
-            raise ConfigError(f"engine.long_term_every must be >= 0, got {self.long_term_every}")
         enc = self.encoder
         for c, layers in ((enc.channels16, self.gpm_layers16), (enc.channels8, self.gpm_layers8)):
             r = self.match_norm * math.sqrt(c)
@@ -250,8 +251,8 @@ def step(state: EngineState, frame: np.ndarray):
 
     state.frame_index += 1
     if pred.max(initial=0) > 0:
-        # store this frame as the new short-term memory; it also joins the
-        # long-term list on the configured cadence
+        # store this frame as the new short-term memory; its rows also join
+        # long-term memory on the configured cadence
         every = cfg.long_term_every
         cadence = every > 0 and state.frame_index % every == 0
         _write_memory(state.memory, state.bank, padded, f16, f8, state.frame_index, cadence)

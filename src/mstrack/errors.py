@@ -35,3 +35,11 @@ class InitError(MstrackError, RuntimeError):
 
 class DataError(MstrackError, RuntimeError):
     """Input data is missing or malformed at the dataset level."""
+
+
+def check_range(key: str, value, lo, hi=float("inf")) -> None:
+    """Raise ConfigError naming `key` unless lo <= value <= hi."""
+    if value < lo:
+        raise ConfigError(f"{key} must be >= {lo}, got {value}")
+    if value > hi:
+        raise ConfigError(f"{key} must be <= {hi}, got {value}")

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxmask import Box, box_iou
-from .errors import ConfigError, DataError, InitError
+from .errors import ConfigError, DataError, InitError, check_range
 from .pnm import read_pgm, read_ppm
 
 N_THRESHOLDS = 51
@@ -71,8 +71,7 @@ class EvalConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"eval.{name} must be {' or '.join(allowed)}, got {value!r}")
-        if self.anchor_spacing < 1:
-            raise ConfigError(f"eval.anchor_spacing must be >= 1, got {self.anchor_spacing}")
+        check_range("eval.anchor_spacing", self.anchor_spacing, 1)
 
 
 @dataclass(frozen=True)

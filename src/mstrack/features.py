@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, check_range
 from .kernels import FLOAT32_MAX, matmul
 
 WEIGHTS_MAGIC = b"MSWT"
@@ -70,6 +70,9 @@ class EncoderConfig:
     absolute values sum to at most MAX_WEIGHTS_COLUMN_SUM = FLOAT32_MAX / 2
     keeps them inside float32 with room for rounding, and a larger column is
     a FormatError.
+
+    channels16 and channels8 lie in [1, 1024]: a level maps at most
+    16 * 16 * 3 = 768 inputs, so more channels add time but no information.
     """
 
     mode: str = "handcrafted"
@@ -83,12 +86,11 @@ class EncoderConfig:
     def __post_init__(self):
         if self.mode not in ENCODER_MODES:
             raise ConfigError(f"unknown encoder mode {self.mode!r}, expected one of {ENCODER_MODES}")
-        if self.channels16 < 1 or self.channels8 < 1:
-            raise ConfigError("channel counts must be positive")
+        check_range("encoder.channels16", self.channels16, 1, 1024)
+        check_range("encoder.channels8", self.channels8, 1, 1024)
         if self.mode == "weights-file" and not self.weights_path:
             raise ConfigError("weights-file mode requires weights_path")
-        if self.seed < 0:
-            raise ConfigError(f"encoder.seed must be >= 0, got {self.seed}")
+        check_range("encoder.seed", self.seed, 0)
         for name in ("position_weight", "std_weight"):
             value = getattr(self, name)
             if not abs(value) <= MAX_FEATURE_WEIGHT:

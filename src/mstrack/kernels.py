@@ -53,7 +53,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, check_range
 
 __all__ = ["as_tensor", "matmul", "softmax", "bilinear_resize", "channel_argmax"]
 
@@ -95,8 +95,7 @@ def resolve_threads(configured: int) -> int:
         threads = configured if env is None else int(env)
     except ValueError:
         raise ConfigError(f"MSTRACK_THREADS must be an integer, got {env!r}") from None
-    if min(configured, threads) < 0:
-        raise ConfigError(f"thread count must be >= 0, got {min(configured, threads)}")
+    check_range("thread count", min(configured, threads), 0)
     if threads == 0:
         return min(os.cpu_count() or 1, MAX_THREADS)
     return threads

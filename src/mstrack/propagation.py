@@ -3,12 +3,13 @@
 The propagation core transfers mask identity from memory frames to the
 current frame.  Each tracked object (plus background, row 0) owns a fixed
 embedding row in an IdBank.  A mask is encoded into a per-cell ID map by
-majority vote inside each stride cell.  Each stride keeps a long-term
-tuple of per-frame entries, anchored on the reference frame, their merge
-into one entry, and a short-term entry for the last stored frame.
-`MemoryBank.write` is the only code that extends long-term memory; it
-merges each new long-term entry into the merged one there, so no read
-merges anything.  Each gated propagation layer of a stage reads
+majority vote inside each stride cell.  Each stride keeps one long-term
+entry, anchored on the reference frame, whose rows are the reference rows
+followed by those of every later long-term frame, and a short-term entry
+for the last stored frame.  `MemoryBank.write` is the only code that
+extends long-term memory; it merges each new long-term entry into that one
+there, so no read merges anything and no frame's own entry outlives its
+turn as short term.  Each gated propagation layer of a stage reads
 long-term then short-term memory through shared softmax attention computed
 from visual features only, and applies the read to both branches through a
 sigmoid-gated residual:
@@ -49,7 +50,6 @@ assert that.
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, ShapeError, StateError
+from .errors import ConfigError, LabelError, ShapeError, StateError, check_range
 from .kernels import MAX_THREADS, matmul, resolve_threads, softmax
 
 MAX_BANK_RESEEDS = 100
@@ -104,10 +104,8 @@ def make_id_bank(max_objects: int, id_dim: int, seed: int) -> IdBank:
     otherwise plain normalization is used and the seed is incremented until
     all pairwise |dot| < 0.9 (configuration error after 100 attempts).
     """
-    if max_objects < 1:
-        raise ConfigError(f"max_objects must be >= 1, got {max_objects}")
-    if id_dim < 2:
-        raise ConfigError(f"id_dim must be >= 2, got {id_dim}")
+    check_range("max_objects", max_objects, 1)
+    check_range("id_dim", id_dim, 2)
     rows = max_objects + 1
     for attempt in range(MAX_BANK_RESEEDS):
         rng = np.random.default_rng(seed + attempt)
@@ -188,22 +186,21 @@ class MemoryEntry:
 class ScaleMemory:
     """Per-stride memory: reference-anchored long term plus previous frame.
 
-    `long_term` is the tuple of per-frame entries and `merged` their merge,
-    None while `long_term` is empty.  A given list becomes a tuple, merged
-    once.  The memory is frozen: `MemoryBank.write` replaces it with one
-    that holds the new entry, so `merged` cannot fall out of step with
-    `long_term`, and a read never sees a memory half written.
+    `long_term` is a tuple of at most one entry, holding every long-term
+    row with the reference rows first.  A given list of entries is merged
+    once into that entry; a single entry is kept as it is.  The memory is
+    frozen: `MemoryBank.write` replaces it with one that holds the new
+    entry, so a read never sees a memory half written.
     """
 
     long_term: tuple = ()
     short_term: MemoryEntry | None = None
-    merged: MemoryEntry | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        long_term = tuple(self.long_term)
-        object.__setattr__(self, "long_term", long_term)
-        if long_term:
-            object.__setattr__(self, "merged", merge_entries(list(long_term)))
+        entries = tuple(self.long_term)
+        if len(entries) > 1:
+            entries = (merge_entries(list(entries)),)
+        object.__setattr__(self, "long_term", entries)
 
 
 @dataclass
@@ -217,16 +214,10 @@ class MemoryBank:
 
     def write(self, entry: MemoryEntry, long_term: bool) -> None:
         """Replace the memory at `entry.scale` with one holding `entry` as short
-        term; if asked, `entry` is also appended to long term and merged."""
+        term; if asked, `entry` is also merged into long term."""
         old = self.scales.get(entry.scale) or ScaleMemory()
-        # a copy skips __post_init__, which would merge all of long term again
-        mem = copy.copy(old)
-        object.__setattr__(mem, "short_term", entry)
-        if long_term:
-            merged = merge_entries([entry] if old.merged is None else [old.merged, entry])
-            object.__setattr__(mem, "long_term", old.long_term + (entry,))
-            object.__setattr__(mem, "merged", merged)
-        self.scales[entry.scale] = mem
+        lt = (merge_entries([*old.long_term, entry]),) if long_term else old.long_term
+        self.scales[entry.scale] = ScaleMemory(lt, entry)
 
 
 def merge_entries(entries: list) -> MemoryEntry:
@@ -450,8 +441,7 @@ def gpm_stage(
     temperature: float = DEFAULT_TEMPERATURE,
 ) -> np.ndarray:
     """Run n_layers layers at one scale over the merged long-term memory; return ID rows."""
-    if n_layers < 1:
-        raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
+    check_range("n_layers", n_layers, 1)
     short = memory.short_term
     if short is None:
         raise StateError("gpm_stage requires short-term memory")
@@ -460,10 +450,10 @@ def gpm_stage(
     d = short.id_values.shape[1]
     if ids.shape[1] != d:
         raise ShapeError(f"id rows must have {d} dims, got {ids.shape[1]}")
-    if memory.merged is None:
+    if not memory.long_term:
         raise StateError("empty long-term memory")
     for _ in range(n_layers):
-        feats, ids = gpm_layer(feats, ids, memory.merged, short, temperature=temperature)
+        feats, ids = gpm_layer(feats, ids, memory.long_term[0], short, temperature=temperature)
     return ids
 
 

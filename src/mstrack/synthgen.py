@@ -9,8 +9,8 @@ same shape schema, are drawn above the objects, and are not ground-truthed:
 the ground-truth mask and box of an object cover only its visible pixels,
 and fully hidden frames are marked absent.
 
-Frames may be any size of at least 16x16 pixels; the tracker pads them to
-its stride-16 grid internally.
+Frames may be any size from 16x16 to 4096x4096 pixels; the tracker pads
+them to its stride-16 grid internally.
 
 Noise is drawn from a generator seeded with (scene seed, frame index), so
 frames can be rendered independently, in any order, with identical bytes.
@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxmask import mask_to_box
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .evaluation import write_box_rows
 from .flatcfg import FlatConfig, parse_flat_file
 from .pnm import write_pgm, write_ppm
@@ -77,8 +77,7 @@ class Background:
             raise ConfigError(f"background kind must be solid or checker, got {self.kind!r}")
         if self.kind == "checker" and self.color2 is None:
             raise ConfigError("checker background needs background.color2")
-        if self.cell < 1:
-            raise ConfigError("checker cell must be >= 1")
+        check_range("background.cell", self.cell, 1)
 
     def colors(self):
         return (self.color,) if self.color2 is None else (self.color, self.color2)
@@ -116,7 +115,11 @@ class ObjectSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """A scene: frame size (any, at least 16x16 px), length, seed and shapes."""
+    """A scene: frame size, length, seed and shapes.
+
+    Width and height lie in [16, 4096] px: a 4096 x 4096 frame already takes
+    192 MB as float32, and `mstrack track` holds every frame of a sequence.
+    """
 
     ident: str
     width: int
@@ -135,16 +138,14 @@ class SceneSpec:
             raise ConfigError(
                 f"scene.id must be a single plain path component, got {self.ident!r}"
             )
-        if self.width < 16 or self.height < 16:
-            raise ConfigError(f"scene dims must be at least 16x16, got {self.width}x{self.height}")
-        if self.n_frames < 1:
-            raise ConfigError("n_frames must be >= 1")
+        check_range("scene.width", self.width, 16, 4096)
+        check_range("scene.height", self.height, 16, 4096)
+        check_range("scene.frames", self.n_frames, 1)
         if not self.objects:
             raise ConfigError("scene needs at least one object")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise ConfigError(f"scene seed must be >= 0, got {self.seed}")
+        check_range("scene.seed", self.seed, 0)
         named = [
             (o.key or f"{group}.{i}", o)
             for group, shapes in (("object", self.objects), ("occluder", self.occluders))
@@ -153,12 +154,12 @@ class SceneSpec:
         objects = named[: len(self.objects)]
         for i, (name, o) in enumerate(objects):
             for bg in self.background.colors():
-                if _color_dist(o.color, bg) < MIN_COLOR_DISTANCE:
+                if math.dist(o.color, bg) < MIN_COLOR_DISTANCE:
                     raise ConfigError(
                         f"{name} color too close to background (distance < {MIN_COLOR_DISTANCE})"
                     )
             for other_name, other in objects[:i]:
-                if _color_dist(o.color, other.color) < MIN_COLOR_DISTANCE:
+                if math.dist(o.color, other.color) < MIN_COLOR_DISTANCE:
                     raise ConfigError(f"{other_name} and {name} have near-identical colors")
         # an infinite center would reach `math.fmod` or `math.sin`: a linear one
         # peaks at the last frame, a sinusoidal one at |start| + |amplitude|
@@ -175,10 +176,6 @@ class SceneSpec:
     @property
     def total_pixels(self) -> int:
         return self.width * self.height * self.n_frames
-
-
-def _color_dist(a, b) -> float:
-    return math.dist(a, b)
 
 
 # --------------------------------------------------------------------------

@@ -134,6 +134,17 @@ def test_synth_errors_name_the_scene_files_own_keys(lines, err, tmp_path, capsys
     assert capsys.readouterr().err.splitlines() == [err]
 
 
+@pytest.mark.parametrize("key", ["scene.width", "scene.height"])
+def test_synth_absurd_frame_size_exits_one_with_one_line(key, tmp_path, capsys):
+    # a 10^9 px side once ended in `ValueError: array is too big`
+    spec = tmp_path / "s.scene"
+    spec.write_text(MINI_SCENE.replace(f"{key} = 64", f"{key} = 1000000000"))
+    assert main(["synth", str(spec), str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {key} must be <= 4096, got 1000000000"
+    ]
+
+
 # -- track -----------------------------------------------------------------
 
 def test_track_writes_results_and_masks(mini_dataset, tmp_path, capsys):
@@ -279,6 +290,23 @@ def test_track_checks_id_dim_when_the_config_loads(tmp_path, capsys):
                  "--config", str(p)])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == ["error: engine.id_dim must be >= 2, got 1"]
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["encoder.channels16", "encoder.channels8", "engine.id_dim", "engine.max_objects",
+     "engine.gpm_layers16", "engine.gpm_layers8"],
+)
+def test_track_absurd_sizes_exit_one_with_one_line(key, mini_dataset, tmp_path, capsys):
+    # 10^18 channels, id dims or objects once ended in a NumPy allocation
+    # error, and 10^18 gpm layers in a step that never ended
+    p = tmp_path / "run.cfg"
+    p.write_text(f"{key} = {10**18}\n")
+    assert main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"),
+                 "--config", str(p)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {key} must be ") and err.endswith(f"got {10**18}")
+    assert not (tmp_path / "o.txt").exists()
 
 
 def test_track_rejects_unknown_segmenter(mini_dataset, tmp_path, capsys):

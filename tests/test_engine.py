@@ -15,7 +15,7 @@ from mstrack.engine import (
 )
 from mstrack.errors import ConfigError, InitError, ShapeError
 from mstrack.features import EncoderConfig, pad_to_multiple
-from mstrack.propagation import merge_entries
+from mstrack.propagation import MemoryBank, merge_entries
 
 CFG = EngineConfig()
 
@@ -133,17 +133,34 @@ def test_step_increments_frame_index_and_refreshes_short_term():
         assert mem.long_term[0].frame_index == 0
 
 
-def test_long_term_cadence_appends_entries():
+def _record_writes(monkeypatch):
+    """(scale, entry, long_term) of every `MemoryBank.write` call, in order."""
+    writes = []
+    write = MemoryBank.write
+
+    def spy(self, entry, long_term):
+        writes.append((entry.scale, entry, long_term))
+        return write(self, entry, long_term)
+
+    monkeypatch.setattr(MemoryBank, "write", spy)
+    return writes
+
+
+def test_long_term_cadence_appends_entries(monkeypatch):
+    writes = _record_writes(monkeypatch)
     cfg = EngineConfig(long_term_every=2)
     frame, mask = make_square_frame(96, (16, 16), 48)
     state = init_reference(frame, mask, cfg)
     for _ in range(4):
         step(state, frame)
+    cadence = [(e.frame_index, lt) for scale, e, lt in writes if scale == 16]
+    assert cadence == [(0, True), (1, False), (2, True), (3, False), (4, True)]
     mem = state.memory.at(16)
-    assert [e.frame_index for e in mem.long_term] == [0, 2, 4]
+    assert len(mem.long_term) == 1 and mem.short_term.frame_index == 4
 
 
-def test_merged_long_term_memory_equals_the_merge_of_its_entries():
+def test_merged_long_term_memory_equals_the_merge_of_its_entries(monkeypatch):
+    writes = _record_writes(monkeypatch)
     cfg = EngineConfig(long_term_every=2)
     frame, mask = make_square_frame(96, (16, 16), 48)
     state = init_reference(frame, mask, cfg)
@@ -151,10 +168,12 @@ def test_merged_long_term_memory_equals_the_merge_of_its_entries():
         step(state, frame)
     for scale in (16, 8):
         mem = state.memory.at(scale)
-        assert isinstance(mem.long_term, tuple) and len(mem.long_term) == 3
-        want = merge_entries(list(mem.long_term))
+        assert isinstance(mem.long_term, tuple) and len(mem.long_term) == 1
+        written = [e for s, e, lt in writes if s == scale and lt]
+        assert [e.frame_index for e in written] == [0, 2, 4]
+        want = merge_entries(written)
         for name in ("keys", "id_values", "values", "keys_t"):
-            assert getattr(mem.merged, name).tobytes() == getattr(want, name).tobytes()
+            assert getattr(mem.long_term[0], name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_lost_target_repeats_last_box_and_freezes_memory():
@@ -279,6 +298,19 @@ def test_engine_config_validation():
         EngineConfig(max_objects=0)
 
 
+def test_engine_config_size_bounds_are_inclusive():
+    EngineConfig(max_objects=255, id_dim=1024, gpm_layers16=64, gpm_layers8=64)
+    for kw in (dict(max_objects=256), dict(id_dim=1025), dict(gpm_layers16=65),
+               dict(gpm_layers8=65)):
+        (name,) = kw
+        with pytest.raises(ConfigError, match=f"engine.{name} must be <= "):
+            EngineConfig(**kw)
+    EncoderConfig(channels16=1024, channels8=1024)
+    for name in ("channels16", "channels8"):
+        with pytest.raises(ConfigError, match=f"encoder.{name} must be <= "):
+            EncoderConfig(**{name: 1025})
+
+
 def test_engine_config_bounds_keep_attention_and_logits_in_float32():
     # a score is at most (match_norm * sqrt(32))^2 * (1 + 2 * 2) at stride 16
     EngineConfig(match_norm=1.45e18, temperature=1e10)
@@ -291,8 +323,8 @@ def test_engine_config_bounds_keep_attention_and_logits_in_float32():
             EngineConfig(temperature=t)
     # more stride-8 channels raise the stride-8 score bound
     with pytest.raises(ConfigError, match="match_norm"):
-        EngineConfig(encoder=EncoderConfig(channels8=2**20), match_norm=2e16)
-    EngineConfig(match_norm=2e16)
+        EngineConfig(encoder=EncoderConfig(channels8=1024), match_norm=4e17)
+    EngineConfig(match_norm=4e17)
     # |prior_weight| / 2 + 2 must stay within half the float32 range
     EngineConfig(prior_weight=-3.4e38)
     with pytest.raises(ConfigError, match="prior_weight"):

@@ -117,7 +117,7 @@ def test_load_sequence_returns_records_or_data_errors(tmp_path_factory, annotati
 
 _CONFIG_VALUES = st.sampled_from(
     ["0", "1", "-1", "2.5", "nan", "inf", "x", "", "ope", "mse", "zero", "boxfill,chroma",
-     ",", "union", "handcrafted", "weights-file", "1e400"]
+     ",", "union", "handcrafted", "weights-file", "1e400", "1000000000000000000"]
 )
 
 
@@ -150,7 +150,7 @@ _SCENE_KEYS = [
 ]
 _SCENE_VALUES = st.lists(
     st.sampled_from(["0.1", "0.9", "24", "16", "-3", "0", "nan", "inf", "x", "disc",
-                     "rectangle", "checker", "sinusoidal", "1e308", "1e-320"]),
+                     "rectangle", "checker", "sinusoidal", "1e308", "1e-320", "1000000000"]),
     max_size=4,
 ).map(" ".join)
 _VALID_SCENE = {

@@ -10,6 +10,7 @@ import numpy as np
 import mstrack
 from mstrack import cli, engine, evaluation
 from mstrack.boxmask import Box, SegmenterSpec
+from mstrack.propagation import MemoryBank
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 WORKLOADS = TRACER.with_name("workloads.py")
@@ -103,10 +104,41 @@ def test_benchmark_call_shapes_bind():
     inspect.signature(cli.resolve_threads).bind(0)
 
 
+def test_benchmark_call_shapes_of_the_tracker_hold():
+    # perfbench/workloads.py::run_tracker iterates track_sequence's result
+    # twice, so it must stay a list of (Box, mask) pairs, not a generator;
+    # StepTimer keeps step(...)[2] as the state, so step returns
+    # (mask, boxes, state)
+    frame = np.full((32, 48, 3), 0.5, dtype=np.float32)
+    frame[8:24, 16:32] = (0.9, 0.1, 0.1)
+    cfg = engine.EngineConfig()
+    outputs = engine.track_sequence([frame] * 3, Box(16, 8, 16, 16), cfg, SegmenterSpec())
+    assert isinstance(outputs, list) and len(outputs) == 3
+    for pair in outputs:
+        assert isinstance(pair, tuple) and len(pair) == 2
+        box, mask = pair
+        assert isinstance(box, Box) and isinstance(mask, np.ndarray) and mask.shape == (32, 48)
+    state = engine.init_reference(frame, outputs[0][1], cfg)
+    result = engine.step(state, frame)
+    assert isinstance(result, tuple) and len(result) == 3
+    mask, boxes, new_state = result
+    assert isinstance(mask, np.ndarray) and mask.shape == (32, 48)
+    assert isinstance(boxes[1], Box) and new_state is state
+
+
 def test_benchmark_memory_rows_count_the_merged_long_term_rows(monkeypatch):
-    # propagation.memory_rows16/8 sum the rows of the per-frame long-term
-    # entries; the attention reads the merged entry, so the two must agree
+    # propagation.memory_rows16/8 sum the rows of the long-term entries; the
+    # attention reads them, so the sum must be every row written to long term
     workloads = _load(monkeypatch, "perfbench_workloads", WORKLOADS)
+    written = []
+    write = MemoryBank.write
+
+    def spy(self, entry, long_term):
+        if long_term:
+            written.append(entry)
+        return write(self, entry, long_term)
+
+    monkeypatch.setattr(MemoryBank, "write", spy)
     frame = np.full((32, 48, 3), 0.5, dtype=np.float32)
     frame[8:24, 16:32] = (0.9, 0.1, 0.1)
     mask = np.zeros((32, 48), dtype=np.int32)
@@ -116,6 +148,6 @@ def test_benchmark_memory_rows_count_the_merged_long_term_rows(monkeypatch):
         engine.step(state, frame)
     for s in (16, 8):
         mem = state.memory.at(s)
-        rows = sum(e.keys.shape[0] for e in mem.long_term)
-        assert len(mem.long_term) == 3
-        assert workloads._long_term_rows(state, s) == rows == mem.merged.keys.shape[0]
+        rows = sum(e.keys.shape[0] for e in written if e.scale == s)
+        assert len(mem.long_term) == 1 and len([e for e in written if e.scale == s]) == 3
+        assert workloads._long_term_rows(state, s) == rows == mem.long_term[0].keys.shape[0]

@@ -1,6 +1,7 @@
 """ID bank, memory, attention reads, gated propagation layers and stages."""
 
 import dataclasses
+import gc
 import os
 import signal
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -746,23 +748,31 @@ def test_merge_entries_concatenates():
     assert merge_entries([a]) is a
 
 
+def _assert_same_rows(got, want):
+    for name in ("keys", "id_values", "values", "keys_t"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_memory_bank_write_sets_short_term_and_appends_long_term():
     bank = MemoryBank()
     first = entry(np.ones((2, 3)), np.zeros((2, 4)), scale=8, frame_index=0)
     bank.write(first, long_term=True)
     mem = bank.at(8)
-    assert mem.short_term is first and mem.long_term == (first,)
+    assert mem.short_term is first and len(mem.long_term) == 1 and mem.long_term[0] is first
     second = entry(np.ones((2, 3)), np.ones((2, 4)), scale=8, frame_index=1)
     bank.write(second, long_term=False)
     # a write replaces the scale's memory and leaves the one it replaced as it was
     assert bank.at(8) is not mem
-    assert mem.short_term is first and mem.long_term == (first,)
+    assert mem.short_term is first and len(mem.long_term) == 1 and mem.long_term[0] is first
     mem = bank.at(8)
-    assert mem.short_term is second and mem.long_term == (first,) and mem.merged is first
+    assert mem.short_term is second and len(mem.long_term) == 1 and mem.long_term[0] is first
     third = entry(np.ones((2, 3)), np.ones((2, 4)), scale=8, frame_index=2)
     bank.write(third, long_term=True)
     mem = bank.at(8)
-    assert mem.short_term is third and mem.long_term == (first, third)
+    # long term stays one entry: the reference rows, then the new frame's
+    assert mem.short_term is third and len(mem.long_term) == 1
+    assert mem.long_term[0] is not first and mem.long_term[0] is not third
+    _assert_same_rows(mem.long_term[0], merge_entries([first, third]))
     with pytest.raises(StateError):
         bank.at(16)
 
@@ -773,15 +783,15 @@ def test_scale_memory_cannot_be_edited_outside_the_bank_write():
     for t in range(3):
         bank.write(entry(rng.normal(size=(2, 4)), rng.normal(size=(2, 5)), frame_index=t), True)
     mem = bank.at(16)
-    assert mem.merged.keys.shape[0] == 6
-    # cutting long term by hand would leave a stale 6-row merged entry
+    assert len(mem.long_term) == 1 and mem.long_term[0].keys.shape[0] == 6
+    # cutting long term or short term by hand is refused
     with pytest.raises(dataclasses.FrozenInstanceError):
-        mem.long_term = mem.long_term[:1]
+        mem.long_term = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        mem.merged = mem.long_term[0]
+        mem.long_term = mem.long_term + (mem.short_term,)
     with pytest.raises(dataclasses.FrozenInstanceError):
         mem.short_term = None
-    assert len(mem.long_term) == 3 and mem.merged.keys.shape[0] == 6
+    assert len(mem.long_term) == 1 and mem.long_term[0].keys.shape[0] == 6
 
 
 def test_memory_write_merges_each_long_term_entry_once(monkeypatch):
@@ -797,20 +807,18 @@ def test_memory_write_merges_each_long_term_entry_once(monkeypatch):
     monkeypatch.setattr(propagation, "merge_entries", counted)
     bank = MemoryBank()
     bank.write(parts[0], long_term=True)
-    assert bank.at(16).merged is parts[0] and calls == [[id(parts[0])]]
-    # a short-term write merges nothing and keeps the merged entry
+    assert bank.at(16).long_term[0] is parts[0] and calls == [[id(parts[0])]]
+    # a short-term write merges nothing and keeps the long-term entry
     bank.write(parts[1], long_term=False)
-    assert bank.at(16).merged is parts[0] and len(calls) == 1
-    # a long-term write merges the merged entry with the new entry only
+    assert bank.at(16).long_term[0] is parts[0] and len(calls) == 1
+    # a long-term write merges the long-term entry with the new entry only
     for part in parts[1:]:
-        before = bank.at(16).merged
+        (before,) = bank.at(16).long_term
         bank.write(part, long_term=True)
         assert calls[-1] == [id(before), id(part)]
     mem = bank.at(16)
-    assert len(calls) == 3 and mem.long_term == tuple(parts)
-    want = merge_entries(list(parts))
-    for name in ("keys", "id_values", "values", "keys_t"):
-        assert getattr(mem.merged, name).tobytes() == getattr(want, name).tobytes()
+    assert len(calls) == 3 and len(mem.long_term) == 1
+    _assert_same_rows(mem.long_term[0], merge_entries(list(parts)))
 
 
 def test_scale_memory_merges_a_given_long_term_list_once(monkeypatch):
@@ -825,10 +833,30 @@ def test_scale_memory_merges_a_given_long_term_list_once(monkeypatch):
 
     monkeypatch.setattr(propagation, "merge_entries", counted)
     mem = ScaleMemory(long_term=list(parts), short_term=parts[-1])
-    assert mem.long_term == tuple(parts) and calls == [3]
-    assert mem.merged.values.tobytes() == merge_entries(list(parts)).values.tobytes()
+    assert isinstance(mem.long_term, tuple) and len(mem.long_term) == 1 and calls == [3]
+    _assert_same_rows(mem.long_term[0], merge_entries(list(parts)))
+    # one entry is kept as it is, and no entries stay none
+    one = ScaleMemory(long_term=[parts[0]], short_term=parts[0])
+    assert one.long_term == (parts[0],) and one.long_term[0] is parts[0]
     empty = ScaleMemory(long_term=[], short_term=parts[0])
-    assert empty.long_term == () and empty.merged is None and calls == [3]
+    assert empty.long_term == () and calls == [3]
+
+
+def test_a_frame_entry_dies_once_it_stops_being_short_term():
+    # a long-term frame lives on only as rows of the one merged entry, so its
+    # own float32 rows and float64 read copies go once a later write replaces it
+    rng = np.random.default_rng(55)
+    bank = MemoryBank()
+    bank.write(entry(rng.normal(size=(2, 4)), rng.normal(size=(2, 5)), frame_index=0), True)
+    frame = entry(rng.normal(size=(2, 4)), rng.normal(size=(2, 5)), frame_index=1)
+    ref = weakref.ref(frame)
+    bank.write(frame, long_term=True)
+    del frame
+    assert ref() is bank.at(16).short_term
+    bank.write(entry(rng.normal(size=(2, 4)), rng.normal(size=(2, 5)), frame_index=2), False)
+    gc.collect()
+    assert ref() is None
+    assert bank.at(16).long_term[0].keys.shape[0] == 4
 
 
 def _stage_setup(n_cells=4, d=8):

@@ -138,6 +138,10 @@ def test_checker_background_has_two_tones():
 def test_scene_validation_errors():
     with pytest.raises(ConfigError):
         scene(width=8)  # under the 16 px minimum
+    for name in ("width", "height"):
+        with pytest.raises(ConfigError, match=f"scene.{name} must be <= 4096"):
+            scene(**{name: 4097})
+    assert scene(width=4096, height=16).width == 4096
     with pytest.raises(ConfigError):
         scene(n_frames=0)
     with pytest.raises(ConfigError):
