@@ -26,6 +26,7 @@ from .engine import (
     init_reference,
     make_tracker,
     step,
+    track_frames,
     track_sequence,
 )
 from .errors import (
@@ -121,6 +122,7 @@ __all__ = [
     "standard_suite",
     "step",
     "success_score",
+    "track_frames",
     "track_sequence",
     "write_report",
 ]

@@ -1,6 +1,7 @@
 """Box/mask conversion: box-prompted segmenters, mask fusion, boxing, IoU.
 
-Masks are [H,W] integer arrays with label 0 = background.  Boxes use pixel
+Masks are [H,W] integer arrays with label 0 = background; the segmenters
+and `fuse_mask_list` return uint8 ones.  Boxes use pixel
 coordinates with (x, y) the top-left pixel and (w, h) the extents; a box
 with `lost=True` (or zero area) denotes a missing target.
 """
@@ -83,7 +84,7 @@ def boxfill_segmenter(frame: np.ndarray, box: Box) -> np.ndarray:
     cb = clamp_box(box, w, h)
     if cb.is_empty():
         raise InitError(f"box {box} lies fully outside a {w}x{h} frame")
-    mask = np.zeros((h, w), dtype=np.int32)
+    mask = np.zeros((h, w), dtype=np.uint8)
     mask[cb.y : cb.y + cb.h, cb.x : cb.x + cb.w] = 1
     return mask
 
@@ -102,7 +103,7 @@ def chroma_segmenter(frame: np.ndarray, box: Box, tolerance: float = 0.1) -> np.
         tolerance: Euclidean RGB distance threshold.
 
     Returns:
-        [H,W] int mask with label 1 on accepted pixels.
+        [H,W] uint8 mask with label 1 on accepted pixels.
     """
     if box.lost:
         raise InitError("cannot segment from a lost box")
@@ -125,7 +126,7 @@ def chroma_segmenter(frame: np.ndarray, box: Box, tolerance: float = 0.1) -> np.
     hit = dist <= min(tolerance, 2.0)
     if not hit.any():
         return boxfill_segmenter(frame, box)
-    mask = np.zeros((h, w), dtype=np.int32)
+    mask = np.zeros((h, w), dtype=np.uint8)
     mask[cb.y : cb.y + cb.h, cb.x : cb.x + cb.w][hit] = 1
     return mask
 
@@ -146,7 +147,7 @@ def oracle_segmenter(gt_mask: np.ndarray, box: Box) -> np.ndarray:
         iou = box_iou(mask_to_box(gt_mask, k), box)
         if iou > best_iou:
             best, best_iou = k, iou
-    return (gt_mask == best).astype(np.int32)
+    return (gt_mask == best).astype(np.uint8)
 
 
 def fuse_mask_list(masks, rule: str = "union") -> np.ndarray:
@@ -169,7 +170,7 @@ def fuse_mask_list(masks, rule: str = "union") -> np.ndarray:
             raise ShapeError(f"mask shapes differ: {m.shape} vs {shape}")
     need = {"intersection": n, "vote": (n + 1) // 2}.get(rule, 1)
     held = np.sum([m > 0 for m in masks], axis=0)
-    return (held >= need).astype(np.int32)
+    return (held >= need).astype(np.uint8)
 
 
 def mask_to_box(mask: np.ndarray, label: int = 1) -> Box:

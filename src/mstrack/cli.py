@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxmask import FUSION_RULES, Box, SegmenterSpec, clamp_box
-from .engine import EngineConfig, make_tracker, track_sequence
+from .engine import EngineConfig, make_tracker, track_frames
 from .errors import ConfigError, DataError, FormatError, InitError, MstrackError, check_range
 from .evaluation import (
     EvalConfig,
@@ -153,14 +153,17 @@ def cmd_track(args) -> int:
     (seg,) = _segmenter_specs(cfg, rows, args.fusion)
     seq = load_sequence(args.sequence_dir)
     frames, init, gt_mask = load_run(seq, range(len(seq)))
-    results = track_sequence(frames, init, cfg.engine, seg, gt_mask=gt_mask)
-    write_results(args.out_file, [box for box, _ in results])
-    if args.masks:
-        mask_dir = Path(args.masks)
+    mask_dir = Path(args.masks) if args.masks else None
+    if mask_dir is not None:
         mask_dir.mkdir(parents=True, exist_ok=True)
-        for t, (_, mask) in enumerate(results):
-            write_pgm(mask_dir / f"{t:04d}.pgm", mask.astype(np.uint8))
-    print(f"{seq.ident}: {len(results)} frames -> {args.out_file}")
+    # one frame at a time: each mask is written as its frame is tracked
+    boxes = []
+    for t, (box, mask) in enumerate(track_frames(frames, init, cfg.engine, seg, gt_mask)):
+        boxes.append(box)
+        if mask_dir is not None:
+            write_pgm(mask_dir / f"{t:04d}.pgm", mask)
+    write_results(args.out_file, boxes)
+    print(f"{seq.ident}: {len(boxes)} frames -> {args.out_file}")
     return 0
 
 

@@ -24,6 +24,12 @@ implemented in `coarse_reconstruct`.
 Target loss is total: if a step predicts an empty mask, the last known box
 is repeated with the lost flag set and memory is left unchanged for that
 frame, so propagation can re-acquire from the reference entry later.
+
+Label masks are uint8 (max_objects <= 255): the reference mask, each
+step's prediction and the masks `track_frames` yields.  `track_frames` runs
+one per-frame loop over any iterable of frames, pulling each frame only
+when the previous one is tracked, so a run holds at most two frames;
+`track_sequence` and `make_tracker` are built on it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .boxmask import Box, SegmenterSpec, mask_to_box, segment_box
-from .errors import ConfigError, InitError, ShapeError, check_range
+from .errors import ConfigError, InitError, LabelError, ShapeError, check_range
 from .features import EncoderConfig, encode_frame, pad_to_multiple, validate_frame
 from .kernels import FLOAT32_MAX, bilinear_resize, channel_argmax
 
@@ -132,7 +138,7 @@ class EngineState:
     k: int  # current object count
     frame_index: int
     config: EngineConfig
-    ref_mask: np.ndarray  # [H, W] int32 reference labels
+    ref_mask: np.ndarray  # [H, W] uint8 reference labels
     last_boxes: dict = field(default_factory=dict)  # label -> last non-lost Box
 
 
@@ -147,14 +153,19 @@ def _match_rows(grid: np.ndarray, cfg: EngineConfig) -> np.ndarray:
 
 
 def _validate_mask(mask: np.ndarray, frame: np.ndarray, cfg: EngineConfig) -> np.ndarray:
+    """The mask as uint8 labels, once it fits the frame and [0, max_objects]."""
     m = np.asarray(mask)
     if m.shape != frame.shape[:2]:
         raise ShapeError(f"mask shape {m.shape} != frame shape {frame.shape[:2]}")
     if not np.issubdtype(m.dtype, np.integer):
         raise ShapeError(f"mask must be integer-typed, got {m.dtype}")
-    if m.max(initial=0) > cfg.max_objects:
+    # checked before the uint8 cast, which would wrap -1 to label 255
+    lo, hi = m.min(initial=0), m.max(initial=0)
+    if lo < 0:
+        raise LabelError(f"mask labels must lie in [0, {cfg.max_objects}], got {lo}..{hi}")
+    if hi > cfg.max_objects:
         raise InitError(f"mask labels exceed max_objects={cfg.max_objects}")
-    return m.astype(np.int32)
+    return m.astype(np.uint8)
 
 
 def _write_memory(memory: MemoryBank, bank, mask, f16, f8, frame_index, long_term) -> None:
@@ -282,34 +293,50 @@ def coarse_reconstruct(mask: np.ndarray, num_labels: int | None = None) -> np.nd
     return channel_argmax(bilinear_resize(coeff, ph, pw))[:h, :w]
 
 
-def track_sequence(
+def track_frames(
     frames,
     init,
     cfg: EngineConfig,
     segmenter_spec: SegmenterSpec | None = None,
     gt_mask=None,
 ):
-    """Track through a frame list; returns one (Box, mask) pair per frame.
+    """Track through any iterable of frames, consumed once, one frame at a
+    time; yields one (Box, mask) pair per frame as it is tracked.
 
     `init` is a Box or a label mask, as `init_reference` takes it.  Frame 0
-    echoes the reference box and mask.
+    echoes the reference box and mask.  An empty iterable raises InitError
+    once the generator is run.
     """
-    frames = list(frames)
-    if not frames:
-        raise InitError("track_sequence needs at least one frame")
-    state = init_reference(frames[0], init, cfg, segmenter_spec, gt_mask=gt_mask)
-    outputs = [(state.last_boxes[1], state.ref_mask)]
-    for frame in frames[1:]:
-        pred, boxes, state = step(state, frame)
-        outputs.append((boxes[1], pred))
-    return outputs
+    state = None
+    # one loop variable, so no more than the current frame and the one
+    # before it are alive while the next frame loads
+    for frame in frames:
+        if state is None:
+            state = init_reference(frame, init, cfg, segmenter_spec, gt_mask=gt_mask)
+            yield state.last_boxes[1], state.ref_mask
+        else:
+            pred, boxes, state = step(state, frame)
+            yield boxes[1], pred
+    if state is None:
+        raise InitError("tracking needs at least one frame")
+
+
+def track_sequence(
+    frames,
+    init,
+    cfg: EngineConfig,
+    segmenter_spec: SegmenterSpec | None = None,
+    gt_mask=None,
+) -> list:
+    """`track_frames` over any iterable of frames, as a list of (Box, mask) pairs."""
+    return list(track_frames(frames, init, cfg, segmenter_spec, gt_mask=gt_mask))
 
 
 def make_tracker(cfg: EngineConfig, segmenter_spec: SegmenterSpec | None = None):
-    """Adapt track_sequence to the evaluation-facing callable shape."""
+    """Adapt track_frames to the evaluation-facing callable shape; masks are
+    dropped as they are made."""
 
     def run(frames, init_box: Box, gt_mask=None):
-        results = track_sequence(frames, init_box, cfg, segmenter_spec, gt_mask=gt_mask)
-        return [box for box, _ in results]
+        return [box for box, _ in track_frames(frames, init_box, cfg, segmenter_spec, gt_mask)]
 
     return run

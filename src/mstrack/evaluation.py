@@ -4,7 +4,9 @@ files and reports.
 A tracker is any callable `tracker(frames, init_box, gt_mask) -> [Box]`
 returning one box per frame (the first echoes its initialization); `gt_mask`
 is the ground-truth mask of the init frame when available, for oracle-style
-initializers, else None.
+initializers, else None.  `frames` is a `RunFrames` view: sized, indexable
+and re-iterable, it decodes each frame from disk only when it is read and
+caches none, so a tracker that steps through it holds one frame at a time.
 
 Success curve: for 51 thresholds 0.00, 0.02, ..., 1.00, the fraction of
 counted frames whose IoU is >= the threshold; the score is the mean of the
@@ -45,7 +47,7 @@ import numpy as np
 
 from .boxmask import Box, box_iou
 from .errors import ConfigError, DataError, InitError, check_range
-from .pnm import read_pgm, read_ppm
+from .pnm import ppm_size, read_pgm, read_ppm
 
 N_THRESHOLDS = 51
 PROTOCOLS = ("ope", "mse")
@@ -103,37 +105,68 @@ class SequenceRecord:
 
 
 def load_frame(path) -> np.ndarray:
-    return read_ppm(path).astype(np.float32) / 255.0
+    a = read_ppm(path).astype(np.float32)
+    a /= 255.0  # in place: the bytes `/ 255.0` gives, without a second array
+    return a
 
 
 def load_mask(path) -> np.ndarray:
-    return read_pgm(path).astype(np.int32)
+    # a writable uint8 copy: read_pgm's array is a read-only view of the file bytes
+    return read_pgm(path).copy()
+
+
+class RunFrames:
+    """The frames of one run, each decoded by `load_frame` only when read.
+
+    Sized and re-iterable, and indexable by position.  Nothing is cached:
+    each read decodes the file again, so a tracker that steps through the
+    run holds only the frames it keeps itself.
+    """
+
+    __slots__ = ("paths",)
+
+    def __init__(self, paths):
+        self.paths = tuple(paths)
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __getitem__(self, i):
+        return load_frame(self.paths[i])
+
+    def __iter__(self):
+        # load_frame is looked up per frame, so a wrapper set on the module
+        # (the benchmark's tracer) sees every load
+        for path in self.paths:
+            yield load_frame(path)
 
 
 def load_run(seq: SequenceRecord, indices) -> tuple:
     """`(frames, init_box, gt_mask)` for one tracker run over seq's frames at
     `indices`, initialized from `indices[0]`, the anchor.
 
-    `gt_mask` is the anchor's ground-truth mask, or None when the sequence has
-    none.  Raises DataError naming the file when the anchor has no visible
-    ground truth, or when a frame or the mask differs in size from the run's
-    first frame.
+    `frames` is a `RunFrames` view that decodes each frame as the tracker
+    reaches it; every frame's size is read from its header here, before any
+    tracking.  `gt_mask` is the anchor's ground-truth mask, or None when the
+    sequence has none.  Raises DataError naming the file when the anchor has
+    no visible ground truth, or when a frame or the mask differs in size from
+    the run's first frame.
     """
     anchor = indices[0]
     init_box = seq.gt_boxes[anchor]
     if init_box is None:
         raise DataError(f"{seq.frame_paths[anchor]}: no visible ground truth to initialize from")
-    frames = [load_frame(seq.frame_paths[i]) for i in indices]
-    sized = [(seq.frame_paths[i], f) for i, f in zip(indices, frames)]
+    frames = RunFrames(seq.frame_paths[i] for i in indices)
+    sized = [(path, ppm_size(path)) for path in frames.paths]
     gt_mask = None
     if seq.gt_mask_paths is not None:
         gt_mask = load_mask(seq.gt_mask_paths[anchor])
-        sized.append((seq.gt_mask_paths[anchor], gt_mask))
-    h, w = frames[0].shape[:2]
-    for path, a in sized:
-        if a.shape[:2] != (h, w):
+        sized.append((seq.gt_mask_paths[anchor], gt_mask.shape))
+    h, w = sized[0][1]
+    for path, (ph, pw) in sized:
+        if (ph, pw) != (h, w):
             raise DataError(
-                f"{path}: size {a.shape[1]}x{a.shape[0]} differs from the {w}x{h} "
+                f"{path}: size {pw}x{ph} differs from the {w}x{h} "
                 f"of {seq.frame_paths[anchor]}, the run's first frame"
             )
     return frames, init_box, gt_mask

@@ -1,7 +1,7 @@
 """Deterministic dense-array kernels used by the propagation engine.
 
 All kernels return C-contiguous float32 arrays ("tensors"; `channel_argmax`
-int32 labels) and are pure: identical inputs give bit-identical outputs.
+uint8 labels) and are pure: identical inputs give bit-identical outputs.
 `matmul` is a float64 BLAS product cast back to float32.  It converts a
 float32 operand to float64 once per call and uses a float64 operand as it
 is, without a copy, so a caller that multiplies by the same array on every
@@ -214,12 +214,13 @@ def bilinear_resize(x: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
 
 
 def channel_argmax(x: np.ndarray) -> np.ndarray:
-    """Per-pixel index of the maximal channel of an [H,W,C] tensor.
+    """Per-pixel index of the maximal channel of an [H,W,C] tensor, as uint8
+    labels, so C is at most 256.
 
     Ties break toward the lowest channel index, so label 0 wins ambiguous
     pixels.
     """
     x = as_tensor(x)
-    if x.ndim != 3 or x.shape[2] < 1:
-        raise ShapeError(f"channel_argmax expects [H,W,C] with C >= 1, got {x.shape}")
-    return np.ascontiguousarray(np.argmax(x, axis=2).astype(np.int32))
+    if x.ndim != 3 or not 1 <= x.shape[2] <= 256:
+        raise ShapeError(f"channel_argmax expects [H,W,C] with 1 <= C <= 256, got {x.shape}")
+    return np.ascontiguousarray(np.argmax(x, axis=2).astype(np.uint8))

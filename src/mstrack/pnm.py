@@ -46,16 +46,24 @@ def _write(path, magic: str, a: np.ndarray) -> None:
 def _read(path, magic: bytes, channels: int) -> np.ndarray:
     """Parse a binary P5/P6 header and return the [H,W,channels] payload."""
     with open(path, "rb") as f:
-        try:
-            w, h = _read_header(f, magic)
-        except FormatError as e:
-            raise FormatError(f"{path}: {e}") from None
-        n = w * h * channels
-        # checked before reading, so a huge header size never reaches read()
-        if n > os.fstat(f.fileno()).st_size - f.tell():
-            raise FormatError(f"{magic.decode()} payload truncated in {path}")
-        data = f.read(n)
+        h, w = _payload_size(f, path, magic, channels)
+        data = f.read(h * w * channels)
+    if len(data) != h * w * channels:  # the file shrank after its size was read
+        raise FormatError(f"{magic.decode()} payload truncated in {path}")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w, channels)
+
+
+def _payload_size(f, path, magic: bytes, channels: int):
+    """(h, w) from the header of the open file f, once the file is known to
+    hold the whole payload."""
+    try:
+        w, h = _read_header(f, magic)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
+    # checked before reading, so a huge header size never reaches read()
+    if w * h * channels > os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"{magic.decode()} payload truncated in {path}")
+    return h, w
 
 
 def _read_header(f, magic: bytes):
@@ -89,6 +97,16 @@ def _read_header(f, magic: bytes):
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 file into an [H,W,3] uint8 array."""
     return _read(path, b"P6", 3)
+
+
+def ppm_size(path) -> tuple:
+    """(height, width) of a binary P6 file, from its header alone.
+
+    Raises FormatError where `read_ppm` would, so a file that passes holds a
+    whole frame of that size (unless it changes before it is read).
+    """
+    with open(path, "rb") as f:
+        return _payload_size(f, path, b"P6", 3)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -118,7 +118,10 @@ class SceneSpec:
     """A scene: frame size, length, seed and shapes.
 
     Width and height lie in [16, 4096] px: a 4096 x 4096 frame already takes
-    192 MB as float32, and `mstrack track` holds every frame of a sequence.
+    192 MB as float32, and a tracker run holds two frames at a time.  Length
+    lies in [1, 100000] frames, over an hour of 25 fps video, so a mistyped
+    `scene.frames` is a config error and not a `mstrack synth` that writes
+    until the disk fills.  At most 255 objects, as mask labels are 8-bit.
     """
 
     ident: str
@@ -140,9 +143,11 @@ class SceneSpec:
             )
         check_range("scene.width", self.width, 16, 4096)
         check_range("scene.height", self.height, 16, 4096)
-        check_range("scene.frames", self.n_frames, 1)
+        check_range("scene.frames", self.n_frames, 1, 100_000)
         if not self.objects:
             raise ConfigError("scene needs at least one object")
+        if len(self.objects) > 255:
+            raise ConfigError(f"scene has {len(self.objects)} objects, at most 255 fit 8-bit labels")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         check_range("scene.seed", self.seed, 0)
@@ -240,12 +245,12 @@ def _background_image(spec: SceneSpec) -> np.ndarray:
 
 
 def render_frame(spec: SceneSpec, t: int):
-    """Render frame t: (uint8 image, int32 label mask, box per label).
+    """Render frame t: (uint8 image, uint8 label mask, box per label).
 
     Boxes cover visible pixels only; a fully hidden label maps to None.
     """
     img = _background_image(spec)
-    mask = np.zeros((spec.height, spec.width), dtype=np.int32)
+    mask = np.zeros((spec.height, spec.width), dtype=np.uint8)
     for label, obj in enumerate(spec.objects, start=1):
         cx, cy, w, h = object_geometry(spec, obj, t)
         hit = _raster(obj.shape, cx, cy, w, h, spec.width, spec.height)
@@ -290,7 +295,7 @@ def generate(spec: SceneSpec, out_dir) -> Path:
     for t in range(spec.n_frames):
         frame, mask, boxes = render_frame(spec, t)
         write_ppm(frames_dir / f"{t:04d}.ppm", frame)
-        write_pgm(masks_dir / f"{t:04d}.pgm", mask.astype(np.uint8))
+        write_pgm(masks_dir / f"{t:04d}.pgm", mask)
         b = boxes.get(1)
         rows.append((-1, -1, -1, -1, 0) if b is None else (b.x, b.y, b.w, b.h, 1))
     write_box_rows(root / "annotations.txt", rows)

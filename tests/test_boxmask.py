@@ -185,6 +185,25 @@ def test_segment_box_fuses_and_falls_back():
     assert np.array_equal(got, gt)
 
 
+def test_segmenters_and_fusion_return_uint8_masks():
+    frame = np.full((32, 32, 3), 0.9, dtype=np.float32)
+    frame[8:16, 8:16] = (0.1, 0.1, 0.1)
+    gt = np.zeros((32, 32), dtype=np.int64)
+    gt[8:16, 8:16] = 3
+    box = Box(7, 7, 10, 10)
+    masks = [
+        boxfill_segmenter(frame, box),
+        chroma_segmenter(frame, box),
+        chroma_segmenter(frame, box, tolerance=0.0),  # the boxfill fallback
+        oracle_segmenter(gt, box),
+    ]
+    assert [m.dtype for m in masks] == [np.uint8] * 4
+    for rule in ("union", "intersection", "vote"):
+        assert fuse_mask_list(masks, rule).dtype == np.uint8
+    for kinds in (("boxfill",), ("chroma",), ("oracle",), ("boxfill", "chroma", "oracle")):
+        assert segment_box(frame, box, SegmenterSpec(kinds=kinds), gt_mask=gt).dtype == np.uint8
+
+
 def test_segment_box_oracle_needs_gt():
     frame = np.zeros((16, 16, 3), dtype=np.float32)
     with pytest.raises(ConfigError):

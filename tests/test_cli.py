@@ -145,6 +145,17 @@ def test_synth_absurd_frame_size_exits_one_with_one_line(key, tmp_path, capsys):
     ]
 
 
+def test_synth_absurd_frame_count_exits_one_with_one_line_and_writes_nothing(tmp_path, capsys):
+    # a 10^9-frame scene once parsed, and synth would have written until the disk filled
+    spec = tmp_path / "s.scene"
+    spec.write_text(MINI_SCENE.replace("scene.frames = 6", "scene.frames = 1000000000"))
+    assert main(["synth", str(spec), str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scene.frames must be <= 100000, got 1000000000"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.scene"]
+
+
 # -- track -----------------------------------------------------------------
 
 def test_track_writes_results_and_masks(mini_dataset, tmp_path, capsys):
@@ -228,6 +239,20 @@ def test_mixed_frame_sizes_exit_two(mini_dataset, tmp_path, capsys):
     assert main(["eval", str(seq.parent), str(tmp_path / "r.json"), "--threads", "1"]) == 2
     for line in capsys.readouterr().err.splitlines():
         assert line.startswith(f"error: {bad}: size 64x48 differs from the 64x64")
+
+
+def test_truncated_frame_mid_run_exits_two_naming_it(mini_dataset, tmp_path, capsys):
+    seq = tmp_path / "data" / "mini"
+    shutil.copytree(mini_dataset / "mini", seq)
+    bad = seq / "frames" / "0003.ppm"
+    bad.write_bytes(bad.read_bytes()[:-100])
+    masks = tmp_path / "masks"
+    out = tmp_path / "o.txt"
+    assert main(["track", str(seq), str(out), "--masks", str(masks)]) == 2
+    # every frame's header is checked before the first is tracked
+    assert not out.exists() and list(masks.glob("*.pgm")) == []
+    assert main(["eval", str(seq.parent), str(tmp_path / "r.json"), "--threads", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: P6 payload truncated in {bad}"] * 2
 
 
 def test_track_needs_a_visible_first_frame(mini_dataset, tmp_path, capsys):

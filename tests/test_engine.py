@@ -11,9 +11,10 @@ from mstrack.engine import (
     init_reference,
     make_tracker,
     step,
+    track_frames,
     track_sequence,
 )
-from mstrack.errors import ConfigError, InitError, ShapeError
+from mstrack.errors import ConfigError, InitError, LabelError, ShapeError
 from mstrack.features import EncoderConfig, pad_to_multiple
 from mstrack.propagation import MemoryBank, merge_entries
 
@@ -249,6 +250,63 @@ def test_track_sequence_requires_frames_and_foreground():
     lost_box = Box(0.0, 0.0, 0.0, 0.0, lost=True)
     with pytest.raises(InitError):
         track_sequence([frame], lost_box, CFG, SegmenterSpec(kinds=("chroma",)))
+
+
+def test_track_sequence_on_a_one_shot_generator_equals_the_list(rendered_suite):
+    frames, masks, _ = rendered_suite["s01_slow_rect"]
+    listed = track_sequence(frames[:8], masks[0], CFG)
+    streamed = track_sequence((f for f in frames[:8]), masks[0], CFG)
+    assert [b for b, _ in streamed] == [b for b, _ in listed]
+    assert [m.tobytes() for _, m in streamed] == [m.tobytes() for _, m in listed]
+
+
+def test_track_frames_consumes_its_frames_as_it_yields():
+    frame, mask = make_square_frame(96, (16, 16), 48)
+    pulled = []
+
+    def frames():
+        for t in range(3):
+            pulled.append(t)
+            yield frame
+
+    out = track_frames(frames(), mask, CFG)
+    assert pulled == []  # a generator: nothing runs before the first pair is asked for
+    next(out)
+    assert pulled == [0]
+    assert len(list(out)) == 2 and pulled == [0, 1, 2]
+
+
+def test_an_empty_iterable_raises_init_error():
+    _, mask = make_square_frame(96, (16, 16), 48)
+    with pytest.raises(InitError, match="at least one frame"):
+        track_sequence(iter(()), mask, CFG)
+    with pytest.raises(InitError, match="at least one frame"):
+        make_tracker(CFG)((f for f in ()), Box(16, 16, 48, 48))
+
+
+@pytest.mark.parametrize("max_objects", [4, 255])
+def test_negative_labels_raise_a_label_error(max_objects):
+    # checked before the uint8 cast, which would make -1 label 255
+    frame, mask = make_square_frame(96, (16, 16), 48)
+    mask[0, 0] = -1
+    cfg = EngineConfig(max_objects=max_objects)
+    with pytest.raises(LabelError, match=rf"\[0, {max_objects}\], got -1\.\.1"):
+        init_reference(frame, mask, cfg)
+    with pytest.raises(LabelError):
+        track_sequence([frame], mask.astype(np.int8), cfg)
+
+
+def test_labels_are_uint8_from_init_to_every_step():
+    frame, mask = make_square_frame(96, (16, 16), 48)
+    state = init_reference(frame, mask.astype(np.int64), CFG)
+    assert state.ref_mask.dtype == np.uint8 and np.array_equal(state.ref_mask, mask)
+    pred, _, _ = step(state, frame)
+    assert pred.dtype == np.uint8
+    out = track_sequence([frame] * 3, mask_to_box(mask, 1), CFG)
+    assert [m.dtype for _, m in out] == [np.uint8] * 3
+    # the reference mask is a copy: the caller's array stays the caller's
+    own = mask.astype(np.uint8)
+    assert init_reference(frame, own, CFG).ref_mask is not own
 
 
 @pytest.mark.parametrize("init", ["box", "mask"])

@@ -1,6 +1,9 @@
 """Scoring, sequence records, OPE/MSE protocols, and report files."""
 
 import threading
+import tracemalloc
+import weakref
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -8,15 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstrack import propagation
-from mstrack.boxmask import Box
-from mstrack.errors import ConfigError, DataError, InitError
+from mstrack import evaluation, propagation
+from mstrack.boxmask import Box, SegmenterSpec
+from mstrack.engine import EngineConfig, make_tracker
+from mstrack.errors import ConfigError, DataError, FormatError, InitError
 from mstrack.evaluation import (
     N_THRESHOLDS,
     EvalConfig,
     EvalResult,
     SequenceRecord,
     evaluate_suite,
+    load_mask,
     load_run,
     load_sequence,
     mse,
@@ -30,6 +35,7 @@ from mstrack.evaluation import (
 )
 from mstrack.pnm import write_ppm
 from mstrack.propagation import MemoryEntry
+from mstrack.synthgen import Background, ObjectSpec, SceneSpec, generate
 
 
 def success_oracle(ious):
@@ -204,6 +210,32 @@ def test_load_run_rejects_mixed_sizes_naming_the_file(tmp_path):
         load_run(seq, range(10))
     frames, _, _ = load_run(seq, range(3))  # a run that leaves it out still loads
     assert len(frames) == 3
+
+
+def test_run_frames_decode_on_read_and_name_a_file_that_shrank(tmp_path, monkeypatch):
+    seq = write_sequence(tmp_path, "lazy", GT10)
+    loads = []
+    load_frame = evaluation.load_frame
+    monkeypatch.setattr(evaluation, "load_frame", lambda p: loads.append(p) or load_frame(p))
+    frames, _, _ = load_run(seq, range(2, 6))
+    assert loads == [] and len(frames) == 4
+    assert frames[1][0, 0, 0] == np.float32(3 / 255.0)
+    assert [int(round(f[0, 0, 0] * 255)) for f in frames] == [2, 3, 4, 5]
+    assert len(loads) == 5  # nothing is cached: each read decodes again
+    # the sizes were checked from the headers; a payload cut after that
+    # fails on its read, naming the file
+    path = Path(seq.frame_paths[4])
+    path.write_bytes(path.read_bytes()[:-7])
+    it = iter(frames)
+    assert len([next(it), next(it)]) == 2
+    with pytest.raises(FormatError, match=f"truncated in {path}"):
+        next(it)
+
+
+def test_load_mask_is_a_writable_uint8_copy(corpus_dir):
+    seq = load_sequence(corpus_dir / "s07_distractor")
+    mask = load_mask(seq.gt_mask_paths[0])
+    assert mask.dtype == np.uint8 and mask.flags.writeable and set(np.unique(mask)) == {0, 1, 2}
 
 
 def test_load_sequence_orders_frames_past_9999_by_number(tmp_path):
@@ -418,6 +450,54 @@ def test_evaluate_suite_pool_threads_do_not_split_reads(tmp_path, monkeypatch):
     product_threads.clear()
     evaluate_suite(reading_tracker, seqs[:1], protocol="ope", threads=2)
     assert len(set(product_threads)) == 2
+
+
+def _disc_scene(ident, n_frames, seed):
+    disc = ObjectSpec(shape="disc", color=(0.2, 0.8, 0.3), size=(40.0, 40.0),
+                      start=(64.0, 64.0), trajectory="sinusoidal", amplitude=(20.0, 12.0))
+    return SceneSpec(ident=ident, width=128, height=128, n_frames=n_frames, seed=seed,
+                     background=Background(color=(0.12, 0.12, 0.16)), objects=(disc,))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mse_runs_hold_at_most_two_frames_and_load_each_once(tmp_path, monkeypatch, threads):
+    seqs = [load_sequence(generate(_disc_scene(f"d{i}", 12, i), tmp_path)) for i in range(2)]
+    load_frame = evaluation.load_frame
+    alive = defaultdict(list)  # thread -> weak references to the frames it loaded
+    most = []
+
+    def counting(path):
+        frame = load_frame(path)
+        refs = alive[threading.get_ident()]
+        refs[:] = [r for r in refs if r() is not None] + [weakref.ref(frame)]
+        most.append(len(refs))
+        return frame
+
+    monkeypatch.setattr(evaluation, "load_frame", counting)
+    result = evaluate_suite(make_tracker(EngineConfig()), seqs, protocol="mse",
+                            anchor_spacing=5, threads=threads)
+    planned = sum(r["length"] for e in result.per_sequence for r in e["runs"])
+    assert planned == 2 * (12 + 7 + 2 + 6 + 11)  # anchors 0, 5, 10; no run failed
+    assert len(most) == planned and max(most) == 2
+
+
+def _mse_peak_bytes(root, n_frames):
+    seq = load_sequence(generate(_disc_scene(f"long{n_frames}", n_frames, 3), root))
+    tracker = make_tracker(EngineConfig(), SegmenterSpec())
+    tracemalloc.start()
+    try:
+        evaluate_suite(tracker, [seq], protocol="mse", anchor_spacing=60)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mse_peak_memory_does_not_grow_with_sequence_length(tmp_path):
+    # a run holding its whole sequence would hold 90 more float32 128 px
+    # frames here, about 17 MB
+    short = _mse_peak_bytes(tmp_path, 30)
+    long = _mse_peak_bytes(tmp_path, 120)
+    assert long - short <= 2 * 2**20, (short, long)
 
 
 # -- reports ------------------------------------------------------------------------

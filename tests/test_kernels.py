@@ -452,6 +452,16 @@ def test_argmax_single_channel_all_zero():
                           np.zeros((3, 3), dtype=np.int32))
 
 
+def test_argmax_gives_uint8_labels_for_up_to_256_channels():
+    x = np.zeros((2, 3, 256), dtype=np.float32)
+    x[1, 2, 255] = 1.0
+    got = channel_argmax(x)
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert got[1, 2] == 255 and got.sum() == 255
+    with pytest.raises(ShapeError, match="C <= 256"):
+        channel_argmax(np.zeros((2, 3, 257), dtype=np.float32))
+
+
 def test_argmax_tie_goes_low():
     x = np.full((1, 1, 2), 0.2, dtype=np.float32)
     assert channel_argmax(x)[0, 0] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mstrack.errors import FormatError
-from mstrack.pnm import read_pgm, read_ppm, write_pgm, write_ppm
+from mstrack.pnm import ppm_size, read_pgm, read_ppm, write_pgm, write_ppm
 
 
 def test_ppm_round_trip(tmp_path):
@@ -76,3 +76,15 @@ def test_header_size_beyond_the_file_is_rejected_before_reading(tmp_path):
     p.write_bytes(b"P5\n" + b"9" * 5000 + b" 2\n255\n")
     with pytest.raises(FormatError, match="decimal"):
         read_pgm(p)
+
+
+def test_ppm_size_reads_the_header_and_checks_the_payload(tmp_path):
+    p = tmp_path / "f.ppm"
+    write_ppm(p, np.zeros((5, 7, 3), dtype=np.uint8))
+    assert ppm_size(p) == (5, 7)
+    p.write_bytes(p.read_bytes()[:-1])
+    with pytest.raises(FormatError, match=f"P6 payload truncated in {p}"):
+        ppm_size(p)
+    p.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    with pytest.raises(FormatError, match=f"{p}: bad magic"):
+        ppm_size(p)

@@ -55,7 +55,7 @@ def test_mask_is_noise_free_and_matches_box():
     sp = scene()
     for t in (0, 2, 4):
         _, mask, boxes = render_frame(sp, t)
-        assert mask.dtype == np.int32
+        assert mask.dtype == np.uint8
         assert set(np.unique(mask)) <= {0, 1}
         assert boxes[1] == mask_to_box(mask, 1)
         assert int(mask.sum()) == 24 * 24
@@ -144,8 +144,14 @@ def test_scene_validation_errors():
     assert scene(width=4096, height=16).width == 4096
     with pytest.raises(ConfigError):
         scene(n_frames=0)
+    assert scene(n_frames=100_000).n_frames == 100_000
+    with pytest.raises(ConfigError, match="scene.frames must be <= 100000"):
+        scene(n_frames=100_001)
     with pytest.raises(ConfigError):
         scene(objects=())
+    # labels are 8-bit: a 256th object would wrap to the background label
+    with pytest.raises(ConfigError, match="256 objects, at most 255"):
+        scene(objects=(RECT,) * 256)
     for kw in (dict(noise_sigma=-0.1), dict(noise_sigma=float("nan")),
                dict(noise_sigma=float("inf")), dict(seed=-1)):
         with pytest.raises(ConfigError):
