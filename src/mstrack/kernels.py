@@ -30,9 +30,13 @@ whose logits spread past 745.
 row i of `a` (or column j of `b`) makes every output of that row (or
 column) NaN or inf, so the check on the product, which `matmul` needs anyway
 for float32 overflow, raises `NumericError` for it as well
-(tests/test_kernels.py draws single-entry cases up to 8x8x8).  The
-other kernels check their input with `as_tensor`: nothing before `softmax`
-checks its scores, and a -inf score would not show in its output.
+(tests/test_kernels.py draws single-entry cases up to 8x8x8).  `softmax`
+checks its input in the same way, since nothing before it checks its
+scores and a -inf score would not show in its output; the other kernels
+check their input with `as_tensor`.  `matmul` and `softmax` also take
+float64 `work` and float32 `out` arrays, so a caller that repeats them over
+chunks of one shape (an attention read) allocates its buffers once; their
+checks use min and max, which allocate nothing.
 
 Importing this module sets NumPy's OpenBLAS, when the symbol resolves, to
 one thread.  mstrack spreads work over threads of its own instead: the
@@ -116,7 +120,19 @@ def _float64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float32).astype(np.float64)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _all_finite(a: np.ndarray) -> bool:
+    # min and max propagate NaN and need no bool temporary of a's size
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def _checked_buffer(buf, shape, dtype, name):
+    if buf is not None and (buf.shape != shape or buf.dtype != dtype):
+        want = np.dtype(dtype).name
+        raise ShapeError(f"{name} must be {want} {shape}, got {buf.dtype} {buf.shape}")
+    return buf
+
+
+def matmul(a: np.ndarray, b: np.ndarray, *, out=None, work=None) -> np.ndarray:
     """Matrix product of a [m,k] and b [k,n], summed in float64 by BLAS.
 
     A float32 x float32 product is exact in float64, so BLAS can change only
@@ -124,6 +140,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     on the engine's shapes: tests/test_kernels.py keeps the einsum sum this
     replaced as the reference, at 1 and 2 BLAS threads.  A float64 operand
     is used without a copy; it must hold float32 values for that to hold.
+    A transposed view (b = x.T of a row-major x) is passed to BLAS as a
+    transposed operand, also without a copy.  BLAS sums into `work`, a
+    float64 [m,n] array, when given, and the float32 result goes to `out`
+    when given; otherwise each is a new array.
     """
     a = _float64(a)
     b = _float64(b)
@@ -131,33 +151,46 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dims differ: {a.shape} x {b.shape}")
-    # an overflowing cast gives inf, which the check below reports; the
-    # method form of all() skips np.all's Python wrapper, which costs more
-    # per call than the errstate
+    shape = (a.shape[0], b.shape[1])
+    work = np.matmul(a, b, out=_checked_buffer(work, shape, np.float64, "matmul work"))
+    out = _checked_buffer(out, shape, np.float32, "matmul out")
+    # an overflowing cast gives inf, which the check below reports
     with np.errstate(over="ignore"):
-        out = (a @ b).astype(np.float32)
-    if not np.isfinite(out).all():
+        if out is None:
+            out = work.astype(np.float32)
+        else:
+            out[...] = work
+    if not _all_finite(out):
         raise NumericError("matmul overflowed float32 range")
     return out
 
 
-def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0, out=None) -> np.ndarray:
+def softmax(
+    x: np.ndarray, axis: int = -1, temperature: float = 1.0, out=None, *, work=None
+) -> np.ndarray:
     """Temperature softmax along `axis` with max-subtraction.
 
     Each slice of the output sums to 1 (within float tolerance) and the
     result is invariant to adding a constant to a slice.  The work is done
-    in place in one float64 copy of `x`, with logits clamped at `EXP_CLAMP`.
+    in place in one float64 copy of `x`, with logits clamped at `EXP_CLAMP`:
+    in `work`, a float64 array of x's shape, when given, else a new array.
     The float32 result goes to `out` when given (a float32 array of x's
-    shape, such as a row range of a larger map), else to a new array.
+    shape, such as a row range of a larger map, or x itself), else to a new
+    array.
     """
-    x = as_tensor(x)
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    if not _all_finite(x):
+        raise NumericError("tensor contains non-finite values")
     if temperature <= 0.0:
         raise NumericError(f"temperature must be positive, got {temperature}")
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} out of range for rank-{x.ndim} tensor")
-    if out is not None and (out.shape != x.shape or out.dtype != np.float32):
-        raise ShapeError(f"softmax out must be float32 {x.shape}, got {out.dtype} {out.shape}")
-    z = x.astype(np.float64)
+    out = _checked_buffer(out, x.shape, np.float32, "softmax out")
+    z = _checked_buffer(work, x.shape, np.float64, "softmax work")
+    if z is None:
+        z = x.astype(np.float64)
+    else:
+        z[...] = x
     if temperature != 1.0:
         z /= float(temperature)
     z -= z.max(axis=axis, keepdims=True)

@@ -22,22 +22,33 @@ ID branch.  Both branches come from one product, att . [keys | id_values].
 Each of the four reads has its own scalar gate bias; bias 0 (the default) is
 a uniform half-open gate.
 
-Memory entries hold their keys (transposed) and values in float64 as well,
-built once per entry, so a read converts only the query and the attention
-map.  A read takes its query rows in chunks of `CELL_BUDGET // m` rows
-(at least one) against m memory rows, so a chunk's float64 scores take at
-most 1 MB whatever the frame size or memory width, small enough for a core's
-L2 cache.  The engine asks for no attention map (`keep_att=False`): each
-chunk's weights then live only for that chunk, and no read holds a query x
-memory map.  A read of at least `PARALLEL_READ_CELLS` query rows x memory
-rows made on the main thread is also split into one contiguous row range
-per thread of `kernels.resolve_threads(0)`, at most `kernels.MAX_THREADS`,
-and each range runs the same chunk loop: the main thread reads the first
-range, and helper threads started for that read alone read the others, so
-no helper outlives its read.  NumPy releases the GIL in BLAS and in its
-ufunc loops, so the ranges run side by side.  Reads on any other thread,
-such as the evaluation pool's, which already fills the CPUs, are not split;
-`MSTRACK_THREADS=1` splits nothing.  Every chunk is the same
+An entry holds its rows once, as one float64 [N, C+D] array of float32
+values (`values`); its keys, id rows and transposed keys are views of it,
+so a read converts only the query and the attention map.  A long-term write
+appends in place: the merged entry views the first rows of a growing
+buffer, the new rows go after them, and a full buffer is replaced once by
+one of twice the capacity, so a write copies only its own rows.  Only the
+entry that views every written row of a buffer extends it.  The rows an
+earlier entry sees are therefore never written again, and an entry whose
+buffer has moved on (one given to two banks, say) is copied into a new
+buffer first.
+
+A read takes its query rows in chunks of `CELL_BUDGET // m` rows (at least
+one) against m memory rows, so a chunk's float64 scores take at most 1 MB
+whatever the frame size or memory width, small enough for a core's L2
+cache.  The engine asks for no attention map (`keep_att=False`), so no read
+holds a query x memory map.  A read of at least `PARALLEL_READ_CELLS` query
+rows x memory rows made on the main thread is also split into one
+contiguous row range per thread of `kernels.resolve_threads(0)`, at most
+`kernels.MAX_THREADS`, and each range runs the same chunk loop: the main
+thread reads the first range, and helper threads started for that read
+alone read the others, so no helper outlives its read.  NumPy releases the
+GIL in BLAS and in its ufunc loops, so the ranges run side by side.  Reads
+on any other thread, such as the evaluation pool's, which already fills the
+CPUs, are not split; `MSTRACK_THREADS=1` splits nothing.  Each range's
+chunks reuse one set of scratch buffers (float64 scores, float32 weights, a
+float64 read product) that the calling thread allocates before any helper
+starts, so helpers allocate no chunk-sized arrays.  Every chunk is the same
 `softmax(matmul(...))` and `matmul` over its rows, so the bytes depend
 neither on the chunking nor on the thread count (tests/test_propagation.py
 compares both with one composed read).
@@ -144,22 +155,47 @@ def permuted_bank(bank: IdBank, perm: dict[int, int]) -> IdBank:
 # memory
 
 
+class _RowBuffer:
+    """Float64 memory rows with room to grow; entries view its first rows.
+
+    `used` rows are written.  Only the entry that views all of them may
+    extend the buffer (`merge_entries`), so no row an entry can see is
+    written again.
+    """
+
+    __slots__ = ("data", "used")
+
+    def __init__(self, capacity: int, width: int, used: int):
+        self.data = np.empty((capacity, width), dtype=np.float64)
+        self.used = used
+
+
+# claims a buffer's free rows, so two memories that share an entry cannot
+# both append after it
+_claim_lock = threading.Lock()
+
+
 @dataclass(frozen=True)
 class MemoryEntry:
     """Memory rows of one frame, or of several merged.
 
-    `keys` and `id_values` become float32 views into one [N, C+D] array, so
-    the rows are held once in float32.  Attention reads use `keys_t`
-    [C, N] and `values` [N, C+D], float64 copies built once per entry, so
-    `matmul` takes them without converting memory on every read.
+    The rows are held once, in `values`, a float64 [N, C+D] array of
+    float32 values: the keys, then the id rows.  `keys` [N, C],
+    `id_values` [N, D] and `keys_t` [C, N] are views of it, so `matmul`
+    takes them without converting memory on every read, and BLAS takes
+    `keys_t` as a transposed operand without a copy.  A row costs 8 (C+D)
+    bytes, 512 at C = D = 32.  The arrays are read-only.  An entry built
+    from keys and id rows owns its `values`; one that `merge_entries` built
+    views the first rows of a `_RowBuffer`.
     """
 
     scale: int  # stride, 16 or 8
     keys: np.ndarray  # [N, C] flattened spatial cells
     id_values: np.ndarray  # [N, D]
     frame_index: int
-    keys_t: np.ndarray = field(init=False, repr=False, compare=False)  # [C, N] float64
-    values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, C+D] float64
+    keys_t: np.ndarray = field(init=False, repr=False, compare=False)  # [C, N]
+    values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, C+D]
+    _buffer: _RowBuffer | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.keys.ndim != 2 or self.id_values.ndim != 2:
@@ -171,15 +207,28 @@ class MemoryEntry:
             )
         if self.keys.shape[0] == 0:
             raise ShapeError("memory entry has no rows; a read needs at least one")
-        c = self.keys.shape[1]
-        rows = np.concatenate(
-            [np.asarray(self.keys, np.float32), np.asarray(self.id_values, np.float32)], axis=1
-        )
-        values = rows.astype(np.float64)
-        object.__setattr__(self, "keys", rows[:, :c])
-        object.__setattr__(self, "id_values", rows[:, c:])
+        n, c = self.keys.shape
+        values = np.empty((n, c + self.id_values.shape[1]), dtype=np.float64)
+        values[:, :c] = np.asarray(self.keys, np.float32)
+        values[:, c:] = np.asarray(self.id_values, np.float32)
+        self._view(values, c)
+
+    def _view(self, values: np.ndarray, c: int) -> None:
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "keys_t", np.ascontiguousarray(values[:, :c].T))
+        object.__setattr__(self, "keys", values[:, :c])
+        object.__setattr__(self, "id_values", values[:, c:])
+        object.__setattr__(self, "keys_t", values[:, :c].T)
+
+    @classmethod
+    def _of_buffer(cls, scale: int, buffer: _RowBuffer, c: int) -> "MemoryEntry":
+        """The entry of the first `buffer.used` rows of `buffer`, without a copy."""
+        entry = object.__new__(cls)
+        object.__setattr__(entry, "scale", scale)
+        object.__setattr__(entry, "frame_index", -1)
+        object.__setattr__(entry, "_buffer", buffer)
+        entry._view(buffer.data[: buffer.used], c)
+        return entry
 
 
 @dataclass(frozen=True)
@@ -221,14 +270,47 @@ class MemoryBank:
 
 
 def merge_entries(entries: list) -> MemoryEntry:
-    """One entry holding the rows of `entries` in order; [a] gives a itself."""
+    """One entry holding the rows of `entries` in order; [a] gives a itself.
+
+    The rows go to a `_RowBuffer`.  When the first entry views all the
+    written rows of a buffer with room for the others, they are written
+    after its rows, so a write copies only its new rows.  Otherwise every
+    row is copied once into a new buffer of max(rows, 2 x capacity) rows,
+    the capacity being the first entry's buffer's or its row count.
+    Entries of different strides or widths raise `ShapeError`.
+    """
     if not entries:
         raise StateError("empty long-term memory")
+    first = entries[0]
+    (n, c), d = first.keys.shape, first.id_values.shape[1]
+    for e in entries[1:]:
+        if e.scale != first.scale:
+            raise ShapeError(
+                f"cannot merge stride-{e.scale} memory into stride-{first.scale} memory"
+            )
+        if (e.keys.shape[1], e.id_values.shape[1]) != (c, d):
+            raise ShapeError(
+                f"cannot merge memory rows of {e.keys.shape[1]} key and {e.id_values.shape[1]} id "
+                f"columns into rows of {c} key and {d} id columns"
+            )
     if len(entries) == 1:
-        return entries[0]
-    keys = np.concatenate([e.keys for e in entries], axis=0)
-    ids = np.concatenate([e.id_values for e in entries], axis=0)
-    return MemoryEntry(scale=entries[0].scale, keys=keys, id_values=ids, frame_index=-1)
+        return first
+    total = n + sum(e.values.shape[0] for e in entries[1:])
+    buffer = first._buffer
+    with _claim_lock:
+        if buffer is not None and buffer.used == n and total <= buffer.data.shape[0]:
+            buffer.used = total
+        else:
+            buffer = None
+    if buffer is None:
+        grown = first._buffer.data.shape[0] if first._buffer is not None else n
+        buffer = _RowBuffer(max(total, 2 * grown), c + d, total)
+        buffer.data[:n] = first.values
+    row = n
+    for e in entries[1:]:
+        buffer.data[row : row + e.values.shape[0]] = e.values
+        row += e.values.shape[0]
+    return MemoryEntry._of_buffer(first.scale, buffer, c)
 
 
 # --------------------------------------------------------------------------
@@ -300,16 +382,16 @@ def encode_mask_to_ids(mask: np.ndarray, bank: IdBank, stride: int) -> np.ndarra
 # attention + gated propagation
 
 
-def _read_rows(q: np.ndarray, memory: MemoryEntry, scale: np.float32, att=None):
-    s = matmul(q, memory.keys_t)
-    s /= scale
-    att = softmax(s, axis=-1, out=att)
-    del s  # the scores are not kept alive through the read product (peak memory)
-    return matmul(att, memory.values)
+def _read_scratch(rows: int, m: int, width: int, keep_att: bool):
+    """Buffers for a chunk of up to `rows` query rows against m memory rows:
+    float64 scores, float32 weights (None when the map is kept, which holds
+    them) and a float64 read product."""
+    weights = None if keep_att else np.empty((rows, m), dtype=np.float32)
+    return np.empty((rows, m)), weights, np.empty((rows, width))
 
 
 def _run_split(fn, ranges) -> None:
-    """fn(lo, hi) for each range: the first on this thread, the rest on new helpers.
+    """fn(*r) for each r in ranges: the first on this thread, the rest on new helpers.
 
     Returns, or raises the first error, only once every range has finished,
     so no helper still writes into the caller's arrays or outlives the call.
@@ -334,7 +416,9 @@ def attention_read(
     with att None under `keep_att=False`.  Query rows are read in chunks of
     `CELL_BUDGET // m` rows, and a read of at least `PARALLEL_READ_CELLS`
     cells in one row range per thread (module docstring).  The chunks fill
-    preallocated float32 read arrays, and `att` only when it is kept.
+    preallocated float32 read arrays, and `att` only when it is kept.  Each
+    row range's chunks reuse one set of scratch buffers, allocated here
+    before any helper starts.
     """
     q = np.asarray(query, dtype=np.float32)
     if q.ndim != 2:
@@ -344,22 +428,33 @@ def attention_read(
             f"query channels {q.shape[1]} != memory key channels {memory.keys.shape[1]}"
         )
     n, c = q.shape
-    m = memory.keys.shape[0]
+    m, width = memory.values.shape
     scale = np.float32(temperature * np.sqrt(c))
     # only the main thread splits: other threads, the evaluation pool's, fill the CPUs already
     split = n * m >= PARALLEL_READ_CELLS and threading.current_thread() is threading.main_thread()
     parts = min(resolve_threads(0), n, MAX_THREADS) if split else 1
     chunk = max(1, CELL_BUDGET // m)
     att = np.empty((n, m), dtype=np.float32) if keep_att else None
-    read = np.empty((n, memory.values.shape[1]), dtype=np.float32)
+    read = np.empty((n, width), dtype=np.float32)
 
-    def read_range(lo, hi):
+    def read_range(lo, hi, scores, weights, product):
         for start in range(lo, hi, chunk):
-            rows = slice(start, min(start + chunk, hi))
-            read[rows] = _read_rows(q[rows], memory, scale, None if att is None else att[rows])
+            stop = min(start + chunk, hi)
+            k = stop - start
+            w = weights[:k] if att is None else att[start:stop]
+            s = scores[:k]
+            matmul(q[start:stop], memory.keys_t, out=w, work=s)
+            w /= scale
+            softmax(w, out=w, work=s)
+            s[...] = w  # the float32 weights, exactly, as the read's float64 operand
+            matmul(s, memory.values, out=read[start:stop], work=product[:k])
 
     bounds = [n * i // parts for i in range(parts + 1)]
-    _run_split(read_range, list(zip(bounds, bounds[1:])))
+    ranges = [
+        (lo, hi, *_read_scratch(min(chunk, hi - lo), m, width, keep_att))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    _run_split(read_range, ranges)
     _record(("attention_read", n, m, c, memory.id_values.shape[1]))
     return att, read[:, :c], read[:, c:]
 

@@ -430,9 +430,9 @@ def test_evaluate_suite_pool_threads_do_not_split_reads(tmp_path, monkeypatch):
     run_threads, product_threads = set(), []
     matmul = propagation.matmul
 
-    def traced(a, b):
+    def traced(a, b, **buffers):
         product_threads.append(threading.get_ident())
-        return matmul(a, b)
+        return matmul(a, b, **buffers)
 
     def reading_tracker(frames, init_box, gt_mask=None):
         run_threads.add(threading.get_ident())

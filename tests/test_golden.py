@@ -119,6 +119,7 @@ def _run_under_coretype(core, tmp_path_factory):
                 f"{attention}::test_chunked_attention_read_bytes_on_engine_shapes",
                 f"{attention}::test_split_read_bytes_equal_the_serial_read_on_engine_shapes",
                 f"{attention}::test_a_read_without_its_map_keeps_its_bytes",
+                f"{attention}::test_reads_of_a_grown_long_term_memory_keep_their_bytes",
             ],
             env=env, cwd=ROOT, stdout=log, stderr=subprocess.STDOUT, text=True,
         )
@@ -159,7 +160,7 @@ def _assert_coretype_run_passed(run, core):
     log.seek(0)
     out = log.read()
     assert proc.returncode == 0, out[-4000:]
-    assert "7 passed" in out
+    assert "8 passed" in out
 
 
 def test_bytes_hold_under_the_prescott_blas_kernel(prescott_run):

@@ -396,6 +396,30 @@ def test_softmax_writes_into_out():
             softmax(x, out=bad)
 
 
+def test_matmul_and_softmax_fill_given_buffers_with_the_same_bytes():
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=(5, 7)).astype(np.float32)
+    b = rng.normal(size=(9, 7)).astype(np.float32)
+    work, out = np.empty((5, 9)), np.empty((5, 9), dtype=np.float32)
+    # b as a transposed view, the way attention reads take their keys
+    got = matmul(a, b.astype(np.float64).T, out=out, work=work)
+    assert got is out and out.tobytes() == matmul(a, np.ascontiguousarray(b.T)).tobytes()
+    x = (40.0 * rng.normal(size=(5, 9))).astype(np.float32)
+    want = softmax(x, -1, 0.7)
+    assert softmax(x, -1, 0.7, out=x, work=work) is x  # in place, through work
+    assert x.tobytes() == want.tobytes()
+    for bad in (np.empty((5, 8)), np.empty((5, 9), dtype=np.float32)):
+        with pytest.raises(ShapeError):
+            matmul(a, b.T, work=bad)
+        with pytest.raises(ShapeError):
+            softmax(x, work=bad)
+    with pytest.raises(ShapeError):
+        matmul(a, b.T, out=np.empty((5, 9)))
+    a[2, 3] = np.inf
+    with pytest.raises(NumericError):
+        matmul(a, b.T, out=out, work=work)
+
+
 def test_bilinear_constant_preserved():
     got = bilinear_resize(np.full((4, 4, 1), 7.0, dtype=np.float32), 8, 8)
     np.testing.assert_allclose(got, 7.0, atol=1e-6)

@@ -353,9 +353,9 @@ def _read_threads_seen(monkeypatch):
     """Names of the threads each `matmul` of a read runs on, in call order."""
     seen = []
 
-    def traced(a, b):
+    def traced(a, b, **buffers):
         seen.append(threading.current_thread().name)
-        return matmul(a, b)
+        return matmul(a, b, **buffers)
 
     monkeypatch.setattr(propagation, "matmul", traced)
     return seen
@@ -433,9 +433,9 @@ def test_read_splits_from_parallel_read_cells_on(monkeypatch):
         mem = entry(_engine_rows(rng, m), _engine_rows(rng, m, norm=1.0))
         seen = []
 
-        def traced(a, b):
+        def traced(a, b, **buffers):
             seen.append((threading.current_thread().name, a.__array_interface__["data"][0]))
-            return matmul(a, b)
+            return matmul(a, b, **buffers)
 
         monkeypatch.setattr(propagation, "matmul", traced)
         attention_read(q, mem)
@@ -476,13 +476,13 @@ def test_non_finite_score_in_a_split_read_raises_after_every_range_finished(
     running = []
     finished = []
 
-    def slow_on_helpers(a, b):
+    def slow_on_helpers(a, b, **buffers):
         name = threading.current_thread().name
         running.append(name)
         try:
             if name != caller:
                 time.sleep(0.05)  # the caller's range ends long before
-            return matmul(a, b)
+            return matmul(a, b, **buffers)
         finally:
             finished.append(name)
 
@@ -532,9 +532,9 @@ from mstrack import propagation
 from mstrack.engine import EngineConfig, init_reference, step
 from mstrack.kernels import matmul
 names = set()
-def traced(a, b):
+def traced(a, b, **buffers):
     names.add(threading.current_thread().name)
-    return matmul(a, b)
+    return matmul(a, b, **buffers)
 propagation.matmul = traced
 rng = np.random.default_rng(60)
 frames = [rng.uniform(size=(256, 256, 3)).astype(np.float32) for _ in range(2)]
@@ -598,9 +598,9 @@ def test_a_forked_child_splits_reads_over_helpers_of_its_own(monkeypatch):
 def test_gpm_layer_makes_two_products_per_read(monkeypatch):
     calls = []
 
-    def counted(a, b):
+    def counted(a, b, **buffers):
         calls.append((a.shape, b.shape))
-        return matmul(a, b)
+        return matmul(a, b, **buffers)
 
     monkeypatch.setattr(propagation, "matmul", counted)
     mem = entry(np.ones((4, 2)), np.ones((4, 3)))
@@ -744,7 +744,9 @@ def test_merge_entries_concatenates():
     m = merge_entries([a, b])
     assert m.keys.shape == (5, 3) and m.id_values.shape == (5, 4)
     assert np.array_equal(m.values, np.concatenate([m.keys, m.id_values], axis=1))
-    assert np.array_equal(m.keys_t, m.keys.T) and m.keys_t.flags.c_contiguous
+    assert np.array_equal(m.keys_t, m.keys.T)
+    # the rows are held once: keys, id rows and keys_t are views of values
+    assert all(np.shares_memory(v, m.values) for v in (m.keys, m.id_values, m.keys_t))
     assert merge_entries([a]) is a
 
 
@@ -857,6 +859,199 @@ def test_a_frame_entry_dies_once_it_stops_being_short_term():
     gc.collect()
     assert ref() is None
     assert bank.at(16).long_term[0].keys.shape[0] == 4
+
+
+def test_merging_refuses_entries_of_another_stride_or_width():
+    a = entry(np.ones((2, 3)), np.zeros((2, 4)), scale=8)
+    with pytest.raises(ShapeError, match="stride-16 memory into stride-8"):
+        merge_entries([a, entry(np.ones((2, 3)), np.zeros((2, 4)), scale=16)])
+    bank = MemoryBank()
+    bank.write(a, long_term=True)
+    mem = bank.at(8)
+    for keys, ids, widths in (((2, 5), (2, 4), "5 key and 4 id"),
+                              ((2, 3), (2, 6), "3 key and 6 id")):
+        other = entry(np.ones(keys), np.zeros(ids), scale=8)
+        with pytest.raises(ShapeError, match=f"{widths} columns into rows of 3 key and 4 id"):
+            merge_entries([a, other])
+        with pytest.raises(ShapeError, match=f"{widths} columns"):
+            bank.write(other, long_term=True)
+        assert bank.at(8) is mem
+
+
+def _rows_of(rng, n, c=4, d=5):
+    return rng.normal(size=(n, c)).astype(np.float32), rng.normal(size=(n, d)).astype(np.float32)
+
+
+def test_a_long_term_write_that_fits_appends_after_the_rows_it_keeps():
+    rng = np.random.default_rng(68)
+    bank = MemoryBank()
+    for t in range(2):  # the reference's 3 rows, then a new buffer of 6
+        bank.write(entry(*_rows_of(rng, 3), frame_index=t), long_term=True)
+    before = bank.at(16).long_term[0]
+    bank.write(entry(*_rows_of(rng, 3), frame_index=2), long_term=True)
+    after = bank.at(16).long_term[0]
+    # the buffer was full: 12 rows now, 9 written, and a write that fits
+    # writes after them into the same buffer
+    assert not np.shares_memory(after.values, before.values)
+    bank.write(entry(*_rows_of(rng, 3), frame_index=3), long_term=True)
+    assert np.shares_memory(bank.at(16).long_term[0].values, after.values)
+    assert bank.at(16).long_term[0].keys.shape[0] == 12
+
+
+def test_earlier_long_term_entries_keep_their_bytes_through_later_writes():
+    rng = np.random.default_rng(69)
+    bank = MemoryBank()
+    raw, seen = [], []
+    for t, n in enumerate((4, 1, 2, 1, 3, 5, 2, 1, 6, 2)):
+        raw.append(_rows_of(rng, n))
+        bank.write(entry(*raw[-1], scale=8, frame_index=t), long_term=True)
+        lt = bank.at(8).long_term[0]
+        seen.append((lt, lt.values.tobytes()))
+    # every entry still holds its rows after the last write; each of the
+    # first five saw at least 5 later writes, some into its own buffer and
+    # some that grew a new one
+    for lt, want in seen:
+        assert lt.values.tobytes() == want
+    keys = np.concatenate([k for k, _ in raw])
+    ids = np.concatenate([i for _, i in raw])
+    assert lt.keys.tobytes() == keys.astype(np.float64).tobytes()
+    assert lt.id_values.tobytes() == ids.astype(np.float64).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        lt.values[0, 0] = 1.0
+
+
+def test_an_entry_given_to_two_banks_keeps_each_banks_rows():
+    rng = np.random.default_rng(70)
+    ref, first = _rows_of(rng, 4), _rows_of(rng, 2)
+    a = MemoryBank()
+    a.write(entry(*ref, frame_index=0), long_term=True)
+    a.write(entry(*first, frame_index=1), long_term=True)  # 6 rows, room for 2 more
+    shared = a.at(16)
+    b = MemoryBank(scales={16: shared})
+    c = MemoryBank(scales={16: ScaleMemory(long_term=[shared.long_term[0]])})
+    # b writes first and appends after the shared rows in a's buffer; a and c
+    # then find rows written after their entry and copy into new buffers
+    added = [(bank, _rows_of(rng, 2)) for bank in (b, a, c)]
+    for bank, rows in added:
+        bank.write(entry(*rows, frame_index=2), long_term=True)
+    for bank, rows in added:
+        want = merge_entries([entry(*r) for r in (ref, first, rows)])
+        _assert_same_rows(bank.at(16).long_term[0], want)
+    _assert_same_rows(shared.long_term[0], merge_entries([entry(*ref), entry(*first)]))
+    assert np.shares_memory(b.at(16).long_term[0].values, shared.long_term[0].values)
+    assert not np.shares_memory(a.at(16).long_term[0].values, shared.long_term[0].values)
+
+
+def test_banks_on_threads_that_share_an_entry_each_keep_their_rows():
+    # more writer threads than CPUs and a short switch interval: two banks
+    # that both appended after the shared rows would overwrite each other's
+    rng = np.random.default_rng(75)
+    base = MemoryBank()
+    for t, n in enumerate((8, 1)):  # 9 rows in a buffer of 16
+        base.write(entry(*_rows_of(rng, n), frame_index=t), long_term=True)
+    shared = base.at(16)
+    banks = [MemoryBank(scales={16: shared}) for _ in range(6)]
+    rows = [[_rows_of(rng, 1) for _ in range(30)] for _ in banks]
+    failures = []
+
+    def writer(bank, mine):
+        for t, r in enumerate(mine):
+            bank.write(entry(*r, frame_index=t + 2), long_term=True)
+        want = np.concatenate([shared.long_term[0].keys, *(k for k, _ in mine)])
+        if bank.at(16).long_term[0].keys.tobytes() != want.tobytes():
+            failures.append(threading.current_thread().name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=a) for a in zip(banks, rows)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def _long_term_write_bytes(bank, rows):
+    tracemalloc.start()
+    try:
+        bank.write(rows, long_term=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_long_term_write_with_room_allocates_only_its_entry():
+    rng = np.random.default_rng(71)
+    bank = MemoryBank()
+    bank.write(entry(*_rows_of(rng, 3840, 32, 32), scale=8), long_term=True)
+    bank.write(entry(*_rows_of(rng, 256, 32, 32), scale=8, frame_index=1), long_term=True)
+    assert bank.at(8).long_term[0].keys.shape[0] == 4096
+    # 4096 rows in a buffer of 7680: the next 256 rows are copied into it
+    new = entry(*_rows_of(rng, 256, 32, 32), scale=8, frame_index=2)
+    assert _long_term_write_bytes(bank, new) < 64 * 1024
+
+
+def test_long_term_writes_allocate_a_bounded_multiple_of_their_rows():
+    rng = np.random.default_rng(72)
+    keys, ids = _rows_of(rng, 256, 32, 32)
+    bank = MemoryBank()
+    tracemalloc.start()
+    try:
+        for t in range(100):
+            bank.write(entry(keys, ids, scale=8, frame_index=t), long_term=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = bank.at(8).long_term[0].values
+    assert final.shape == (100 * 256, 64)
+    assert peak <= 3 * final.nbytes
+
+
+def test_a_split_read_allocates_only_its_scratch_and_outputs(monkeypatch):
+    # each row range's chunk buffers come from the caller before any helper
+    # starts, and the helpers make no chunk-sized arrays of their own
+    monkeypatch.setenv("MSTRACK_THREADS", "2")
+    rng = np.random.default_rng(73)
+    n, m, c = 256, 4352, 32
+    q = _engine_rows(rng, n)
+    mem = entry(_engine_rows(rng, m), _engine_rows(rng, m, norm=1.0), scale=8)
+    rows = CELL_BUDGET // m
+    scratch = rows * m * (8 + 4) + rows * 2 * c * 8
+    seen = _read_threads_seen(monkeypatch)
+    tracemalloc.start()
+    try:
+        attention_read(q, mem, keep_att=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(seen)) == 2
+    assert peak <= 2 * scratch + n * 2 * c * 4 + 128 * 1024
+
+
+def test_reads_of_a_grown_long_term_memory_keep_their_bytes(monkeypatch):
+    # a bank-built entry's keys_t is a transposed view of rows inside a
+    # larger buffer; BLAS packs it as a transposed operand
+    rng = np.random.default_rng(74)
+    bank = MemoryBank()
+    keys, ids = [], []
+    for t in range(6):
+        keys.append(_engine_rows(rng, 256))
+        ids.append(_engine_rows(rng, 256, norm=1.0))
+        bank.write(entry(keys[-1], ids[-1], scale=8, frame_index=t), long_term=True)
+        mem = bank.at(8).long_term[0]
+        q = _engine_rows(rng, 256)
+        want_att, want = composed_read(
+            q, np.concatenate(keys), np.concatenate(ids), DEFAULT_TEMPERATURE
+        )
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MSTRACK_THREADS", threads)
+            att, vis, id_read = attention_read(q, mem)
+            assert att.tobytes() == want_att.tobytes()
+            assert np.concatenate([vis, id_read], axis=1).tobytes() == want.tobytes()
 
 
 def _stage_setup(n_cells=4, d=8):
