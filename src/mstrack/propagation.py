@@ -24,14 +24,13 @@ a uniform half-open gate.
 
 An entry holds its rows once, as one float64 [N, C+D] array of float32
 values (`values`); its keys, id rows and transposed keys are views of it,
-so a read converts only the query and the attention map.  A long-term write
-appends in place: the merged entry views the first rows of a growing
-buffer, the new rows go after them, and a full buffer is replaced once by
-one of twice the capacity, so a write copies only its own rows.  Only the
-entry that views every written row of a buffer extends it.  The rows an
-earlier entry sees are therefore never written again, and an entry whose
-buffer has moved on (one given to two banks, say) is copied into a new
-buffer first.
+so a read converts only the query and the attention map.  A bank owns one
+long-term buffer per stride, and its merged entry views the written rows.
+A long-term write appends the new rows after them when the memory's
+long-term entry is the one the bank built last and the buffer has room;
+otherwise the kept rows are copied once into a new buffer of twice the
+capacity.  So a write mostly copies only its own rows, and no bank writes
+a row that an earlier entry, its own or another bank's, sees.
 
 A read takes its query rows in chunks of `CELL_BUDGET // m` rows (at least
 one) against m memory rows, so a chunk's float64 scores take at most 1 MB
@@ -155,26 +154,6 @@ def permuted_bank(bank: IdBank, perm: dict[int, int]) -> IdBank:
 # memory
 
 
-class _RowBuffer:
-    """Float64 memory rows with room to grow; entries view its first rows.
-
-    `used` rows are written.  Only the entry that views all of them may
-    extend the buffer (`merge_entries`), so no row an entry can see is
-    written again.
-    """
-
-    __slots__ = ("data", "used")
-
-    def __init__(self, capacity: int, width: int, used: int):
-        self.data = np.empty((capacity, width), dtype=np.float64)
-        self.used = used
-
-
-# claims a buffer's free rows, so two memories that share an entry cannot
-# both append after it
-_claim_lock = threading.Lock()
-
-
 @dataclass(frozen=True)
 class MemoryEntry:
     """Memory rows of one frame, or of several merged.
@@ -186,7 +165,7 @@ class MemoryEntry:
     `keys_t` as a transposed operand without a copy.  A row costs 8 (C+D)
     bytes, 512 at C = D = 32.  The arrays are read-only.  An entry built
     from keys and id rows owns its `values`; one that `merge_entries` built
-    views the first rows of a `_RowBuffer`.
+    views rows of the array it merged into, a bank's buffer in the tracker.
     """
 
     scale: int  # stride, 16 or 8
@@ -195,7 +174,6 @@ class MemoryEntry:
     frame_index: int
     keys_t: np.ndarray = field(init=False, repr=False, compare=False)  # [C, N]
     values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, C+D]
-    _buffer: _RowBuffer | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.keys.ndim != 2 or self.id_values.ndim != 2:
@@ -221,13 +199,12 @@ class MemoryEntry:
         object.__setattr__(self, "keys_t", values[:, :c].T)
 
     @classmethod
-    def _of_buffer(cls, scale: int, buffer: _RowBuffer, c: int) -> "MemoryEntry":
-        """The entry of the first `buffer.used` rows of `buffer`, without a copy."""
+    def _of_rows(cls, scale: int, values: np.ndarray, c: int) -> "MemoryEntry":
+        """The entry of the float64 rows `values`, viewed without a copy."""
         entry = object.__new__(cls)
         object.__setattr__(entry, "scale", scale)
         object.__setattr__(entry, "frame_index", -1)
-        object.__setattr__(entry, "_buffer", buffer)
-        entry._view(buffer.data[: buffer.used], c)
+        entry._view(values, c)
         return entry
 
 
@@ -255,6 +232,8 @@ class ScaleMemory:
 @dataclass
 class MemoryBank:
     scales: dict = field(default_factory=dict)  # stride -> ScaleMemory
+    # stride -> (float64 buffer, the long-term entry that views its written rows)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def at(self, scale: int) -> ScaleMemory:
         if scale not in self.scales:
@@ -263,20 +242,35 @@ class MemoryBank:
 
     def write(self, entry: MemoryEntry, long_term: bool) -> None:
         """Replace the memory at `entry.scale` with one holding `entry` as short
-        term; if asked, `entry` is also merged into long term."""
-        old = self.scales.get(entry.scale) or ScaleMemory()
-        lt = (merge_entries([*old.long_term, entry]),) if long_term else old.long_term
+        term; if asked, `entry`'s rows are also appended to long term.
+
+        They go into this bank's buffer after the rows of the long-term entry
+        it built last, if that entry is the memory's and the buffer has room.
+        Otherwise the kept rows are first copied into a new buffer, twice the
+        full one or the kept rows, and at least as large as all the rows."""
+        lt = (self.scales.get(entry.scale) or ScaleMemory()).long_term
+        if long_term and lt:
+            kept = lt[0]
+            n = kept.values.shape[0]
+            total = n + entry.values.shape[0]
+            buffer, last = self._rows.get(entry.scale, (None, None))
+            if last is not kept or total > buffer.shape[0]:
+                grown = buffer.shape[0] if last is kept else n
+                buffer = np.empty((max(total, 2 * grown), kept.values.shape[1]))
+                buffer[:n] = kept.values
+            lt = (merge_entries([kept, entry], out=buffer),)
+            self._rows[entry.scale] = (buffer, lt[0])
+        elif long_term:
+            lt = (merge_entries([entry]),)
         self.scales[entry.scale] = ScaleMemory(lt, entry)
 
 
-def merge_entries(entries: list) -> MemoryEntry:
-    """One entry holding the rows of `entries` in order; [a] gives a itself.
+def merge_entries(entries: list, *, out: np.ndarray | None = None) -> MemoryEntry:
+    """One entry holding the rows of `entries` in order.
 
-    The rows go to a `_RowBuffer`.  When the first entry views all the
-    written rows of a buffer with room for the others, they are written
-    after its rows, so a write copies only its new rows.  Otherwise every
-    row is copied once into a new buffer of max(rows, 2 x capacity) rows,
-    the capacity being the first entry's buffer's or its row count.
+    Without `out` the rows are concatenated into a new array, and [a] gives
+    a itself.  With `out`, whose first rows hold the first entry's, the
+    others' rows go after them, and the entry views `out`'s written rows.
     Entries of different strides or widths raise `ShapeError`.
     """
     if not entries:
@@ -293,24 +287,16 @@ def merge_entries(entries: list) -> MemoryEntry:
                 f"cannot merge memory rows of {e.keys.shape[1]} key and {e.id_values.shape[1]} id "
                 f"columns into rows of {c} key and {d} id columns"
             )
-    if len(entries) == 1:
-        return first
-    total = n + sum(e.values.shape[0] for e in entries[1:])
-    buffer = first._buffer
-    with _claim_lock:
-        if buffer is not None and buffer.used == n and total <= buffer.data.shape[0]:
-            buffer.used = total
-        else:
-            buffer = None
-    if buffer is None:
-        grown = first._buffer.data.shape[0] if first._buffer is not None else n
-        buffer = _RowBuffer(max(total, 2 * grown), c + d, total)
-        buffer.data[:n] = first.values
-    row = n
-    for e in entries[1:]:
-        buffer.data[row : row + e.values.shape[0]] = e.values
-        row += e.values.shape[0]
-    return MemoryEntry._of_buffer(first.scale, buffer, c)
+    if out is None:
+        if len(entries) == 1:
+            return first
+        out = np.concatenate([e.values for e in entries])
+        n = out.shape[0]
+    else:
+        for e in entries[1:]:
+            out[n : n + e.values.shape[0]] = e.values
+            n += e.values.shape[0]
+    return MemoryEntry._of_rows(first.scale, out[:n], c)
 
 
 # --------------------------------------------------------------------------

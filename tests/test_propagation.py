@@ -748,6 +748,12 @@ def test_merge_entries_concatenates():
     # the rows are held once: keys, id rows and keys_t are views of values
     assert all(np.shares_memory(v, m.values) for v in (m.keys, m.id_values, m.keys_t))
     assert merge_entries([a]) is a
+    # into a given array: the first entry's rows are there, the others go after
+    out = np.full((8, 7), np.nan)
+    out[:2] = a.values
+    into = merge_entries([a, b], out=out)
+    _assert_same_rows(into, m)
+    assert np.shares_memory(into.values, out) and np.isnan(out[5:]).all()
 
 
 def _assert_same_rows(got, want):
@@ -802,9 +808,9 @@ def test_memory_write_merges_each_long_term_entry_once(monkeypatch):
              for t in range(3)]
     calls = []
 
-    def counted(entries):
+    def counted(entries, **kw):
         calls.append([id(e) for e in entries])
-        return merge_entries(entries)
+        return merge_entries(entries, **kw)
 
     monkeypatch.setattr(propagation, "merge_entries", counted)
     bank = MemoryBank()
@@ -829,9 +835,9 @@ def test_scale_memory_merges_a_given_long_term_list_once(monkeypatch):
              for t in range(3)]
     calls = []
 
-    def counted(entries):
+    def counted(entries, **kw):
         calls.append(len(entries))
-        return merge_entries(entries)
+        return merge_entries(entries, **kw)
 
     monkeypatch.setattr(propagation, "merge_entries", counted)
     mem = ScaleMemory(long_term=list(parts), short_term=parts[-1])
@@ -867,6 +873,7 @@ def test_merging_refuses_entries_of_another_stride_or_width():
         merge_entries([a, entry(np.ones((2, 3)), np.zeros((2, 4)), scale=16)])
     bank = MemoryBank()
     bank.write(a, long_term=True)
+    bank.write(entry(np.ones((1, 3)), np.ones((1, 4)), scale=8), long_term=True)  # 3 rows of 4
     mem = bank.at(8)
     for keys, ids, widths in (((2, 5), (2, 4), "5 key and 4 id"),
                               ((2, 3), (2, 6), "3 key and 6 id")):
@@ -876,6 +883,13 @@ def test_merging_refuses_entries_of_another_stride_or_width():
         with pytest.raises(ShapeError, match=f"{widths} columns"):
             bank.write(other, long_term=True)
         assert bank.at(8) is mem
+    # the refused writes left the bank's buffer as it was: the next write fits
+    # and appends after the kept rows in place
+    last = entry(2 * np.ones((1, 3)), np.ones((1, 4)), scale=8)
+    bank.write(last, long_term=True)
+    got = bank.at(8).long_term[0]
+    assert np.shares_memory(got.values, mem.long_term[0].values)
+    _assert_same_rows(got, merge_entries([mem.long_term[0], last]))
 
 
 def _rows_of(rng, n, c=4, d=5):
@@ -920,7 +934,7 @@ def test_earlier_long_term_entries_keep_their_bytes_through_later_writes():
         lt.values[0, 0] = 1.0
 
 
-def test_an_entry_given_to_two_banks_keeps_each_banks_rows():
+def test_banks_given_one_entry_each_append_into_a_buffer_of_their_own():
     rng = np.random.default_rng(70)
     ref, first = _rows_of(rng, 4), _rows_of(rng, 2)
     a = MemoryBank()
@@ -929,8 +943,8 @@ def test_an_entry_given_to_two_banks_keeps_each_banks_rows():
     shared = a.at(16)
     b = MemoryBank(scales={16: shared})
     c = MemoryBank(scales={16: ScaleMemory(long_term=[shared.long_term[0]])})
-    # b writes first and appends after the shared rows in a's buffer; a and c
-    # then find rows written after their entry and copy into new buffers
+    # b and c copy the shared rows into buffers of their own before they
+    # append; only a, whose buffer it is, appends after them in place
     added = [(bank, _rows_of(rng, 2)) for bank in (b, a, c)]
     for bank, rows in added:
         bank.write(entry(*rows, frame_index=2), long_term=True)
@@ -938,41 +952,37 @@ def test_an_entry_given_to_two_banks_keeps_each_banks_rows():
         want = merge_entries([entry(*r) for r in (ref, first, rows)])
         _assert_same_rows(bank.at(16).long_term[0], want)
     _assert_same_rows(shared.long_term[0], merge_entries([entry(*ref), entry(*first)]))
-    assert np.shares_memory(b.at(16).long_term[0].values, shared.long_term[0].values)
-    assert not np.shares_memory(a.at(16).long_term[0].values, shared.long_term[0].values)
+    got = [bank.at(16).long_term[0].values for bank in (a, b, c)]
+    assert np.shares_memory(got[0], shared.long_term[0].values)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert not np.shares_memory(got[i], got[j])
 
 
-def test_banks_on_threads_that_share_an_entry_each_keep_their_rows():
-    # more writer threads than CPUs and a short switch interval: two banks
-    # that both appended after the shared rows would overwrite each other's
+def test_a_long_term_write_after_an_earlier_memory_is_set_back_copies():
     rng = np.random.default_rng(75)
-    base = MemoryBank()
-    for t, n in enumerate((8, 1)):  # 9 rows in a buffer of 16
-        base.write(entry(*_rows_of(rng, n), frame_index=t), long_term=True)
-    shared = base.at(16)
-    banks = [MemoryBank(scales={16: shared}) for _ in range(6)]
-    rows = [[_rows_of(rng, 1) for _ in range(30)] for _ in banks]
-    failures = []
-
-    def writer(bank, mine):
-        for t, r in enumerate(mine):
-            bank.write(entry(*r, frame_index=t + 2), long_term=True)
-        want = np.concatenate([shared.long_term[0].keys, *(k for k, _ in mine)])
-        if bank.at(16).long_term[0].keys.tobytes() != want.tobytes():
-            failures.append(threading.current_thread().name)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=writer, args=a) for a in zip(banks, rows)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert failures == []
+    bank = MemoryBank()
+    bank.write(entry(*_rows_of(rng, 4), frame_index=0), long_term=True)
+    bank.write(entry(*_rows_of(rng, 2), frame_index=1), long_term=True)  # 6 rows of 8
+    earlier = bank.at(16)
+    later = []
+    for t in (2, 3):  # 7, then 8 rows, appended in place
+        bank.write(entry(*_rows_of(rng, 1), frame_index=t), long_term=True)
+        later.append(bank.at(16).long_term[0])
+    assert np.shares_memory(later[-1].values, earlier.long_term[0].values)
+    want = [e.values.tobytes() for e in later]
+    # 7 rows would fit after the set-back entry's 6, but later entries view
+    # row 6, so the bank copies instead of appending
+    bank.scales[16] = earlier
+    rows = _rows_of(rng, 1)
+    bank.write(entry(*rows, frame_index=4), long_term=True)
+    got = bank.at(16).long_term[0]
+    assert not any(np.shares_memory(got.values, e.values) for e in [*later, *earlier.long_term])
+    assert [e.values.tobytes() for e in later] == want
+    _assert_same_rows(got, merge_entries([earlier.long_term[0], entry(*rows)]))
+    # the copy is the bank's buffer now, and the next write appends to it
+    bank.write(entry(*_rows_of(rng, 1), frame_index=5), long_term=True)
+    assert np.shares_memory(bank.at(16).long_term[0].values, got.values)
+    assert [e.values.tobytes() for e in later] == want
 
 
 def _long_term_write_bytes(bank, rows):
@@ -1089,9 +1099,9 @@ def test_gpm_stage_reads_the_merged_entry_without_merging(monkeypatch):
     ids0 = np.zeros((2, 5), dtype=np.float32)
     calls = []
 
-    def counted(entries):
+    def counted(entries, **kw):
         calls.append(len(entries))
-        return merge_entries(entries)
+        return merge_entries(entries, **kw)
 
     monkeypatch.setattr(propagation, "merge_entries", counted)
     got = gpm_stage(feats, ids0, memory, 2)
