@@ -17,9 +17,9 @@ Matching uses cosine-style similarity: the engine rescales every feature row
 to a fixed L2 norm (match_norm * sqrt(C)) before attention, so the softmax
 logits are proportional to cosine similarity and sharp enough that a cell of
 the reference frame re-matches itself decisively.  Memory id rows are exact
-bank rows (majority-label encoding of the stored mask), which makes the
-label readout of an undisturbed frame reduce to the coarse reconstruction
-implemented in `coarse_reconstruct`.
+bank rows (majority-label encoding of the stored mask), so the decode of an
+undisturbed frame reduces to `coarse_reconstruct`: `step`'s own prior and
+readout over an identity bank, with exact reads in place of attention.
 
 Target loss is total: if a step predicts an empty mask, the last known box
 is repeated with the lost flag set and memory is left unchanged for that
@@ -54,7 +54,6 @@ from .propagation import (
     MemoryEntry,
     encode_mask_to_ids,
     gpm_stage,
-    majority_downsample,
     make_id_bank,
     read_id_logits,
     scale_rows,
@@ -125,10 +124,6 @@ class EngineConfig:
                 )
         if abs(self.prior_weight) / 2 + 2 * self.gpm_layers8 > FLOAT32_MAX / 2:
             raise ConfigError(f"prior_weight {self.prior_weight} overflows float32 logits")
-
-
-# effective coarse-prior coefficient at default settings
-DEFAULT_PRIOR_COEFF = FUSE_GATE * EngineConfig.prior_weight
 
 
 @dataclass
@@ -207,31 +202,35 @@ def init_reference(
     )
 
 
-def _decode_step(state: EngineState, pyr) -> tuple:
-    """Run both propagation stages and decode logits; returns (mask, f16, f8).
+def _prior8(ids16: np.ndarray, grid8: tuple, prior_weight: float) -> np.ndarray:
+    """An [h16, w16, D] grid of stride-16 id rows as stride 8's coarse prior:
+    unit rows, so the coefficient is scale-free, bilinearly upsampled to
+    `grid8` and scaled by FUSE_GATE * prior_weight, as [h8 * w8, D] rows."""
+    prior8 = _rows(bilinear_resize(scale_rows(ids16, 1.0), *grid8))
+    return np.float32(FUSE_GATE) * (np.float32(prior_weight) * prior8)
 
-    The mask covers the padded frame the pyramid was encoded from
-    (8*h8 x 8*w8); `step` crops it to the frame.
-    """
+
+def _read_labels(ids8: np.ndarray, bank: IdBank, k: int, grid8: tuple) -> np.ndarray:
+    """Padded-frame labels of stride-8 id rows read against bank rows 0..k."""
+    h8, w8 = grid8
+    logits8 = read_id_logits(ids8, bank, k).reshape(h8, w8, k + 1)
+    return channel_argmax(bilinear_resize(logits8, 8 * h8, 8 * w8))
+
+
+def _decode_step(state: EngineState, pyr) -> tuple:
+    """Run both propagation stages and decode the padded frame the pyramid
+    was encoded from, which `step` crops; returns (mask, f16, f8)."""
     cfg = state.config
     h16, w16 = pyr.level16.shape[:2]
-    h8, w8 = pyr.level8.shape[:2]
+    grid8 = pyr.level8.shape[:2]
     d = state.bank.id_dim
 
-    f16 = _match_rows(pyr.level16, cfg)
-    f8 = _match_rows(pyr.level8, cfg)
-
+    f16, f8 = _match_rows(pyr.level16, cfg), _match_rows(pyr.level8, cfg)
     zeros16 = np.zeros((h16 * w16, d), dtype=np.float32)
     ids16 = gpm_stage(f16, zeros16, state.memory.at(16), cfg.gpm_layers16, cfg.temperature)
-    # unit rows before upsampling so the prior coefficient is scale-free
-    ids16 = scale_rows(ids16, 1.0).reshape(h16, w16, d)
-    prior8 = _rows(bilinear_resize(ids16, h8, w8))
-    fused8 = np.float32(FUSE_GATE) * (np.float32(cfg.prior_weight) * prior8)
-
+    fused8 = _prior8(ids16.reshape(h16, w16, d), grid8, cfg.prior_weight)
     ids8 = gpm_stage(f8, fused8, state.memory.at(8), cfg.gpm_layers8, cfg.temperature)
-    logits8 = read_id_logits(ids8, state.bank, state.k).reshape(h8, w8, state.k + 1)
-    logits_full = bilinear_resize(logits8, 8 * h8, 8 * w8)
-    return channel_argmax(logits_full), f16, f8
+    return _read_labels(ids8, state.bank, state.k, grid8), f16, f8
 
 
 def step(state: EngineState, frame: np.ndarray):
@@ -271,26 +270,25 @@ def step(state: EngineState, frame: np.ndarray):
 
 
 def coarse_reconstruct(mask: np.ndarray, num_labels: int | None = None) -> np.ndarray:
-    """Reference mask as the decode path reproduces it from its own memory.
-
-    Edge-pad the mask to multiples of 16 as `step` does, majority-downsample
-    it to strides 16 and 8, one-hot both, add the bilinearly upsampled
-    stride-16 plane scaled by `DEFAULT_PRIOR_COEFF` to the stride-8
-    plane, upsample to the padded resolution, take the per-pixel argmax and
-    crop back to the mask.  With default engine settings, stepping on a frame
-    identical to the reference decodes to exactly this mask (up to attention
-    leakage between look-alike cells).
-    """
+    """Reference mask as the decode path reproduces it from its own memory:
+    `step`'s own prior and readout (`_prior8`, `_read_labels`) with exact
+    reads in place of attention, applied to the mask's own rows, edge-padded
+    as `step` pads them and encoded over an identity bank, whose rows are
+    one-hot.  With default engine settings, stepping on a frame identical to
+    the reference decodes to exactly this mask (up to attention leakage
+    between look-alike cells)."""
     m = np.asarray(mask)
+    if m.ndim != 2 or m.dtype.kind not in "biu":
+        raise ShapeError(f"mask must be a 2-d integer or bool array, got {m.dtype} {m.shape}")
     n = int(num_labels if num_labels is not None else m.max(initial=0) + 1)
-    h, w = m.shape
+    if n < 1:
+        raise LabelError(f"num_labels must be >= 1, got {n}")
+    bank = IdBank(n - 1, n, np.eye(n, dtype=np.float32), seed=0)
     p = pad_to_multiple(m)
-    ph, pw = p.shape
-    l16 = majority_downsample(p, 16, n)
-    l8 = majority_downsample(p, 8, n)
-    eye = np.eye(n, dtype=np.float32)
-    coeff = DEFAULT_PRIOR_COEFF * bilinear_resize(eye[l16], ph // 8, pw // 8) + eye[l8]
-    return channel_argmax(bilinear_resize(coeff, ph, pw))[:h, :w]
+    ids16, ids8 = (encode_mask_to_ids(p, bank, stride) for stride in (16, 8))
+    prior8 = _prior8(ids16, ids8.shape[:2], EngineConfig.prior_weight)
+    labels = _read_labels(prior8 + _rows(ids8), bank, n - 1, ids8.shape[:2])
+    return labels[: m.shape[0], : m.shape[1]]
 
 
 def track_frames(

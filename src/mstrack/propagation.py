@@ -334,11 +334,12 @@ def majority_downsample(mask: np.ndarray, stride: int, num_labels: int) -> np.nd
     cell gives, so the argmax and its lowest-label tie rule are unchanged
     (tests/test_propagation.py keeps the one-hot form as the reference).  A
     label outside [0, num_labels) would be counted in a neighbouring cell,
-    so it raises `LabelError`.
+    so it raises `LabelError`; a mask that is not a 2-d integer or bool array
+    raises `ShapeError`.
     """
     m = np.asarray(mask)
-    if m.ndim != 2:
-        raise ShapeError(f"mask must be 2-d, got shape {m.shape}")
+    if m.ndim != 2 or m.dtype.kind not in "biu":
+        raise ShapeError(f"mask must be a 2-d integer or bool array, got {m.dtype} {m.shape}")
     h, w = m.shape
     if h % stride or w % stride:
         raise ShapeError(f"mask dims {w}x{h} not divisible by stride {stride}")

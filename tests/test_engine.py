@@ -16,7 +16,8 @@ from mstrack.engine import (
 )
 from mstrack.errors import ConfigError, InitError, LabelError, ShapeError
 from mstrack.features import EncoderConfig, pad_to_multiple
-from mstrack.propagation import MemoryBank, merge_entries
+from mstrack.kernels import bilinear_resize, channel_argmax
+from mstrack.propagation import MemoryBank, majority_downsample, merge_entries
 
 CFG = EngineConfig()
 
@@ -84,6 +85,46 @@ def test_coarse_reconstruct_rounds_only_the_corners():
     assert not np.any((rec == 1) & (mask == 0))
     assert mask_iou(rec, mask, 1) >= 0.98
     assert np.array_equal(rec[48], mask[48])  # rows away from corners are exact
+
+
+def onehot_reconstruct(mask, num_labels=None):
+    """`coarse_reconstruct` written out as one-hot planes: the reference its
+    decode over an identity bank must match byte for byte."""
+    n = int(num_labels if num_labels is not None else mask.max(initial=0) + 1)
+    h, w = mask.shape
+    p = pad_to_multiple(mask)
+    ph, pw = p.shape
+    eye = np.eye(n, dtype=np.float32)
+    l16, l8 = majority_downsample(p, 16, n), majority_downsample(p, 8, n)
+    planes = 0.25 * bilinear_resize(eye[l16], ph // 8, pw // 8) + eye[l8]
+    return channel_argmax(bilinear_resize(planes, ph, pw))[:h, :w]
+
+
+def test_coarse_reconstruct_bytes_equal_onehot_form(rendered_suite):
+    def same(mask, num_labels=None):
+        got, want = coarse_reconstruct(mask, num_labels), onehot_reconstruct(mask, num_labels)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    for _, masks, _ in rendered_suite.values():
+        for full in masks:
+            for mask in (full, full[:87, :91]):
+                top = int(mask.max())
+                for num_labels in (None, top + 1, top + 3):
+                    same(mask, num_labels)
+    rng = np.random.default_rng(22)
+    for labels in range(1, 6):
+        for _ in range(20):
+            h, w = rng.integers(1, 80, size=2)
+            same(rng.integers(0, labels, size=(h, w)).astype(np.int32))
+    # masks that are not 2-d integer or bool labels are refused as shapes
+    for bad in (np.zeros(16, np.int32), np.zeros((16, 16, 2), np.int32),
+                np.zeros((16, 16)), np.full((16, 16), np.nan)):
+        with pytest.raises(ShapeError):
+            coarse_reconstruct(bad)
+    # and a label count that leaves out a label of the mask, or every label
+    for num_labels in (1, 0, -1):
+        with pytest.raises(LabelError):
+            coarse_reconstruct(np.ones((16, 16), np.int32), num_labels)
 
 
 # -- step ------------------------------------------------------------------------

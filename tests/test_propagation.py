@@ -115,6 +115,10 @@ def test_majority_matches_histogram_oracle():
         for stride in (8, 16):
             got = majority_downsample(mask, stride, 4)
             assert np.array_equal(got, majority_oracle(mask, stride, 4))
+    # any integer or bool mask counts as its labels
+    for m in (mask.astype(np.uint8), mask.astype(np.int64), mask == 2):
+        want = majority_oracle(m.astype(np.int32), 8, 4)
+        assert np.array_equal(majority_downsample(m, 8, 4), want)
 
 
 def test_majority_tie_goes_to_lowest_label():
@@ -170,6 +174,15 @@ def test_majority_rejects_labels_outside_range():
 def test_majority_rejects_indivisible_dims():
     with pytest.raises(ShapeError):
         majority_downsample(np.zeros((10, 16), dtype=np.int32), 16, 2)
+    # nor may a mask hold other than 2-d integer or bool labels, which
+    # np.bincount would refuse with a raw TypeError for floats
+    bank = make_id_bank(2, 8, 0)
+    for bad in (np.zeros((16, 16)), np.ones((16, 16), np.float32), np.zeros(16, np.int32),
+                np.zeros((16, 16, 1), np.int32), np.full((16, 16), "1")):
+        with pytest.raises(ShapeError):
+            majority_downsample(bad, 8, 2)
+        with pytest.raises(ShapeError):
+            encode_mask_to_ids(bad, bank, 8)
 
 
 def test_encode_mask_all_background():
