@@ -16,10 +16,14 @@ boxes are in frame coordinates.
 Matching uses cosine-style similarity: the engine rescales every feature row
 to a fixed L2 norm (match_norm * sqrt(C)) before attention, so the softmax
 logits are proportional to cosine similarity and sharp enough that a cell of
-the reference frame re-matches itself decisively.  Memory id rows are exact
-bank rows (majority-label encoding of the stored mask), so the decode of an
-undisturbed frame reduces to `coarse_reconstruct`: `step`'s own prior and
-readout over an identity bank, with exact reads in place of attention.
+the reference frame re-matches itself decisively.  It then keeps only the
+level's live channels (`features.live_channels`), 8 of the handcrafted
+encoder's default 32, for queries, memory keys and the visual branch;
+memory records C, so the score scale stays temperature * sqrt(C).  Memory
+id rows are exact bank rows (majority-label encoding of the stored mask),
+so the decode of an undisturbed frame reduces to `coarse_reconstruct`:
+`step`'s own prior and readout over an identity bank, with exact reads in
+place of attention.
 
 Target loss is total: if a step predicts an empty mask, the last known box
 is repeated with the lost flag set and memory is left unchanged for that
@@ -41,7 +45,7 @@ import numpy as np
 
 from .boxmask import Box, SegmenterSpec, mask_to_box, segment_box
 from .errors import ConfigError, InitError, LabelError, ShapeError, check_range
-from .features import EncoderConfig, encode_frame, pad_to_multiple, validate_frame
+from .features import EncoderConfig, encode_frame, live_channels, pad_to_multiple, validate_frame
 from .kernels import FLOAT32_MAX, bilinear_resize, channel_argmax
 
 # unused here, but kept importable as engine.matmul: the benchmark's tracer
@@ -143,8 +147,12 @@ def _rows(grid: np.ndarray) -> np.ndarray:
 
 
 def _match_rows(grid: np.ndarray, cfg: EngineConfig) -> np.ndarray:
+    """The grid's rows scaled to norm match_norm * sqrt(C), then cut to the
+    encoder's live channels: the rest are +0.0 in every row, so they change
+    no score and no read, and the norm is taken before the cut."""
     c = grid.shape[2]
-    return scale_rows(_rows(grid), cfg.match_norm * np.sqrt(c))
+    rows = scale_rows(_rows(grid), cfg.match_norm * np.sqrt(c))
+    return np.ascontiguousarray(rows[:, : live_channels(cfg.encoder, c)])
 
 
 def _validate_mask(mask: np.ndarray, frame: np.ndarray, cfg: EngineConfig) -> np.ndarray:
@@ -163,11 +171,12 @@ def _validate_mask(mask: np.ndarray, frame: np.ndarray, cfg: EngineConfig) -> np
     return m.astype(np.uint8)
 
 
-def _write_memory(memory: MemoryBank, bank, mask, f16, f8, frame_index, long_term) -> None:
-    """Store one frame's feature rows and mask as memory at both scales."""
-    for scale, rows in ((16, f16), (8, f8)):
+def _write_memory(memory: MemoryBank, bank, mask, f16, f8, frame_index, long_term, enc) -> None:
+    """Store one frame's match rows and mask as memory at both scales; each
+    entry records its level's channel count, which sets the score scale."""
+    for scale, rows, c in ((16, f16, enc.channels16), (8, f8, enc.channels8)):
         ids = _rows(encode_mask_to_ids(mask, bank, scale))
-        memory.write(MemoryEntry(scale, rows, ids, frame_index), long_term)
+        memory.write(MemoryEntry(scale, rows, ids, frame_index, channels=c), long_term)
 
 
 def init_reference(
@@ -189,7 +198,9 @@ def init_reference(
     pyr = encode_frame(f, cfg.encoder)
     memory = MemoryBank()
     f16, f8 = _match_rows(pyr.level16, cfg), _match_rows(pyr.level8, cfg)
-    _write_memory(memory, bank, pad_to_multiple(m), f16, f8, frame_index=0, long_term=True)
+    _write_memory(
+        memory, bank, pad_to_multiple(m), f16, f8, frame_index=0, long_term=True, enc=cfg.encoder
+    )
     boxes = {label: mask_to_box(m, label) for label in range(1, k + 1)}
     return EngineState(
         bank=bank,
@@ -265,7 +276,9 @@ def step(state: EngineState, frame: np.ndarray):
         # long-term memory on the configured cadence
         every = cfg.long_term_every
         cadence = every > 0 and state.frame_index % every == 0
-        _write_memory(state.memory, state.bank, padded, f16, f8, state.frame_index, cadence)
+        _write_memory(
+            state.memory, state.bank, padded, f16, f8, state.frame_index, cadence, cfg.encoder
+        )
     return pred, boxes, state
 
 

@@ -9,7 +9,10 @@ deterministic encoders differ only in their rows and maps:
   normalized (x, y) cell-center coordinates scaled by a position weight, and
   its per-channel RGB standard deviation scaled by a std weight (8 base
   channels).  The 0/1 map adds base channel i into channel i % C, which
-  zero-pads up to C or folds down to it.
+  zero-pads up to C or folds down to it.  Channels beyond the 8 base
+  features are zero padding: C still sets the engine's sqrt(C) score scale
+  and its row norm, but the padding costs no attention work, as the engine
+  drops it (`live_channels`).
   The std weight defaults low: cells straddling an object boundary share a
   common high-variance signature regardless of which side holds the majority,
   so a large std term drags boundary cells toward whichever stored neighbor
@@ -211,6 +214,15 @@ def _channel_maps(cfg: EncoderConfig, version) -> tuple[np.ndarray, np.ndarray]:
         m.setflags(write=False)
         maps.append(m)
     return tuple(maps)
+
+
+def live_channels(cfg: EncoderConfig, channels: int) -> int:
+    """How many leading channels of a `channels`-wide level can be non-zero.
+
+    The handcrafted map fills the first min(C, 8) and leaves the rest +0.0;
+    a random-projection or weights-file map can fill every channel.
+    """
+    return min(channels, BASE_CHANNELS) if cfg.mode == "handcrafted" else channels
 
 
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:

@@ -20,16 +20,21 @@ sigmoid-gated residual:
 with values = memory keys on the visual branch and memory id_values on the
 ID branch.  Both branches come from one product, att . [keys | id_values].
 Each of the four reads has its own scalar gate bias; bias 0 (the default) is
-a uniform half-open gate.
+a uniform half-open gate.  C is the entry's `channels`, the encoder's
+channel count.  Keys and queries may hold only its first `live` channels,
+when the rest are zero in every row (`features.live_channels`): a score is
+then the same float64 sum, short of trailing +0.0 terms, so the bytes do
+not change, while every product runs over fewer columns.
 
-An entry holds its rows once, as one float64 [N, C+D] array of float32
-values (`values`); its keys, id rows and transposed keys are views of it,
-so a read converts only the query and the attention map.  A bank owns one
-long-term buffer per stride, and its merged entry views the written rows.
-A long-term write appends the new rows after them when the memory's
-long-term entry is the one the bank built last and the buffer has room;
-otherwise the kept rows are copied once into a new buffer of twice the
-capacity.  So a write mostly copies only its own rows, and no bank writes
+An entry holds its rows once, as one float64 [N, live+D] array of float32
+values (`values`), 8 (live + D) bytes a row, 320 at the defaults (8 live
+key channels of C = 32, D = 32); its keys, id rows and transposed keys are
+views of it, so a read converts only the query and the attention map.  A
+bank owns one long-term buffer per stride, and its merged entry views the
+written rows.  A long-term write appends the new rows after them when the
+memory's long-term entry is the one the bank built last and the buffer has
+room; otherwise the kept rows are copied once into a new buffer of twice
+the capacity.  So a write mostly copies only its own rows, and no bank writes
 a row that an earlier entry, its own or another bank's, sees.
 
 A read takes its query rows in chunks of `CELL_BUDGET // m` rows (at least
@@ -158,22 +163,26 @@ def permuted_bank(bank: IdBank, perm: dict[int, int]) -> IdBank:
 class MemoryEntry:
     """Memory rows of one frame, or of several merged.
 
-    The rows are held once, in `values`, a float64 [N, C+D] array of
-    float32 values: the keys, then the id rows.  `keys` [N, C],
-    `id_values` [N, D] and `keys_t` [C, N] are views of it, so `matmul`
+    The rows are held once, in `values`, a float64 [N, L+D] array of
+    float32 values: the keys, then the id rows.  `keys` [N, L],
+    `id_values` [N, D] and `keys_t` [L, N] are views of it, so `matmul`
     takes them without converting memory on every read, and BLAS takes
-    `keys_t` as a transposed operand without a copy.  A row costs 8 (C+D)
-    bytes, 512 at C = D = 32.  The arrays are read-only.  An entry built
-    from keys and id rows owns its `values`; one that `merge_entries` built
-    views rows of the array it merged into, a bank's buffer in the tracker.
+    `keys_t` as a transposed operand without a copy.  L is the key width,
+    the live channels of the encoder's C (module docstring), and the
+    keyword-only `channels` records C, the width that sets a read's score
+    scale; it defaults to L.  A row costs 8 (L+D) bytes, 320 at L = 8 and
+    D = 32.  The arrays are read-only.  An entry built from keys and id rows
+    owns its `values`; one that `merge_entries` built views rows of the
+    array it merged into, a bank's buffer in the tracker.
     """
 
     scale: int  # stride, 16 or 8
-    keys: np.ndarray  # [N, C] flattened spatial cells
+    keys: np.ndarray  # [N, L] flattened spatial cells
     id_values: np.ndarray  # [N, D]
     frame_index: int
-    keys_t: np.ndarray = field(init=False, repr=False, compare=False)  # [C, N]
-    values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, C+D]
+    channels: int | None = field(default=None, kw_only=True)  # C; None means L
+    keys_t: np.ndarray = field(init=False, repr=False, compare=False)  # [L, N]
+    values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, L+D]
 
     def __post_init__(self):
         if self.keys.ndim != 2 or self.id_values.ndim != 2:
@@ -186,25 +195,29 @@ class MemoryEntry:
         if self.keys.shape[0] == 0:
             raise ShapeError("memory entry has no rows; a read needs at least one")
         n, c = self.keys.shape
+        channels = c if self.channels is None else self.channels
+        if channels < c:
+            raise ShapeError(f"memory of {channels} channels cannot hold {c} key columns")
         values = np.empty((n, c + self.id_values.shape[1]), dtype=np.float64)
         values[:, :c] = np.asarray(self.keys, np.float32)
         values[:, c:] = np.asarray(self.id_values, np.float32)
-        self._view(values, c)
+        self._view(values, c, channels)
 
-    def _view(self, values: np.ndarray, c: int) -> None:
+    def _view(self, values: np.ndarray, c: int, channels: int) -> None:
         values.flags.writeable = False
+        object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "keys", values[:, :c])
         object.__setattr__(self, "id_values", values[:, c:])
         object.__setattr__(self, "keys_t", values[:, :c].T)
 
     @classmethod
-    def _of_rows(cls, scale: int, values: np.ndarray, c: int) -> "MemoryEntry":
+    def _of_rows(cls, scale: int, values: np.ndarray, c: int, channels: int) -> "MemoryEntry":
         """The entry of the float64 rows `values`, viewed without a copy."""
         entry = object.__new__(cls)
         object.__setattr__(entry, "scale", scale)
         object.__setattr__(entry, "frame_index", -1)
-        entry._view(values, c)
+        entry._view(values, c, channels)
         return entry
 
 
@@ -271,7 +284,7 @@ def merge_entries(entries: list, *, out: np.ndarray | None = None) -> MemoryEntr
     Without `out` the rows are concatenated into a new array, and [a] gives
     a itself.  With `out`, whose first rows hold the first entry's, the
     others' rows go after them, and the entry views `out`'s written rows.
-    Entries of different strides or widths raise `ShapeError`.
+    Entries of different strides, widths or `channels` raise `ShapeError`.
     """
     if not entries:
         raise StateError("empty long-term memory")
@@ -287,6 +300,11 @@ def merge_entries(entries: list, *, out: np.ndarray | None = None) -> MemoryEntr
                 f"cannot merge memory rows of {e.keys.shape[1]} key and {e.id_values.shape[1]} id "
                 f"columns into rows of {c} key and {d} id columns"
             )
+        if e.channels != first.channels:
+            raise ShapeError(
+                f"cannot merge memory of {e.channels} channels into memory of "
+                f"{first.channels} channels"
+            )
     if out is None:
         if len(entries) == 1:
             return first
@@ -296,7 +314,7 @@ def merge_entries(entries: list, *, out: np.ndarray | None = None) -> MemoryEntr
         for e in entries[1:]:
             out[n : n + e.values.shape[0]] = e.values
             n += e.values.shape[0]
-    return MemoryEntry._of_rows(first.scale, out[:n], c)
+    return MemoryEntry._of_rows(first.scale, out[:n], c, first.channels)
 
 
 # --------------------------------------------------------------------------
@@ -397,9 +415,10 @@ def attention_read(
 ):
     """One softmax attention read over a memory entry.
 
-    att[i, j] = softmax_j(query_i . key_j / (temperature * sqrt(C)));
-    vis_read = att . keys and id_read = att . id_values, both columns of the
-    one product att . [keys | id_values].  Returns (att, vis_read, id_read),
+    att[i, j] = softmax_j(query_i . key_j / (temperature * sqrt(C))), with
+    C = `memory.channels`, not the key width; vis_read = att . keys and
+    id_read = att . id_values, both columns of the one product
+    att . [keys | id_values].  Returns (att, vis_read, id_read),
     with att None under `keep_att=False`.  Query rows are read in chunks of
     `CELL_BUDGET // m` rows, and a read of at least `PARALLEL_READ_CELLS`
     cells in one row range per thread (module docstring).  The chunks fill
@@ -416,7 +435,7 @@ def attention_read(
         )
     n, c = q.shape
     m, width = memory.values.shape
-    scale = np.float32(temperature * np.sqrt(c))
+    scale = np.float32(temperature * np.sqrt(memory.channels))
     # only the main thread splits: other threads, the evaluation pool's, fill the CPUs already
     split = n * m >= PARALLEL_READ_CELLS and threading.current_thread() is threading.main_thread()
     parts = min(resolve_threads(0), n, MAX_THREADS) if split else 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mstrack import engine
+from mstrack import engine, features
 from mstrack.boxmask import Box, SegmenterSpec, mask_iou, mask_to_box, segment_box
 from mstrack.engine import (
     EngineConfig,
@@ -44,7 +44,7 @@ def test_init_stores_reference_memory_at_both_scales():
         assert mem.short_term is mem.long_term[0]
         assert mem.short_term.keys.shape[0] == cells
         norms = np.linalg.norm(mem.short_term.keys, axis=1)
-        c = mem.short_term.keys.shape[1]
+        c = mem.short_term.channels
         np.testing.assert_allclose(norms, CFG.match_norm * np.sqrt(c), rtol=1e-5)
     assert state.last_boxes[1] == mask_to_box(mask, 1)
 
@@ -216,6 +216,34 @@ def test_merged_long_term_memory_equals_the_merge_of_its_entries(monkeypatch):
         want = merge_entries(written)
         for name in ("keys", "id_values", "values", "keys_t"):
             assert getattr(mem.long_term[0], name).tobytes() == getattr(want, name).tobytes()
+        assert mem.long_term[0].channels == want.channels == 32
+
+
+def test_live_channel_reads_keep_the_bytes_of_full_channel_reads(rendered_suite, monkeypatch):
+    # the handcrafted encoder zero-pads its 8 base channels to 32 and the
+    # engine reads only the 8 live ones: with the score scale kept at
+    # sqrt(32), every mask, box and memory row is the one all 32 give, also
+    # across target loss and a long-term memory grown large enough that
+    # MSTRACK_THREADS=2 splits its reads
+    frames, masks, _ = rendered_suite["s06_full_occ"]
+    cfg = EngineConfig(long_term_every=3)
+    writes = _record_writes(monkeypatch)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MSTRACK_THREADS", threads)
+        runs = []
+        for rule in (features.live_channels, lambda enc, channels: channels):
+            monkeypatch.setattr(engine, "live_channels", rule)
+            writes.clear()
+            runs.append((track_sequence(frames, masks[0], cfg), [e for _, e, _ in writes]))
+        (live, live_rows), (full, full_rows) = runs
+        assert any(box.lost for box, _ in live)
+        assert [box for box, _ in live] == [box for box, _ in full]
+        assert [m.tobytes() for _, m in live] == [m.tobytes() for _, m in full]
+        assert len(live_rows) == len(full_rows)
+        for a, b in zip(live_rows, full_rows):
+            assert (a.keys.shape[1], b.keys.shape[1], a.channels, b.channels) == (8, 32, 32, 32)
+            assert a.id_values.tobytes() == b.id_values.tobytes()
+            assert a.keys.tobytes() == b.keys[:, :8].tobytes()
 
 
 def test_lost_target_repeats_last_box_and_freezes_memory():

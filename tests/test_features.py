@@ -18,6 +18,7 @@ from mstrack.features import (
     MAX_FEATURE_WEIGHT,
     EncoderConfig,
     encode_frame,
+    live_channels,
     load_weights,
     pad_to_multiple,
     save_weights,
@@ -333,6 +334,7 @@ def test_weights_file_mode_end_to_end(tmp_path):
     pyr = encode_frame(frame, cfg)
     assert pyr.level16.shape == (2, 2, 6)
     assert pyr.level8.shape == (4, 4, 4)
+    assert (live_channels(cfg, 6), live_channels(cfg, 4)) == (6, 4)
 
 
 def test_weights_channel_mismatch_names_both_counts(tmp_path):
@@ -416,12 +418,25 @@ def test_weights_rewrite_is_not_cached(tmp_path):
     np.testing.assert_array_equal(load_weights(path)["proj16"], second["proj16"])
 
 
-@pytest.mark.parametrize("mode", ["handcrafted", "random-projection"])
-def test_encode_frame_pads_any_frame_size(mode):
+@pytest.mark.parametrize(
+    "mode, channels, live",
+    [
+        ("handcrafted", 32, 8),
+        ("handcrafted", 8, 8),
+        ("handcrafted", 4, 4),
+        ("random-projection", 32, 32),
+    ],
+)
+def test_encode_frame_pads_any_frame_size(mode, channels, live):
     rng = np.random.default_rng(11)
     frame = rng.random((75, 100, 3)).astype(np.float32)
-    cfg = EncoderConfig(mode=mode)
+    cfg = EncoderConfig(mode=mode, channels16=channels, channels8=channels)
     pyr = encode_frame(frame, cfg)
+    # the output keeps all C channels; only the first `live` can be non-zero
+    assert live_channels(cfg, channels) == live
+    for level in (pyr.level16, pyr.level8):
+        assert level.shape[2] == channels and not np.any(level[:, :, live:])
+        assert np.all(np.any(level[:, :, :live], axis=(0, 1)))
     assert pyr.level16.shape[:2] == (5, 7) and pyr.level8.shape[:2] == (10, 14)
     edge = np.pad(frame, ((0, 5), (0, 12), (0, 0)), mode="edge")
     ref = encode_frame(edge, cfg)

@@ -896,6 +896,15 @@ def test_merging_refuses_entries_of_another_stride_or_width():
         with pytest.raises(ShapeError, match=f"{widths} columns"):
             bank.write(other, long_term=True)
         assert bank.at(8) is mem
+    # rows of the same width scored at another sqrt(C) do not mix either
+    wider = MemoryEntry(8, np.ones((2, 3)), np.zeros((2, 4)), 0, channels=32)
+    with pytest.raises(ShapeError, match="memory of 32 channels into memory of 3 channels"):
+        merge_entries([a, wider])
+    with pytest.raises(ShapeError, match="32 channels"):
+        bank.write(wider, long_term=True)
+    assert bank.at(8) is mem
+    with pytest.raises(ShapeError, match="memory of 2 channels cannot hold 3 key columns"):
+        MemoryEntry(8, np.ones((2, 3)), np.zeros((2, 4)), 0, channels=2)
     # the refused writes left the bank's buffer as it was: the next write fits
     # and appends after the kept rows in place
     last = entry(2 * np.ones((1, 3)), np.ones((1, 4)), scale=8)
