@@ -16,10 +16,10 @@ boxes are in frame coordinates.
 Matching uses cosine-style similarity: the engine rescales every feature row
 to a fixed L2 norm (match_norm * sqrt(C)) before attention, so the softmax
 logits are proportional to cosine similarity and sharp enough that a cell of
-the reference frame re-matches itself decisively.  It then keeps only the
-level's live channels (`features.live_channels`), 8 of the handcrafted
-encoder's default 32, for queries, memory keys and the visual branch;
-memory records C, so the score scale stays temperature * sqrt(C).  Memory
+the reference frame re-matches itself decisively.  C is the configured
+encoder.channels16 or channels8, not the level's width: the handcrafted
+encoder emits only its 8 real channels of the default 32, and memory records
+C, so the score scale stays temperature * sqrt(C).  Memory
 id rows are exact bank rows (majority-label encoding of the stored mask),
 so the decode of an undisturbed frame reduces to `coarse_reconstruct`:
 `step`'s own prior and readout over an identity bank, with exact reads in
@@ -45,7 +45,7 @@ import numpy as np
 
 from .boxmask import Box, SegmenterSpec, mask_to_box, segment_box
 from .errors import ConfigError, InitError, LabelError, ShapeError, check_range
-from .features import EncoderConfig, encode_frame, live_channels, pad_to_multiple, validate_frame
+from .features import EncoderConfig, encode_frame, pad_to_multiple, validate_frame
 from .kernels import FLOAT32_MAX, bilinear_resize, channel_argmax
 
 # unused here, but kept importable as engine.matmul: the benchmark's tracer
@@ -146,13 +146,14 @@ def _rows(grid: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(grid.reshape(h * w, c))
 
 
-def _match_rows(grid: np.ndarray, cfg: EngineConfig) -> np.ndarray:
-    """The grid's rows scaled to norm match_norm * sqrt(C), then cut to the
-    encoder's live channels: the rest are +0.0 in every row, so they change
-    no score and no read, and the norm is taken before the cut."""
-    c = grid.shape[2]
-    rows = scale_rows(_rows(grid), cfg.match_norm * np.sqrt(c))
-    return np.ascontiguousarray(rows[:, : live_channels(cfg.encoder, c)])
+def _match_rows(pyr, cfg: EngineConfig) -> tuple:
+    """The rows of both levels, each scaled to norm match_norm * sqrt(C),
+    with C the level's encoder.channels16 or channels8."""
+    enc = cfg.encoder
+    return tuple(
+        scale_rows(_rows(level), cfg.match_norm * np.sqrt(c))
+        for level, c in ((pyr.level16, enc.channels16), (pyr.level8, enc.channels8))
+    )
 
 
 def _validate_mask(mask: np.ndarray, frame: np.ndarray, cfg: EngineConfig) -> np.ndarray:
@@ -197,7 +198,7 @@ def init_reference(
     bank = make_id_bank(cfg.max_objects, cfg.id_dim, cfg.seed)
     pyr = encode_frame(f, cfg.encoder)
     memory = MemoryBank()
-    f16, f8 = _match_rows(pyr.level16, cfg), _match_rows(pyr.level8, cfg)
+    f16, f8 = _match_rows(pyr, cfg)
     _write_memory(
         memory, bank, pad_to_multiple(m), f16, f8, frame_index=0, long_term=True, enc=cfg.encoder
     )
@@ -236,7 +237,7 @@ def _decode_step(state: EngineState, pyr) -> tuple:
     grid8 = pyr.level8.shape[:2]
     d = state.bank.id_dim
 
-    f16, f8 = _match_rows(pyr.level16, cfg), _match_rows(pyr.level8, cfg)
+    f16, f8 = _match_rows(pyr, cfg)
     zeros16 = np.zeros((h16 * w16, d), dtype=np.float32)
     ids16 = gpm_stage(f16, zeros16, state.memory.at(16), cfg.gpm_layers16, cfg.temperature)
     fused8 = _prior8(ids16.reshape(h16, w16, d), grid8, cfg.prior_weight)

@@ -2,17 +2,16 @@
 
 The engine consumes feature maps at strides 16 and 8.  Instead of a learned
 backbone, each level is cell rows x a channel map: one row per stride-s cell,
-times an [inputs, C] float32 map, in one `kernels.matmul`.  The three
+times an [inputs, channels] float32 map, in one `kernels.matmul`.  The three
 deterministic encoders differ only in their rows and maps:
 
 * ``handcrafted`` (default): each row holds the cell's mean RGB, its
   normalized (x, y) cell-center coordinates scaled by a position weight, and
   its per-channel RGB standard deviation scaled by a std weight (8 base
-  channels).  The 0/1 map adds base channel i into channel i % C, which
-  zero-pads up to C or folds down to it.  Channels beyond the 8 base
-  features are zero padding: C still sets the engine's sqrt(C) score scale
-  and its row norm, but the padding costs no attention work, as the engine
-  drops it (`live_channels`).
+  channels).  The 0/1 [8, min(C, 8)] map adds base channel i into channel
+  i % C: the identity for C >= 8, a fold down to C below it.  So this mode
+  emits only its min(C, 8) real channels; C still sets the engine's
+  sqrt(C) score scale and its row norm.
   The std weight defaults low: cells straddling an object boundary share a
   common high-variance signature regardless of which side holds the majority,
   so a large std term drags boundary cells toward whichever stored neighbor
@@ -105,7 +104,8 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-frame feature maps at strides 16 and 8."""
+    """Per-frame feature maps at strides 16 and 8; C16 and C8 are
+    encoder.channels16 and channels8, or min(C, 8) in handcrafted mode."""
 
     level16: np.ndarray  # [ceil(H/16), ceil(W/16), C16]
     level8: np.ndarray  # [2*ceil(H/16), 2*ceil(W/16), C8]
@@ -176,7 +176,8 @@ def _cell_base_features(
 
 @functools.lru_cache(maxsize=8)
 def _channel_maps(cfg: EncoderConfig, version) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only [inputs, C] float32 maps of the stride-16 and stride-8 levels.
+    """The read-only float32 maps of the stride-16 and stride-8 levels:
+    [8, min(C, 8)] in handcrafted mode, [inputs, C] in the others.
 
     `version` is the weights file's (st_mtime_ns, st_size) in weights-file
     mode, so a rewritten file is read and checked again.
@@ -205,8 +206,9 @@ def _channel_maps(cfg: EncoderConfig, version) -> tuple[np.ndarray, np.ndarray]:
     maps = []
     for channels, seed in ((cfg.channels16, cfg.seed), (cfg.channels8, cfg.seed + 1)):
         if cfg.mode == "handcrafted":
-            # base channel i adds into channel i % C: zero-pads up to C, folds down to it
-            m = np.arange(BASE_CHANNELS)[:, None] % channels == np.arange(channels)
+            # base channel i adds into channel i % C: the identity, or a fold down to C
+            base = np.arange(BASE_CHANNELS)
+            m = base[:, None] % channels == base[: min(channels, BASE_CHANNELS)]
         else:
             rng = np.random.default_rng(seed)
             m = rng.standard_normal((BASE_CHANNELS, channels)) / np.sqrt(BASE_CHANNELS)
@@ -214,15 +216,6 @@ def _channel_maps(cfg: EncoderConfig, version) -> tuple[np.ndarray, np.ndarray]:
         m.setflags(write=False)
         maps.append(m)
     return tuple(maps)
-
-
-def live_channels(cfg: EncoderConfig, channels: int) -> int:
-    """How many leading channels of a `channels`-wide level can be non-zero.
-
-    The handcrafted map fills the first min(C, 8) and leaves the rest +0.0;
-    a random-projection or weights-file map can fill every channel.
-    """
-    return min(channels, BASE_CHANNELS) if cfg.mode == "handcrafted" else channels
 
 
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
@@ -235,8 +228,8 @@ def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
 
     Args:
         frame: [H,W,3] float32 in [0,1] from `validate_frame`, any H, W >= 1.
-        cfg: encoder configuration; output channel counts always equal
-            cfg.channels16 / cfg.channels8 regardless of mode.
+        cfg: encoder configuration; the levels have C = cfg.channels16 /
+            cfg.channels8 channels, min(C, 8) in handcrafted mode.
 
     Returns:
         FeaturePyramid with level16 [ceil(H/16),ceil(W/16),C16] and level8

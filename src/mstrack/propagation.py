@@ -21,21 +21,19 @@ with values = memory keys on the visual branch and memory id_values on the
 ID branch.  Both branches come from one product, att . [keys | id_values].
 Each of the four reads has its own scalar gate bias; bias 0 (the default) is
 a uniform half-open gate.  C is the entry's `channels`, the encoder's
-channel count.  Keys and queries may hold only its first `live` channels,
-when the rest are zero in every row (`features.live_channels`): a score is
-then the same float64 sum, short of trailing +0.0 terms, so the bytes do
-not change, while every product runs over fewer columns.
+configured channel count, which may exceed the key width L: the handcrafted
+encoder emits only its 8 real channels of the default C = 32.
 
-An entry holds its rows once, as one float64 [N, live+D] array of float32
-values (`values`), 8 (live + D) bytes a row, 320 at the defaults (8 live
-key channels of C = 32, D = 32); its keys, id rows and transposed keys are
-views of it, so a read converts only the query and the attention map.  A
-bank owns one long-term buffer per stride, and its merged entry views the
-written rows.  A long-term write appends the new rows after them when the
-memory's long-term entry is the one the bank built last and the buffer has
-room; otherwise the kept rows are copied once into a new buffer of twice
-the capacity.  So a write mostly copies only its own rows, and no bank writes
-a row that an earlier entry, its own or another bank's, sees.
+An entry holds its rows once, as one float64 [N, L+D] array of float32
+values (`values`), 8 (L + D) bytes a row, 320 at the defaults (L = 8,
+D = 32); its keys and id rows are views of it, so a read converts only the
+query and the attention map.  A bank owns one long-term buffer per stride,
+and its merged entry views the written rows.  A long-term write appends the
+new rows after them when the memory's long-term entry is the one the bank
+built last and the buffer has room; otherwise the kept rows are copied once
+into a new buffer of twice the capacity.  So a write mostly copies only its
+own rows, and no bank writes a row that an earlier entry, its own or another
+bank's, sees.
 
 A read takes its query rows in chunks of `CELL_BUDGET // m` rows (at least
 one) against m memory rows, so a chunk's float64 scores take at most 1 MB
@@ -164,16 +162,16 @@ class MemoryEntry:
     """Memory rows of one frame, or of several merged.
 
     The rows are held once, in `values`, a float64 [N, L+D] array of
-    float32 values: the keys, then the id rows.  `keys` [N, L],
-    `id_values` [N, D] and `keys_t` [L, N] are views of it, so `matmul`
-    takes them without converting memory on every read, and BLAS takes
-    `keys_t` as a transposed operand without a copy.  L is the key width,
-    the live channels of the encoder's C (module docstring), and the
-    keyword-only `channels` records C, the width that sets a read's score
-    scale; it defaults to L.  A row costs 8 (L+D) bytes, 320 at L = 8 and
-    D = 32.  The arrays are read-only.  An entry built from keys and id rows
-    owns its `values`; one that `merge_entries` built views rows of the
-    array it merged into, a bank's buffer in the tracker.
+    float32 values: the keys, then the id rows.  `keys` [N, L] and
+    `id_values` [N, D] are views of it, so `matmul` takes them without
+    converting memory on every read, and BLAS takes `keys.T` as a
+    transposed operand without a copy.  L is the key width, and the
+    keyword-only `channels` records the encoder's C (module docstring), the
+    width that sets a read's score scale; it defaults to L.  A row costs
+    8 (L+D) bytes, 320 at L = 8 and D = 32.  The arrays are read-only.  An
+    entry built from keys and id rows owns its `values`; one that
+    `merge_entries` built views rows of the array it merged into, a bank's
+    buffer in the tracker.
     """
 
     scale: int  # stride, 16 or 8
@@ -181,7 +179,6 @@ class MemoryEntry:
     id_values: np.ndarray  # [N, D]
     frame_index: int
     channels: int | None = field(default=None, kw_only=True)  # C; None means L
-    keys_t: np.ndarray = field(init=False, repr=False, compare=False)  # [L, N]
     values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, L+D]
 
     def __post_init__(self):
@@ -209,7 +206,6 @@ class MemoryEntry:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "keys", values[:, :c])
         object.__setattr__(self, "id_values", values[:, c:])
-        object.__setattr__(self, "keys_t", values[:, :c].T)
 
     @classmethod
     def _of_rows(cls, scale: int, values: np.ndarray, c: int, channels: int) -> "MemoryEntry":
@@ -449,7 +445,7 @@ def attention_read(
             k = stop - start
             w = weights[:k] if att is None else att[start:stop]
             s = scores[:k]
-            matmul(q[start:stop], memory.keys_t, out=w, work=s)
+            matmul(q[start:stop], memory.keys.T, out=w, work=s)
             w /= scale
             softmax(w, out=w, work=s)
             s[...] = w  # the float32 weights, exactly, as the read's float64 operand

@@ -214,33 +214,98 @@ def test_merged_long_term_memory_equals_the_merge_of_its_entries(monkeypatch):
         written = [e for s, e, lt in writes if s == scale and lt]
         assert [e.frame_index for e in written] == [0, 2, 4]
         want = merge_entries(written)
-        for name in ("keys", "id_values", "values", "keys_t"):
-            assert getattr(mem.long_term[0], name).tobytes() == getattr(want, name).tobytes()
-        assert mem.long_term[0].channels == want.channels == 32
+        got = mem.long_term[0]
+        for name in ("keys", "id_values", "values"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        # the read's transposed key operand is a view of the bank's rows
+        assert np.shares_memory(got.keys.T, got.values)
+        assert got.channels == want.channels == 32
 
 
-def test_live_channel_reads_keep_the_bytes_of_full_channel_reads(rendered_suite, monkeypatch):
-    # the handcrafted encoder zero-pads its 8 base channels to 32 and the
-    # engine reads only the 8 live ones: with the score scale kept at
-    # sqrt(32), every mask, box and memory row is the one all 32 give, also
-    # across target loss and a long-term memory grown large enough that
-    # MSTRACK_THREADS=2 splits its reads
+def _weights_encoder(tmp_path, channels):
+    path = tmp_path / "w.mswt"
+    rng = np.random.default_rng(41)
+    features.save_weights(path, {
+        "proj16": rng.normal(size=(16 * 16 * 3, channels)).astype(np.float32),
+        "proj8": rng.normal(size=(8 * 8 * 3, channels)).astype(np.float32),
+    })
+    return EncoderConfig(mode="weights-file", weights_path=str(path), channels16=channels,
+                         channels8=channels)
+
+
+@pytest.mark.parametrize(
+    "mode, channels, width",
+    [
+        ("handcrafted", 4, 4),
+        ("handcrafted", 8, 8),
+        ("handcrafted", 12, 8),
+        ("handcrafted", 32, 8),
+        ("random-projection", 32, 32),
+        ("weights-file", 12, 12),
+    ],
+)
+def test_the_encoder_sets_the_key_width_and_the_config_the_norm(
+    mode, channels, width, tmp_path, monkeypatch
+):
+    # the handcrafted encoder emits min(C, 8) channels, the others C; queries
+    # and memory keys keep that width, while C sets their norm and score scale
+    if mode == "weights-file":
+        enc = _weights_encoder(tmp_path, channels)
+    else:
+        enc = EncoderConfig(mode=mode, channels16=channels, channels8=channels)
+    cfg = EngineConfig(encoder=enc)
+    queries = []
+    gpm_stage = engine.gpm_stage
+
+    def spy(feats, *args, **kwargs):
+        queries.append(feats)
+        return gpm_stage(feats, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "gpm_stage", spy)
+    frame, mask = make_square_frame(64, (16, 16), 32)
+    pyr = features.encode_frame(frame, enc)
+    assert pyr.level16.shape[2] == pyr.level8.shape[2] == width
+    state = init_reference(frame, mask, cfg)
+    step(state, frame)
+    entries = [state.memory.at(scale).short_term for scale in (16, 8)]
+    assert [e.channels for e in entries] == [channels, channels]
+    assert len(queries) == 2
+    for rows in queries + [e.keys for e in entries]:
+        assert rows.shape[1] == width
+        norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+        np.testing.assert_allclose(norms, cfg.match_norm * np.sqrt(channels), rtol=1e-5)
+
+
+def test_narrow_levels_keep_the_bytes_of_zero_padded_levels(rendered_suite, monkeypatch):
+    # the handcrafted encoder emits its 8 real channels of C = 32: with the
+    # score scale kept at sqrt(32), every mask, box and memory row is the one
+    # levels zero-padded to 32 columns give, also across target loss and a
+    # long-term memory grown large enough that MSTRACK_THREADS=2 splits its reads
     frames, masks, _ = rendered_suite["s06_full_occ"]
     cfg = EngineConfig(long_term_every=3)
     writes = _record_writes(monkeypatch)
+    narrow = engine.encode_frame
+
+    def padded(frame, enc):
+        pyr = narrow(frame, enc)
+        return features.FeaturePyramid(*(
+            np.pad(level, ((0, 0), (0, 0), (0, c - level.shape[2])))
+            for level, c in ((pyr.level16, enc.channels16), (pyr.level8, enc.channels8))
+        ))
+
     for threads in ("1", "2"):
         monkeypatch.setenv("MSTRACK_THREADS", threads)
         runs = []
-        for rule in (features.live_channels, lambda enc, channels: channels):
-            monkeypatch.setattr(engine, "live_channels", rule)
+        for encode in (narrow, padded):
+            monkeypatch.setattr(engine, "encode_frame", encode)
             writes.clear()
             runs.append((track_sequence(frames, masks[0], cfg), [e for _, e, _ in writes]))
-        (live, live_rows), (full, full_rows) = runs
-        assert any(box.lost for box, _ in live)
-        assert [box for box, _ in live] == [box for box, _ in full]
-        assert [m.tobytes() for _, m in live] == [m.tobytes() for _, m in full]
-        assert len(live_rows) == len(full_rows)
-        for a, b in zip(live_rows, full_rows):
+        (got, got_rows), (full, full_rows) = runs
+        assert any(box.lost for box, _ in got)
+        assert [box for box, _ in got] == [box for box, _ in full]
+        assert [m.tobytes() for _, m in got] == [m.tobytes() for _, m in full]
+        assert len(got_rows) == len(full_rows)
+        for a, b in zip(got_rows, full_rows):
             assert (a.keys.shape[1], b.keys.shape[1], a.channels, b.channels) == (8, 32, 32, 32)
             assert a.id_values.tobytes() == b.id_values.tobytes()
             assert a.keys.tobytes() == b.keys[:, :8].tobytes()

@@ -18,7 +18,6 @@ from mstrack.features import (
     MAX_FEATURE_WEIGHT,
     EncoderConfig,
     encode_frame,
-    live_channels,
     load_weights,
     pad_to_multiple,
     save_weights,
@@ -128,12 +127,14 @@ def encoder_frames(draw):
 def test_handcrafted_map_bytes_equal_pad_loop(frame, pw, sw, c16, c8):
     # a product sum adds +0.0 terms, so the -0.0 of a zero-deviation cell
     # times a negative (or -0.0) weight comes out as +0.0; adding 0.0 to both
-    # sides maps -0.0 to +0.0 and leaves every other value as it is
+    # sides maps -0.0 to +0.0 and leaves every other value as it is.  The
+    # encoder emits the 8 real channels, the loop's columns past them are zero
     cfg = EncoderConfig(channels16=c16, channels8=c8, position_weight=pw, std_weight=sw)
     pyr = encode_frame(frame, cfg)
     want = _reference_levels(frame, cfg, lambda base, level: fit_channels_loop(base, (c16, c8)[level]))
-    assert (pyr.level16 + 0.0).tobytes() == (want[0] + 0.0).tobytes()
-    assert (pyr.level8 + 0.0).tobytes() == (want[1] + 0.0).tobytes()
+    for got, padded in zip((pyr.level16, pyr.level8), want):
+        assert got.shape[2] == BASE_CHANNELS and not np.any(padded[:, :, BASE_CHANNELS:])
+        assert (got + 0.0).tobytes() == (padded[:, :, :BASE_CHANNELS] + 0.0).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,12 +272,12 @@ def test_translation_covariance_of_appearance_channels():
 
 def test_channel_folding_and_padding():
     frame = np.random.default_rng(32).random((32, 32, 3)).astype(np.float32)
+    ref = encode_frame(frame, EncoderConfig(channels16=BASE_CHANNELS, channels8=BASE_CHANNELS)).level16
+    # past the 8 base channels, C adds no zero columns: the level is the C = 8 one
     wide = encode_frame(frame, EncoderConfig(channels16=12, channels8=12))
-    assert wide.level16.shape[2] == 12
-    assert np.allclose(wide.level16[:, :, BASE_CHANNELS:], 0.0)
+    assert wide.level16.tobytes() == ref.tobytes()
     narrow = encode_frame(frame, EncoderConfig(channels16=5, channels8=5))
     assert narrow.level16.shape[2] == 5
-    ref = encode_frame(frame, EncoderConfig(channels16=BASE_CHANNELS, channels8=BASE_CHANNELS)).level16
     folded = ref[:, :, :5].copy()
     for i in range(5, BASE_CHANNELS):
         folded[:, :, i % 5] += ref[:, :, i]
@@ -334,7 +335,6 @@ def test_weights_file_mode_end_to_end(tmp_path):
     pyr = encode_frame(frame, cfg)
     assert pyr.level16.shape == (2, 2, 6)
     assert pyr.level8.shape == (4, 4, 4)
-    assert (live_channels(cfg, 6), live_channels(cfg, 4)) == (6, 4)
 
 
 def test_weights_channel_mismatch_names_both_counts(tmp_path):
@@ -419,7 +419,7 @@ def test_weights_rewrite_is_not_cached(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mode, channels, live",
+    "mode, channels, width",
     [
         ("handcrafted", 32, 8),
         ("handcrafted", 8, 8),
@@ -427,16 +427,15 @@ def test_weights_rewrite_is_not_cached(tmp_path):
         ("random-projection", 32, 32),
     ],
 )
-def test_encode_frame_pads_any_frame_size(mode, channels, live):
+def test_encode_frame_pads_any_frame_size(mode, channels, width):
     rng = np.random.default_rng(11)
     frame = rng.random((75, 100, 3)).astype(np.float32)
     cfg = EncoderConfig(mode=mode, channels16=channels, channels8=channels)
     pyr = encode_frame(frame, cfg)
-    # the output keeps all C channels; only the first `live` can be non-zero
-    assert live_channels(cfg, channels) == live
+    # the handcrafted encoder emits only its min(C, 8) real channels, each non-zero somewhere
     for level in (pyr.level16, pyr.level8):
-        assert level.shape[2] == channels and not np.any(level[:, :, live:])
-        assert np.all(np.any(level[:, :, :live], axis=(0, 1)))
+        assert level.shape[2] == width
+        assert np.all(np.any(level, axis=(0, 1)))
     assert pyr.level16.shape[:2] == (5, 7) and pyr.level8.shape[:2] == (10, 14)
     edge = np.pad(frame, ((0, 5), (0, 12), (0, 0)), mode="edge")
     ref = encode_frame(edge, cfg)

@@ -5,8 +5,8 @@ Any change to a box, a mask, a score or the file formats changes these
 digests, so a refactor that is meant to keep every output byte fails here
 when it does not.  The bytes do not depend on the thread count, nor on the
 OpenBLAS kernel: the long_memory pass and the attention byte tests, the
-thread-split reads and the live-channel reads (whose score products run
-over 8 channels, not 32) among them, run again in subprocesses under
+thread-split reads and the reads of the encoder's 8 real channels against
+those of levels zero-padded to 32 among them, run again in subprocesses under
 OPENBLAS_CORETYPE=Prescott and OPENBLAS_CORETYPE=Haswell.
 """
 
@@ -122,7 +122,7 @@ def _run_under_coretype(core, tmp_path_factory):
                 f"{attention}::test_split_read_bytes_equal_the_serial_read_on_engine_shapes",
                 f"{attention}::test_a_read_without_its_map_keeps_its_bytes",
                 f"{attention}::test_reads_of_a_grown_long_term_memory_keep_their_bytes",
-                f"{engine}::test_live_channel_reads_keep_the_bytes_of_full_channel_reads",
+                f"{engine}::test_narrow_levels_keep_the_bytes_of_zero_padded_levels",
             ],
             env=env, cwd=ROOT, stdout=log, stderr=subprocess.STDOUT, text=True,
         )

@@ -757,9 +757,10 @@ def test_merge_entries_concatenates():
     m = merge_entries([a, b])
     assert m.keys.shape == (5, 3) and m.id_values.shape == (5, 4)
     assert np.array_equal(m.values, np.concatenate([m.keys, m.id_values], axis=1))
-    assert np.array_equal(m.keys_t, m.keys.T)
-    # the rows are held once: keys, id rows and keys_t are views of values
-    assert all(np.shares_memory(v, m.values) for v in (m.keys, m.id_values, m.keys_t))
+    # the rows are held once: keys and id rows are views of values, and so
+    # is keys.T, the read's transposed key operand, with contiguous columns
+    assert all(np.shares_memory(v, m.values) for v in (m.keys, m.id_values, m.keys.T))
+    assert m.keys.T.strides == (m.values.itemsize, m.values.strides[0])
     assert merge_entries([a]) is a
     # into a given array: the first entry's rows are there, the others go after
     out = np.full((8, 7), np.nan)
@@ -770,7 +771,7 @@ def test_merge_entries_concatenates():
 
 
 def _assert_same_rows(got, want):
-    for name in ("keys", "id_values", "values", "keys_t"):
+    for name in ("keys", "id_values", "values"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
@@ -1065,7 +1066,7 @@ def test_a_split_read_allocates_only_its_scratch_and_outputs(monkeypatch):
 
 
 def test_reads_of_a_grown_long_term_memory_keep_their_bytes(monkeypatch):
-    # a bank-built entry's keys_t is a transposed view of rows inside a
+    # a bank-built entry's keys.T is a transposed view of rows inside a
     # larger buffer; BLAS packs it as a transposed operand
     rng = np.random.default_rng(74)
     bank = MemoryBank()
