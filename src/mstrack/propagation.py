@@ -27,13 +27,11 @@ encoder emits only its 8 real channels of the default C = 32.
 An entry holds its rows once, as one float64 [N, L+D] array of float32
 values (`values`), 8 (L + D) bytes a row, 320 at the defaults (L = 8,
 D = 32); its keys and id rows are views of it, so a read converts only the
-query and the attention map.  A bank owns one long-term buffer per stride,
-and its merged entry views the written rows.  A long-term write appends the
-new rows after them when the memory's long-term entry is the one the bank
-built last and the buffer has room; otherwise the kept rows are copied once
-into a new buffer of twice the capacity.  So a write mostly copies only its
-own rows, and no bank writes a row that an earlier entry, its own or another
-bank's, sees.
+query and the attention map.  Each long-term write builds one new merged
+entry, the kept rows then the new frame's in one concatenation, and the
+entry it replaces is freed once nothing else holds it.  No array is written
+after the entry that views it is built, so banks given the same memory, or
+a memory set back to an earlier one, never see each other's rows.
 
 A read takes its query rows in chunks of `CELL_BUDGET // m` rows (at least
 one) against m memory rows, so a chunk's float64 scores take at most 1 MB
@@ -168,10 +166,9 @@ class MemoryEntry:
     transposed operand without a copy.  L is the key width, and the
     keyword-only `channels` records the encoder's C (module docstring), the
     width that sets a read's score scale; it defaults to L.  A row costs
-    8 (L+D) bytes, 320 at L = 8 and D = 32.  The arrays are read-only.  An
-    entry built from keys and id rows owns its `values`; one that
-    `merge_entries` built views rows of the array it merged into, a bank's
-    buffer in the tracker.
+    8 (L+D) bytes, 320 at L = 8 and D = 32.  The arrays are read-only, and
+    each entry owns its `values`: one built from keys and id rows converts
+    them, and one that `merge_entries` built holds the concatenation.
     """
 
     scale: int  # stride, 16 or 8
@@ -241,8 +238,6 @@ class ScaleMemory:
 @dataclass
 class MemoryBank:
     scales: dict = field(default_factory=dict)  # stride -> ScaleMemory
-    # stride -> (float64 buffer, the long-term entry that views its written rows)
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def at(self, scale: int) -> ScaleMemory:
         if scale not in self.scales:
@@ -251,41 +246,23 @@ class MemoryBank:
 
     def write(self, entry: MemoryEntry, long_term: bool) -> None:
         """Replace the memory at `entry.scale` with one holding `entry` as short
-        term; if asked, `entry`'s rows are also appended to long term.
-
-        They go into this bank's buffer after the rows of the long-term entry
-        it built last, if that entry is the memory's and the buffer has room.
-        Otherwise the kept rows are first copied into a new buffer, twice the
-        full one or the kept rows, and at least as large as all the rows."""
+        term; if asked, long term becomes one new entry, its rows then `entry`'s."""
         lt = (self.scales.get(entry.scale) or ScaleMemory()).long_term
-        if long_term and lt:
-            kept = lt[0]
-            n = kept.values.shape[0]
-            total = n + entry.values.shape[0]
-            buffer, last = self._rows.get(entry.scale, (None, None))
-            if last is not kept or total > buffer.shape[0]:
-                grown = buffer.shape[0] if last is kept else n
-                buffer = np.empty((max(total, 2 * grown), kept.values.shape[1]))
-                buffer[:n] = kept.values
-            lt = (merge_entries([kept, entry], out=buffer),)
-            self._rows[entry.scale] = (buffer, lt[0])
-        elif long_term:
-            lt = (merge_entries([entry]),)
+        if long_term:
+            lt = (merge_entries([*lt, entry]),)
         self.scales[entry.scale] = ScaleMemory(lt, entry)
 
 
-def merge_entries(entries: list, *, out: np.ndarray | None = None) -> MemoryEntry:
-    """One entry holding the rows of `entries` in order.
+def merge_entries(entries: list) -> MemoryEntry:
+    """One entry holding the rows of `entries` in order, or a itself for [a].
 
-    Without `out` the rows are concatenated into a new array, and [a] gives
-    a itself.  With `out`, whose first rows hold the first entry's, the
-    others' rows go after them, and the entry views `out`'s written rows.
+    The rows are concatenated into one new array, which the entry owns.
     Entries of different strides, widths or `channels` raise `ShapeError`.
     """
     if not entries:
         raise StateError("empty long-term memory")
     first = entries[0]
-    (n, c), d = first.keys.shape, first.id_values.shape[1]
+    c, d = first.keys.shape[1], first.id_values.shape[1]
     for e in entries[1:]:
         if e.scale != first.scale:
             raise ShapeError(
@@ -301,16 +278,10 @@ def merge_entries(entries: list, *, out: np.ndarray | None = None) -> MemoryEntr
                 f"cannot merge memory of {e.channels} channels into memory of "
                 f"{first.channels} channels"
             )
-    if out is None:
-        if len(entries) == 1:
-            return first
-        out = np.concatenate([e.values for e in entries])
-        n = out.shape[0]
-    else:
-        for e in entries[1:]:
-            out[n : n + e.values.shape[0]] = e.values
-            n += e.values.shape[0]
-    return MemoryEntry._of_rows(first.scale, out[:n], c, first.channels)
+    if len(entries) == 1:
+        return first
+    values = np.concatenate([e.values for e in entries])
+    return MemoryEntry._of_rows(first.scale, values, c, first.channels)
 
 
 # --------------------------------------------------------------------------

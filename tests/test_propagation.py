@@ -762,12 +762,6 @@ def test_merge_entries_concatenates():
     assert all(np.shares_memory(v, m.values) for v in (m.keys, m.id_values, m.keys.T))
     assert m.keys.T.strides == (m.values.itemsize, m.values.strides[0])
     assert merge_entries([a]) is a
-    # into a given array: the first entry's rows are there, the others go after
-    out = np.full((8, 7), np.nan)
-    out[:2] = a.values
-    into = merge_entries([a, b], out=out)
-    _assert_same_rows(into, m)
-    assert np.shares_memory(into.values, out) and np.isnan(out[5:]).all()
 
 
 def _assert_same_rows(got, want):
@@ -906,33 +900,15 @@ def test_merging_refuses_entries_of_another_stride_or_width():
     assert bank.at(8) is mem
     with pytest.raises(ShapeError, match="memory of 2 channels cannot hold 3 key columns"):
         MemoryEntry(8, np.ones((2, 3)), np.zeros((2, 4)), 0, channels=2)
-    # the refused writes left the bank's buffer as it was: the next write fits
-    # and appends after the kept rows in place
+    # the refused writes left long term as it was: the next write holds the
+    # kept rows, then the new one
     last = entry(2 * np.ones((1, 3)), np.ones((1, 4)), scale=8)
     bank.write(last, long_term=True)
-    got = bank.at(8).long_term[0]
-    assert np.shares_memory(got.values, mem.long_term[0].values)
-    _assert_same_rows(got, merge_entries([mem.long_term[0], last]))
+    _assert_same_rows(bank.at(8).long_term[0], merge_entries([mem.long_term[0], last]))
 
 
 def _rows_of(rng, n, c=4, d=5):
     return rng.normal(size=(n, c)).astype(np.float32), rng.normal(size=(n, d)).astype(np.float32)
-
-
-def test_a_long_term_write_that_fits_appends_after_the_rows_it_keeps():
-    rng = np.random.default_rng(68)
-    bank = MemoryBank()
-    for t in range(2):  # the reference's 3 rows, then a new buffer of 6
-        bank.write(entry(*_rows_of(rng, 3), frame_index=t), long_term=True)
-    before = bank.at(16).long_term[0]
-    bank.write(entry(*_rows_of(rng, 3), frame_index=2), long_term=True)
-    after = bank.at(16).long_term[0]
-    # the buffer was full: 12 rows now, 9 written, and a write that fits
-    # writes after them into the same buffer
-    assert not np.shares_memory(after.values, before.values)
-    bank.write(entry(*_rows_of(rng, 3), frame_index=3), long_term=True)
-    assert np.shares_memory(bank.at(16).long_term[0].values, after.values)
-    assert bank.at(16).long_term[0].keys.shape[0] == 12
 
 
 def test_earlier_long_term_entries_keep_their_bytes_through_later_writes():
@@ -945,8 +921,7 @@ def test_earlier_long_term_entries_keep_their_bytes_through_later_writes():
         lt = bank.at(8).long_term[0]
         seen.append((lt, lt.values.tobytes()))
     # every entry still holds its rows after the last write; each of the
-    # first five saw at least 5 later writes, some into its own buffer and
-    # some that grew a new one
+    # first five saw at least 5 later writes
     for lt, want in seen:
         assert lt.values.tobytes() == want
     keys = np.concatenate([k for k, _ in raw])
@@ -957,17 +932,16 @@ def test_earlier_long_term_entries_keep_their_bytes_through_later_writes():
         lt.values[0, 0] = 1.0
 
 
-def test_banks_given_one_entry_each_append_into_a_buffer_of_their_own():
+def test_banks_given_one_entry_each_write_rows_of_their_own():
     rng = np.random.default_rng(70)
     ref, first = _rows_of(rng, 4), _rows_of(rng, 2)
     a = MemoryBank()
     a.write(entry(*ref, frame_index=0), long_term=True)
-    a.write(entry(*first, frame_index=1), long_term=True)  # 6 rows, room for 2 more
+    a.write(entry(*first, frame_index=1), long_term=True)
     shared = a.at(16)
     b = MemoryBank(scales={16: shared})
     c = MemoryBank(scales={16: ScaleMemory(long_term=[shared.long_term[0]])})
-    # b and c copy the shared rows into buffers of their own before they
-    # append; only a, whose buffer it is, appends after them in place
+    # each bank's write builds its own entry and leaves the shared one as it was
     added = [(bank, _rows_of(rng, 2)) for bank in (b, a, c)]
     for bank, rows in added:
         bank.write(entry(*rows, frame_index=2), long_term=True)
@@ -976,7 +950,6 @@ def test_banks_given_one_entry_each_append_into_a_buffer_of_their_own():
         _assert_same_rows(bank.at(16).long_term[0], want)
     _assert_same_rows(shared.long_term[0], merge_entries([entry(*ref), entry(*first)]))
     got = [bank.at(16).long_term[0].values for bank in (a, b, c)]
-    assert np.shares_memory(got[0], shared.long_term[0].values)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert not np.shares_memory(got[i], got[j])
 
@@ -985,16 +958,15 @@ def test_a_long_term_write_after_an_earlier_memory_is_set_back_copies():
     rng = np.random.default_rng(75)
     bank = MemoryBank()
     bank.write(entry(*_rows_of(rng, 4), frame_index=0), long_term=True)
-    bank.write(entry(*_rows_of(rng, 2), frame_index=1), long_term=True)  # 6 rows of 8
+    bank.write(entry(*_rows_of(rng, 2), frame_index=1), long_term=True)
     earlier = bank.at(16)
     later = []
-    for t in (2, 3):  # 7, then 8 rows, appended in place
+    for t in (2, 3):
         bank.write(entry(*_rows_of(rng, 1), frame_index=t), long_term=True)
         later.append(bank.at(16).long_term[0])
-    assert np.shares_memory(later[-1].values, earlier.long_term[0].values)
     want = [e.values.tobytes() for e in later]
-    # 7 rows would fit after the set-back entry's 6, but later entries view
-    # row 6, so the bank copies instead of appending
+    # a write after the set-back memory builds a new entry from its rows and
+    # leaves the later entries as they were
     bank.scales[16] = earlier
     rows = _rows_of(rng, 1)
     bank.write(entry(*rows, frame_index=4), long_term=True)
@@ -1002,30 +974,55 @@ def test_a_long_term_write_after_an_earlier_memory_is_set_back_copies():
     assert not any(np.shares_memory(got.values, e.values) for e in [*later, *earlier.long_term])
     assert [e.values.tobytes() for e in later] == want
     _assert_same_rows(got, merge_entries([earlier.long_term[0], entry(*rows)]))
-    # the copy is the bank's buffer now, and the next write appends to it
-    bank.write(entry(*_rows_of(rng, 1), frame_index=5), long_term=True)
-    assert np.shares_memory(bank.at(16).long_term[0].values, got.values)
-    assert [e.values.tobytes() for e in later] == want
 
 
-def _long_term_write_bytes(bank, rows):
-    tracemalloc.start()
-    try:
-        bank.write(rows, long_term=True)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+_BANK_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(("long", "short", "new_bank", "set_back")),
+        st.integers(0, 63),  # picks the bank, and for set_back its earlier memory
+        st.integers(1, 6),  # rows written
+    ),
+    min_size=1,
+    max_size=24,
+)
 
 
-def test_a_long_term_write_with_room_allocates_only_its_entry():
-    rng = np.random.default_rng(71)
-    bank = MemoryBank()
-    bank.write(entry(*_rows_of(rng, 3840, 32, 32), scale=8), long_term=True)
-    bank.write(entry(*_rows_of(rng, 256, 32, 32), scale=8, frame_index=1), long_term=True)
-    assert bank.at(8).long_term[0].keys.shape[0] == 4096
-    # 4096 rows in a buffer of 7680: the next 256 rows are copied into it
-    new = entry(*_rows_of(rng, 256, 32, 32), scale=8, frame_index=2)
-    assert _long_term_write_bytes(bank, new) < 64 * 1024
+@settings(max_examples=80, deadline=None)
+@given(_BANK_EVENTS)
+def test_long_term_entries_keep_their_rows_through_any_writes(events):
+    # banks built from another bank's memory, and earlier memories set back,
+    # between long- and short-term writes: every long-term entry keeps the
+    # bytes it was built with, holds the rows written to its lineage in order,
+    # and shares no row with any other entry
+    rng = np.random.default_rng(76)
+    banks = [[MemoryBank(), (), []]]  # bank, its long-term rows, (memory, rows) it held
+    seen = []  # (long-term entry, its bytes when built, the rows written to it)
+    for t, (kind, pick, n) in enumerate(events):
+        held = banks[pick % len(banks)]
+        bank, lineage, memories = held
+        if kind == "new_bank":
+            if 16 in bank.scales:
+                banks.append([MemoryBank(scales={16: bank.at(16)}), lineage, []])
+            continue
+        if kind == "set_back":
+            if memories:
+                mem, held[1] = memories[pick % len(memories)]
+                bank.scales[16] = mem
+            continue
+        rows = _rows_of(rng, n)
+        bank.write(entry(*rows, frame_index=t), long_term=kind == "long")
+        if kind == "long":
+            held[1] = lineage + (rows,)
+            lt = bank.at(16).long_term[0]
+            seen.append((lt, lt.values.tobytes(), held[1]))
+        memories.append((bank.at(16), held[1]))
+    for lt, built, lineage in seen:
+        assert lt.values.tobytes() == built
+        keys, ids = (np.concatenate(part).astype(np.float64) for part in zip(*lineage))
+        assert lt.keys.tobytes() == keys.tobytes() and lt.id_values.tobytes() == ids.tobytes()
+    entries = list({id(lt): lt for lt, _, _ in seen}.values())
+    for i, a in enumerate(entries):
+        assert not any(np.shares_memory(a.values, b.values) for b in entries[i + 1 :])
 
 
 def test_long_term_writes_allocate_a_bounded_multiple_of_their_rows():
@@ -1066,8 +1063,8 @@ def test_a_split_read_allocates_only_its_scratch_and_outputs(monkeypatch):
 
 
 def test_reads_of_a_grown_long_term_memory_keep_their_bytes(monkeypatch):
-    # a bank-built entry's keys.T is a transposed view of rows inside a
-    # larger buffer; BLAS packs it as a transposed operand
+    # a bank-built entry's keys.T is a transposed view of its merged rows;
+    # BLAS packs it as a transposed operand
     rng = np.random.default_rng(74)
     bank = MemoryBank()
     keys, ids = [], []
