@@ -976,6 +976,47 @@ def test_a_long_term_write_after_an_earlier_memory_is_set_back_copies():
     _assert_same_rows(got, merge_entries([earlier.long_term[0], entry(*rows)]))
 
 
+def test_a_replaced_long_term_entry_is_freed_once_nothing_holds_it():
+    rng = np.random.default_rng(77)
+    bank = MemoryBank()
+    for t, n in enumerate((4, 2)):
+        bank.write(entry(*_rows_of(rng, n), frame_index=t), long_term=True)
+    earlier = bank.at(16)
+    values = earlier.long_term[0].values
+    rows = weakref.ref(values if values.base is None else values.base)
+    del values
+    bank.write(entry(*_rows_of(rng, 1), frame_index=2), long_term=True)
+    # a memory set aside still holds its rows; the bank holds none of them
+    gc.collect()
+    assert rows() is not None
+    del earlier
+    gc.collect()
+    assert rows() is None
+    assert bank.at(16).long_term[0].keys.shape[0] == 7
+
+
+def _long_term_write_bytes(bank, rows):
+    tracemalloc.start()
+    try:
+        bank.write(rows, long_term=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_long_term_write_allocates_only_its_merged_entry():
+    rng = np.random.default_rng(71)
+    bank = MemoryBank()
+    bank.write(entry(*_rows_of(rng, 3840, 32, 32), scale=8), long_term=True)
+    bank.write(entry(*_rows_of(rng, 256, 32, 32), scale=8, frame_index=1), long_term=True)
+    # 4096 kept rows and 256 new ones: the write copies each row once into
+    # the new 4352-row entry and makes no other array of its size
+    new = entry(*_rows_of(rng, 256, 32, 32), scale=8, frame_index=2)
+    merged = 4352 * 64 * 8
+    assert merged <= _long_term_write_bytes(bank, new) < merged + 64 * 1024
+    assert bank.at(8).long_term[0].keys.shape[0] == 4352
+
+
 _BANK_EVENTS = st.lists(
     st.tuples(
         st.sampled_from(("long", "short", "new_bank", "set_back")),
