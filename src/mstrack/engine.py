@@ -3,10 +3,22 @@
 One step runs: encode the frame into stride-16 and stride-8 feature maps,
 propagate ID embeddings at stride 16 (2 gated layers), bilinearly upsample
 the propagated IDs to stride 8 where they enter as a coarse prior scaled by
-0.5 * prior_weight, propagate at stride 8 (1 layer), read per-label logits
-against the ID bank, upsample the logits to pixel resolution and take the
-per-pixel argmax.  Boxes are the minimum external rectangles of the
-predicted labels.
+0.5 * prior_weight, propagate at stride 8 (1 layer) on the cells where
+stride 16 is unsure, read per-label logits against the ID bank, upsample
+the logits to pixel resolution and take the per-pixel argmax.  Boxes are
+the minimum external rectangles of the predicted labels.
+
+Stride 8 refines only where stride 16 is unsure.  The stride-16 rows are
+read as labels; a stride-16 cell is unsure when its edge-padded 3x3
+neighbourhood holds another label, and only the 2x2 stride-8 cells under
+unsure cells run the stride-8 stage.  Every other cell keeps its prior, which
+away from a boundary already decodes to the label stride 16 gave it.  When a
+label 1..k is absent from the stride-16 labels, every cell is refined, so
+stride 8 can re-acquire a target stride 16 lost.  A query row's reads do not
+depend on the other rows, so a refined row has the bytes a full-grid stage
+gives it.  A sliver of a target that wins no stride-16 cell, while the rest
+of the target does, is not refined: a decode rule meant to keep slivers alive
+must also count their cells as unsure.  Memory keeps the keys of every cell.
 
 Frames may have any size.  The encoder edge-pads each frame to multiples of
 16, memory holds the edge-padded mask, and decoding runs on the padded grid;
@@ -229,9 +241,37 @@ def _read_labels(ids8: np.ndarray, bank: IdBank, k: int, grid8: tuple) -> np.nda
     return channel_argmax(bilinear_resize(logits8, 8 * h8, 8 * w8))
 
 
+def _refine_rows(labels16: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices, in row order, of the stride-8 cells the stride-8 stage
+    refines, given the [h16, w16] stride-16 labels and the object count k.
+
+    A stride-16 cell is unsure when its edge-padded 3x3 neighbourhood holds
+    another label; its 2x2 stride-8 cells are refined.  If some label 1..k is
+    absent from the grid, every cell is refined, so stride 8 can re-acquire it.
+    """
+    h, w = labels16.shape
+    lost = not np.bincount(labels16.ravel(), minlength=k + 1)[1 : k + 1].all()
+    # the edge-padded grid: clipped indices repeat the border; a step runs
+    # this on every frame, so it stays a few array calls, without np.pad
+    p = labels16.take(np.arange(-1, h + 1), 0, mode="clip")
+    p = p.take(np.arange(-1, w + 1), 1, mode="clip")
+    # a 3x3 neighbourhood holds another label exactly where its max and min differ
+    hi = np.maximum(np.maximum(p[:, :-2], p[:, 1:-1]), p[:, 2:])
+    lo = np.minimum(np.minimum(p[:, :-2], p[:, 1:-1]), p[:, 2:])
+    hi = np.maximum(np.maximum(hi[:-2], hi[1:-1]), hi[2:])
+    lo = np.minimum(np.minimum(lo[:-2], lo[1:-1]), lo[2:])
+    unsure = (hi != lo) | lost
+    return unsure.repeat(2, axis=0).repeat(2, axis=1).ravel().nonzero()[0]
+
+
 def _decode_step(state: EngineState, pyr) -> tuple:
     """Run both propagation stages and decode the padded frame the pyramid
-    was encoded from, which `step` crops; returns (mask, f16, f8)."""
+    was encoded from, which `step` crops; returns (mask, f16, f8).
+
+    Stride 8 runs only on the rows `_refine_rows` picks from the stride-16
+    labels; every other row keeps its prior.  A query row's reads do not
+    depend on the other rows, so a refined row has the bytes a full-grid
+    stage gives it."""
     cfg = state.config
     h16, w16 = pyr.level16.shape[:2]
     grid8 = pyr.level8.shape[:2]
@@ -240,8 +280,14 @@ def _decode_step(state: EngineState, pyr) -> tuple:
     f16, f8 = _match_rows(pyr, cfg)
     zeros16 = np.zeros((h16 * w16, d), dtype=np.float32)
     ids16 = gpm_stage(f16, zeros16, state.memory.at(16), cfg.gpm_layers16, cfg.temperature)
-    fused8 = _prior8(ids16.reshape(h16, w16, d), grid8, cfg.prior_weight)
-    ids8 = gpm_stage(f8, fused8, state.memory.at(8), cfg.gpm_layers8, cfg.temperature)
+    labels16 = channel_argmax(read_id_logits(ids16, state.bank, state.k).reshape(h16, w16, -1))
+    rows = _refine_rows(labels16, state.k)
+    ids8 = _prior8(ids16.reshape(h16, w16, d), grid8, cfg.prior_weight)
+    if rows.size:
+        ids8[rows] = gpm_stage(
+            f8.take(rows, 0), ids8.take(rows, 0), state.memory.at(8), cfg.gpm_layers8,
+            cfg.temperature,
+        )
     return _read_labels(ids8, state.bank, state.k, grid8), f16, f8
 
 

@@ -53,9 +53,13 @@ starts, so helpers allocate no chunk-sized arrays.  Every chunk is the same
 neither on the chunking nor on the thread count (tests/test_propagation.py
 compares both with one composed read).
 
-Operation counts and tensor shapes never depend on the number of tracked
-objects; `probe_operations` records (name, shape) signatures so tests can
-assert that.
+For the same query rows, the operation counts and tensor shapes of
+`gpm_stage` never depend on the number of tracked objects;
+`probe_operations` records (name, shape) signatures so tests can assert
+that.  A whole engine step is not shape-invariant: the engine runs the
+stride-8 stage only on the rows where stride 16 is unsure (see the `engine`
+docstring), and how many those are depends on the predicted mask, and so on
+the object count.
 """
 
 from __future__ import annotations

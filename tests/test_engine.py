@@ -17,7 +17,13 @@ from mstrack.engine import (
 from mstrack.errors import ConfigError, InitError, LabelError, ShapeError
 from mstrack.features import EncoderConfig, pad_to_multiple
 from mstrack.kernels import bilinear_resize, channel_argmax
-from mstrack.propagation import MemoryBank, majority_downsample, merge_entries
+from mstrack.propagation import (
+    MemoryBank,
+    gpm_stage,
+    majority_downsample,
+    merge_entries,
+    probe_operations,
+)
 
 CFG = EngineConfig()
 
@@ -345,6 +351,147 @@ def test_unaligned_frames_track_in_frame_coordinates():
     b = boxes[1]
     assert not b.lost and b.x + b.w == 100 and b.y + b.h == 75
     assert state.memory.at(8).short_term.frame_index == 1
+
+
+# -- stride 8 only where stride 16 is unsure ---------------------------------------
+
+def _unsure_rows_reference(labels16, k):
+    """`_refine_rows` cell by cell: a cell whose edge-padded 3x3 neighbourhood
+    holds another label is unsure, and all cells are when a label 1..k is absent."""
+    h, w = labels16.shape
+    if not all((labels16 == label).any() for label in range(1, k + 1)):
+        unsure = np.ones((h, w), dtype=bool)
+    else:
+        p = np.pad(labels16, 1, mode="edge")
+        unsure = np.array([[(p[y:y + 3, x:x + 3] != labels16[y, x]).any() for x in range(w)]
+                           for y in range(h)])
+    return np.flatnonzero(np.kron(unsure, np.ones((2, 2), dtype=bool)))
+
+
+def _cells(grid8_w, *cells16):
+    """Flat stride-8 rows of the 2x2 blocks under the given stride-16 cells."""
+    return sorted((2 * y + dy) * grid8_w + 2 * x + dx
+                  for y, x in cells16 for dy in (0, 1) for dx in (0, 1))
+
+
+def test_unsure_cells_are_those_whose_neighbourhood_holds_another_label():
+    # a lone-cell island marks its 3x3 neighbourhood, clipped at the grid edge
+    grid = np.zeros((5, 6), dtype=np.uint8)
+    grid[2, 3] = 1
+    want = _cells(12, *[(y, x) for y in (1, 2, 3) for x in (2, 3, 4)])
+    assert engine._refine_rows(grid, 1).tolist() == want
+    grid = np.zeros((5, 6), dtype=np.uint8)
+    grid[0, 0] = 1
+    assert engine._refine_rows(grid, 1).tolist() == _cells(12, (0, 0), (0, 1), (1, 0), (1, 1))
+    # edge padding repeats the border, so a uniform border is not marked:
+    # only the two columns either side of the one boundary are
+    grid = np.zeros((4, 6), dtype=np.uint8)
+    grid[:, 3:] = 1
+    want = _cells(12, *[(y, x) for y in range(4) for x in (2, 3)])
+    assert engine._refine_rows(grid, 1).tolist() == want
+    # a label of 1..k absent from the grid refines every cell
+    grid[:, 3:] = 2
+    assert engine._refine_rows(grid, 2).tolist() == list(range(8 * 12))
+    assert engine._refine_rows(np.zeros((3, 4), dtype=np.uint8), 1).tolist() == list(range(6 * 8))
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        h, w, k = *rng.integers(1, 9, size=2), int(rng.integers(1, 4))
+        grid = np.where(rng.random((h, w)) < 0.8, 0, rng.integers(1, k + 1, size=(h, w)))
+        grid = grid.astype(np.uint8)
+        got = engine._refine_rows(grid, k)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == _unsure_rows_reference(grid, k).tolist()
+
+
+def test_a_grid_of_one_label_refines_no_rows():
+    for shape in ((1, 1), (3, 5)):
+        assert engine._refine_rows(np.ones(shape, dtype=np.uint8), 1).size == 0
+    # a target filling the frame: stride 16 reads label 1 everywhere, so the
+    # stride-8 stage does not run, and the step decodes its prior
+    frame = np.full((64, 64, 3), (0.9, 0.15, 0.1), dtype=np.float32)
+    mask = np.ones((64, 64), dtype=np.int32)
+    state = init_reference(frame, mask, CFG)
+    with probe_operations() as ops:
+        pred, boxes, _ = step(state, frame)
+    layers = [op for op in ops if op[0] == "gpm_layer"]
+    assert len(layers) == CFG.gpm_layers16
+    assert all(op[1] == 4 * 4 for op in layers)
+    assert pred.min() == 1 and not boxes[1].lost
+
+
+def _stride8_layer_rows(ops, cells8):
+    """Query rows of each stride-8 layer in `ops`: the layers whose long-term
+    memory holds the reference's `cells8` stride-8 rows."""
+    return [op[1] for op in ops if op[0] == "gpm_layer" and op[4] == cells8]
+
+
+def test_a_lost_label_refines_every_stride8_row():
+    frame, mask = make_square_frame(96, (16, 16), 48)
+    blank = np.full((96, 96, 3), (0.2, 0.25, 0.3), dtype=np.float32)
+    state = init_reference(frame, mask, CFG)
+    cells8 = 12 * 12
+    with probe_operations() as ops:
+        step(state, frame)
+    # with the target in view, only the cells along its boundary are refined
+    assert 0 < _stride8_layer_rows(ops, cells8)[0] < cells8
+    with probe_operations() as ops:
+        pred, boxes, _ = step(state, blank)
+    # stride 16 finds no target cell on the blank frame, so stride 8 reads every row
+    assert _stride8_layer_rows(ops, cells8) == [cells8] * CFG.gpm_layers8
+    assert pred.max() == 0 and boxes[1].lost
+
+
+def _full_grid_stride8(state, frame):
+    """(prior, ids) of a stride-8 stage over every row of `frame`, from
+    `state`'s memory: the full-grid stage refined rows must match."""
+    cfg = state.config
+    pyr = features.encode_frame(features.validate_frame(frame), cfg.encoder)
+    h16, w16 = pyr.level16.shape[:2]
+    f16, f8 = engine._match_rows(pyr, cfg)
+    zeros16 = np.zeros((h16 * w16, state.bank.id_dim), dtype=np.float32)
+    ids16 = gpm_stage(f16, zeros16, state.memory.at(16), cfg.gpm_layers16, cfg.temperature)
+    prior = engine._prior8(ids16.reshape(h16, w16, -1), pyr.level8.shape[:2], cfg.prior_weight)
+    return prior, gpm_stage(f8, prior, state.memory.at(8), cfg.gpm_layers8, cfg.temperature)
+
+
+def test_refined_stride8_rows_keep_the_bytes_of_a_full_grid_stage(rendered_suite, monkeypatch):
+    # a query row's reads do not depend on the other rows: each refined row
+    # has the bytes a full-grid stage gives it, and every other row its prior,
+    # also across target loss and on reads that MSTRACK_THREADS=2 splits
+    refined, decoded = [], []
+    refine_rows, read_labels = engine._refine_rows, engine._read_labels
+
+    def refine_spy(labels16, k):
+        refined.append(refine_rows(labels16, k))
+        return refined[-1]
+
+    def read_spy(ids8, *args):
+        decoded.append(ids8.copy())
+        return read_labels(ids8, *args)
+
+    monkeypatch.setattr(engine, "_refine_rows", refine_spy)
+    monkeypatch.setattr(engine, "_read_labels", read_spy)
+    runs = [(ident, EngineConfig(), 6) for ident in ("s01_slow_rect", "s05_partial_occ", "s08_checker")]
+    runs.append(("s06_full_occ", EngineConfig(long_term_every=3), None))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MSTRACK_THREADS", threads)
+        shares = set()
+        for ident, cfg, n in runs:
+            frames, masks, _ = rendered_suite[ident]
+            state = init_reference(frames[0], masks[0], cfg)
+            for frame in frames[1:n]:
+                prior, full = _full_grid_stride8(state, frame)
+                refined.clear()
+                decoded.clear()
+                step(state, frame)
+                (rows,), (ids8,) = refined, decoded
+                kept = np.ones(len(ids8), dtype=bool)
+                kept[rows] = False
+                assert ids8[rows].tobytes() == full[rows].tobytes(), (ident, state.frame_index)
+                assert ids8[kept].tobytes() == prior[kept].tobytes(), (ident, state.frame_index)
+                shares.add("all" if len(rows) == len(ids8) else "some" if len(rows) else "none")
+        # s06 loses its target behind the occluder, and so refines every row
+        assert shares >= {"all", "some"}
 
 
 # -- track_sequence ----------------------------------------------------------------
