@@ -12,7 +12,8 @@ Stride 8 refines only where stride 16 is unsure.  The stride-16 rows are
 read as labels; a stride-16 cell is unsure when its edge-padded 3x3
 neighbourhood holds another label, and only the 2x2 stride-8 cells under
 unsure cells run the stride-8 stage.  Every other cell keeps its prior, which
-away from a boundary already decodes to the label stride 16 gave it.  When a
+away from a boundary already decodes to the label stride 16 gave it, as
+prior_weight is positive.  When a
 label 1..k is absent from the stride-16 labels, every cell is refined, so
 stride 8 can re-acquire a target stride 16 lost.  A query row's reads do not
 depend on the other rows, so a refined row has the bytes a full-grid stage
@@ -88,8 +89,11 @@ class EngineConfig:
     stride a query's norm is at most r * (1 + 2L).  So r^2 * (1 + 2L), the
     largest score, must fit in float32, and so must its quotient by
     float32(temperature * sqrt(C)), itself finite.  Stride-8 logits are at
-    most |prior_weight| / 2 + 2 * gpm_layers8, and the full-resolution resize
-    takes their differences, so that sum must stay <= FLOAT32_MAX / 2.  The
+    most prior_weight / 2 + 2 * gpm_layers8, and the full-resolution resize
+    takes their differences, so that sum must stay <= FLOAT32_MAX / 2.
+    prior_weight must be positive: a stride-8 cell stride 16 is sure of
+    decodes its prior alone, and a zero or negative weight would decode it as
+    label 0 or as the lowest-scoring label.  The
     engine's gates are 0.5, not 1, so scores stay inside these bounds after
     rounding.  Seeds and long_term_every must be >= 0, and id_dim >= 2.
 
@@ -121,8 +125,8 @@ class EngineConfig:
             raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
         if not (math.isfinite(self.match_norm) and self.match_norm > 0):
             raise ConfigError(f"match_norm must be positive and finite, got {self.match_norm}")
-        if not math.isfinite(self.prior_weight):
-            raise ConfigError(f"prior_weight must be finite, got {self.prior_weight}")
+        if not (math.isfinite(self.prior_weight) and self.prior_weight > 0):
+            raise ConfigError(f"prior_weight must be positive and finite, got {self.prior_weight}")
         enc = self.encoder
         for c, layers in ((enc.channels16, self.gpm_layers16), (enc.channels8, self.gpm_layers8)):
             r = self.match_norm * math.sqrt(c)
@@ -138,7 +142,7 @@ class EngineConfig:
                     f"temperature {self.temperature} is too small for match_norm "
                     f"{self.match_norm}: attention logits overflow float32"
                 )
-        if abs(self.prior_weight) / 2 + 2 * self.gpm_layers8 > FLOAT32_MAX / 2:
+        if self.prior_weight / 2 + 2 * self.gpm_layers8 > FLOAT32_MAX / 2:
             raise ConfigError(f"prior_weight {self.prior_weight} overflows float32 logits")
 
 
@@ -266,12 +270,8 @@ def _refine_rows(labels16: np.ndarray, k: int) -> np.ndarray:
 
 def _decode_step(state: EngineState, pyr) -> tuple:
     """Run both propagation stages and decode the padded frame the pyramid
-    was encoded from, which `step` crops; returns (mask, f16, f8).
-
-    Stride 8 runs only on the rows `_refine_rows` picks from the stride-16
-    labels; every other row keeps its prior.  A query row's reads do not
-    depend on the other rows, so a refined row has the bytes a full-grid
-    stage gives it."""
+    was encoded from, which `step` crops; returns (mask, f16, f8).  Stride 8
+    runs only on the rows `_refine_rows` picks."""
     cfg = state.config
     h16, w16 = pyr.level16.shape[:2]
     grid8 = pyr.level8.shape[:2]

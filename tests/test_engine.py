@@ -419,6 +419,23 @@ def test_a_grid_of_one_label_refines_no_rows():
     assert pred.min() == 1 and not boxes[1].lost
 
 
+@pytest.mark.parametrize("prior_weight", [0.01, 0.5, 8.0])
+def test_skipped_stride8_rows_decode_to_their_stride16_label(prior_weight):
+    # away from the boundary the stride-8 stage is skipped, and those cells
+    # decode their prior alone: with any positive weight, to the target
+    frame, mask = make_square_frame(128, (16, 16), 80)
+    cfg = EngineConfig(prior_weight=prior_weight)
+    state = init_reference(frame, mask, cfg)
+    with probe_operations() as ops:
+        pred, boxes, _ = step(state, frame)
+    # stride-16 cells (1..5, 1..5) of the 8x8 grid hold the target: the 3x3
+    # target cells inside it and the 15 cells of row 7 and column 7 are sure,
+    # and their 2x2 stride-8 cells are not refined
+    assert _stride8_layer_rows(ops, 16 * 16) == [16 * 16 - 4 * (9 + 15)] * cfg.gpm_layers8
+    assert (pred[32:80, 32:80] == 1).all()
+    assert mask_iou(pred, mask, 1) >= 0.95 and not boxes[1].lost
+
+
 def _stride8_layer_rows(ops, cells8):
     """Query rows of each stride-8 layer in `ops`: the layers whose long-term
     memory holds the reference's `cells8` stride-8 rows."""
@@ -635,6 +652,11 @@ def test_engine_config_validation():
         EngineConfig(match_norm=-1.0)
     with pytest.raises(ConfigError):
         EngineConfig(max_objects=0)
+    # a cell stride 16 is sure of decodes its prior alone, so the weight is > 0
+    for w in (0.0, -0.0, -0.5, -3.4e38):
+        with pytest.raises(ConfigError, match="prior_weight must be positive"):
+            EngineConfig(prior_weight=w)
+    EngineConfig(prior_weight=1e-30)
 
 
 def test_engine_config_size_bounds_are_inclusive():
@@ -664,7 +686,7 @@ def test_engine_config_bounds_keep_attention_and_logits_in_float32():
     with pytest.raises(ConfigError, match="match_norm"):
         EngineConfig(encoder=EncoderConfig(channels8=1024), match_norm=4e17)
     EngineConfig(match_norm=4e17)
-    # |prior_weight| / 2 + 2 must stay within half the float32 range
-    EngineConfig(prior_weight=-3.4e38)
+    # prior_weight / 2 + 2 must stay within half the float32 range
+    EngineConfig(prior_weight=3.4e38)
     with pytest.raises(ConfigError, match="prior_weight"):
         EngineConfig(prior_weight=3.41e38)
