@@ -3,10 +3,9 @@
 All behavior is driven by a flat `key = value` config file (every key has a
 default, so the zero-flag pipeline `synth -> track -> eval` works out of the
 box); unknown keys are rejected with their line number.  `MSTRACK_THREADS`
-overrides the configured thread count; it also sets the threads a large
-attention read on the main thread splits over (see the `propagation`
-docstring), so `track` checks it too.  `eval --threads 1` reads on the main
-thread and splits such reads; an evaluation pool of more threads does not.
+overrides the configured thread count, which sets only the `eval` pool:
+attention reads are serial.  Every command checks the variable all the
+same, so a bad value exits 1 whichever command it reaches.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (missing or
 malformed inputs, or any other file-system error such as an output path
@@ -147,7 +146,7 @@ def cmd_synth(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = load_run_config(args.config)
-    # a large attention read resolves its thread count; check it before any frame
+    # track starts no threads, but checks the variable as every command does
     resolve_threads(0)
     rows = None if args.segmenter is None else [args.segmenter]
     (seg,) = _segmenter_specs(cfg, rows, args.fusion)

@@ -32,11 +32,16 @@ logits are proportional to cosine similarity and sharp enough that a cell of
 the reference frame re-matches itself decisively.  C is the configured
 encoder.channels16 or channels8, not the level's width: the handcrafted
 encoder emits only its 8 real channels of the default 32, and memory records
-C, so the score scale stays temperature * sqrt(C).  Memory
-id rows are exact bank rows (majority-label encoding of the stored mask),
-so the decode of an undisturbed frame reduces to `coarse_reconstruct`:
-`step`'s own prior and readout over an identity bank, with exact reads in
-place of attention.
+C, so the score scale stays temperature * sqrt(C).
+
+The engine's id bank is the (max_objects + 1)-row identity, so memory id rows
+are one-hot labels (majority-label encoding of the stored mask): a memory
+row is [keys | max_objects + 1 labels].  Every id-branch operation (the
+gated reads, `scale_rows`, the prior's resize, `read_id_logits`) commutes
+with an orthonormal change of basis, so any orthonormal bank decodes the
+same labels up to rounding, and the identity is the narrowest.  The decode
+of an undisturbed frame reduces to `coarse_reconstruct`: `step`'s own prior
+and readout over that bank, with exact reads in place of attention.
 
 Target loss is total: if a step predicts an empty mask, the last known box
 is repeated with the lost flag set and memory is left unchanged for that
@@ -46,7 +51,9 @@ Label masks are uint8 (max_objects <= 255): the reference mask, each
 step's prediction and the masks `track_frames` yields.  `track_frames` runs
 one per-frame loop over any iterable of frames, pulling each frame only
 when the previous one is tracked, so a run holds at most two frames;
-`track_sequence` and `make_tracker` are built on it.
+`track_sequence` and `make_tracker` are built on it.  A step runs on the
+calling thread and starts none: attention reads are serial, and
+`MSTRACK_THREADS` sets only the `eval` pool.
 """
 
 from __future__ import annotations
@@ -71,7 +78,6 @@ from .propagation import (
     MemoryEntry,
     encode_mask_to_ids,
     gpm_stage,
-    make_id_bank,
     read_id_logits,
     scale_rows,
 )
@@ -95,22 +101,19 @@ class EngineConfig:
     decodes its prior alone, and a zero or negative weight would decode it as
     label 0 or as the lowest-scoring label.  The
     engine's gates are 0.5, not 1, so scores stay inside these bounds after
-    rounding.  Seeds and long_term_every must be >= 0, and id_dim >= 2.
+    rounding.  long_term_every must be >= 0.
 
     Sizes are bounded above, so an absurd one is a config error, not a failed
     allocation or an endless step: max_objects <= 255, as masks are 8-bit
-    PGM levels; id_dim <= 1024, 4x the 256 dims that make 256 bank rows
-    orthogonal; gpm_layers16/8 <= 64, each layer being two reads per step.
+    PGM levels; gpm_layers16/8 <= 64, each layer being two reads per step.
     """
 
     encoder: EncoderConfig = EncoderConfig()
-    id_dim: int = 32
     max_objects: int = 4
     gpm_layers16: int = 2
     gpm_layers8: int = 1
     temperature: float = DEFAULT_TEMPERATURE
     long_term_every: int = 0  # 0 = reference frame only
-    seed: int = 7
     match_norm: float = 6.0  # feature rows rescaled to match_norm * sqrt(C)
     prior_weight: float = 0.5  # coarse-prior residual weight, scaled by FUSE_GATE
 
@@ -118,8 +121,6 @@ class EngineConfig:
         check_range("engine.gpm_layers16", self.gpm_layers16, 1, 64)
         check_range("engine.gpm_layers8", self.gpm_layers8, 1, 64)
         check_range("engine.max_objects", self.max_objects, 1, 255)
-        check_range("engine.id_dim", self.id_dim, 2, 1024)
-        check_range("engine.seed", self.seed, 0)
         check_range("engine.long_term_every", self.long_term_every, 0)
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
@@ -196,6 +197,13 @@ def _write_memory(memory: MemoryBank, bank, mask, f16, f8, frame_index, long_ter
         memory.write(MemoryEntry(scale, rows, ids, frame_index, channels=c), long_term)
 
 
+def _label_bank(max_objects: int) -> IdBank:
+    """The (max_objects + 1)-row identity bank: row j is label j's one-hot row."""
+    eye = np.eye(max_objects + 1, dtype=np.float32)
+    eye.flags.writeable = False
+    return IdBank(max_objects, max_objects + 1, eye, seed=0)
+
+
 def init_reference(
     frame: np.ndarray, init, cfg: EngineConfig, segmenter_spec=None, gt_mask=None
 ) -> EngineState:
@@ -211,7 +219,7 @@ def init_reference(
     k = int(m.max(initial=0))
     if k < 1:
         raise InitError("reference mask has no foreground labels")
-    bank = make_id_bank(cfg.max_objects, cfg.id_dim, cfg.seed)
+    bank = _label_bank(cfg.max_objects)
     pyr = encode_frame(f, cfg.encoder)
     memory = MemoryBank()
     f16, f8 = _match_rows(pyr, cfg)
@@ -333,17 +341,17 @@ def coarse_reconstruct(mask: np.ndarray, num_labels: int | None = None) -> np.nd
     """Reference mask as the decode path reproduces it from its own memory:
     `step`'s own prior and readout (`_prior8`, `_read_labels`) with exact
     reads in place of attention, applied to the mask's own rows, edge-padded
-    as `step` pads them and encoded over an identity bank, whose rows are
-    one-hot.  With default engine settings, stepping on a frame identical to
-    the reference decodes to exactly this mask (up to attention leakage
-    between look-alike cells)."""
+    as `step` pads them and encoded over `step`'s identity bank.  With
+    default engine settings, stepping on a frame identical to the reference
+    decodes to exactly this mask (up to attention leakage between
+    look-alike cells)."""
     m = np.asarray(mask)
     if m.ndim != 2 or m.dtype.kind not in "biu":
         raise ShapeError(f"mask must be a 2-d integer or bool array, got {m.dtype} {m.shape}")
     n = int(num_labels if num_labels is not None else m.max(initial=0) + 1)
     if n < 1:
         raise LabelError(f"num_labels must be >= 1, got {n}")
-    bank = IdBank(n - 1, n, np.eye(n, dtype=np.float32), seed=0)
+    bank = _label_bank(n - 1)
     p = pad_to_multiple(m)
     ids16, ids8 = (encode_mask_to_ids(p, bank, stride) for stride in (16, 8))
     prior8 = _prior8(ids16, ids8.shape[:2], EngineConfig.prior_weight)

@@ -366,7 +366,6 @@ def evaluate_suite(
         return _score_runs(tracker, seq, ev)
 
     if threads > 1 and len(seqs) > 1:
-        # the pool fills the CPUs, so its reads are not split (`propagation` docstring)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             entries = tuple(pool.map(one, seqs))
     else:

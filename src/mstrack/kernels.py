@@ -40,12 +40,11 @@ checks use min and max, which allocate nothing.
 
 Importing this module sets NumPy's OpenBLAS, when the symbol resolves, to
 one thread.  mstrack spreads work over threads of its own instead: the
-evaluation pool (`--threads` / `MSTRACK_THREADS`) runs sequences side by
-side, and a large attention read made on the main thread splits its query
-rows over `resolve_threads(0)` threads, at most `MAX_THREADS` (see the
-`propagation` docstring).  A BLAS that also started a thread per
-core for every product would oversubscribe the CPUs those threads fill,
-and the products here are too small to gain from it.
+evaluation pool (`--threads` / `MSTRACK_THREADS`, at most `MAX_THREADS` by
+default) runs sequences side by side, and every attention read is serial.
+A BLAS that also started a thread per core for every product would
+oversubscribe the CPUs the pool fills, and the products here are too small
+to gain from it.
 The thread count does not change the bytes (tests/test_kernels.py checks 1
 and 2 BLAS threads).
 """
@@ -65,7 +64,7 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
 # softmax logits are clamped here, off exp's slow paths; they weigh 0 in
 # float32 either way (see the module docstring)
 EXP_CLAMP = -200.0
-MAX_THREADS = 8  # caps the default thread count and every attention read's threads
+MAX_THREADS = 8  # caps the default thread count
 
 
 def _openblas_function(*names):

@@ -25,33 +25,26 @@ configured channel count, which may exceed the key width L: the handcrafted
 encoder emits only its 8 real channels of the default C = 32.
 
 An entry holds its rows once, as one float64 [N, L+D] array of float32
-values (`values`), 8 (L + D) bytes a row, 320 at the defaults (L = 8,
-D = 32); its keys and id rows are views of it, so a read converts only the
-query and the attention map.  Each long-term write builds one new merged
-entry, the kept rows then the new frame's in one concatenation, and the
-entry it replaces is freed once nothing else holds it.  No array is written
-after the entry that views it is built, so banks given the same memory, or
-a memory set back to an earlier one, never see each other's rows.
+values (`values`), 8 (L + D) bytes a row; its keys and id rows are views of
+it, so a read converts only the query and the attention map.  The engine's
+bank is the (max_objects + 1)-row identity, so its id rows are one-hot
+labels and D = max_objects + 1: a row is 104 B at the defaults (L = 8,
+D = 5).  Each long-term write builds one new merged entry, the kept rows
+then the new frame's in one concatenation, and the entry it replaces is
+freed once nothing else holds it.  No array is written after the entry that
+views it is built, so banks given the same memory, or a memory set back to
+an earlier one, never see each other's rows.
 
-A read takes its query rows in chunks of `CELL_BUDGET // m` rows (at least
-one) against m memory rows, so a chunk's float64 scores take at most 1 MB
-whatever the frame size or memory width, small enough for a core's L2
-cache.  The engine asks for no attention map (`keep_att=False`), so no read
-holds a query x memory map.  A read of at least `PARALLEL_READ_CELLS` query
-rows x memory rows made on the main thread is also split into one
-contiguous row range per thread of `kernels.resolve_threads(0)`, at most
-`kernels.MAX_THREADS`, and each range runs the same chunk loop: the main
-thread reads the first range, and helper threads started for that read
-alone read the others, so no helper outlives its read.  NumPy releases the
-GIL in BLAS and in its ufunc loops, so the ranges run side by side.  Reads
-on any other thread, such as the evaluation pool's, which already fills the
-CPUs, are not split; `MSTRACK_THREADS=1` splits nothing.  Each range's
-chunks reuse one set of scratch buffers (float64 scores, float32 weights, a
-float64 read product) that the calling thread allocates before any helper
-starts, so helpers allocate no chunk-sized arrays.  Every chunk is the same
-`softmax(matmul(...))` and `matmul` over its rows, so the bytes depend
-neither on the chunking nor on the thread count (tests/test_propagation.py
-compares both with one composed read).
+A read is serial: it takes its query rows in chunks of `CELL_BUDGET // m`
+rows (at least one) against m memory rows, so a chunk's float64 scores take
+at most 1 MB whatever the frame size or memory width, small enough for a
+core's L2 cache.  The chunks reuse one set of scratch buffers (float64
+scores, float32 weights, a float64 read product) allocated once per read.
+The engine asks for no attention map (`keep_att=False`), so no read holds a
+query x memory map.  Every chunk is the same `softmax(matmul(...))` and
+`matmul` over its rows, so the bytes do not depend on the chunking
+(tests/test_propagation.py compares them with one composed read).  Reads
+start no threads; `MSTRACK_THREADS` sets only the evaluation pool.
 
 For the same query rows, the operation counts and tensor shapes of
 `gpm_stage` never depend on the number of tracked objects;
@@ -67,22 +60,18 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, LabelError, ShapeError, StateError, check_range
-from .kernels import MAX_THREADS, matmul, resolve_threads, softmax
+from .kernels import matmul, softmax
 
 MAX_BANK_RESEEDS = 100
 MAX_PAIRWISE_DOT = 0.9
 DEFAULT_TEMPERATURE = 0.1
 # query rows x memory rows per attention chunk: 1 MB of float64 scores
 CELL_BUDGET = 1 << 17
-# query rows x memory rows from which a read is split across threads; below
-# it, handing rows to a helper thread costs more than it saves
-PARALLEL_READ_CELLS = 1 << 17
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +159,8 @@ class MemoryEntry:
     transposed operand without a copy.  L is the key width, and the
     keyword-only `channels` records the encoder's C (module docstring), the
     width that sets a read's score scale; it defaults to L.  A row costs
-    8 (L+D) bytes, 320 at L = 8 and D = 32.  The arrays are read-only, and
+    8 (L+D) bytes: 104 in the engine at the defaults, L = 8 and one-hot id
+    rows of D = max_objects + 1 = 5 labels.  The arrays are read-only, and
     each entry owns its `values`: one built from keys and id rows converts
     them, and one that `merge_entries` built holds the concatenation.
     """
@@ -358,29 +348,6 @@ def encode_mask_to_ids(mask: np.ndarray, bank: IdBank, stride: int) -> np.ndarra
 # attention + gated propagation
 
 
-def _read_scratch(rows: int, m: int, width: int, keep_att: bool):
-    """Buffers for a chunk of up to `rows` query rows against m memory rows:
-    float64 scores, float32 weights (None when the map is kept, which holds
-    them) and a float64 read product."""
-    weights = None if keep_att else np.empty((rows, m), dtype=np.float32)
-    return np.empty((rows, m)), weights, np.empty((rows, width))
-
-
-def _run_split(fn, ranges) -> None:
-    """fn(*r) for each r in ranges: the first on this thread, the rest on new helpers.
-
-    Returns, or raises the first error, only once every range has finished,
-    so no helper still writes into the caller's arrays or outlives the call.
-    """
-    if len(ranges) == 1:
-        return fn(*ranges[0])
-    with ThreadPoolExecutor(len(ranges) - 1, thread_name_prefix="mstrack-read") as helpers:
-        futures = [helpers.submit(fn, *r) for r in ranges[1:]]
-        fn(*ranges[0])
-    for f in futures:
-        f.result()
-
-
 def attention_read(
     query: np.ndarray, memory: MemoryEntry, temperature=DEFAULT_TEMPERATURE, *, keep_att=True
 ):
@@ -391,11 +358,9 @@ def attention_read(
     id_read = att . id_values, both columns of the one product
     att . [keys | id_values].  Returns (att, vis_read, id_read),
     with att None under `keep_att=False`.  Query rows are read in chunks of
-    `CELL_BUDGET // m` rows, and a read of at least `PARALLEL_READ_CELLS`
-    cells in one row range per thread (module docstring).  The chunks fill
-    preallocated float32 read arrays, and `att` only when it is kept.  Each
-    row range's chunks reuse one set of scratch buffers, allocated here
-    before any helper starts.
+    `CELL_BUDGET // m` rows, one after another, which fill preallocated
+    float32 read arrays, and `att` only when it is kept; every chunk reuses
+    one set of scratch buffers.
     """
     q = np.asarray(query, dtype=np.float32)
     if q.ndim != 2:
@@ -407,31 +372,24 @@ def attention_read(
     n, c = q.shape
     m, width = memory.values.shape
     scale = np.float32(temperature * np.sqrt(memory.channels))
-    # only the main thread splits: other threads, the evaluation pool's, fill the CPUs already
-    split = n * m >= PARALLEL_READ_CELLS and threading.current_thread() is threading.main_thread()
-    parts = min(resolve_threads(0), n, MAX_THREADS) if split else 1
     chunk = max(1, CELL_BUDGET // m)
+    rows = min(chunk, n)
     att = np.empty((n, m), dtype=np.float32) if keep_att else None
     read = np.empty((n, width), dtype=np.float32)
-
-    def read_range(lo, hi, scores, weights, product):
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            k = stop - start
-            w = weights[:k] if att is None else att[start:stop]
-            s = scores[:k]
-            matmul(q[start:stop], memory.keys.T, out=w, work=s)
-            w /= scale
-            softmax(w, out=w, work=s)
-            s[...] = w  # the float32 weights, exactly, as the read's float64 operand
-            matmul(s, memory.values, out=read[start:stop], work=product[:k])
-
-    bounds = [n * i // parts for i in range(parts + 1)]
-    ranges = [
-        (lo, hi, *_read_scratch(min(chunk, hi - lo), m, width, keep_att))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    _run_split(read_range, ranges)
+    # one set of chunk buffers: float64 scores, float32 weights (a kept map
+    # holds them instead) and a float64 read product
+    scores, product = np.empty((rows, m)), np.empty((rows, width))
+    weights = np.empty((rows, m), dtype=np.float32) if att is None else None
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        k = stop - start
+        w = weights[:k] if att is None else att[start:stop]
+        s = scores[:k]
+        matmul(q[start:stop], memory.keys.T, out=w, work=s)
+        w /= scale
+        softmax(w, out=w, work=s)
+        s[...] = w  # the float32 weights, exactly, as the read's float64 operand
+        matmul(s, memory.values, out=read[start:stop], work=product[:k])
     _record(("attention_read", n, m, c, memory.id_values.shape[1]))
     return att, read[:, :c], read[:, c:]
 

@@ -307,23 +307,27 @@ def test_track_overflowing_weights_file_exits_two(mini_dataset, tmp_path, capsys
     assert len(err) == 1 and "'proj16'" in err[0] and "overflow float32" in err[0]
 
 
-def test_track_checks_id_dim_when_the_config_loads(tmp_path, capsys):
-    # checked before the sequence is read: a missing sequence would exit 2
+@pytest.mark.parametrize("key", ["engine.id_dim", "engine.seed"])
+@pytest.mark.parametrize("command", ["track", "eval"])
+def test_retired_bank_keys_are_unknown_when_the_config_loads(key, command, tmp_path, capsys):
+    # the id bank is the one-hot identity, so its width and seed are no keys;
+    # checked before the data is read: a missing sequence would exit 2
     p = tmp_path / "run.cfg"
-    p.write_text("engine.id_dim = 1\n")
-    code = main(["track", str(tmp_path / "no-such-seq"), str(tmp_path / "o.txt"),
+    p.write_text(f"{key} = 32\n")
+    code = main([command, str(tmp_path / "no-such-data"), str(tmp_path / "out"),
                  "--config", str(p)])
     assert code == 1
-    assert capsys.readouterr().err.splitlines() == ["error: engine.id_dim must be >= 2, got 1"]
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {p}:1") and key in err and "unknown" in err
 
 
 @pytest.mark.parametrize(
     "key",
-    ["encoder.channels16", "encoder.channels8", "engine.id_dim", "engine.max_objects",
+    ["encoder.channels16", "encoder.channels8", "engine.max_objects",
      "engine.gpm_layers16", "engine.gpm_layers8"],
 )
 def test_track_absurd_sizes_exit_one_with_one_line(key, mini_dataset, tmp_path, capsys):
-    # 10^18 channels, id dims or objects once ended in a NumPy allocation
+    # 10^18 channels or objects once ended in a NumPy allocation
     # error, and 10^18 gpm layers in a step that never ended
     p = tmp_path / "run.cfg"
     p.write_text(f"{key} = {10**18}\n")
@@ -461,7 +465,7 @@ def test_eval_bad_thread_env_exits_one(mini_dataset, tmp_path, monkeypatch, caps
 
 def test_track_bad_thread_env_exits_one_on_any_frame_size(mini_dataset, tmp_path, monkeypatch,
                                                           capsys):
-    # the mini frames make no read large enough to split, yet the variable is checked
+    # track starts no threads, yet the variable is checked
     monkeypatch.setenv("MSTRACK_THREADS", "lots")
     out = tmp_path / "o.txt"
     assert main(["track", str(mini_dataset / "mini"), str(out)]) == 1
@@ -472,7 +476,7 @@ def test_track_bad_thread_env_exits_one_on_any_frame_size(mini_dataset, tmp_path
 
 def test_default_config_covers_every_schema_key(tmp_path):
     cfg = load_run_config(None)
-    assert cfg.engine.id_dim == CONFIG_SCHEMA["engine.id_dim"][1]
+    assert cfg.engine.max_objects == CONFIG_SCHEMA["engine.max_objects"][1]
     assert cfg.engine.encoder.std_weight == CONFIG_SCHEMA["encoder.std_weight"][1]
     assert cfg.segmenter.kinds == ("boxfill",)
     assert cfg.eval.protocol == "ope" and cfg.threads == 0
@@ -488,11 +492,11 @@ def test_default_config_covers_every_schema_key(tmp_path):
 def test_config_file_overrides(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(
-        "engine.id_dim = 16\nsegmenter.kinds = chroma\n"
+        "engine.max_objects = 16\nsegmenter.kinds = chroma\n"
         "eval.protocol = mse\neval.anchor_spacing = 7\nthreads = 2\n"
     )
     cfg = load_run_config(p)
-    assert cfg.engine.id_dim == 16
+    assert cfg.engine.max_objects == 16
     assert cfg.segmenter.kinds == ("chroma",)
     assert (cfg.eval.protocol, cfg.eval.anchor_spacing, cfg.threads) == ("mse", 7, 2)
 
@@ -592,7 +596,7 @@ def test_extreme_config_values_inside_float32_still_track(line, mini_dataset, tm
 @pytest.mark.parametrize(
     "lines, key",
     [
-        (["engine.seed = -1"], "engine.seed"),
+        (["engine.max_objects = -1"], "engine.max_objects"),
         (["encoder.mode = random-projection", "encoder.seed = -3"], "encoder.seed"),
         (["engine.long_term_every = -5"], "engine.long_term_every"),
         (["encoder.position_weight = 1e39"], "encoder.position_weight"),

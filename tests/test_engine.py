@@ -1,5 +1,7 @@
 """Engine behaviour: reference init, single steps, and whole-sequence runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,14 @@ from mstrack.features import EncoderConfig, pad_to_multiple
 from mstrack.kernels import bilinear_resize, channel_argmax
 from mstrack.propagation import (
     MemoryBank,
+    MemoryEntry,
+    ScaleMemory,
     gpm_stage,
     majority_downsample,
+    make_id_bank,
     merge_entries,
     probe_operations,
+    read_id_logits,
 )
 
 CFG = EngineConfig()
@@ -285,8 +291,8 @@ def test_the_encoder_sets_the_key_width_and_the_config_the_norm(
 def test_narrow_levels_keep_the_bytes_of_zero_padded_levels(rendered_suite, monkeypatch):
     # the handcrafted encoder emits its 8 real channels of C = 32: with the
     # score scale kept at sqrt(32), every mask, box and memory row is the one
-    # levels zero-padded to 32 columns give, also across target loss and a
-    # long-term memory grown large enough that MSTRACK_THREADS=2 splits its reads
+    # levels zero-padded to 32 columns give, also across target loss, over a
+    # growing long-term memory, and whatever MSTRACK_THREADS says
     frames, masks, _ = rendered_suite["s06_full_occ"]
     cfg = EngineConfig(long_term_every=3)
     writes = _record_writes(monkeypatch)
@@ -474,7 +480,7 @@ def _full_grid_stride8(state, frame):
 def test_refined_stride8_rows_keep_the_bytes_of_a_full_grid_stage(rendered_suite, monkeypatch):
     # a query row's reads do not depend on the other rows: each refined row
     # has the bytes a full-grid stage gives it, and every other row its prior,
-    # also across target loss and on reads that MSTRACK_THREADS=2 splits
+    # also across target loss and whatever MSTRACK_THREADS says
     refined, decoded = [], []
     refine_rows, read_labels = engine._refine_rows, engine._read_labels
 
@@ -509,6 +515,88 @@ def test_refined_stride8_rows_keep_the_bytes_of_a_full_grid_stage(rendered_suite
                 shares.add("all" if len(rows) == len(ids8) else "some" if len(rows) else "none")
         # s06 loses its target behind the occluder, and so refines every row
         assert shares >= {"all", "some"}
+
+
+def _moved_onto(state, bank):
+    """`state` with every memory id row, a one-hot label row, replaced by
+    that label's row of `bank`."""
+    rows = bank.embeddings[: state.bank.max_objects + 1].astype(np.float64)
+
+    def moved(e):
+        ids = (e.id_values @ rows).astype(np.float32)
+        return MemoryEntry(e.scale, e.keys, ids, e.frame_index, channels=e.channels)
+
+    memory = MemoryBank({
+        scale: ScaleMemory(tuple(moved(e) for e in mem.long_term), moved(mem.short_term))
+        for scale, mem in state.memory.scales.items()
+    })
+    cfg = dataclasses.replace(state.config, max_objects=bank.max_objects)
+    return dataclasses.replace(state, bank=bank, memory=memory, config=cfg)
+
+
+# the seeded 32-dim bank the engine drew before its rows became one-hot, and
+# the label bank of max_objects = 255, whose columns past label 4 hold zeros
+OTHER_BANKS = {"seeded": lambda: make_id_bank(4, 32, 7), "wide": lambda: engine._label_bank(255)}
+
+
+@pytest.mark.parametrize("other", sorted(OTHER_BANKS))
+@pytest.mark.parametrize("ident", ["s01_slow_rect", "s05_partial_occ", "s08_checker"])
+def test_an_orthonormal_bank_gives_the_label_banks_logits(ident, other, rendered_suite, monkeypatch):
+    # every id-branch operation commutes with an orthonormal change of basis,
+    # so any bank of orthonormal rows reads, at every step, the logits of the
+    # one-hot label rows; logits, not masks, since a near-tie pixel may round
+    # either way
+    old = OTHER_BANKS[other]()
+    frames, masks, _ = rendered_suite[ident]
+    state = init_reference(frames[0], masks[0], CFG)
+    assert state.bank.embeddings.tobytes() == np.eye(CFG.max_objects + 1, dtype=np.float32).tobytes()
+    logits, refined = [], []
+    read, refine_rows = engine.read_id_logits, engine._refine_rows
+
+    def read_spy(ids, bank, k):
+        logits.append(read(ids, bank, k))
+        return logits[-1]
+
+    def refine_spy(labels16, k):
+        # the old-bank run refines the rows the label run refined, so that a
+        # stride-16 near-tie cannot change which rows are compared
+        if len(refined) < 2:
+            refined.append(refine_rows(labels16, k))
+        return refined[0]
+
+    monkeypatch.setattr(engine, "read_id_logits", read_spy)
+    monkeypatch.setattr(engine, "_refine_rows", refine_spy)
+    for frame in frames[1:7]:
+        pyr = features.encode_frame(features.validate_frame(frame), CFG.encoder)
+        other = _moved_onto(state, old)
+        logits.clear()
+        refined.clear()
+        engine._decode_step(state, pyr)
+        engine._decode_step(other, pyr)
+        # stride-16 and stride-8 logits, label run then old-bank run
+        (labels16, labels8, old16, old8) = logits
+        assert labels16.shape[1] == labels8.shape[1] == state.k + 1
+        np.testing.assert_allclose(old16, labels16, rtol=0, atol=2e-6)
+        np.testing.assert_allclose(old8, labels8, rtol=0, atol=2e-6)
+        step(state, frame)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_memory_row_holds_the_keys_and_one_label_column_per_bank_row(k):
+    # [8 keys | max_objects + 1 labels], whatever the object count: 104 B at
+    # the defaults and 2112 B at max_objects = 255
+    frame, mask = make_square_frame(96, (8, 8), 16)
+    for label in range(2, k + 1):
+        mask[8 + 24 * (label - 1):24 + 24 * (label - 1), 56:72] = label
+    for cfg, row_bytes in ((CFG, 104), (EngineConfig(max_objects=255), 2112)):
+        state = init_reference(frame, mask, cfg)
+        assert state.k == k
+        for scale in (16, 8):
+            values = state.memory.at(scale).short_term.values
+            assert values.shape[1] == 8 + cfg.max_objects + 1
+            assert values.itemsize * values.shape[1] == row_bytes
+            ids = state.memory.at(scale).short_term.id_values
+            assert set(np.unique(ids)) <= {0.0, 1.0} and (ids.sum(axis=1) == 1).all()
 
 
 # -- track_sequence ----------------------------------------------------------------
@@ -660,9 +748,8 @@ def test_engine_config_validation():
 
 
 def test_engine_config_size_bounds_are_inclusive():
-    EngineConfig(max_objects=255, id_dim=1024, gpm_layers16=64, gpm_layers8=64)
-    for kw in (dict(max_objects=256), dict(id_dim=1025), dict(gpm_layers16=65),
-               dict(gpm_layers8=65)):
+    EngineConfig(max_objects=255, gpm_layers16=64, gpm_layers8=64)
+    for kw in (dict(max_objects=256), dict(gpm_layers16=65), dict(gpm_layers8=65)):
         (name,) = kw
         with pytest.raises(ConfigError, match=f"engine.{name} must be <= "):
             EngineConfig(**kw)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstrack import evaluation, propagation
+from mstrack import evaluation
 from mstrack.boxmask import Box, SegmenterSpec
 from mstrack.engine import EngineConfig, make_tracker
 from mstrack.errors import ConfigError, DataError, FormatError, InitError
@@ -34,7 +34,6 @@ from mstrack.evaluation import (
     write_report,
 )
 from mstrack.pnm import write_ppm
-from mstrack.propagation import MemoryEntry
 from mstrack.synthgen import Background, ObjectSpec, SceneSpec, generate
 
 
@@ -417,39 +416,6 @@ def test_evaluate_suite_threads_do_not_change_results(tmp_path):
     write_report(a, pa)
     write_report(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
-
-
-def test_evaluate_suite_pool_threads_do_not_split_reads(tmp_path, monkeypatch):
-    monkeypatch.setenv("MSTRACK_THREADS", "2")
-    seqs, tracker = make_three(tmp_path)
-    rng = np.random.default_rng(61)
-    q = rng.normal(size=(256, 8)).astype(np.float32)
-    mem = MemoryEntry(8, rng.normal(size=(1024, 8)).astype(np.float32),
-                      rng.normal(size=(1024, 4)).astype(np.float32), 0)
-    assert q.shape[0] * mem.keys.shape[0] >= propagation.PARALLEL_READ_CELLS
-    run_threads, product_threads = set(), []
-    matmul = propagation.matmul
-
-    def traced(a, b, **buffers):
-        product_threads.append(threading.get_ident())
-        return matmul(a, b, **buffers)
-
-    def reading_tracker(frames, init_box, gt_mask=None):
-        run_threads.add(threading.get_ident())
-        propagation.attention_read(q, mem)
-        return tracker(frames, init_box, gt_mask)
-
-    monkeypatch.setattr(propagation, "matmul", traced)
-    evaluate_suite(reading_tracker, seqs, protocol="ope", threads=2)
-    # every product of every read ran on the pool thread that made the read
-    assert threading.get_ident() not in run_threads
-    # each read: two chunks of CELL_BUDGET // 1024 = 128 rows, two products each
-    assert propagation.CELL_BUDGET // 1024 == 128
-    assert len(product_threads) == 2 * 2 * 3 and set(product_threads) <= run_threads
-    # the same read outside the pool is split
-    product_threads.clear()
-    evaluate_suite(reading_tracker, seqs[:1], protocol="ope", threads=2)
-    assert len(set(product_threads)) == 2
 
 
 def _disc_scene(ident, n_frames, seed):

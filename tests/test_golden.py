@@ -5,9 +5,9 @@ Any change to a box, a mask, a score or the file formats changes these
 digests, so a refactor that is meant to keep every output byte fails here
 when it does not.  The bytes do not depend on the thread count, nor on the
 OpenBLAS kernel: the long_memory pass and the attention byte tests, the
-thread-split reads, the reads of the encoder's 8 real channels against those
-of levels zero-padded to 32, and the refined stride-8 rows against a
-full-grid stage among them, run again in subprocesses under
+reads of the encoder's 8 real channels against those of levels zero-padded
+to 32, and the refined stride-8 rows against a full-grid stage among them,
+run again in subprocesses under
 OPENBLAS_CORETYPE=Prescott and OPENBLAS_CORETYPE=Haswell.
 """
 
@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 TRACK_S01_SHA256 = "dd210eea7a4b64073b107b7d3cf118d44864cccd4f207e8cc981882b864290ce"
-OPE_REPORT_SHA256 = "e173a9dea08b2156c0d5f3c93ca6134096f4334b3e1dd4a6e80583f5ee203223"
+OPE_REPORT_SHA256 = "bbd46cc2adb0d30f6ba56d40ec579320e2b9a52d42f8fa3168eb6ce1348fc8ba"
 # the digest `perfbench/run.py --seed 1` prints for these workloads
 PASS_SHA256 = {
     "long_memory": "8a63d62fdef8313ee6da950ad78975e2295586d9052b2f17f0b1eb81e0c9fa01",
@@ -120,7 +120,6 @@ def _run_under_coretype(core, tmp_path_factory):
                 f"{__file__}::test_benchmark_pass_bytes[long_memory]",
                 f"{attention}::test_chunked_attention_read_bytes_equal_one_composed_read",
                 f"{attention}::test_chunked_attention_read_bytes_on_engine_shapes",
-                f"{attention}::test_split_read_bytes_equal_the_serial_read_on_engine_shapes",
                 f"{attention}::test_a_read_without_its_map_keeps_its_bytes",
                 f"{attention}::test_reads_of_a_grown_long_term_memory_keep_their_bytes",
                 f"{engine}::test_narrow_levels_keep_the_bytes_of_zero_padded_levels",
@@ -165,7 +164,7 @@ def _assert_coretype_run_passed(run, core):
     log.seek(0)
     out = log.read()
     assert proc.returncode == 0, out[-4000:]
-    assert "10 passed" in out
+    assert "8 passed" in out
 
 
 def test_bytes_hold_under_the_prescott_blas_kernel(prescott_run):

@@ -2,16 +2,9 @@
 
 import dataclasses
 import gc
-import os
-import signal
-import subprocess
-import sys
 import threading
-import time
 import tracemalloc
 import weakref
-from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from mstrack import propagation
 from mstrack.engine import EngineConfig, init_reference, step
 from mstrack.errors import ConfigError, LabelError, NumericError, ShapeError, StateError
-from mstrack.kernels import MAX_THREADS, matmul
+from mstrack.kernels import matmul
 from mstrack.propagation import (
     CELL_BUDGET,
     CLOSED_GATE_BIAS,
@@ -31,7 +24,6 @@ from mstrack.propagation import (
     IdBank,
     MemoryBank,
     MemoryEntry,
-    PARALLEL_READ_CELLS,
     ScaleMemory,
     attention_read,
     encode_mask_to_ids,
@@ -348,10 +340,9 @@ def _gpm_layer_peak_bytes(m, n=1024, c=32):
         tracemalloc.stop()
 
 
-def test_gpm_layer_allocations_do_not_grow_with_memory_rows(monkeypatch):
+def test_gpm_layer_allocations_do_not_grow_with_memory_rows():
     # a chunk holds CELL_BUDGET cells whatever m is, and the engine's reads
     # keep no query x memory map, so 4x the long-term rows allocate no more
-    monkeypatch.setenv("MSTRACK_THREADS", "1")
     peak = {m: _gpm_layer_peak_bytes(m) for m in (2048, 8192)}
     assert peak[8192] <= peak[2048]
     assert peak[8192] < 1024 * 8192  # a quarter of one float32 map of the read
@@ -360,151 +351,6 @@ def test_gpm_layer_allocations_do_not_grow_with_memory_rows(monkeypatch):
 def _engine_rows(rng, n, c=32, norm=None):
     norm = 6.0 * np.sqrt(c) if norm is None else norm
     return scale_rows(rng.normal(size=(n, c)).astype(np.float32), norm)
-
-
-def _read_threads_seen(monkeypatch):
-    """Names of the threads each `matmul` of a read runs on, in call order."""
-    seen = []
-
-    def traced(a, b, **buffers):
-        seen.append(threading.current_thread().name)
-        return matmul(a, b, **buffers)
-
-    monkeypatch.setattr(propagation, "matmul", traced)
-    return seen
-
-
-# (query rows, memory rows): long_memory's widest stride-8 read, a 256 px
-# frame's stride-8 read, and row counts that split unevenly or into
-# several chunks per thread
-SPLIT_SHAPES = ((256, 4352), (1024, 1024), (257, 512), (1025, 640))
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_split_read_bytes_equal_the_serial_read_on_engine_shapes(threads, monkeypatch):
-    monkeypatch.setenv("MSTRACK_THREADS", threads)
-    rng = np.random.default_rng(55)
-    for n, m in SPLIT_SHAPES:
-        assert n * m >= PARALLEL_READ_CELLS
-        q, keys = _engine_rows(rng, n), _engine_rows(rng, m)
-        ids = _engine_rows(rng, m, norm=1.0)
-        seen = _read_threads_seen(monkeypatch)
-        _assert_read_bytes(q, keys, ids, DEFAULT_TEMPERATURE)
-        assert len(set(seen)) == int(threads)
-
-
-def test_a_split_read_beside_serial_reads_on_worker_threads_keeps_its_bytes(monkeypatch):
-    # more read threads than CPUs, the main thread's split reads beside three
-    # workers' serial ones, and a short switch interval: a row range written
-    # twice, or not at all, changes the bytes
-    monkeypatch.setenv("MSTRACK_THREADS", "4")
-    rng = np.random.default_rng(62)
-    cases = []
-    for n, m in ((256, 1024), (300, 700)):
-        q, keys, ids = _engine_rows(rng, n), _engine_rows(rng, m), _engine_rows(rng, m, norm=1.0)
-        cases.append((q, entry(keys, ids), composed_read(q, keys, ids, DEFAULT_TEMPERATURE)))
-    seen = _read_threads_seen(monkeypatch)
-    failures = []
-
-    def caller():
-        for q, mem, (want_att, want) in cases * 3:
-            att, vis, id_read = attention_read(q, mem)
-            got = np.concatenate([vis, id_read], axis=1)
-            if att.tobytes() != want_att.tobytes() or got.tobytes() != want.tobytes():
-                failures.append((threading.current_thread().name, q.shape))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=caller, name=f"worker-{i}") for i in range(3)]
-        for t in workers:
-            t.start()
-        caller()
-        for t in workers:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in workers)
-    assert failures == []
-    # two products per chunk: each worker's 6 reads stay on it, 2 chunks of
-    # CELL_BUDGET // m = 128 or 187 rows each; each of the main thread's 6 reads runs in 4
-    # ranges of 64 or 75 rows, one chunk each, 3 of them on helpers
-    counts = Counter(seen)
-    on_helpers = sum(k for name, k in counts.items() if name.startswith("mstrack-read"))
-    assert [counts[t.name] for t in workers] == [4 * 6] * 3
-    assert counts[threading.current_thread().name] == 2 * 6
-    assert on_helpers == 2 * 6 * 3 and sum(counts.values()) == 4 * 6 * 3 + 2 * 6 * 4
-
-
-def test_read_splits_from_parallel_read_cells_on(monkeypatch):
-    monkeypatch.setenv("MSTRACK_THREADS", "2")
-    rng = np.random.default_rng(56)
-    q = _engine_rows(rng, 256)
-    first_row = q.__array_interface__["data"][0]
-    caller = threading.current_thread().name
-    for m, threads in ((PARALLEL_READ_CELLS // 256 - 1, 1), (PARALLEL_READ_CELLS // 256, 2)):
-        mem = entry(_engine_rows(rng, m), _engine_rows(rng, m, norm=1.0))
-        seen = []
-
-        def traced(a, b, **buffers):
-            seen.append((threading.current_thread().name, a.__array_interface__["data"][0]))
-            return matmul(a, b, **buffers)
-
-        monkeypatch.setattr(propagation, "matmul", traced)
-        attention_read(q, mem)
-        # scores and read product per thread, in whatever order the threads
-        # ran; the caller's first product, and only it, starts at query row 0
-        assert len(seen) == 2 * threads and len({name for name, _ in seen}) == threads
-        mine = [start for name, start in seen if name == caller]
-        assert mine[0] == first_row
-        assert [start for _, start in seen].count(first_row) == 1
-
-
-def test_reads_on_a_worker_thread_are_not_split(monkeypatch):
-    monkeypatch.setenv("MSTRACK_THREADS", "2")
-    rng = np.random.default_rng(57)
-    q, keys = _engine_rows(rng, 256), _engine_rows(rng, 1024)
-    mem = entry(keys, _engine_rows(rng, 1024, norm=1.0))
-    seen = _read_threads_seen(monkeypatch)
-    worker = threading.Thread(target=attention_read, args=(q, mem), name="worker")
-    worker.start()
-    worker.join(timeout=60)
-    # two chunks of CELL_BUDGET // 1024 = 128 rows, two products each
-    assert seen == ["worker"] * 4
-
-
-@pytest.mark.parametrize("threads", ["2", "3"])
-@pytest.mark.parametrize("bad_part", ["helper", "caller"])
-def test_non_finite_score_in_a_split_read_raises_after_every_range_finished(
-    threads, bad_part, monkeypatch
-):
-    monkeypatch.setenv("MSTRACK_THREADS", threads)
-    rng = np.random.default_rng(58)
-    n, m = 256, 1024
-    q, keys = _engine_rows(rng, n), _engine_rows(rng, m)
-    # a NaN query row makes that row's scores NaN
-    q[-1 if bad_part == "helper" else 0, 0] = np.nan
-    mem = entry(keys, _engine_rows(rng, m, norm=1.0))
-    caller = threading.current_thread().name
-    running = []
-    finished = []
-
-    def slow_on_helpers(a, b, **buffers):
-        name = threading.current_thread().name
-        running.append(name)
-        try:
-            if name != caller:
-                time.sleep(0.05)  # the caller's range ends long before
-            return matmul(a, b, **buffers)
-        finally:
-            finished.append(name)
-
-    monkeypatch.setattr(propagation, "matmul", slow_on_helpers)
-    with pytest.raises(NumericError):
-        attention_read(q, mem)
-    helpers = {name for name in running if name != caller}
-    assert len(helpers) == int(threads) - 1
-    assert sorted(finished) == sorted(running)
 
 
 def test_probe_signatures_do_not_depend_on_read_threads(monkeypatch):
@@ -522,90 +368,66 @@ def test_probe_signatures_do_not_depend_on_read_threads(monkeypatch):
                 step(state, frame)
         signatures[threads] = ops
     reads = [op for op in signatures["2"] if op[0] == "attention_read"]
-    assert max(op[1] * op[2] for op in reads) >= PARALLEL_READ_CELLS
+    assert max(op[1] * op[2] for op in reads) > CELL_BUDGET
     assert signatures["1"] == signatures["2"]
 
 
-def test_a_read_uses_at_most_max_threads_whatever_mstrack_threads_says(monkeypatch):
-    monkeypatch.setenv("MSTRACK_THREADS", "16")
-    rng = np.random.default_rng(64)
-    q, keys, ids = _engine_rows(rng, 256), _engine_rows(rng, 1024), _engine_rows(rng, 1024, norm=1.0)
-    seen = _read_threads_seen(monkeypatch)
-    _assert_read_bytes(q, keys, ids, DEFAULT_TEMPERATURE)
-    # two products per range: 8 ranges of 32 rows, not 16; a helper that
-    # finished its range may take another, so the names can be fewer
-    assert MAX_THREADS == 8 and len(seen) == 2 * MAX_THREADS
-    assert len(set(seen)) <= MAX_THREADS
+def _large_frame_steps(threads, monkeypatch):
+    """Products and softmaxes of two 256 px steps at MSTRACK_THREADS=`threads`,
+    as (name, calling thread, shape) in call order, the steps' read shapes
+    (query rows, memory rows) and the threads alive after."""
+    monkeypatch.setenv("MSTRACK_THREADS", threads)
+    rng = np.random.default_rng(60)
+    frames = [rng.uniform(size=(256, 256, 3)).astype(np.float32) for _ in range(3)]
+    mask = np.zeros((256, 256), dtype=np.int32)
+    mask[64:160, 80:192] = 1
+    calls = []
+
+    def traced(name, fn):
+        def call(a, *args, **buffers):
+            calls.append((name, threading.current_thread().name, a.shape))
+            return fn(a, *args, **buffers)
+        return call
+
+    monkeypatch.setattr(propagation, "matmul", traced("matmul", propagation.matmul))
+    monkeypatch.setattr(propagation, "softmax", traced("softmax", propagation.softmax))
+    state = init_reference(frames[0], mask, EngineConfig(long_term_every=1))
+    with probe_operations() as ops:
+        for frame in frames[1:]:
+            step(state, frame)
+    monkeypatch.undo()
+    reads = [op[1:3] for op in ops if op[0] == "attention_read"]
+    return calls, reads, threading.active_count()
 
 
-_READ_THREADS = """
-import threading
-import numpy as np
-from mstrack import propagation
-from mstrack.engine import EngineConfig, init_reference, step
-from mstrack.kernels import matmul
-names = set()
-def traced(a, b, **buffers):
-    names.add(threading.current_thread().name)
-    return matmul(a, b, **buffers)
-propagation.matmul = traced
-rng = np.random.default_rng(60)
-frames = [rng.uniform(size=(256, 256, 3)).astype(np.float32) for _ in range(2)]
-mask = np.zeros((256, 256), dtype=np.int32)
-mask[64:160, 80:192] = 1
-step(init_reference(frames[0], mask, EngineConfig()), frames[1])
-print(len(names), threading.active_count())
-"""
+def test_reads_run_on_the_calling_thread_whatever_mstrack_threads_says(monkeypatch):
+    # some of the steps' reads span several chunks, and none starts a thread
+    before = threading.active_count()
+    calls, reads, after = _large_frame_steps("4", monkeypatch)
+    assert {name for _, name, _ in calls} == {threading.current_thread().name}
+    assert max(n * m for n, m in reads) > 2 * CELL_BUDGET
+    assert after == before
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_no_read_helper_outlives_its_read(threads):
-    env = {**os.environ, "MSTRACK_THREADS": threads}
-    src = str(Path(propagation.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _READ_THREADS],
-        env=env, check=True, capture_output=True, text=True, timeout=120,
-    )
-    # the step's reads ran on `threads` threads, and only the main one is left
-    assert out.stdout.split()[-2:] == [threads, "1"]
+def test_read_call_counts_do_not_depend_on_mstrack_threads(monkeypatch):
+    # each read is chunked once, so the traced product and softmax counts of
+    # a run repeat on a host with any CPU count
+    one = _large_frame_steps("1", monkeypatch)[0]
+    four = _large_frame_steps("4", monkeypatch)[0]
+    assert [(op, shape) for op, _, shape in one] == [(op, shape) for op, _, shape in four]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_splits_reads_over_helpers_of_its_own(monkeypatch):
-    # helper threads live only for their read, so the child has no executor
-    # state to inherit and starts helpers of its own
-    monkeypatch.setenv("MSTRACK_THREADS", "2")
-    rng = np.random.default_rng(63)
-    q, keys, ids = _engine_rows(rng, 256), _engine_rows(rng, 1024), _engine_rows(rng, 1024, norm=1.0)
-    mem = entry(keys, ids)
-    want_att, want = composed_read(q, keys, ids, DEFAULT_TEMPERATURE)
-    seen = _read_threads_seen(monkeypatch)
-    attention_read(q, mem)
-    assert len(set(seen)) == 2
-    seen.clear()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            att, vis, id_read = attention_read(q, mem)
-            got = np.concatenate([vis, id_read], axis=1)
-            same = att.tobytes() == want_att.tobytes() and got.tobytes() == want.tobytes()
-            code = 0 if same and len(set(seen)) == 2 else 2
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's split read did not finish in 30 s")
-        time.sleep(0.05)
-    assert os.waitstatus_to_exitcode(status) == 0
+@pytest.mark.parametrize("bad_row", [0, -1])
+@pytest.mark.parametrize("keep_att", [True, False])
+def test_a_non_finite_score_in_any_chunk_raises(bad_row, keep_att):
+    # a NaN query row makes that row's scores NaN, in the first of two
+    # 128-row chunks or in the last
+    rng = np.random.default_rng(58)
+    q, keys = _engine_rows(rng, 256), _engine_rows(rng, 1024)
+    q[bad_row, 0] = np.nan
+    mem = entry(keys, _engine_rows(rng, 1024, norm=1.0))
+    with pytest.raises(NumericError):
+        attention_read(q, mem, keep_att=keep_att)
 
 
 def test_gpm_layer_makes_two_products_per_read(monkeypatch):
@@ -1082,25 +904,25 @@ def test_long_term_writes_allocate_a_bounded_multiple_of_their_rows():
     assert peak <= 3 * final.nbytes
 
 
-def test_a_split_read_allocates_only_its_scratch_and_outputs(monkeypatch):
-    # each row range's chunk buffers come from the caller before any helper
-    # starts, and the helpers make no chunk-sized arrays of their own
+def test_a_serial_read_allocates_only_its_scratch_and_outputs(monkeypatch):
+    # one set of chunk buffers serves every chunk, and the read starts no
+    # thread, whatever MSTRACK_THREADS says
     monkeypatch.setenv("MSTRACK_THREADS", "2")
     rng = np.random.default_rng(73)
-    n, m, c = 256, 4352, 32
-    q = _engine_rows(rng, n)
-    mem = entry(_engine_rows(rng, m), _engine_rows(rng, m, norm=1.0), scale=8)
+    n, m, c, d = 256, 4352, 8, 5
+    q = _engine_rows(rng, n, c)
+    mem = entry(_engine_rows(rng, m, c), _engine_rows(rng, m, d, norm=1.0), scale=8)
     rows = CELL_BUDGET // m
-    scratch = rows * m * (8 + 4) + rows * 2 * c * 8
-    seen = _read_threads_seen(monkeypatch)
+    scratch = rows * m * (8 + 4) + rows * (c + d) * 8
+    threads = threading.active_count()
     tracemalloc.start()
     try:
         attention_read(q, mem, keep_att=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(set(seen)) == 2
-    assert peak <= 2 * scratch + n * 2 * c * 4 + 128 * 1024
+    assert threading.active_count() == threads
+    assert scratch <= peak <= scratch + n * (c + d) * 4 + 64 * 1024
 
 
 def test_reads_of_a_grown_long_term_memory_keep_their_bytes(monkeypatch):
