@@ -1,27 +1,22 @@
 """Per-frame feature extraction and feature-pyramid assembly.
 
 The engine consumes feature maps at strides 16 and 8.  Instead of a learned
-backbone, each level is cell rows x a channel map: one row per stride-s cell,
-times an [inputs, channels] float32 map, in one `kernels.matmul`.  The three
-deterministic encoders differ only in their rows and maps:
+backbone, each level holds one row per stride-s cell, from one of two
+deterministic encoders:
 
 * ``handcrafted`` (default): each row holds the cell's mean RGB, its
   normalized (x, y) cell-center coordinates scaled by a position weight, and
   its per-channel RGB standard deviation scaled by a std weight (8 base
-  channels).  The 0/1 [8, min(C, 8)] map adds base channel i into channel
-  i % C: the identity for C >= 8, a fold down to C below it.  So this mode
-  emits only its min(C, 8) real channels; C still sets the engine's
-  sqrt(C) score scale and its row norm.
+  channels), folded to min(C, 8) channels: base channel i adds into channel
+  i % C (`_fold`).  So this mode emits only its min(C, 8) real channels; C
+  still sets the engine's sqrt(C) score scale and its row norm.
   The std weight defaults low: cells straddling an object boundary share a
   common high-variance signature regardless of which side holds the majority,
   so a large std term drags boundary cells toward whichever stored neighbor
   has texture rather than toward the right label.
-* ``random-projection``: the same rows times a fixed seeded Gaussian map.
 * ``weights-file``: each row is the cell's raw s*s*3 pixels, flattened
-  row-major, and the maps are the file's "proj16" / "proj8".
-
-The maps are built, and a weights file read and checked, once per config
-and file version (`_channel_maps`).
+  row-major, times the file's "proj16" / "proj8" map in one `kernels.matmul`.
+  The maps are read and checked once per file version (`_weights_maps`).
 
 Weights file layout (little-endian): magic ``MSWT``, version u32, then one
 record per tensor (name length u32, name bytes, rank u32, dims u32 each, raw
@@ -52,21 +47,20 @@ BASE_CHANNELS = 8  # mean RGB (3) + cell-center xy (2) + RGB std (3)
 MAX_FEATURE_WEIGHT = FLOAT32_MAX / 2**19  # see EncoderConfig
 MAX_WEIGHTS_COLUMN_SUM = FLOAT32_MAX / 2  # see EncoderConfig
 
-ENCODER_MODES = ("handcrafted", "random-projection", "weights-file")
+ENCODER_MODES = ("handcrafted", "weights-file")
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Encoder settings, bounded so every handcrafted or random-projection
-    feature fits float32.
+    """Encoder settings, bounded so every handcrafted feature fits float32.
 
     Base features are means in [0, 1], cell centres in (0, 1) times
     position_weight, and standard deviations of values in [0, 1], at most
     1/2, times std_weight, so none exceeds w = max(1, |position_weight|,
-    |std_weight|).  Each output sums at most 8 of them, each times a map
-    entry: 0 or 1, or a standard normal draw over sqrt(8), which NumPy's
-    sampler keeps far below 2^16.  So w <= MAX_FEATURE_WEIGHT = FLOAT32_MAX /
-    2^19 keeps every output below 8 * 2^16 * w <= FLOAT32_MAX.  A weights
+    |std_weight|).  Each output folds at most 8 of them, so it stays below
+    8w, and w <= MAX_FEATURE_WEIGHT = FLOAT32_MAX / 2^19 keeps it 2^16 times
+    inside float32: the bound has room to spare, and keeps its value so the
+    weights a config may set do not change.  A weights
     file's maps are data, checked before they are cached: its features are
     pixels in [0, 1] times a column of proj16 or proj8, so a column whose
     absolute values sum to at most MAX_WEIGHTS_COLUMN_SUM = FLOAT32_MAX / 2
@@ -80,7 +74,6 @@ class EncoderConfig:
     mode: str = "handcrafted"
     channels16: int = 32
     channels8: int = 32
-    seed: int = 7
     weights_path: str | None = None
     position_weight: float = 0.15
     std_weight: float = 0.1
@@ -92,7 +85,6 @@ class EncoderConfig:
         check_range("encoder.channels8", self.channels8, 1, 1024)
         if self.mode == "weights-file" and not self.weights_path:
             raise ConfigError("weights-file mode requires weights_path")
-        check_range("encoder.seed", self.seed, 0)
         for name in ("position_weight", "std_weight"):
             value = getattr(self, name)
             if not abs(value) <= MAX_FEATURE_WEIGHT:
@@ -174,57 +166,60 @@ def _cell_base_features(
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _channel_maps(cfg: EncoderConfig, version) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only float32 maps of the stride-16 and stride-8 levels:
-    [8, min(C, 8)] in handcrafted mode, [inputs, C] in the others.
+def _fold(base: np.ndarray, channels: int) -> np.ndarray:
+    """Fold [hc, wc, 8] base features to min(C, 8) channels, float32.
 
-    `version` is the weights file's (st_mtime_ns, st_size) in weights-file
-    mode, so a rewritten file is read and checked again.
+    Base channel i adds into channel i % C, in ascending i, in one float64
+    sum that starts from +0.0 and is cast to float32 once.  A BLAS product
+    with a 0/1 [8, min(C, 8)] map sums the same way at C >= 2, and so also
+    turns the -0.0 of a zero-deviation cell times a negative std weight into
+    +0.0; tests/test_features.py keeps that product as the reference.
     """
-    if cfg.mode == "weights-file":
-        weights = load_weights(cfg.weights_path)
-        for name, stride, want in (("proj16", 16, cfg.channels16), ("proj8", 8, cfg.channels8)):
-            if name not in weights:
-                raise FormatError(f"weights file missing tensor {name!r}")
-            t = weights[name]
-            if t.ndim != 2 or t.shape[0] != stride * stride * 3:
-                raise FormatError(f"{name} must be [{stride * stride * 3}, C], got {t.shape}")
-            if t.shape[1] != want:
-                raise FormatError(
-                    f"{name} provides {t.shape[1]} channels but config asks for {want}"
-                )
-            col = np.abs(t.astype(np.float64)).sum(axis=0)
-            if col.max() > MAX_WEIGHTS_COLUMN_SUM:
-                j = int(col.argmax())
-                raise FormatError(
-                    f"tensor {name!r} in {cfg.weights_path}: column {j} has absolute sum "
-                    f"{col[j]:.3g} > {MAX_WEIGHTS_COLUMN_SUM:.3g}, so its features could "
-                    "overflow float32"
-                )
-        return weights["proj16"], weights["proj8"]
-    maps = []
-    for channels, seed in ((cfg.channels16, cfg.seed), (cfg.channels8, cfg.seed + 1)):
-        if cfg.mode == "handcrafted":
-            # base channel i adds into channel i % C: the identity, or a fold down to C
-            base = np.arange(BASE_CHANNELS)
-            m = base[:, None] % channels == base[: min(channels, BASE_CHANNELS)]
-        else:
-            rng = np.random.default_rng(seed)
-            m = rng.standard_normal((BASE_CHANNELS, channels)) / np.sqrt(BASE_CHANNELS)
-        m = m.astype(np.float32)
-        m.setflags(write=False)
-        maps.append(m)
-    return tuple(maps)
+    hc, wc, _ = base.shape
+    width = min(channels, BASE_CHANNELS)
+    cols = np.zeros((hc, wc, -(-BASE_CHANNELS // width) * width))
+    cols[..., :BASE_CHANNELS] = base
+    return cols.reshape(hc, wc, -1, width).sum(axis=2, initial=0.0).astype(np.float32)
+
+
+@functools.lru_cache(maxsize=8)
+def _weights_maps(path, channels16, channels8, version) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only float32 [inputs, C] maps proj16 and proj8 of a weights
+    file, checked against the configured channels.
+
+    `version` is the file's (st_mtime_ns, st_size), so a rewritten file is
+    read and checked again.
+    """
+    weights = load_weights(path)
+    for name, stride, want in (("proj16", 16, channels16), ("proj8", 8, channels8)):
+        if name not in weights:
+            raise FormatError(f"weights file missing tensor {name!r}")
+        t = weights[name]
+        if t.ndim != 2 or t.shape[0] != stride * stride * 3:
+            raise FormatError(f"{name} must be [{stride * stride * 3}, C], got {t.shape}")
+        if t.shape[1] != want:
+            raise FormatError(
+                f"{name} provides {t.shape[1]} channels but config asks for {want}"
+            )
+        col = np.abs(t.astype(np.float64)).sum(axis=0)
+        if col.max() > MAX_WEIGHTS_COLUMN_SUM:
+            j = int(col.argmax())
+            raise FormatError(
+                f"tensor {name!r} in {path}: column {j} has absolute sum "
+                f"{col[j]:.3g} > {MAX_WEIGHTS_COLUMN_SUM:.3g}, so its features could "
+                "overflow float32"
+            )
+    return weights["proj16"], weights["proj8"]
 
 
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
     """Encode a validated frame into stride-16 and stride-8 feature maps.
 
     The frame is edge-padded to the next multiples of 16 first
-    (`pad_to_multiple`), so cell grids cover the padded frame.  Each level
-    is `matmul(cell rows, channel map)`: base features or, in weights-file
-    mode, raw pixels, one row per cell in row-major cell order.
+    (`pad_to_multiple`), so cell grids cover the padded frame.  In
+    handcrafted mode each level is `_fold(base features)`; in weights-file
+    mode it is `matmul(raw cell pixels, map)`, one row per cell in row-major
+    cell order.
 
     Args:
         frame: [H,W,3] float32 in [0,1] from `validate_frame`, any H, W >= 1.
@@ -236,17 +231,18 @@ def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
         twice that size, [2*ceil(H/16),2*ceil(W/16),C8].
     """
     f = pad_to_multiple(frame)
-    version = None
-    if cfg.mode == "weights-file":
-        st = os.stat(cfg.weights_path)
-        version = (st.st_mtime_ns, st.st_size)
+    if cfg.mode == "handcrafted":
+        return FeaturePyramid(*(
+            _fold(_cell_base_features(f, stride, cfg.position_weight, cfg.std_weight), channels)
+            for stride, channels in ((16, cfg.channels16), (8, cfg.channels8))
+        ))
+    st = os.stat(cfg.weights_path)
+    maps = _weights_maps(cfg.weights_path, cfg.channels16, cfg.channels8,
+                         (st.st_mtime_ns, st.st_size))
     levels = []
-    for stride, m in zip((16, 8), _channel_maps(cfg, version)):
+    for stride, m in zip((16, 8), maps):
         hc, wc = f.shape[0] // stride, f.shape[1] // stride
-        if cfg.mode == "weights-file":
-            cells = f.reshape(hc, stride, wc, stride, 3).transpose(0, 2, 1, 3, 4)
-        else:
-            cells = _cell_base_features(f, stride, cfg.position_weight, cfg.std_weight)
+        cells = f.reshape(hc, stride, wc, stride, 3).transpose(0, 2, 1, 3, 4)
         levels.append(matmul(cells.reshape(hc * wc, -1), m).reshape(hc, wc, -1))
     return FeaturePyramid(*levels)
 

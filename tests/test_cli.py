@@ -19,7 +19,7 @@ from mstrack.cli import (
     write_results,
 )
 from mstrack.errors import ConfigError, DataError
-from mstrack.features import save_weights
+from mstrack.features import ENCODER_MODES, save_weights
 from mstrack.pnm import read_pgm, read_ppm, write_pgm, write_ppm
 
 MINI_SCENE = """\
@@ -307,11 +307,12 @@ def test_track_overflowing_weights_file_exits_two(mini_dataset, tmp_path, capsys
     assert len(err) == 1 and "'proj16'" in err[0] and "overflow float32" in err[0]
 
 
-@pytest.mark.parametrize("key", ["engine.id_dim", "engine.seed"])
+@pytest.mark.parametrize("key", ["engine.id_dim", "engine.seed", "encoder.seed"])
 @pytest.mark.parametrize("command", ["track", "eval"])
 def test_retired_bank_keys_are_unknown_when_the_config_loads(key, command, tmp_path, capsys):
-    # the id bank is the one-hot identity, so its width and seed are no keys;
-    # checked before the data is read: a missing sequence would exit 2
+    # the id bank is the one-hot identity, so its width and seed are no keys,
+    # and no encoder draws a seeded map; checked before the data is read: a
+    # missing sequence would exit 2
     p = tmp_path / "run.cfg"
     p.write_text(f"{key} = 32\n")
     code = main([command, str(tmp_path / "no-such-data"), str(tmp_path / "out"),
@@ -484,6 +485,9 @@ def test_default_config_covers_every_schema_key(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = dict(re.findall(r"^\| `([a-z0-9_.]+)` \| `([^`]*)` \|", readme, flags=re.M))
     assert set(table) == set(CONFIG_SCHEMA)
+    # its encoder.mode row names every mode, and nothing else, in backticks
+    (row,) = re.findall(r"^\| `encoder\.mode` \| `[^`]*` \| (.*) \|$", readme, flags=re.M)
+    assert set(re.findall(r"`([^`]+)`", row)) == set(ENCODER_MODES)
     p = tmp_path / "readme.cfg"
     p.write_text("".join(f"{key} = {value}\n" for key, value in table.items()))
     assert load_run_config(p) == cfg
@@ -597,11 +601,11 @@ def test_extreme_config_values_inside_float32_still_track(line, mini_dataset, tm
     "lines, key",
     [
         (["engine.max_objects = -1"], "engine.max_objects"),
-        (["encoder.mode = random-projection", "encoder.seed = -3"], "encoder.seed"),
+        (["encoder.mode = random-projection"], "random-projection"),
         (["engine.long_term_every = -5"], "engine.long_term_every"),
         (["encoder.position_weight = 1e39"], "encoder.position_weight"),
         (["encoder.std_weight = 1e39"], "encoder.std_weight"),
-        (["encoder.mode = random-projection", "encoder.std_weight = -1e39"], "encoder.std_weight"),
+        (["encoder.std_weight = -1e39"], "encoder.std_weight"),
         (["engine.temperature = 1e300"], "temperature"),
     ],
 )
@@ -609,8 +613,8 @@ def test_extreme_config_values_inside_float32_still_track(line, mini_dataset, tm
 def test_out_of_range_config_values_exit_one_with_one_line(
     lines, key, command, mini_dataset, tmp_path, capsys
 ):
-    # negative seeds once ended in a NumPy traceback, negative cadences ran
-    # as 0, and overflowing weights and temperatures warned before failing
+    # negative cadences once ran as 0, and overflowing weights and
+    # temperatures warned before failing; a retired encoder mode is unknown
     p = tmp_path / "run.cfg"
     p.write_text("".join(line + "\n" for line in lines))
     src = mini_dataset / "mini" if command == "track" else mini_dataset
@@ -620,7 +624,6 @@ def test_out_of_range_config_values_exit_one_with_one_line(
     assert err.startswith("error: ") and key in err
 
 
-@pytest.mark.parametrize("mode", ["handcrafted", "random-projection"])
 @pytest.mark.parametrize(
     "line",
     [
@@ -632,11 +635,11 @@ def test_out_of_range_config_values_exit_one_with_one_line(
     ],
 )
 def test_large_encoder_and_segmenter_values_track_without_warnings(
-    line, mode, mini_dataset, tmp_path, capsys
+    line, mini_dataset, tmp_path, capsys
 ):
     # RuntimeWarnings are errors in this suite, so a stray overflow fails here
     p = tmp_path / "run.cfg"
-    p.write_text(f"encoder.mode = {mode}\n{line}\n")
+    p.write_text(f"{line}\n")
     assert main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"),
                  "--config", str(p)]) == 0
     assert capsys.readouterr().err == ""

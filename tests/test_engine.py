@@ -252,14 +252,13 @@ def _weights_encoder(tmp_path, channels):
         ("handcrafted", 8, 8),
         ("handcrafted", 12, 8),
         ("handcrafted", 32, 8),
-        ("random-projection", 32, 32),
         ("weights-file", 12, 12),
     ],
 )
 def test_the_encoder_sets_the_key_width_and_the_config_the_norm(
     mode, channels, width, tmp_path, monkeypatch
 ):
-    # the handcrafted encoder emits min(C, 8) channels, the others C; queries
+    # the handcrafted encoder emits min(C, 8) channels, a weights file C; queries
     # and memory keys keep that width, while C sets their norm and score scale
     if mode == "weights-file":
         enc = _weights_encoder(tmp_path, channels)

@@ -1,5 +1,6 @@
 """Encoder tests: per-cell oracles, covariance, MSWT container handling."""
 
+import dataclasses
 import os
 import struct
 import zlib
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mstrack import features
+from mstrack import features, kernels
 from mstrack.engine import EngineConfig, track_sequence
 from mstrack.errors import ConfigError, FormatError, ShapeError
 from mstrack.features import (
@@ -94,13 +95,14 @@ def fit_channels_loop(base, channels):
     return out
 
 
-def einsum_projection(base, channels, seed):
-    """The random projection before the cached map: a fresh seeded Gaussian
-    matrix and a float64 einsum, cast to float32."""
-    rng = np.random.default_rng(seed)
-    p = (rng.standard_normal((BASE_CHANNELS, channels)) / np.sqrt(BASE_CHANNELS)).astype(np.float32)
-    out = np.einsum("hwc,cd->hwd", base.astype(np.float64), p.astype(np.float64))
-    return out.astype(np.float32)
+def map_product(base, channels):
+    """The handcrafted level before the fold: the base rows times a cached
+    0/1 [8, min(C, 8)] float32 map, adding base channel i into channel
+    i % C, in one `kernels.matmul`."""
+    b = np.arange(BASE_CHANNELS)
+    m = (b[:, None] % channels == b[: min(channels, BASE_CHANNELS)]).astype(np.float32)
+    hc, wc, _ = base.shape
+    return kernels.matmul(base.reshape(hc * wc, -1), m).reshape(hc, wc, -1)
 
 
 def _reference_levels(frame, cfg, fit):
@@ -122,10 +124,20 @@ def encoder_frames(draw):
     return rng.integers(0, 256, size=(h, w, 3)).astype(np.float32) / 255.0
 
 
+@st.composite
+def palette_frames(draw):
+    """1-69 px frames of 1, 2 or 256 grey levels per channel: one level
+    makes every cell flat, so its deviations are zero."""
+    h, w = draw(st.integers(1, 69)), draw(st.integers(1, 69))
+    levels = draw(st.sampled_from([1, 2, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.integers(0, levels, size=(h, w, 3)) / max(levels - 1, 1)).astype(np.float32)
+
+
 @settings(max_examples=60, deadline=None)
 @given(encoder_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS, st.integers(8, 40), st.integers(8, 40))
 def test_handcrafted_map_bytes_equal_pad_loop(frame, pw, sw, c16, c8):
-    # a product sum adds +0.0 terms, so the -0.0 of a zero-deviation cell
+    # the fold's sum starts from +0.0, so the -0.0 of a zero-deviation cell
     # times a negative (or -0.0) weight comes out as +0.0; adding 0.0 to both
     # sides maps -0.0 to +0.0 and leaves every other value as it is.  The
     # encoder emits the 8 real channels, the loop's columns past them are zero
@@ -140,7 +152,7 @@ def test_handcrafted_map_bytes_equal_pad_loop(frame, pw, sw, c16, c8):
 @settings(max_examples=60, deadline=None)
 @given(encoder_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS, st.integers(1, 7), st.integers(1, 7))
 def test_handcrafted_fold_map_matches_fold_loop(frame, pw, sw, c16, c8):
-    # the map sums each channel in float64 and rounds once; the loop rounded
+    # the fold sums each channel in float64 and rounds once; the loop rounded
     # after every float32 add, so a channel of 3 or more base channels can
     # differ in its last bits.  The tolerance is relative to the fold of the
     # absolute terms, which bounds the loop's rounding when terms cancel.
@@ -152,51 +164,34 @@ def test_handcrafted_fold_map_matches_fold_loop(frame, pw, sw, c16, c8):
         assert np.all(np.abs(got.astype(np.float64) - want) <= 1e-6 * scale)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    encoder_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS,
-    st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32),
-)
-def test_random_projection_map_within_one_ulp_of_einsum(frame, pw, sw, c16, c8, seed):
-    cfg = EncoderConfig(mode="random-projection", channels16=c16, channels8=c8, seed=seed,
-                        position_weight=pw, std_weight=sw)
+@settings(max_examples=100, deadline=None)
+@given(palette_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS, st.integers(1, 40), st.integers(1, 40))
+def test_handcrafted_fold_bytes_equal_map_product(frame, pw, sw, c16, c8):
+    # both add base channel i into channel i % C in float64 from +0.0 and
+    # round once, so the bytes match, signed zeros included.  At C = 1 NumPy
+    # hands the [8, 1] map to BLAS's matrix-vector kernel, which sums the 8
+    # terms in partial sums of its own, so there the last place can differ
+    cfg = EncoderConfig(channels16=c16, channels8=c8, position_weight=pw, std_weight=sw)
     pyr = encode_frame(frame, cfg)
-    want = _reference_levels(
-        frame, cfg, lambda base, level: einsum_projection(base, (c16, c8)[level], seed + level)
-    )
-    np.testing.assert_array_max_ulp(pyr.level16, want[0], maxulp=1)
-    np.testing.assert_array_max_ulp(pyr.level8, want[1], maxulp=1)
-
-
-def test_random_projection_draws_its_maps_once_for_many_frames(monkeypatch):
-    draws = []
-    default_rng = np.random.default_rng
-
-    def counted(seed):
-        draws.append(seed)
-        return default_rng(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", counted)
-    features._channel_maps.cache_clear()
-    cfg = EncoderConfig(mode="random-projection", seed=123)
-    rng = default_rng(37)
-    for _ in range(10):
-        encode_frame(rng.random((48, 64, 3)).astype(np.float32), cfg)
-    assert draws == [123, 124]
+    want = _reference_levels(frame, cfg, lambda base, level: map_product(base, (c16, c8)[level]))
+    for got, ref, c in zip((pyr.level16, pyr.level8), want, (c16, c8)):
+        if c == 1:
+            np.testing.assert_array_max_ulp(got, ref, maxulp=1)
+        else:
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_encoder_weight_bound_keeps_features_in_float32():
     # cells of alternating 0 and 1 pixels have mean 1/2 and the largest std, 1/2
     frame = np.zeros((32, 32, 3), dtype=np.float32)
     frame[::2, ::2] = frame[1::2, 1::2] = 1.0
-    for mode in ("handcrafted", "random-projection"):
-        for channels in (1, 3, 8, 32):
-            for pw, sw in ((MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT),
-                           (-MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT)):
-                cfg = EncoderConfig(mode=mode, channels16=channels, channels8=channels,
-                                    position_weight=pw, std_weight=sw)
-                pyr = encode_frame(frame, cfg)
-                assert np.all(np.isfinite(pyr.level16)) and np.all(np.isfinite(pyr.level8))
+    for channels in (1, 3, 8, 32):
+        for pw, sw in ((MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT),
+                       (-MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT)):
+            cfg = EncoderConfig(channels16=channels, channels8=channels,
+                                position_weight=pw, std_weight=sw)
+            pyr = encode_frame(frame, cfg)
+            assert np.all(np.isfinite(pyr.level16)) and np.all(np.isfinite(pyr.level8))
     for name in ("position_weight", "std_weight"):
         for value in (np.nextafter(MAX_FEATURE_WEIGHT, np.inf), -1e39, np.inf, np.nan):
             with pytest.raises(ConfigError, match=name):
@@ -291,18 +286,10 @@ def test_level8_shape():
     assert pyr.level8.shape[:2] == (6, 10)
 
 
-def test_random_projection_seed_determinism():
-    frame = np.random.default_rng(33).random((32, 32, 3)).astype(np.float32)
-    a = encode_frame(frame, EncoderConfig(mode="random-projection", seed=5))
-    b = encode_frame(frame, EncoderConfig(mode="random-projection", seed=5))
-    c = encode_frame(frame, EncoderConfig(mode="random-projection", seed=6))
-    assert np.array_equal(a.level16, b.level16)
-    assert not np.array_equal(a.level16, c.level16)
-
-
 def test_encoder_config_validation():
-    with pytest.raises(ConfigError):
-        EncoderConfig(mode="learned")
+    for mode in ("learned", "random-projection"):
+        with pytest.raises(ConfigError, match=mode):
+            EncoderConfig(mode=mode)
     with pytest.raises(ConfigError):
         EncoderConfig(channels16=0)
     with pytest.raises(ConfigError):
@@ -400,12 +387,35 @@ def test_weights_file_read_once_per_file_version(tmp_path, monkeypatch):
     mask[8:24, 8:24] = 1
     track_sequence(frames, mask, cfg)
     assert reads == [str(path)]
+    # the maps depend on the file and the channels, not on the handcrafted weights
+    encode_frame(frames[0], dataclasses.replace(enc, position_weight=0.5))
+    assert reads == [str(path)]
     # a rewritten file is read again
     save_weights(path, {k: v + 1.0 for k, v in _weights_dict().items()})
     st = os.stat(path)
     os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
     track_sequence(frames, mask, cfg)
     assert reads == [str(path)] * 2
+
+
+def test_handcrafted_levels_make_no_product(tmp_path, monkeypatch):
+    class ProductCalled(Exception):
+        pass
+
+    def no_product(*args, **kwargs):
+        raise ProductCalled
+
+    monkeypatch.setattr(features, "matmul", no_product)
+    frame = np.random.default_rng(38).random((40, 56, 3)).astype(np.float32)
+    maps = features._weights_maps.cache_info()
+    for channels in (3, 8, 32):
+        encode_frame(frame, EncoderConfig(channels16=channels, channels8=channels))
+    assert features._weights_maps.cache_info() == maps
+    path = tmp_path / "w.mswt"
+    save_weights(path, _weights_dict())
+    with pytest.raises(ProductCalled):
+        encode_frame(frame, EncoderConfig(mode="weights-file", weights_path=str(path),
+                                          channels16=6, channels8=4))
 
 
 def test_weights_rewrite_is_not_cached(tmp_path):
@@ -424,15 +434,19 @@ def test_weights_rewrite_is_not_cached(tmp_path):
         ("handcrafted", 32, 8),
         ("handcrafted", 8, 8),
         ("handcrafted", 4, 4),
-        ("random-projection", 32, 32),
+        ("weights-file", 32, 32),
     ],
 )
-def test_encode_frame_pads_any_frame_size(mode, channels, width):
+def test_encode_frame_pads_any_frame_size(mode, channels, width, tmp_path):
     rng = np.random.default_rng(11)
     frame = rng.random((75, 100, 3)).astype(np.float32)
-    cfg = EncoderConfig(mode=mode, channels16=channels, channels8=channels)
+    path = tmp_path / "w.mswt"
+    save_weights(path, _weights_dict(c16=channels, c8=channels))
+    cfg = EncoderConfig(mode=mode, channels16=channels, channels8=channels,
+                        weights_path=str(path) if mode == "weights-file" else None)
     pyr = encode_frame(frame, cfg)
-    # the handcrafted encoder emits only its min(C, 8) real channels, each non-zero somewhere
+    # the handcrafted encoder emits only its min(C, 8) real channels, each non-zero
+    # somewhere; a weights file's maps emit C
     for level in (pyr.level16, pyr.level8):
         assert level.shape[2] == width
         assert np.all(np.any(level, axis=(0, 1)))
