@@ -53,14 +53,12 @@ from .evaluation import (
 from .features import EncoderConfig, FeaturePyramid, encode_frame, load_weights, save_weights
 from .propagation import (
     GateParams,
-    IdBank,
     MemoryBank,
     MemoryEntry,
     attention_read,
     encode_mask_to_ids,
     gpm_layer,
     gpm_stage,
-    make_id_bank,
     probe_operations,
     read_id_logits,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "FeaturePyramid",
     "FormatError",
     "GateParams",
-    "IdBank",
     "InitError",
     "LabelError",
     "MemoryBank",
@@ -106,7 +103,6 @@ __all__ = [
     "init_reference",
     "load_sequence",
     "load_weights",
-    "make_id_bank",
     "make_tracker",
     "mask_iou",
     "mask_to_box",

@@ -4,7 +4,7 @@ One step runs: encode the frame into stride-16 and stride-8 feature maps,
 propagate ID embeddings at stride 16 (2 gated layers), bilinearly upsample
 the propagated IDs to stride 8 where they enter as a coarse prior scaled by
 0.5 * prior_weight, propagate at stride 8 (1 layer) on the cells where
-stride 16 is unsure, read per-label logits against the ID bank, upsample
+stride 16 is unsure, read each label's logit as its id column, upsample
 the logits to pixel resolution and take the per-pixel argmax.  Boxes are
 the minimum external rectangles of the predicted labels.
 
@@ -34,14 +34,14 @@ encoder.channels16 or channels8, not the level's width: the handcrafted
 encoder emits only its 8 real channels of the default 32, and memory records
 C, so the score scale stays temperature * sqrt(C).
 
-The engine's id bank is the (max_objects + 1)-row identity, so memory id rows
-are one-hot labels (majority-label encoding of the stored mask): a memory
-row is [keys | max_objects + 1 labels].  Every id-branch operation (the
-gated reads, `scale_rows`, the prior's resize, `read_id_logits`) commutes
-with an orthonormal change of basis, so any orthonormal bank decodes the
-same labels up to rounding, and the identity is the narrowest.  The decode
-of an undisturbed frame reduces to `coarse_reconstruct`: `step`'s own prior
-and readout over that bank, with exact reads in place of attention.
+Memory id rows are one-hot labels (majority-label encoding of the stored
+mask), so a memory row is [keys | max_objects + 1 labels] and a label's
+logit is its id column.  Every id-branch operation (the gated reads,
+`scale_rows`, the prior's resize, the logit readout) commutes with an
+orthonormal change of basis, so any orthonormal embedding of the labels
+decodes the same labels up to rounding; one-hot columns are the narrowest.
+The decode of an undisturbed frame reduces to `coarse_reconstruct`:
+`step`'s own prior and readout, with exact reads in place of attention.
 
 Target loss is total: if a step predicts an empty mask, the last known box
 is repeated with the lost flag set and memory is left unchanged for that
@@ -73,7 +73,6 @@ from .kernels import FLOAT32_MAX, bilinear_resize, channel_argmax
 from .kernels import matmul  # noqa: F401
 from .propagation import (
     DEFAULT_TEMPERATURE,
-    IdBank,
     MemoryBank,
     MemoryEntry,
     encode_mask_to_ids,
@@ -149,7 +148,6 @@ class EngineConfig:
 
 @dataclass
 class EngineState:
-    bank: IdBank
     memory: MemoryBank
     k: int  # current object count
     frame_index: int
@@ -189,19 +187,13 @@ def _validate_mask(mask: np.ndarray, frame: np.ndarray, cfg: EngineConfig) -> np
     return m.astype(np.uint8)
 
 
-def _write_memory(memory: MemoryBank, bank, mask, f16, f8, frame_index, long_term, enc) -> None:
-    """Store one frame's match rows and mask as memory at both scales; each
-    entry records its level's channel count, which sets the score scale."""
+def _write_memory(memory: MemoryBank, num_labels, mask, f16, f8, frame_index, long_term, enc):
+    """Store one frame's match rows and mask, as one-hot rows of `num_labels`
+    labels, as memory at both scales; each entry records its level's channel
+    count, which sets the score scale."""
     for scale, rows, c in ((16, f16, enc.channels16), (8, f8, enc.channels8)):
-        ids = _rows(encode_mask_to_ids(mask, bank, scale))
+        ids = _rows(encode_mask_to_ids(mask, num_labels, scale))
         memory.write(MemoryEntry(scale, rows, ids, frame_index, channels=c), long_term)
-
-
-def _label_bank(max_objects: int) -> IdBank:
-    """The (max_objects + 1)-row identity bank: row j is label j's one-hot row."""
-    eye = np.eye(max_objects + 1, dtype=np.float32)
-    eye.flags.writeable = False
-    return IdBank(max_objects, max_objects + 1, eye, seed=0)
 
 
 def init_reference(
@@ -219,16 +211,15 @@ def init_reference(
     k = int(m.max(initial=0))
     if k < 1:
         raise InitError("reference mask has no foreground labels")
-    bank = _label_bank(cfg.max_objects)
     pyr = encode_frame(f, cfg.encoder)
     memory = MemoryBank()
     f16, f8 = _match_rows(pyr, cfg)
     _write_memory(
-        memory, bank, pad_to_multiple(m), f16, f8, frame_index=0, long_term=True, enc=cfg.encoder
+        memory, cfg.max_objects + 1, pad_to_multiple(m), f16, f8,
+        frame_index=0, long_term=True, enc=cfg.encoder,
     )
     boxes = {label: mask_to_box(m, label) for label in range(1, k + 1)}
     return EngineState(
-        bank=bank,
         memory=memory,
         k=k,
         frame_index=0,
@@ -246,10 +237,10 @@ def _prior8(ids16: np.ndarray, grid8: tuple, prior_weight: float) -> np.ndarray:
     return np.float32(FUSE_GATE) * (np.float32(prior_weight) * prior8)
 
 
-def _read_labels(ids8: np.ndarray, bank: IdBank, k: int, grid8: tuple) -> np.ndarray:
-    """Padded-frame labels of stride-8 id rows read against bank rows 0..k."""
+def _read_labels(ids8: np.ndarray, k: int, grid8: tuple) -> np.ndarray:
+    """Padded-frame labels of stride-8 id rows read as logits of labels 0..k."""
     h8, w8 = grid8
-    logits8 = read_id_logits(ids8, bank, k).reshape(h8, w8, k + 1)
+    logits8 = read_id_logits(ids8, k).reshape(h8, w8, k + 1)
     return channel_argmax(bilinear_resize(logits8, 8 * h8, 8 * w8))
 
 
@@ -283,12 +274,12 @@ def _decode_step(state: EngineState, pyr) -> tuple:
     cfg = state.config
     h16, w16 = pyr.level16.shape[:2]
     grid8 = pyr.level8.shape[:2]
-    d = state.bank.id_dim
+    d = state.memory.at(16).short_term.id_values.shape[1]
 
     f16, f8 = _match_rows(pyr, cfg)
     zeros16 = np.zeros((h16 * w16, d), dtype=np.float32)
     ids16 = gpm_stage(f16, zeros16, state.memory.at(16), cfg.gpm_layers16, cfg.temperature)
-    labels16 = channel_argmax(read_id_logits(ids16, state.bank, state.k).reshape(h16, w16, -1))
+    labels16 = channel_argmax(read_id_logits(ids16, state.k).reshape(h16, w16, -1))
     rows = _refine_rows(labels16, state.k)
     ids8 = _prior8(ids16.reshape(h16, w16, d), grid8, cfg.prior_weight)
     if rows.size:
@@ -296,7 +287,7 @@ def _decode_step(state: EngineState, pyr) -> tuple:
             f8.take(rows, 0), ids8.take(rows, 0), state.memory.at(8), cfg.gpm_layers8,
             cfg.temperature,
         )
-    return _read_labels(ids8, state.bank, state.k, grid8), f16, f8
+    return _read_labels(ids8, state.k, grid8), f16, f8
 
 
 def step(state: EngineState, frame: np.ndarray):
@@ -332,7 +323,8 @@ def step(state: EngineState, frame: np.ndarray):
         every = cfg.long_term_every
         cadence = every > 0 and state.frame_index % every == 0
         _write_memory(
-            state.memory, state.bank, padded, f16, f8, state.frame_index, cadence, cfg.encoder
+            state.memory, cfg.max_objects + 1, padded, f16, f8, state.frame_index, cadence,
+            cfg.encoder,
         )
     return pred, boxes, state
 
@@ -341,7 +333,7 @@ def coarse_reconstruct(mask: np.ndarray, num_labels: int | None = None) -> np.nd
     """Reference mask as the decode path reproduces it from its own memory:
     `step`'s own prior and readout (`_prior8`, `_read_labels`) with exact
     reads in place of attention, applied to the mask's own rows, edge-padded
-    as `step` pads them and encoded over `step`'s identity bank.  With
+    as `step` pads them and encoded as `num_labels` one-hot columns.  With
     default engine settings, stepping on a frame identical to the reference
     decodes to exactly this mask (up to attention leakage between
     look-alike cells)."""
@@ -349,13 +341,10 @@ def coarse_reconstruct(mask: np.ndarray, num_labels: int | None = None) -> np.nd
     if m.ndim != 2 or m.dtype.kind not in "biu":
         raise ShapeError(f"mask must be a 2-d integer or bool array, got {m.dtype} {m.shape}")
     n = int(num_labels if num_labels is not None else m.max(initial=0) + 1)
-    if n < 1:
-        raise LabelError(f"num_labels must be >= 1, got {n}")
-    bank = _label_bank(n - 1)
     p = pad_to_multiple(m)
-    ids16, ids8 = (encode_mask_to_ids(p, bank, stride) for stride in (16, 8))
+    ids16, ids8 = (encode_mask_to_ids(p, n, stride) for stride in (16, 8))
     prior8 = _prior8(ids16, ids8.shape[:2], EngineConfig.prior_weight)
-    labels = _read_labels(prior8 + _rows(ids8), bank, n - 1, ids8.shape[:2])
+    labels = _read_labels(prior8 + _rows(ids8), n - 1, ids8.shape[:2])
     return labels[: m.shape[0], : m.shape[1]]
 
 

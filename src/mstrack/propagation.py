@@ -1,15 +1,15 @@
 """Identification embeddings, per-scale memory, and gated propagation.
 
 The propagation core transfers mask identity from memory frames to the
-current frame.  Each tracked object (plus background, row 0) owns a fixed
-embedding row in an IdBank.  A mask is encoded into a per-cell ID map by
-majority vote inside each stride cell.  Each stride keeps one long-term
-entry, anchored on the reference frame, whose rows are the reference rows
-followed by those of every later long-term frame, and a short-term entry
-for the last stored frame.  `MemoryBank.write` is the only code that
-extends long-term memory; it merges each new long-term entry into that one
-there, so no read merges anything and no frame's own entry outlives its
-turn as short term.  Each gated propagation layer of a stage reads
+current frame.  Each tracked object (plus background, label 0) owns one id
+column: a mask is encoded into per-cell one-hot label rows by majority vote
+inside each stride cell, and a label's logit is its id column.  Each stride
+keeps one long-term entry, anchored on the reference frame, whose rows are
+the reference rows followed by those of every later long-term frame, and a
+short-term entry for the last stored frame.  `MemoryBank.write` is the only
+code that extends long-term memory; it merges each new long-term entry into
+that one there, so no read merges anything and no frame's own entry outlives
+its turn as short term.  Each gated propagation layer of a stage reads
 long-term then short-term memory through shared softmax attention computed
 from visual features only, and applies the read to both branches through a
 sigmoid-gated residual:
@@ -27,13 +27,12 @@ encoder emits only its 8 real channels of the default C = 32.
 An entry holds its rows once, as one float64 [N, L+D] array of float32
 values (`values`), 8 (L + D) bytes a row; its keys and id rows are views of
 it, so a read converts only the query and the attention map.  The engine's
-bank is the (max_objects + 1)-row identity, so its id rows are one-hot
-labels and D = max_objects + 1: a row is 104 B at the defaults (L = 8,
-D = 5).  Each long-term write builds one new merged entry, the kept rows
-then the new frame's in one concatenation, and the entry it replaces is
-freed once nothing else holds it.  No array is written after the entry that
-views it is built, so banks given the same memory, or a memory set back to
-an earlier one, never see each other's rows.
+id rows are one-hot labels, D = max_objects + 1: a row is 104 B at the
+defaults (L = 8, D = 5).  Each long-term write builds one new merged entry,
+the kept rows then the new frame's in one concatenation, and the entry it
+replaces is freed once nothing else holds it.  No array is written after the
+entry that views it is built, so banks given the same memory, or a memory
+set back to an earlier one, never see each other's rows.
 
 A read is serial: it takes its query rows in chunks of `CELL_BUDGET // m`
 rows (at least one) against m memory rows, so a chunk's float64 scores take
@@ -64,84 +63,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, ShapeError, StateError, check_range
+from .errors import LabelError, ShapeError, StateError, check_range
 from .kernels import matmul, softmax
 
-MAX_BANK_RESEEDS = 100
-MAX_PAIRWISE_DOT = 0.9
 DEFAULT_TEMPERATURE = 0.1
+# labels 0..255: masks are 8-bit
+MAX_LABELS = 256
 # query rows x memory rows per attention chunk: 1 MB of float64 scores
 CELL_BUDGET = 1 << 17
-
-
-# --------------------------------------------------------------------------
-# identification bank
-
-
-@dataclass(frozen=True)
-class IdBank:
-    max_objects: int
-    id_dim: int
-    embeddings: np.ndarray  # [(M+1), D], row 0 = background
-    seed: int
-
-
-def _orthonormal_rows(a: np.ndarray) -> np.ndarray | None:
-    """Modified Gram-Schmidt over rows; None if a row degenerates."""
-    out = a.astype(np.float64).copy()
-    n = out.shape[0]
-    for i in range(n):
-        for j in range(i):
-            out[i] -= np.dot(out[j], out[i]) * out[j]
-        norm = np.linalg.norm(out[i])
-        if norm < 1e-9:
-            return None
-        out[i] /= norm
-    return out
-
-
-def make_id_bank(max_objects: int, id_dim: int, seed: int) -> IdBank:
-    """Build the (M+1)-row identification bank from a seeded Gaussian.
-
-    Rows are unit-norm.  When id_dim allows (D >= M+1) the rows are made
-    mutually orthogonal, which keeps the label readout free of cross-talk;
-    otherwise plain normalization is used and the seed is incremented until
-    all pairwise |dot| < 0.9 (configuration error after 100 attempts).
-    """
-    check_range("max_objects", max_objects, 1)
-    check_range("id_dim", id_dim, 2)
-    rows = max_objects + 1
-    for attempt in range(MAX_BANK_RESEEDS):
-        rng = np.random.default_rng(seed + attempt)
-        raw = rng.standard_normal((rows, id_dim))
-        if id_dim >= rows:
-            emb = _orthonormal_rows(raw)
-            if emb is None:
-                continue
-        else:
-            norms = np.linalg.norm(raw, axis=1, keepdims=True)
-            if norms.min() < 1e-9:
-                continue
-            emb = raw / norms
-        dots = emb @ emb.T
-        off = np.abs(dots - np.eye(rows))
-        if off.max() < MAX_PAIRWISE_DOT:
-            e = np.ascontiguousarray(emb, dtype=np.float32)
-            e.setflags(write=False)
-            return IdBank(max_objects=max_objects, id_dim=id_dim, embeddings=e, seed=seed)
-    raise ConfigError(
-        f"could not build an id bank with max pairwise dot < {MAX_PAIRWISE_DOT} "
-        f"for M={max_objects}, D={id_dim} after {MAX_BANK_RESEEDS} seeds"
-    )
-
-
-def permuted_bank(bank: IdBank, perm: dict[int, int]) -> IdBank:
-    """Bank with rows moved so new row perm[k] equals old row k (row 0 fixed)."""
-    emb = bank.embeddings.copy()
-    for src, dst in perm.items():
-        emb[dst] = bank.embeddings[src]
-    emb.setflags(write=False)
-    return IdBank(bank.max_objects, bank.id_dim, emb, bank.seed)
 
 
 # --------------------------------------------------------------------------
@@ -333,15 +262,18 @@ def majority_downsample(mask: np.ndarray, stride: int, num_labels: int) -> np.nd
     return np.argmax(counts, axis=2).astype(np.int32)
 
 
-def encode_mask_to_ids(mask: np.ndarray, bank: IdBank, stride: int) -> np.ndarray:
-    """Map a label mask to per-cell ID embeddings at the given stride.
+def encode_mask_to_ids(mask: np.ndarray, num_labels: int, stride: int) -> np.ndarray:
+    """Map a label mask to per-cell one-hot label rows at the given stride.
 
-    Each stride cell receives the exact bank row of its area-majority label.
-    Labels outside [0, max_objects] raise `LabelError`.  Returns
-    [H/stride, W/stride, D].
+    Each stride cell receives the one-hot float32 row of its area-majority
+    label, one column per label.  A label count outside [1, MAX_LABELS] and
+    labels outside [0, num_labels) raise `LabelError`.  Returns
+    [H/stride, W/stride, num_labels].
     """
-    labels = majority_downsample(mask, stride, bank.max_objects + 1)
-    return bank.embeddings[labels]
+    if not 1 <= num_labels <= MAX_LABELS:
+        raise LabelError(f"num_labels must lie in [1, {MAX_LABELS}], got {num_labels}")
+    labels = majority_downsample(mask, stride, num_labels)
+    return np.eye(num_labels, dtype=np.float32)[labels]
 
 
 # --------------------------------------------------------------------------
@@ -487,14 +419,13 @@ def gpm_stage(
     return ids
 
 
-def read_id_logits(ids: np.ndarray, bank: IdBank, k: int) -> np.ndarray:
-    """Per-cell logits against bank rows 0..k: logits[c, j] = ids[c] . row_j."""
-    if k > bank.max_objects:
-        raise LabelError(f"k={k} exceeds bank max_objects={bank.max_objects}")
-    if k < 0:
-        raise LabelError(f"k must be >= 0, got {k}")
-    rows = np.ascontiguousarray(bank.embeddings[: k + 1].T)
-    return matmul(np.asarray(ids, dtype=np.float32), rows)
+def read_id_logits(ids: np.ndarray, k: int) -> np.ndarray:
+    """Per-cell logits of labels 0..k: the first k + 1 id columns, as a view."""
+    a = np.asarray(ids, dtype=np.float32)
+    d = a.shape[-1]
+    if not 0 <= k < d:
+        raise LabelError(f"k must lie in [0, {d - 1}] for {d} id columns, got {k}")
+    return a[..., : k + 1]
 
 
 # --------------------------------------------------------------------------

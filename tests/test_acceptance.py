@@ -35,13 +35,10 @@ from mstrack.propagation import (
     MemoryEntry,
     ScaleMemory,
     attention_read,
-    encode_mask_to_ids,
     gpm_layer,
     gpm_stage,
-    make_id_bank,
-    permuted_bank,
+    majority_downsample,
     probe_operations,
-    read_id_logits,
     scale_rows,
 )
 
@@ -144,32 +141,37 @@ def test_A2_propagation_invariants():
     mask[32:, 32:] = 2
     feats = scale_rows(rng.normal(size=(16, 12)).astype(np.float32), 30.0)
 
+    def orthonormal_bank(rows, dim, seed):
+        # seeded orthonormal label embeddings: the QR of a Gaussian
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, rows)))
+        return np.ascontiguousarray(q.T, dtype=np.float32)
+
     def decode(bank, m):
-        ids_mem = encode_mask_to_ids(m, bank, 16).reshape(16, -1)
+        ids_mem = bank[majority_downsample(m, 16, 3)].reshape(16, -1)
         entry = MemoryEntry(16, feats, ids_mem, 0)
         memory = ScaleMemory(long_term=[entry], short_term=entry)
-        out = gpm_stage(feats, np.zeros((16, bank.id_dim), dtype=np.float32),
+        out = gpm_stage(feats, np.zeros((16, bank.shape[1]), dtype=np.float32),
                         memory, 2)
-        return np.argmax(read_id_logits(out, bank, 2), axis=1)
+        return np.argmax(out @ bank[:3].T, axis=1)
 
-    bank = make_id_bank(2, 16, 9)
+    bank = orthonormal_bank(3, 16, 9)
     labels = decode(bank, mask)
     swapped = np.where(mask == 1, 2, np.where(mask == 2, 1, 0)).astype(np.int32)
-    labels_swapped = decode(permuted_bank(bank, {1: 2, 2: 1}), swapped)
+    labels_swapped = decode(bank[[0, 2, 1]], swapped)
     assert np.array_equal(labels_swapped, np.array([0, 2, 1])[labels])
 
     # operation counts do not depend on the number of tracked objects
     signatures = {}
     for k in (1, 2, 3):
-        bank = make_id_bank(3, 16, 4)
+        bank = orthonormal_bank(4, 16, 4)
         m = np.zeros((64, 64), dtype=np.int32)
         for lbl in range(1, k + 1):
             m[(lbl - 1) * 16:lbl * 16] = lbl
-        ids_mem = encode_mask_to_ids(m, bank, 16).reshape(16, -1)
+        ids_mem = bank[majority_downsample(m, 16, 4)].reshape(16, -1)
         entry = MemoryEntry(16, feats, ids_mem, 0)
         memory = ScaleMemory(long_term=[entry], short_term=entry)
         with probe_operations() as ops:
-            gpm_stage(feats, np.zeros((16, bank.id_dim), dtype=np.float32),
+            gpm_stage(feats, np.zeros((16, bank.shape[1]), dtype=np.float32),
                       memory, 2)
         signatures[k] = list(ops)
     assert signatures[1] == signatures[2] == signatures[3]

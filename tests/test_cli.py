@@ -310,7 +310,7 @@ def test_track_overflowing_weights_file_exits_two(mini_dataset, tmp_path, capsys
 @pytest.mark.parametrize("key", ["engine.id_dim", "engine.seed", "encoder.seed"])
 @pytest.mark.parametrize("command", ["track", "eval"])
 def test_retired_bank_keys_are_unknown_when_the_config_loads(key, command, tmp_path, capsys):
-    # the id bank is the one-hot identity, so its width and seed are no keys,
+    # id rows are one-hot label columns, so their width and seed are no keys,
     # and no encoder draws a seeded map; checked before the data is read: a
     # missing sequence would exit 2
     p = tmp_path / "run.cfg"

@@ -18,17 +18,15 @@ from mstrack.engine import (
 )
 from mstrack.errors import ConfigError, InitError, LabelError, ShapeError
 from mstrack.features import EncoderConfig, pad_to_multiple
-from mstrack.kernels import bilinear_resize, channel_argmax
+from mstrack.kernels import bilinear_resize, channel_argmax, matmul
 from mstrack.propagation import (
     MemoryBank,
     MemoryEntry,
     ScaleMemory,
     gpm_stage,
     majority_downsample,
-    make_id_bank,
     merge_entries,
     probe_operations,
-    read_id_logits,
 )
 
 CFG = EngineConfig()
@@ -101,7 +99,7 @@ def test_coarse_reconstruct_rounds_only_the_corners():
 
 def onehot_reconstruct(mask, num_labels=None):
     """`coarse_reconstruct` written out as one-hot planes: the reference its
-    decode over an identity bank must match byte for byte."""
+    decode of one-hot label columns must match byte for byte."""
     n = int(num_labels if num_labels is not None else mask.max(initial=0) + 1)
     h, w = mask.shape
     p = pad_to_multiple(mask)
@@ -133,10 +131,15 @@ def test_coarse_reconstruct_bytes_equal_onehot_form(rendered_suite):
                 np.zeros((16, 16)), np.full((16, 16), np.nan)):
         with pytest.raises(ShapeError):
             coarse_reconstruct(bad)
-    # and a label count that leaves out a label of the mask, or every label
-    for num_labels in (1, 0, -1):
+    # and a label count that leaves out a label of the mask, or every label,
+    # or exceeds the 256 labels of an 8-bit mask
+    for num_labels in (1, 0, -1, 257, 2**40):
         with pytest.raises(LabelError):
             coarse_reconstruct(np.ones((16, 16), np.int32), num_labels)
+    # as does a mask whose labels imply such a count
+    for top in (256, 2**40):
+        with pytest.raises(LabelError):
+            coarse_reconstruct(np.full((16, 16), top, np.int64))
 
 
 # -- step ------------------------------------------------------------------------
@@ -470,7 +473,7 @@ def _full_grid_stride8(state, frame):
     pyr = features.encode_frame(features.validate_frame(frame), cfg.encoder)
     h16, w16 = pyr.level16.shape[:2]
     f16, f8 = engine._match_rows(pyr, cfg)
-    zeros16 = np.zeros((h16 * w16, state.bank.id_dim), dtype=np.float32)
+    zeros16 = np.zeros((h16 * w16, state.memory.at(16).short_term.id_values.shape[1]), np.float32)
     ids16 = gpm_stage(f16, zeros16, state.memory.at(16), cfg.gpm_layers16, cfg.temperature)
     prior = engine._prior8(ids16.reshape(h16, w16, -1), pyr.level8.shape[:2], cfg.prior_weight)
     return prior, gpm_stage(f8, prior, state.memory.at(8), cfg.gpm_layers8, cfg.temperature)
@@ -516,10 +519,10 @@ def test_refined_stride8_rows_keep_the_bytes_of_a_full_grid_stage(rendered_suite
         assert shares >= {"all", "some"}
 
 
-def _moved_onto(state, bank):
+def _moved_onto(state, basis):
     """`state` with every memory id row, a one-hot label row, replaced by
-    that label's row of `bank`."""
-    rows = bank.embeddings[: state.bank.max_objects + 1].astype(np.float64)
+    that label's row of `basis`."""
+    rows = basis.astype(np.float64)
 
     def moved(e):
         ids = (e.id_values @ rows).astype(np.float32)
@@ -529,35 +532,46 @@ def _moved_onto(state, bank):
         scale: ScaleMemory(tuple(moved(e) for e in mem.long_term), moved(mem.short_term))
         for scale, mem in state.memory.scales.items()
     })
-    cfg = dataclasses.replace(state.config, max_objects=bank.max_objects)
-    return dataclasses.replace(state, bank=bank, memory=memory, config=cfg)
+    return dataclasses.replace(state, memory=memory)
 
 
-# the seeded 32-dim bank the engine drew before its rows became one-hot, and
-# the label bank of max_objects = 255, whose columns past label 4 hold zeros
-OTHER_BANKS = {"seeded": lambda: make_id_bank(4, 32, 7), "wide": lambda: engine._label_bank(255)}
+def _seeded_basis(rows, dim, seed):
+    """`rows` orthonormal float32 rows of width `dim`: the QR of a seeded Gaussian."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, rows)))
+    return np.ascontiguousarray(q.T, dtype=np.float32)
 
 
-@pytest.mark.parametrize("other", sorted(OTHER_BANKS))
+# a seeded 32-dim basis of the 5 labels, like the Gaussian embeddings drawn
+# before id rows became one-hot, and the first 5 rows of a 256-label identity,
+# whose columns past label 4 hold zeros
+OTHER_BASES = {
+    "seeded": lambda: _seeded_basis(5, 32, 7),
+    "wide": lambda: np.eye(5, 256, dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("other", sorted(OTHER_BASES))
 @pytest.mark.parametrize("ident", ["s01_slow_rect", "s05_partial_occ", "s08_checker"])
 def test_an_orthonormal_bank_gives_the_label_banks_logits(ident, other, rendered_suite, monkeypatch):
     # every id-branch operation commutes with an orthonormal change of basis,
-    # so any bank of orthonormal rows reads, at every step, the logits of the
-    # one-hot label rows; logits, not masks, since a near-tie pixel may round
-    # either way
-    old = OTHER_BANKS[other]()
+    # so memory id rows of any orthonormal basis, read against that basis,
+    # give at every step the logits of the one-hot label columns; logits, not
+    # masks, since a near-tie pixel may round either way
+    basis = OTHER_BASES[other]()
     frames, masks, _ = rendered_suite[ident]
     state = init_reference(frames[0], masks[0], CFG)
-    assert state.bank.embeddings.tobytes() == np.eye(CFG.max_objects + 1, dtype=np.float32).tobytes()
+    assert state.memory.at(16).short_term.id_values.shape[1] == CFG.max_objects + 1
     logits, refined = [], []
     read, refine_rows = engine.read_id_logits, engine._refine_rows
 
-    def read_spy(ids, bank, k):
-        logits.append(read(ids, bank, k))
+    def read_spy(ids, k):
+        # label rows read their id columns, rows of the basis's width its rows
+        moved = ids.shape[1] == basis.shape[1]
+        logits.append(matmul(ids, basis[: k + 1].T) if moved else read(ids, k))
         return logits[-1]
 
     def refine_spy(labels16, k):
-        # the old-bank run refines the rows the label run refined, so that a
+        # the other run refines the rows the label run refined, so that a
         # stride-16 near-tie cannot change which rows are compared
         if len(refined) < 2:
             refined.append(refine_rows(labels16, k))
@@ -567,17 +581,49 @@ def test_an_orthonormal_bank_gives_the_label_banks_logits(ident, other, rendered
     monkeypatch.setattr(engine, "_refine_rows", refine_spy)
     for frame in frames[1:7]:
         pyr = features.encode_frame(features.validate_frame(frame), CFG.encoder)
-        other = _moved_onto(state, old)
+        other = _moved_onto(state, basis)
         logits.clear()
         refined.clear()
         engine._decode_step(state, pyr)
         engine._decode_step(other, pyr)
-        # stride-16 and stride-8 logits, label run then old-bank run
+        # stride-16 and stride-8 logits, label run then other run
         (labels16, labels8, old16, old8) = logits
         assert labels16.shape[1] == labels8.shape[1] == state.k + 1
         np.testing.assert_allclose(old16, labels16, rtol=0, atol=2e-6)
         np.testing.assert_allclose(old8, labels8, rtol=0, atol=2e-6)
         step(state, frame)
+
+
+def _identity_product(ids, k):
+    """Logits as the product of the id rows with the first k + 1 rows of
+    their width's identity, as the engine read them before it sliced."""
+    eye = np.eye(ids.shape[1], dtype=np.float32)
+    return matmul(ids, np.ascontiguousarray(eye[: k + 1].T))
+
+
+@pytest.mark.parametrize("ident", ["s01_slow_rect", "s05_partial_occ", "s08_checker"])
+def test_label_columns_read_the_identity_products_logits(ident, rendered_suite, monkeypatch):
+    # slicing the id columns gives every step's logits the identity product
+    # gave, up to the sign of a zero, which == does not see; so the masks
+    # are the same bytes
+    frames, masks, _ = rendered_suite[ident]
+    runs = []
+    for read in (engine.read_id_logits, _identity_product):
+        logits = []
+
+        def read_spy(ids, k, read=read, logits=logits):
+            logits.append(np.array(read(ids, k)))
+            return logits[-1]
+
+        monkeypatch.setattr(engine, "read_id_logits", read_spy)
+        preds = [pred.tobytes() for _, pred in track_sequence(frames, masks[0], CFG)]
+        runs.append((logits, preds))
+    (sliced, sliced_preds), (product, product_preds) = runs
+    assert sliced_preds == product_preds
+    # one stride-16 and one stride-8 readout per step
+    assert len(sliced) == len(product) == 2 * (len(frames) - 1)
+    for a, b in zip(sliced, product):
+        assert a.shape == b.shape and (a == b).all()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,4 +1,4 @@
-"""ID bank, memory, attention reads, gated propagation layers and stages."""
+"""Label encoding, memory, attention reads, gated propagation layers and stages."""
 
 import dataclasses
 import gc
@@ -19,9 +19,9 @@ from mstrack.kernels import matmul
 from mstrack.propagation import (
     CELL_BUDGET,
     CLOSED_GATE_BIAS,
+    MAX_LABELS,
     DEFAULT_TEMPERATURE,
     GateParams,
-    IdBank,
     MemoryBank,
     MemoryEntry,
     ScaleMemory,
@@ -30,9 +30,7 @@ from mstrack.propagation import (
     gpm_layer,
     gpm_stage,
     majority_downsample,
-    make_id_bank,
     merge_entries,
-    permuted_bank,
     probe_operations,
     read_id_logits,
     scale_rows,
@@ -55,47 +53,6 @@ def majority_oracle(mask, stride, num_labels):
 def entry(keys, ids, scale=16, frame_index=0):
     return MemoryEntry(scale=scale, keys=np.asarray(keys, dtype=np.float32),
                        id_values=np.asarray(ids, dtype=np.float32), frame_index=frame_index)
-
-
-# -- id bank ---------------------------------------------------------------
-
-def test_bank_determinism_and_norms():
-    a = make_id_bank(1, 8, 42)
-    b = make_id_bank(1, 8, 42)
-    assert np.array_equal(a.embeddings, b.embeddings)
-    norms = np.linalg.norm(a.embeddings, axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-6)
-
-
-def test_bank_pairwise_dots_bounded():
-    bank = make_id_bank(3, 64, 0)
-    dots = bank.embeddings @ bank.embeddings.T
-    off = np.abs(dots - np.eye(4))
-    assert off.max() < 0.9
-
-
-def test_bank_orthogonal_when_dim_allows():
-    bank = make_id_bank(4, 32, 7)
-    dots = bank.embeddings @ bank.embeddings.T
-    np.testing.assert_allclose(dots, np.eye(5), atol=1e-6)
-
-
-def test_bank_low_dim_path_still_satisfies_invariants():
-    bank = make_id_bank(5, 3, 1)  # 6 rows in 3 dims: cannot be orthogonal
-    norms = np.linalg.norm(bank.embeddings, axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-6)
-    dots = bank.embeddings @ bank.embeddings.T
-    assert np.abs(dots - np.eye(6)).max() < 0.9
-
-
-def test_bank_rejects_bad_args_and_is_write_protected():
-    with pytest.raises(ConfigError):
-        make_id_bank(0, 8, 0)
-    with pytest.raises(ConfigError):
-        make_id_bank(1, 1, 0)
-    bank = make_id_bank(2, 8, 0)
-    with pytest.raises(ValueError):
-        bank.embeddings[0, 0] = 5.0
 
 
 # -- mask downsampling -----------------------------------------------------
@@ -168,44 +125,47 @@ def test_majority_rejects_indivisible_dims():
         majority_downsample(np.zeros((10, 16), dtype=np.int32), 16, 2)
     # nor may a mask hold other than 2-d integer or bool labels, which
     # np.bincount would refuse with a raw TypeError for floats
-    bank = make_id_bank(2, 8, 0)
     for bad in (np.zeros((16, 16)), np.ones((16, 16), np.float32), np.zeros(16, np.int32),
                 np.zeros((16, 16, 1), np.int32), np.full((16, 16), "1")):
         with pytest.raises(ShapeError):
             majority_downsample(bad, 8, 2)
         with pytest.raises(ShapeError):
-            encode_mask_to_ids(bad, bank, 8)
+            encode_mask_to_ids(bad, 3, 8)
 
 
 def test_encode_mask_all_background():
-    bank = make_id_bank(2, 8, 0)
-    ids = encode_mask_to_ids(np.zeros((32, 32), dtype=np.int32), bank, 16)
-    assert np.array_equal(ids, np.broadcast_to(bank.embeddings[0], (2, 2, 8)))
+    ids = encode_mask_to_ids(np.zeros((32, 32), dtype=np.int32), 3, 16)
+    assert ids.dtype == np.float32
+    assert np.array_equal(ids, np.broadcast_to(np.eye(3)[0], (2, 2, 3)))
 
 
 def test_encode_mask_aligned_cell():
-    bank = make_id_bank(2, 8, 0)
     mask = np.zeros((32, 32), dtype=np.int32)
     mask[16:32, 0:16] = 1
-    ids = encode_mask_to_ids(mask, bank, 16)
-    assert np.array_equal(ids[1, 0], bank.embeddings[1])
-    assert np.array_equal(ids[0, 0], bank.embeddings[0])
+    ids = encode_mask_to_ids(mask, 3, 16)
+    assert np.array_equal(ids[1, 0], [0.0, 1.0, 0.0])
+    assert np.array_equal(ids[0, 0], [1.0, 0.0, 0.0])
 
 
 def test_encode_mask_rows_are_exact_bank_rows():
-    bank = make_id_bank(3, 16, 3)
+    # each cell's row is the one-hot float32 row of its majority label
     rng = np.random.default_rng(42)
-    mask = rng.integers(0, 4, size=(64, 64)).astype(np.int32)
-    ids = encode_mask_to_ids(mask, bank, 16)
-    labels = majority_oracle(mask, 16, 4)
-    assert np.array_equal(ids, bank.embeddings[labels])
+    for num_labels in (4, MAX_LABELS):
+        mask = rng.integers(0, 4, size=(64, 64)).astype(np.int32)
+        ids = encode_mask_to_ids(mask, num_labels, 16)
+        labels = majority_oracle(mask, 16, 4)
+        want = np.eye(num_labels, dtype=np.float32)[labels]
+        assert (ids.dtype, ids.shape, ids.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_encode_mask_label_overflow():
-    bank = make_id_bank(1, 8, 0)
     mask = np.full((16, 16), 2, dtype=np.int32)
     with pytest.raises(LabelError):
-        encode_mask_to_ids(mask, bank, 16)
+        encode_mask_to_ids(mask, 2, 16)
+    # a label count outside 1..MAX_LABELS is refused before anything is allocated
+    for num_labels in (0, -1, MAX_LABELS + 1, 2**40):
+        with pytest.raises(LabelError):
+            encode_mask_to_ids(np.zeros((16, 16), dtype=np.int64), num_labels, 16)
 
 
 # -- attention reads --------------------------------------------------------
@@ -947,26 +907,27 @@ def test_reads_of_a_grown_long_term_memory_keep_their_bytes(monkeypatch):
             assert np.concatenate([vis, id_read], axis=1).tobytes() == want.tobytes()
 
 
-def _stage_setup(n_cells=4, d=8):
-    bank = make_id_bank(3, d, 2)
-    keys = (40.0 * np.eye(n_cells)).astype(np.float32)
+def _stage_setup():
+    """(label count, keys, labels, memory) of four cells, each its own key,
+    whose id rows are the one-hot rows of labels 0..3."""
+    keys = (40.0 * np.eye(4)).astype(np.float32)
     labels = np.array([0, 1, 2, 0], dtype=np.int32)
-    mem_entry = entry(keys, bank.embeddings[labels])
+    mem_entry = entry(keys, np.eye(4, dtype=np.float32)[labels])
     memory = ScaleMemory(long_term=[mem_entry], short_term=mem_entry)
-    return bank, keys, labels, memory
+    return 4, keys, labels, memory
 
 
 def test_gpm_stage_single_layer_equals_gpm_layer():
-    bank, keys, labels, memory = _stage_setup()
-    ids0 = np.zeros((4, bank.id_dim), dtype=np.float32)
+    d, keys, labels, memory = _stage_setup()
+    ids0 = np.zeros((4, d), dtype=np.float32)
     got = gpm_stage(keys, ids0, memory, 1)
     _, want = gpm_layer(keys, ids0, memory.long_term[0], memory.short_term)
     assert np.array_equal(got, want)
 
 
 def test_gpm_stage_two_layers_equal_manual_composition():
-    bank, keys, labels, memory = _stage_setup()
-    ids0 = np.zeros((4, bank.id_dim), dtype=np.float32)
+    d, keys, labels, memory = _stage_setup()
+    ids0 = np.zeros((4, d), dtype=np.float32)
     got = gpm_stage(keys, ids0, memory, 2)
     f1, i1 = gpm_layer(keys, ids0, memory.long_term[0], memory.short_term)
     _, want = gpm_layer(f1, i1, memory.long_term[0], memory.short_term)
@@ -996,74 +957,75 @@ def test_gpm_stage_reads_the_merged_entry_without_merging(monkeypatch):
 
 
 def test_gpm_stage_recovers_reference_labels():
-    bank, keys, labels, memory = _stage_setup()
-    ids0 = np.zeros((4, bank.id_dim), dtype=np.float32)
+    d, keys, labels, memory = _stage_setup()
+    ids0 = np.zeros((4, d), dtype=np.float32)
     out = gpm_stage(keys, ids0, memory, 1)
-    logits = read_id_logits(out, bank, 3)
+    logits = read_id_logits(out, 3)
     assert np.array_equal(np.argmax(logits, axis=1), labels)
 
 
 def test_gpm_stage_rejects_zero_layers():
-    bank, keys, labels, memory = _stage_setup()
+    d, keys, labels, memory = _stage_setup()
     with pytest.raises(ConfigError):
-        gpm_stage(keys, np.zeros((4, bank.id_dim), dtype=np.float32), memory, 0)
+        gpm_stage(keys, np.zeros((4, d), dtype=np.float32), memory, 0)
 
 
 # -- readout ------------------------------------------------------------------
 
 def test_read_id_logits_exact_row():
-    bank = make_id_bank(3, 8, 0)
-    logits = read_id_logits(bank.embeddings[2][None, :], bank, 3)
+    row = np.eye(4, dtype=np.float32)[2][None, :]
+    logits = read_id_logits(row, 3)
     assert int(np.argmax(logits[0])) == 2
+    assert np.array_equal(logits, row)
 
 
 def test_read_id_logits_zero_vector():
-    bank = make_id_bank(2, 8, 0)
-    logits = read_id_logits(np.zeros((1, 8), dtype=np.float32), bank, 2)
+    logits = read_id_logits(np.zeros((1, 8), dtype=np.float32), 2)
+    assert logits.shape == (1, 3)
     np.testing.assert_allclose(logits, 0.0, atol=1e-7)
 
 
 def test_read_id_logits_matches_dot_oracle():
-    bank = make_id_bank(3, 16, 5)
     rng = np.random.default_rng(46)
     ids = rng.normal(size=(7, 16)).astype(np.float32)
-    logits = read_id_logits(ids, bank, 2)
-    want = ids.astype(np.float64) @ bank.embeddings[:3].astype(np.float64).T
+    logits = read_id_logits(ids, 2)
+    want = ids.astype(np.float64) @ np.eye(16)[:3].T
     np.testing.assert_allclose(logits, want, atol=1e-6)
+    # the logits are the first k + 1 id columns, exactly
+    assert logits.dtype == np.float32 and np.array_equal(logits, ids[:, :3])
 
 
 def test_read_id_logits_label_errors():
-    bank = make_id_bank(2, 8, 0)
-    ids = np.zeros((1, 8), dtype=np.float32)
+    ids = np.zeros((1, 3), dtype=np.float32)
     with pytest.raises(LabelError):
-        read_id_logits(ids, bank, 3)
+        read_id_logits(ids, 3)
     with pytest.raises(LabelError):
-        read_id_logits(ids, bank, -1)
+        read_id_logits(ids, -1)
 
 
 # -- global invariants ---------------------------------------------------------
 
 def test_permutation_equivariance_exact():
-    bank = make_id_bank(2, 16, 9)
+    # swapping two labels of the memory mask swaps their id columns, and so
+    # exactly their logit columns and decoded labels
     mask = np.zeros((64, 64), dtype=np.int32)
     mask[0:32, 0:32] = 1
     mask[32:64, 32:64] = 2
     rng = np.random.default_rng(47)
     feats = scale_rows(rng.normal(size=(16, 12)).astype(np.float32), 30.0)
 
-    def run(bk, m):
-        ids_mem = encode_mask_to_ids(m, bk, 16).reshape(16, -1)
+    def run(m):
+        ids_mem = encode_mask_to_ids(m, 3, 16).reshape(16, -1)
         mem = ScaleMemory(
             long_term=[entry(feats, ids_mem)], short_term=entry(feats, ids_mem)
         )
-        out = gpm_stage(feats, np.zeros((16, bk.id_dim), dtype=np.float32), mem, 2)
-        logits = read_id_logits(out, bk, 2)
+        out = gpm_stage(feats, np.zeros((16, 3), dtype=np.float32), mem, 2)
+        logits = read_id_logits(out, 2)
         return logits, np.argmax(logits, axis=1)
 
-    perm = {1: 2, 2: 1}
-    logits_a, labels_a = run(bank, mask)
+    logits_a, labels_a = run(mask)
     swapped = np.where(mask == 1, 2, np.where(mask == 2, 1, 0)).astype(np.int32)
-    logits_b, labels_b = run(permuted_bank(bank, perm), swapped)
+    logits_b, labels_b = run(swapped)
 
     assert np.array_equal(logits_b[:, [0, 2, 1]], logits_a)
     mapped = np.array([0, 2, 1])[labels_a]
@@ -1073,16 +1035,15 @@ def test_permutation_equivariance_exact():
 def test_operation_counts_independent_of_object_count():
     signatures = {}
     for k in (1, 2, 3):
-        bank = make_id_bank(3, 16, 4)
         mask = np.zeros((64, 64), dtype=np.int32)
         for lbl in range(1, k + 1):
             mask[(lbl - 1) * 16:lbl * 16, :] = lbl
         feats = scale_rows(np.random.default_rng(48).normal(size=(16, 12)).astype(np.float32), 30.0)
-        ids_mem = encode_mask_to_ids(mask, bank, 16).reshape(16, -1)
+        ids_mem = encode_mask_to_ids(mask, 4, 16).reshape(16, -1)
         mem = ScaleMemory(long_term=[entry(feats, ids_mem)], short_term=entry(feats, ids_mem))
         with probe_operations() as ops:
-            out = gpm_stage(feats, np.zeros((16, bank.id_dim), dtype=np.float32), mem, 2)
-            read_id_logits(out, bank, k)
+            out = gpm_stage(feats, np.zeros((16, 4), dtype=np.float32), mem, 2)
+            read_id_logits(out, k)
         signatures[k] = [op for op in ops if op[0] in ("attention_read", "gpm_layer")]
     assert signatures[1] == signatures[2] == signatures[3]
 
@@ -1095,8 +1056,8 @@ def test_scale_rows_targets_and_zero_rows():
 
 
 def test_stage_output_deterministic():
-    bank, keys, labels, memory = _stage_setup()
-    ids0 = np.zeros((4, bank.id_dim), dtype=np.float32)
+    d, keys, labels, memory = _stage_setup()
+    ids0 = np.zeros((4, d), dtype=np.float32)
     a = gpm_stage(keys, ids0, memory, 2)
     b = gpm_stage(keys, ids0, memory, 2)
     assert np.array_equal(a, b)
