@@ -4,8 +4,10 @@ All behavior is driven by a flat `key = value` config file (every key has a
 default, so the zero-flag pipeline `synth -> track -> eval` works out of the
 box); unknown keys are rejected with their line number.  `MSTRACK_THREADS`
 overrides the configured thread count, which sets only the `eval` pool:
-attention reads are serial.  Every command checks the variable all the
-same, so a bad value exits 1 whichever command it reaches.
+attention reads are serial.  `eval` scores one sequence at a time unless
+the count is above 1, the only case that starts a pool.  Every command
+checks the variable all the same, so a bad value exits 1 whichever command
+it reaches.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (missing or
 malformed inputs, or any other file-system error such as an output path
@@ -23,7 +25,15 @@ import numpy as np
 
 from .boxmask import FUSION_RULES, Box, SegmenterSpec, clamp_box
 from .engine import EngineConfig, make_tracker, track_frames
-from .errors import ConfigError, DataError, FormatError, InitError, MstrackError, check_range
+from .errors import (
+    ConfigError,
+    DataError,
+    FormatError,
+    InitError,
+    MstrackError,
+    check_range,
+    parse_int,
+)
 from .evaluation import (
     EvalConfig,
     evaluate_suite,
@@ -259,6 +269,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _int_arg(text: str) -> int:
+    """An integer flag, plain decimal as in config files."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="mstrack", description="box-initialized mask-propagation tracker")
     sub = p.add_subparsers(dest="command", required=True)
@@ -267,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec_file", nargs="?", help="scene-spec file (flat key = value)")
     sp.add_argument("out_dir", help="output dataset directory")
     sp.add_argument("--standard-suite", action="store_true", help="emit the 10-scene suite")
-    sp.add_argument("--seed", type=int, default=0, help="noise seed (suite mode)")
+    sp.add_argument("--seed", type=_int_arg, default=0, help="noise seed (suite mode)")
     sp.set_defaults(func=cmd_synth)
 
     tp = sub.add_parser("track", help="track one sequence")
@@ -284,8 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("report")
     ep.add_argument("--config", help="run-config file")
     ep.add_argument("--protocol", help="ope or mse; overrides eval.protocol")
-    ep.add_argument("--spacing", type=int, help="MSE anchor spacing; overrides eval.anchor_spacing")
-    ep.add_argument("--threads", type=int)
+    ep.add_argument(
+        "--spacing", type=_int_arg, help="MSE anchor spacing; overrides eval.anchor_spacing"
+    )
+    ep.add_argument("--threads", type=_int_arg)
     ep.add_argument(
         "--segmenter",
         action="append",

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and value checks shared across the package."""
+
+import re
 
 
 class MstrackError(Exception):
@@ -43,3 +45,15 @@ def check_range(key: str, value, lo, hi=float("inf")) -> None:
         raise ConfigError(f"{key} must be >= {lo}, got {value}")
     if value > hi:
         raise ConfigError(f"{key} must be <= {hi}, got {value}")
+
+
+# plain decimal only: Python's int() also takes "1_0", "+2", " 2" and
+# non-ASCII digits such as a fullwidth 3
+_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """`text` as an int if it is plain decimal, `-?[0-9]+`; else ValueError."""
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"not a plain decimal integer: {text!r}")
+    return int(text)

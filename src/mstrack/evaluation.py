@@ -38,7 +38,6 @@ with a flag of 0 or 1; `read_box_rows` and `write_box_rows` own that format.
 from __future__ import annotations
 
 import json
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxmask import Box, box_iou
-from .errors import ConfigError, DataError, InitError, check_range
+from .errors import ConfigError, DataError, InitError, check_range, parse_int
 from .pnm import ppm_size, read_pgm, read_ppm
 
 N_THRESHOLDS = 51
@@ -172,10 +171,6 @@ def load_run(seq: SequenceRecord, indices) -> tuple:
     return frames, init_box, gt_mask
 
 
-# plain decimal only: Python's int() also takes "1_0", "+5" and padding
-_BOX_ROW_INT = re.compile(r"-?[0-9]+")
-
-
 def read_box_rows(path) -> list:
     """`(x, y, w, h, flag)` per row of a box-row file; blank lines are skipped.
 
@@ -193,9 +188,10 @@ def read_box_rows(path) -> list:
         parts = line.split()
         if len(parts) != 6:
             raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        if not all(_BOX_ROW_INT.fullmatch(p) for p in parts):
-            raise DataError(f"{path}:{lineno}: non-integer field")
-        t, x, y, w, h, flag = (int(p) for p in parts)
+        try:
+            t, x, y, w, h, flag = (parse_int(p) for p in parts)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer field") from None
         if t != len(rows):
             raise DataError(f"{path}:{lineno}: frame index {t} out of order")
         if flag not in (0, 1):

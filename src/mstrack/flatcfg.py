@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ConfigError
+from .errors import ConfigError, parse_int
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
@@ -43,20 +43,20 @@ class FlatConfig:
             return conv(val)
         except (TypeError, ValueError):
             raise ConfigError(
-                f"{self.source}:{self.line_of(key)}: key {key!r} needs a {typename}, got {val!r}"
+                f"{self.source}:{self.line_of(key)}: key {key!r} needs {typename}, got {val!r}"
             ) from None
 
     def get_str(self, key, default=None):
         return self.raw(key, default)
 
     def get_int(self, key, default=None):
-        return self._typed(key, default, int, "integer")
+        return self._typed(key, default, parse_int, "an integer")
 
     def get_float(self, key, default=None):
-        return self._typed(key, default, float, "number")
+        return self._typed(key, default, float, "a number")
 
     def get_floats(self, key, default=None):
-        return self._typed(key, default, lambda v: tuple(float(p) for p in v.split()), "number list")
+        return self._typed(key, default, lambda v: tuple(float(p) for p in v.split()), "a number list")
 
     def get_list(self, key, default=None):
         val = self.raw(key)

@@ -39,12 +39,12 @@ chunks of one shape (an attention read) allocates its buffers once; their
 checks use min and max, which allocate nothing.
 
 Importing this module sets NumPy's OpenBLAS, when the symbol resolves, to
-one thread.  mstrack spreads work over threads of its own instead: the
-evaluation pool (`--threads` / `MSTRACK_THREADS`, at most `MAX_THREADS` by
-default) runs sequences side by side, and every attention read is serial.
-A BLAS that also started a thread per core for every product would
-oversubscribe the CPUs the pool fills, and the products here are too small
-to gain from it.
+one thread.  mstrack runs every attention read serially, and starts threads
+only for an evaluation pool asked for by a count above 1 (`--threads` /
+`MSTRACK_THREADS`), which runs sequences side by side; the default is one
+thread.  A BLAS that also started a thread per core for every product would
+oversubscribe the CPUs such a pool fills, and the products here are too
+small to gain from it.
 The thread count does not change the bytes (tests/test_kernels.py checks 1
 and 2 BLAS threads).
 """
@@ -56,7 +56,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, check_range
+from .errors import ConfigError, NumericError, ShapeError, check_range, parse_int
 
 __all__ = ["as_tensor", "matmul", "softmax", "bilinear_resize", "channel_argmax"]
 
@@ -64,7 +64,6 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
 # softmax logits are clamped here, off exp's slow paths; they weigh 0 in
 # float32 either way (see the module docstring)
 EXP_CLAMP = -200.0
-MAX_THREADS = 8  # caps the default thread count
 
 
 def _openblas_function(*names):
@@ -92,16 +91,19 @@ if _set_blas_threads is not None:
 
 
 def resolve_threads(configured: int) -> int:
-    """`MSTRACK_THREADS` if set, else `configured`, each >= 0; 0 means min(cpus, MAX_THREADS)."""
+    """`MSTRACK_THREADS` if set, else `configured`, each >= 0; 0 means 1.
+
+    Tracking a sequence is serial, and a step makes hundreds of small
+    Python-level calls, so pool threads mostly wait for the interpreter
+    lock: two ran slower than one.  The pool is opt-in, by a count above 1.
+    """
     env = os.environ.get("MSTRACK_THREADS")
     try:
-        threads = configured if env is None else int(env)
+        threads = configured if env is None else parse_int(env)
     except ValueError:
         raise ConfigError(f"MSTRACK_THREADS must be an integer, got {env!r}") from None
     check_range("thread count", min(configured, threads), 0)
-    if threads == 0:
-        return min(os.cpu_count() or 1, MAX_THREADS)
-    return threads
+    return max(threads, 1)
 
 
 def as_tensor(x) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mstrack import evaluation
 from mstrack.boxmask import Box, clamp_box
 from mstrack.cli import (
     CONFIG_SCHEMA,
@@ -473,6 +474,53 @@ def test_track_bad_thread_env_exits_one_on_any_frame_size(mini_dataset, tmp_path
     assert "MSTRACK_THREADS" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1_0", "+2", " 2", "\uff13"])
+def test_thread_env_takes_plain_decimal_only(value, mini_dataset, tmp_path, monkeypatch, capsys):
+    # int() reads these as 10, 2, 2 and 3 threads
+    monkeypatch.setenv("MSTRACK_THREADS", value)
+    assert main(["eval", str(mini_dataset), str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: MSTRACK_THREADS must be an integer, got {value!r}"
+    ]
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "+2", "\uff13"])
+def test_thread_key_takes_plain_decimal_only(value, mini_dataset, tmp_path, capsys):
+    # the config strips padding, so " 2" reads as "2" there
+    p = tmp_path / "run.cfg"
+    p.write_text(f"threads = {value}\n", encoding="utf-8")
+    assert main(["eval", str(mini_dataset), str(tmp_path / "r.json"), "--config", str(p)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {p}:1: key 'threads' needs an integer, got {value!r}"
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--spacing"])
+def test_integer_flags_take_plain_decimal_only(flag, mini_dataset, tmp_path, capsys):
+    assert main(["eval", str(mini_dataset), str(tmp_path / "r.json"), flag, "1_0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: argument {flag}: needs an integer, got '1_0'"
+    ]
+
+
+def test_eval_by_default_starts_no_pool(tmp_path, monkeypatch):
+    # two sequences, so only the thread count keeps the pool from starting
+    data = tmp_path / "data"
+    for ident in ("mini_a", "mini_b"):
+        spec = tmp_path / f"{ident}.scene"
+        spec.write_text(MINI_SCENE.replace("scene.id = mini", f"scene.id = {ident}"))
+        assert main(["synth", str(spec), str(data)]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the default eval started a thread pool")
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+    report = tmp_path / "r.json"
+    assert main(["eval", str(data), str(report)]) == 0
+    assert [e["id"] for e in json.loads(report.read_text())["per_sequence"]] == ["mini_a", "mini_b"]
+
+
 # -- config ------------------------------------------------------------------
 
 def test_default_config_covers_every_schema_key(tmp_path):
@@ -647,7 +695,7 @@ def test_large_encoder_and_segmenter_values_track_without_warnings(
 
 def test_resolve_threads(monkeypatch):
     assert resolve_threads(3) == 3
-    assert 1 <= resolve_threads(0) <= 8
+    assert resolve_threads(0) == 1
     monkeypatch.setenv("MSTRACK_THREADS", "5")
     assert resolve_threads(1) == 5
     with pytest.raises(ConfigError, match="thread count must be >= 0, got -1"):
@@ -695,6 +743,10 @@ def test_results_reject_malformed_rows(tmp_path):
     with pytest.raises(DataError, match="r.txt:2: non-integer field"):
         read_results(p)
     p.write_text("0 +5 16 48 48 0\n")
+    with pytest.raises(DataError, match="r.txt:1: non-integer field"):
+        read_results(p)
+    # past int()'s digit limit, which raises a bare ValueError
+    p.write_text(f"0 {'1' * 5000} 16 48 48 0\n")
     with pytest.raises(DataError, match="r.txt:1: non-integer field"):
         read_results(p)
 

@@ -418,6 +418,24 @@ def test_evaluate_suite_threads_do_not_change_results(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+@pytest.mark.parametrize("protocol", ["ope", "mse"])
+def test_evaluate_suite_raises_the_same_error_at_any_thread_count(tmp_path, protocol):
+    # the middle sequence (its boxes sit at y = 1) fails with a data error
+    seqs, tracker = make_three(tmp_path)
+
+    def failing(frames, init_box, gt_mask=None):
+        if init_box.y == 1:
+            raise DataError("seq1/frames/0003.ppm: truncated pixel data")
+        return tracker(frames, init_box, gt_mask)
+
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(DataError) as info:
+            evaluate_suite(failing, seqs, protocol=protocol, anchor_spacing=3, threads=threads)
+        errors.append((type(info.value), str(info.value)))
+    assert errors == [(DataError, "seq1/frames/0003.ppm: truncated pixel data")] * 2
+
+
 def _disc_scene(ident, n_frames, seed):
     disc = ObjectSpec(shape="disc", color=(0.2, 0.8, 0.3), size=(40.0, 40.0),
                       start=(64.0, 64.0), trajectory="sinusoidal", amplitude=(20.0, 12.0))

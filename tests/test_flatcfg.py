@@ -38,6 +38,20 @@ def test_bad_int_value_names_line():
         cfg.get_int("k", 0)
 
 
+@pytest.mark.parametrize("value", ["1_0", "+2", "\uff13"])
+def test_int_values_are_plain_decimal_only(value):
+    # int() reads these as 10, 2 and 3
+    cfg = parse_flat_text(f"k = {value}\n", source="cfg.txt")
+    message = f"cfg.txt:1: key 'k' needs an integer, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.get_int("k", 0)
+
+
+def test_int_values_keep_their_sign_and_leading_zeros():
+    cfg = parse_flat_text("a = -3\nb = 007\n", source="t")
+    assert (cfg.get_int("a"), cfg.get_int("b")) == (-3, 7)
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match=":2"):
         parse_flat_text("a = 1\nnot a pair\n", source="t")
