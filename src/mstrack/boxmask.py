@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, InitError, ShapeError
 
 SEGMENTER_KINDS = ("boxfill", "chroma", "oracle")
-FUSION_RULES = ("none", "union", "intersection", "vote")
+FUSION_RULES = ("union", "intersection", "vote")
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,6 @@ class SegmenterSpec:
             raise ConfigError(f"segmenter kinds repeat: {', '.join(self.kinds)}")
         if self.fusion not in FUSION_RULES:
             raise ConfigError(f"unknown fusion rule {self.fusion!r}, expected one of {FUSION_RULES}")
-        if self.fusion == "none" and len(self.kinds) > 1:
-            raise ConfigError("fusion 'none' is only valid with a single segmenter kind")
         if not (math.isfinite(self.chroma_tolerance) and self.chroma_tolerance >= 0):
             raise ConfigError(
                 f"chroma_tolerance must be non-negative and finite, got {self.chroma_tolerance}"
@@ -153,22 +151,19 @@ def oracle_segmenter(gt_mask: np.ndarray, box: Box) -> np.ndarray:
 def fuse_mask_list(masks, rule: str = "union") -> np.ndarray:
     """Fuse >= 1 binary masks: keep a pixel that at least `need` masks hold.
 
-    `union` and `none` need 1, `intersection` needs all n, and `vote` needs
+    `union` needs 1, `intersection` needs all n, and `vote` needs
     (n + 1) // 2, so vote is union for n <= 2 and keeps ties for even n.
-    `none` takes exactly one mask.
     """
     if rule not in FUSION_RULES:
         raise ConfigError(f"unknown fusion rule {rule!r}")
     if not masks:
         raise ShapeError("no masks to fuse")
     n = len(masks)
-    if rule == "none" and n > 1:
-        raise ConfigError(f"fusion 'none' takes one mask, got {n}")
     shape = masks[0].shape
     for m in masks:
         if m.shape != shape:
             raise ShapeError(f"mask shapes differ: {m.shape} vs {shape}")
-    need = {"intersection": n, "vote": (n + 1) // 2}.get(rule, 1)
+    need = {"union": 1, "intersection": n, "vote": (n + 1) // 2}[rule]
     held = np.sum([m > 0 for m in masks], axis=0)
     return (held >= need).astype(np.uint8)
 

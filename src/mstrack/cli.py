@@ -2,12 +2,11 @@
 
 All behavior is driven by a flat `key = value` config file (every key has a
 default, so the zero-flag pipeline `synth -> track -> eval` works out of the
-box); unknown keys are rejected with their line number.  `MSTRACK_THREADS`
-overrides the configured thread count, which sets only the `eval` pool:
-attention reads are serial.  `eval` scores one sequence at a time unless
-the count is above 1, the only case that starts a pool.  Every command
-checks the variable all the same, so a bad value exits 1 whichever command
-it reaches.
+box); unknown keys are rejected with their line number.  Only `eval` reads
+the thread count (`MSTRACK_THREADS`, else `--threads`, else the `threads`
+key): it scores one sequence at a time unless the count is above 1, the
+only case that starts a pool.  The other commands start no threads and
+ignore the variable.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (missing or
 malformed inputs, or any other file-system error such as an output path
@@ -17,6 +16,7 @@ that is a directory), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -46,7 +46,6 @@ from .evaluation import (
 )
 from .features import EncoderConfig
 from .flatcfg import FlatConfig, parse_flat_file
-from .kernels import resolve_threads
 from .pnm import read_ppm, write_pgm, write_ppm
 from .synthgen import generate, parse_scene_file, standard_suite
 
@@ -106,6 +105,22 @@ def load_run_config(path=None) -> RunConfig:
     )
 
 
+def resolve_threads(configured: int) -> int:
+    """`MSTRACK_THREADS` if set, else `configured`, each >= 0; 0 means 1.
+
+    Tracking a sequence is serial, and a step makes hundreds of small
+    Python-level calls, so pool threads mostly wait for the interpreter
+    lock: two ran slower than one.  The pool is opt-in, by a count above 1.
+    """
+    env = os.environ.get("MSTRACK_THREADS")
+    try:
+        threads = configured if env is None else parse_int(env)
+    except ValueError:
+        raise ConfigError(f"MSTRACK_THREADS must be an integer, got {env!r}") from None
+    check_range("thread count", min(configured, threads), 0)
+    return max(threads, 1)
+
+
 def _segmenter_specs(cfg: RunConfig, rows, fusion) -> list:
     """Init segmenters: one per `--segmenter` comma list, else the config's.
 
@@ -143,10 +158,14 @@ def read_results(path):
 def cmd_synth(args) -> int:
     out = Path(args.out_dir)
     if args.standard_suite:
-        specs = standard_suite(args.seed)
+        if args.spec_file is not None:
+            raise ConfigError("synth takes a scene-spec file or --standard-suite, not both")
+        specs = standard_suite(args.seed or 0)
     else:
         if args.spec_file is None:
             raise ConfigError("synth needs a scene-spec file or --standard-suite")
+        if args.seed is not None:
+            raise ConfigError("--seed applies to --standard-suite; a scene file sets scene.seed")
         specs = [parse_scene_file(args.spec_file)]
     for spec in specs:
         generate(spec, out)
@@ -156,8 +175,6 @@ def cmd_synth(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = load_run_config(args.config)
-    # track starts no threads, but checks the variable as every command does
-    resolve_threads(0)
     rows = None if args.segmenter is None else [args.segmenter]
     (seg,) = _segmenter_specs(cfg, rows, args.fusion)
     seq = load_sequence(args.sequence_dir)
@@ -285,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec_file", nargs="?", help="scene-spec file (flat key = value)")
     sp.add_argument("out_dir", help="output dataset directory")
     sp.add_argument("--standard-suite", action="store_true", help="emit the 10-scene suite")
-    sp.add_argument("--seed", type=_int_arg, default=0, help="noise seed (suite mode)")
+    sp.add_argument("--seed", type=_int_arg, help="noise seed (suite mode only; default 0)")
     sp.set_defaults(func=cmd_synth)
 
     tp = sub.add_parser("track", help="track one sequence")

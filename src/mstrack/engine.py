@@ -52,8 +52,7 @@ step's prediction and the masks `track_frames` yields.  `track_frames` runs
 one per-frame loop over any iterable of frames, pulling each frame only
 when the previous one is tracked, so a run holds at most two frames;
 `track_sequence` and `make_tracker` are built on it.  A step runs on the
-calling thread and starts none: attention reads are serial, and
-`MSTRACK_THREADS` sets only the `eval` pool.
+calling thread and starts none.
 """
 
 from __future__ import annotations

@@ -57,3 +57,15 @@ def parse_int(text: str) -> int:
     if not _INT_TEXT.fullmatch(text):
         raise ValueError(f"not a plain decimal integer: {text!r}")
     return int(text)
+
+
+# plain ASCII decimal, with an optional exponent: Python's float() also
+# takes "1_0.5", "+0.1", " 2", "nan", "inf" and non-ASCII digits
+_FLOAT_TEXT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+def parse_float(text: str) -> float:
+    """`text` as a float if it is plain decimal (`_FLOAT_TEXT`); else ValueError."""
+    if not _FLOAT_TEXT.fullmatch(text):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return float(text)

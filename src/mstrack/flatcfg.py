@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ConfigError, parse_int
+from .errors import ConfigError, parse_float, parse_int
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
@@ -53,10 +53,12 @@ class FlatConfig:
         return self._typed(key, default, parse_int, "an integer")
 
     def get_float(self, key, default=None):
-        return self._typed(key, default, float, "a number")
+        return self._typed(key, default, parse_float, "a number")
 
     def get_floats(self, key, default=None):
-        return self._typed(key, default, lambda v: tuple(float(p) for p in v.split()), "a number list")
+        return self._typed(
+            key, default, lambda v: tuple(parse_float(p) for p in v.split()), "a number list"
+        )
 
     def get_list(self, key, default=None):
         val = self.raw(key)

@@ -39,24 +39,18 @@ chunks of one shape (an attention read) allocates its buffers once; their
 checks use min and max, which allocate nothing.
 
 Importing this module sets NumPy's OpenBLAS, when the symbol resolves, to
-one thread.  mstrack runs every attention read serially, and starts threads
-only for an evaluation pool asked for by a count above 1 (`--threads` /
-`MSTRACK_THREADS`), which runs sequences side by side; the default is one
-thread.  A BLAS that also started a thread per core for every product would
-oversubscribe the CPUs such a pool fills, and the products here are too
-small to gain from it.
-The thread count does not change the bytes (tests/test_kernels.py checks 1
-and 2 BLAS threads).
+one thread: the products here are too small to gain from a thread per core.
+The BLAS thread count does not change the bytes (tests/test_kernels.py
+checks 1 and 2 BLAS threads).
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, check_range, parse_int
+from .errors import NumericError, ShapeError
 
 __all__ = ["as_tensor", "matmul", "softmax", "bilinear_resize", "channel_argmax"]
 
@@ -88,22 +82,6 @@ if _set_blas_threads is not None:
     _set_blas_threads.argtypes = [ctypes.c_int]
     _set_blas_threads.restype = None
     _set_blas_threads(1)
-
-
-def resolve_threads(configured: int) -> int:
-    """`MSTRACK_THREADS` if set, else `configured`, each >= 0; 0 means 1.
-
-    Tracking a sequence is serial, and a step makes hundreds of small
-    Python-level calls, so pool threads mostly wait for the interpreter
-    lock: two ran slower than one.  The pool is opt-in, by a count above 1.
-    """
-    env = os.environ.get("MSTRACK_THREADS")
-    try:
-        threads = configured if env is None else parse_int(env)
-    except ValueError:
-        raise ConfigError(f"MSTRACK_THREADS must be an integer, got {env!r}") from None
-    check_range("thread count", min(configured, threads), 0)
-    return max(threads, 1)
 
 
 def as_tensor(x) -> np.ndarray:

@@ -43,7 +43,7 @@ The engine asks for no attention map (`keep_att=False`), so no read holds a
 query x memory map.  Every chunk is the same `softmax(matmul(...))` and
 `matmul` over its rows, so the bytes do not depend on the chunking
 (tests/test_propagation.py compares them with one composed read).  Reads
-start no threads; `MSTRACK_THREADS` sets only the evaluation pool.
+start no threads.
 
 For the same query rows, the operation counts and tensor shapes of
 `gpm_stage` never depend on the number of tracked objects;

@@ -414,7 +414,7 @@ _SCENE_KEYS = {
     "background.kind", "background.color", "background.color2", "background.cell",
     "background.noise_sigma",
 }
-_GROUP_RE = re.compile(r"^(object|occluder)\.([0-9]+)\.(shape|color|size|start|velocity|trajectory|amplitude|period|scale_drift)$")
+_GROUP_RE = re.compile(r"^(object|occluder)\.(0|[1-9][0-9]*)\.(shape|color|size|start|velocity|trajectory|amplitude|period|scale_drift)$")
 
 
 def _parse_object(cfg: FlatConfig, prefix: str) -> ObjectSpec:

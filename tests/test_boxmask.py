@@ -134,9 +134,10 @@ def test_fusion_union_intersection_vote():
     # vote == union for two masks, strict majority for three
     assert np.array_equal(fuse_mask_list([a, b], "vote"), [[1, 1, 1, 0]])
     assert np.array_equal(fuse_mask_list([a, b, c], "vote"), [[0, 1, 0, 0]])
-    assert np.array_equal(fuse_mask_list([a], "none"), a)
-    with pytest.raises(ConfigError, match="one mask"):
-        fuse_mask_list([a, b], "none")
+    # `none` was union restricted to one mask; it is no longer a rule
+    for masks in ([a], [a, b]):
+        with pytest.raises(ConfigError, match="unknown fusion rule 'none'"):
+            fuse_mask_list(masks, "none")
 
 
 def test_fusion_vote_keeps_ties_of_four_masks():
@@ -165,8 +166,8 @@ def test_segmenter_spec_validation():
         SegmenterSpec(kinds=("nope",))
     with pytest.raises(ConfigError):
         SegmenterSpec(fusion="xor")
-    with pytest.raises(ConfigError):
-        SegmenterSpec(kinds=("boxfill", "chroma"), fusion="none")
+    with pytest.raises(ConfigError, match="unknown fusion rule 'none'"):
+        SegmenterSpec(fusion="none")
     with pytest.raises(ConfigError, match="repeat"):
         SegmenterSpec(kinds=("boxfill", "boxfill"))
     with pytest.raises(ConfigError, match="repeat"):

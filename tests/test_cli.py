@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mstrack import evaluation
+from mstrack import cli, evaluation
 from mstrack.boxmask import Box, clamp_box
 from mstrack.cli import (
     CONFIG_SCHEMA,
@@ -72,6 +72,35 @@ def test_synth_single_scene(mini_dataset):
 def test_synth_requires_a_source(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "d")]) == 1
     assert "scene-spec file or --standard-suite" in capsys.readouterr().err
+
+
+def test_synth_rejects_arguments_it_would_ignore(tmp_path, capsys):
+    # the suite ignored the scene file, and a scene file carries its own scene.seed
+    spec = tmp_path / "s.scene"
+    spec.write_text(MINI_SCENE)
+    out = tmp_path / "out"
+    cases = [
+        ([str(spec), str(out), "--standard-suite"],
+         "error: synth takes a scene-spec file or --standard-suite, not both"),
+        ([str(spec), str(out), "--standard-suite", "--seed", "3"],
+         "error: synth takes a scene-spec file or --standard-suite, not both"),
+        ([str(spec), str(out), "--seed", "7"],
+         "error: --seed applies to --standard-suite; a scene file sets scene.seed"),
+        ([str(spec), str(out), "--seed", "0"],
+         "error: --seed applies to --standard-suite; a scene file sets scene.seed"),
+    ]
+    for argv, err in cases:
+        assert main(["synth", *argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [err]
+    assert not out.exists()
+
+
+def test_synth_suite_seed_defaults_to_zero(tmp_path, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(cli, "standard_suite", lambda seed: seeds.append(seed) or [])
+    assert main(["synth", str(tmp_path), "--standard-suite"]) == 0
+    assert main(["synth", str(tmp_path), "--standard-suite", "--seed", "7"]) == 0
+    assert seeds == [0, 7]
 
 
 def test_synth_missing_spec_file_is_a_data_error(tmp_path):
@@ -347,6 +376,23 @@ def test_track_rejects_unknown_segmenter(mini_dataset, tmp_path, capsys):
     assert "wizard" in capsys.readouterr().err
 
 
+def test_fusion_none_is_not_a_rule(mini_dataset, tmp_path, capsys):
+    # `none` was a second spelling of `union` for one segmenter kind
+    seq = str(mini_dataset / "mini")
+    out = tmp_path / "o.txt"
+    for argv in (["track", seq, str(out)], ["eval", str(mini_dataset), str(tmp_path / "r.json")]):
+        assert main([*argv, "--fusion", "none"]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: argument --fusion: invalid choice: 'none'")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("segmenter.fusion = none\n")
+    assert main(["track", seq, str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown fusion rule 'none', expected one of ('union', 'intersection', 'vote')"
+    ]
+    assert not out.exists() and not (tmp_path / "r.json").exists()
+
+
 def test_track_rejects_repeated_segmenter_kind(mini_dataset, tmp_path, capsys):
     code = main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"),
                  "--segmenter", "boxfill,boxfill"])
@@ -465,13 +511,20 @@ def test_eval_bad_thread_env_exits_one(mini_dataset, tmp_path, monkeypatch, caps
     assert "MSTRACK_THREADS" in capsys.readouterr().err
 
 
-def test_track_bad_thread_env_exits_one_on_any_frame_size(mini_dataset, tmp_path, monkeypatch,
-                                                          capsys):
-    # track starts no threads, yet the variable is checked
-    monkeypatch.setenv("MSTRACK_THREADS", "lots")
-    out = tmp_path / "o.txt"
-    assert main(["track", str(mini_dataset / "mini"), str(out)]) == 1
-    assert "MSTRACK_THREADS" in capsys.readouterr().err and not out.exists()
+def test_track_ignores_the_thread_env(mini_dataset, tmp_path, monkeypatch, capsys):
+    # track starts no threads, so only eval reads MSTRACK_THREADS
+    seq = str(mini_dataset / "mini")
+    outs = []
+    for value in (None, "1", "lots"):
+        if value is None:
+            monkeypatch.delenv("MSTRACK_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MSTRACK_THREADS", value)
+        out = tmp_path / f"o-{value}.txt"
+        assert main(["track", seq, str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 @pytest.mark.parametrize("value", ["1_0", "+2", " 2", "\uff13"])
@@ -602,7 +655,8 @@ def test_config_value_validation(tmp_path, mini_dataset, capsys, monkeypatch):
     p.write_text("threads = -3\n")
     with pytest.raises(ConfigError, match="threads must be >= 0, got -3"):
         load_run_config(p)
-    # every command checks it, whether or not MSTRACK_THREADS overrides it
+    # track and eval both load the config and check it, whether or not
+    # MSTRACK_THREADS overrides it
     assert main(["track", seq, str(tmp_path / "r.txt"), "--config", str(p)]) == 1
     assert main(["eval", str(mini_dataset), str(tmp_path / "r.json"), "--config", str(p)]) == 1
     monkeypatch.setenv("MSTRACK_THREADS", "1")

@@ -52,6 +52,29 @@ def test_int_values_keep_their_sign_and_leading_zeros():
     assert (cfg.get_int("a"), cfg.get_int("b")) == (-3, 7)
 
 
+@pytest.mark.parametrize(
+    "value", ["1_0.5", "+0.1", "\uff10.\uff15", "nan", "inf", "-inf", "0x1p3", "1e", ".", "1.5.", "e5"]
+)
+def test_float_values_are_plain_decimal_only(value):
+    # float() reads the first three as 10.5, 0.1 and 0.5, and takes nan and inf
+    cfg = parse_flat_text(f"k = {value}\nks = 1 {value}\n", source="cfg.txt")
+    message = f"cfg.txt:1: key 'k' needs a number, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.get_float("k", 0.0)
+    message = f"cfg.txt:2: key 'ks' needs a number list, got {'1 ' + value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.get_floats("ks", ())
+
+
+def test_float_values_keep_exponents_and_extremes():
+    text = "a = -0.5\nb = 3.\nc = .25\nd = 1E+2\ne = 1e-40\nf = -1e39\ng = 1e308\nh = 1e-320\n"
+    cfg = parse_flat_text(text + "l = 007 -2.5e1\n", source="t")
+    assert [cfg.get_float(k) for k in "abcdefgh"] == [
+        -0.5, 3.0, 0.25, 100.0, 1e-40, -1e39, 1e308, 1e-320
+    ]
+    assert cfg.get_floats("l") == (7.0, -25.0)
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match=":2"):
         parse_flat_text("a = 1\nnot a pair\n", source="t")

@@ -19,6 +19,7 @@ from mstrack.cli import CONFIG_SCHEMA, RunConfig, load_run_config, main
 from mstrack.errors import ConfigError, DataError, FormatError
 from mstrack.evaluation import SequenceRecord, load_sequence
 from mstrack.features import WEIGHTS_MAGIC, WEIGHTS_VERSION, load_weights
+from mstrack.flatcfg import parse_flat_text
 from mstrack.pnm import read_pgm, read_ppm
 from mstrack.synthgen import SceneSpec, parse_scene_file, render_frame
 
@@ -55,6 +56,21 @@ def _lines(keys, values):
     return st.lists(st.one_of(line, line, junk), max_size=8).map(
         lambda ls: ("\n".join(ls) + "\n").encode("utf-8")
     ) | st.binary(max_size=40)
+
+
+# spellings Python's int() or float() would read, and a fusion rule that is gone
+_REJECTED = ["1_0", "+1", "\uff10.\uff15", "none"]
+
+
+def _sets_rejected(text, keys):
+    """Whether `text` parses and sets one of `keys` to a value with a `_REJECTED` word."""
+    try:
+        cfg = parse_flat_text(text.decode("utf-8"))
+    except (UnicodeDecodeError, ConfigError):
+        return False
+    return any(
+        any(p in _REJECTED for p in cfg.raw(k).split()) for k in cfg.keys() if k in keys
+    )
 
 
 # -- PNM -------------------------------------------------------------------------
@@ -117,7 +133,7 @@ def test_load_sequence_returns_records_or_data_errors(tmp_path_factory, annotati
 
 _CONFIG_VALUES = st.sampled_from(
     ["0", "1", "-1", "2.5", "nan", "inf", "x", "", "ope", "mse", "zero", "boxfill,chroma",
-     ",", "union", "handcrafted", "weights-file", "1e400", "1000000000000000000"]
+     ",", "union", "handcrafted", "weights-file", "1e400", "1000000000000000000", *_REJECTED]
 )
 
 
@@ -134,6 +150,7 @@ def test_run_config_loads_or_raises_config_error(tmp_path_factory, text):
         _assert_one_line_exit(["eval", root, root / "r.json", "--config", p], 1)
     else:
         assert isinstance(cfg, RunConfig)
+        assert not _sets_rejected(text, set(CONFIG_SCHEMA) - {"encoder.weights_path"})
 
 
 # -- scene files -----------------------------------------------------------------
@@ -147,10 +164,11 @@ _SCENE_KEYS = [
     for group in ("object", "occluder")
     for field in ("shape", "color", "size", "start", "velocity", "trajectory", "amplitude",
                   "period", "scale_drift")
-]
+] + ["object.01.shape"]
 _SCENE_VALUES = st.lists(
     st.sampled_from(["0.1", "0.9", "24", "16", "-3", "0", "nan", "inf", "x", "disc",
-                     "rectangle", "checker", "sinusoidal", "1e308", "1e-320", "1000000000"]),
+                     "rectangle", "checker", "sinusoidal", "1e308", "1e-320", "1000000000",
+                     *_REJECTED]),
     max_size=4,
 ).map(" ".join)
 _VALID_SCENE = {
@@ -158,11 +176,13 @@ _VALID_SCENE = {
     "object.1.shape": "disc", "object.1.color": "0.9 0.1 0.1", "object.1.size": "4 4",
     "object.1.start": "8 8",
 }
-# a valid scene with a few motion keys set to one or two values: random lines
-# almost never make a scene that parses, and so never reach the renderer
+# a valid scene with a few motion keys set to one or two values, or an
+# `object.01` key beside its `object.1` group: random lines almost never make
+# a scene that parses, and so never reach the renderer
 _EDITED_SCENES = st.dictionaries(
-    st.sampled_from([f"object.1.{f}" for f in ("velocity", "trajectory", "amplitude", "period")]),
-    st.lists(st.sampled_from(["0", "-3", "24", "1e308", "1e-320", "sinusoidal"]),
+    st.sampled_from([f"object.1.{f}" for f in ("velocity", "trajectory", "amplitude", "period")]
+                    + ["object.01.shape"]),
+    st.lists(st.sampled_from(["0", "-3", "24", "1e308", "1e-320", "sinusoidal", *_REJECTED]),
              min_size=1, max_size=2).map(" ".join),
     max_size=3,
 ).map(
@@ -183,6 +203,8 @@ def test_scene_file_parses_or_raises_config_error(tmp_path_factory, text):
     else:
         # motion that overflows only shows once a frame is rendered
         assert isinstance(spec, SceneSpec)
+        assert b"object.01." not in text
+        assert not _sets_rejected(text, set(_SCENE_KEYS) - {"scene.id"})
         render_frame(spec, spec.n_frames - 1)
 
 

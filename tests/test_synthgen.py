@@ -335,6 +335,21 @@ def test_parse_scene_file_rejects_unknown_and_missing(tmp_path):
         parse_scene_file(q)
 
 
+@pytest.mark.parametrize("group", ["object.01", "object.00", "occluder.01"])
+def test_scene_group_numbers_are_plain_decimal(group, tmp_path, capsys):
+    # int() keyed "01" as group 1, so these lines were read and then dropped
+    p = tmp_path / "alias.scene"
+    p.write_text(SCENE_TEXT + f"{group}.shape = disc\n{group}.velocity = 9 9\n")
+    with pytest.raises(ConfigError, match=rf"alias.scene:17: unknown key '{group}.shape'"):
+        parse_scene_file(p)
+    assert main(["synth", str(p), str(tmp_path / "out")]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    # group 0 is a group of its own
+    p.write_text(SCENE_TEXT.replace("object.1.", "object.0."))
+    assert parse_scene_file(p).objects[0].velocity == (1.5, 0.5)
+
+
 def test_parse_scene_file_requires_object_fields(tmp_path):
     p = tmp_path / "nofields.scene"
     p.write_text(
