@@ -50,7 +50,7 @@ from .evaluation import (
     success_score,
     write_report,
 )
-from .features import EncoderConfig, FeaturePyramid, encode_frame, load_weights, save_weights
+from .features import EncoderConfig, FeaturePyramid, encode_frame
 from .propagation import (
     GateParams,
     MemoryBank,
@@ -102,7 +102,6 @@ __all__ = [
     "gpm_stage",
     "init_reference",
     "load_sequence",
-    "load_weights",
     "make_tracker",
     "mask_iou",
     "mask_to_box",
@@ -113,7 +112,6 @@ __all__ = [
     "read_id_logits",
     "read_report",
     "render_sequence",
-    "save_weights",
     "segment_box",
     "standard_suite",
     "step",

@@ -55,15 +55,13 @@ _KINDS = {int: "int", float: "float", str: "str", tuple: "list"}
 def _section_schema(prefix: str, cls) -> dict:
     """One key per field of `cls`, defaulting to the dataclass default.
 
-    The engine's nested encoder is a section of its own, and a None default
-    (encoder.weights_path) is written as the empty string.
+    The engine's nested encoder is a section of its own.
     """
-    out = {}
-    for f in fields(cls):
-        if not is_dataclass(f.default):
-            default = "" if f.default is None else f.default
-            out[f"{prefix}.{f.name}"] = (_KINDS[type(default)], default)
-    return out
+    return {
+        f"{prefix}.{f.name}": (_KINDS[type(f.default)], f.default)
+        for f in fields(cls)
+        if not is_dataclass(f.default)
+    }
 
 
 # key -> (converter name, default); every key is documented in the README
@@ -95,10 +93,8 @@ def load_run_config(path=None) -> RunConfig:
     for key, (kind, default) in CONFIG_SCHEMA.items():
         prefix, _, name = key.rpartition(".")
         sections.setdefault(prefix, {})[name] = getattr(cfg, f"get_{kind}")(key, default)
-    enc = sections["encoder"]
-    encoder = EncoderConfig(**{**enc, "weights_path": enc["weights_path"] or None})
     return RunConfig(
-        engine=EngineConfig(encoder=encoder, **sections["engine"]),
+        engine=EngineConfig(encoder=EncoderConfig(**sections["encoder"]), **sections["engine"]),
         segmenter=SegmenterSpec(**sections["segmenter"]),
         eval=EvalConfig(**sections["eval"]),
         threads=sections[""]["threads"],
@@ -167,9 +163,11 @@ def cmd_synth(args) -> int:
         if args.seed is not None:
             raise ConfigError("--seed applies to --standard-suite; a scene file sets scene.seed")
         specs = [parse_scene_file(args.spec_file)]
+    # every scene is written before any id is printed, so a reader that closes
+    # stdout early cannot stop the suite partway
     for spec in specs:
         generate(spec, out)
-        print(spec.ident)
+    print("\n".join(spec.ident for spec in specs))
     return 0
 
 

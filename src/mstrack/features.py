@@ -1,26 +1,18 @@
 """Per-frame feature extraction and feature-pyramid assembly.
 
 The engine consumes feature maps at strides 16 and 8.  Instead of a learned
-backbone, each level holds one row per stride-s cell, from one of two
-deterministic encoders:
+backbone, one deterministic handcrafted encoder holds one row per stride-s
+cell: the cell's mean RGB, its normalized (x, y) cell-center coordinates
+scaled by a position weight, and its per-channel RGB standard deviation
+scaled by a std weight (8 base channels), folded to min(C, 8) channels: base
+channel i adds into channel i % C (`_fold`).  So the encoder emits only its
+min(C, 8) real channels; C still sets the engine's sqrt(C) score scale and
+its row norm.
 
-* ``handcrafted`` (default): each row holds the cell's mean RGB, its
-  normalized (x, y) cell-center coordinates scaled by a position weight, and
-  its per-channel RGB standard deviation scaled by a std weight (8 base
-  channels), folded to min(C, 8) channels: base channel i adds into channel
-  i % C (`_fold`).  So this mode emits only its min(C, 8) real channels; C
-  still sets the engine's sqrt(C) score scale and its row norm.
-  The std weight defaults low: cells straddling an object boundary share a
-  common high-variance signature regardless of which side holds the majority,
-  so a large std term drags boundary cells toward whichever stored neighbor
-  has texture rather than toward the right label.
-* ``weights-file``: each row is the cell's raw s*s*3 pixels, flattened
-  row-major, times the file's "proj16" / "proj8" map in one `kernels.matmul`.
-  The maps are read and checked once per file version (`_weights_maps`).
-
-Weights file layout (little-endian): magic ``MSWT``, version u32, then one
-record per tensor (name length u32, name bytes, rank u32, dims u32 each, raw
-float32 data), and a trailing CRC32 (u32) over all preceding bytes.
+The std weight defaults low: cells straddling an object boundary share a
+common high-variance signature regardless of which side holds the majority,
+so a large std term drags boundary cells toward whichever stored neighbor
+has texture rather than toward the right label.
 
 Frames of any size are accepted: `encode_frame` edge-pads them to multiples
 of 16, so both levels tile the padded frame.  Pyramid levels finer than
@@ -29,30 +21,20 @@ stride 8 are not computed.
 
 from __future__ import annotations
 
-import functools
-import math
-import os
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError, check_range
-from .kernels import FLOAT32_MAX, matmul
+from .errors import ConfigError, ShapeError, check_range
+from .kernels import FLOAT32_MAX
 
-WEIGHTS_MAGIC = b"MSWT"
-WEIGHTS_VERSION = 1
 BASE_CHANNELS = 8  # mean RGB (3) + cell-center xy (2) + RGB std (3)
 MAX_FEATURE_WEIGHT = FLOAT32_MAX / 2**19  # see EncoderConfig
-MAX_WEIGHTS_COLUMN_SUM = FLOAT32_MAX / 2  # see EncoderConfig
-
-ENCODER_MODES = ("handcrafted", "weights-file")
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Encoder settings, bounded so every handcrafted feature fits float32.
+    """Encoder settings, bounded so every feature fits float32.
 
     Base features are means in [0, 1], cell centres in (0, 1) times
     position_weight, and standard deviations of values in [0, 1], at most
@@ -60,31 +42,20 @@ class EncoderConfig:
     |std_weight|).  Each output folds at most 8 of them, so it stays below
     8w, and w <= MAX_FEATURE_WEIGHT = FLOAT32_MAX / 2^19 keeps it 2^16 times
     inside float32: the bound has room to spare, and keeps its value so the
-    weights a config may set do not change.  A weights
-    file's maps are data, checked before they are cached: its features are
-    pixels in [0, 1] times a column of proj16 or proj8, so a column whose
-    absolute values sum to at most MAX_WEIGHTS_COLUMN_SUM = FLOAT32_MAX / 2
-    keeps them inside float32 with room for rounding, and a larger column is
-    a FormatError.
+    weights a config may set do not change.
 
-    channels16 and channels8 lie in [1, 1024]: a level maps at most
-    16 * 16 * 3 = 768 inputs, so more channels add time but no information.
+    channels16 and channels8 lie in [1, 1024]; a level emits min(C, 8) of
+    them, and C sets the engine's score scale and row norm.
     """
 
-    mode: str = "handcrafted"
     channels16: int = 32
     channels8: int = 32
-    weights_path: str | None = None
     position_weight: float = 0.15
     std_weight: float = 0.1
 
     def __post_init__(self):
-        if self.mode not in ENCODER_MODES:
-            raise ConfigError(f"unknown encoder mode {self.mode!r}, expected one of {ENCODER_MODES}")
         check_range("encoder.channels16", self.channels16, 1, 1024)
         check_range("encoder.channels8", self.channels8, 1, 1024)
-        if self.mode == "weights-file" and not self.weights_path:
-            raise ConfigError("weights-file mode requires weights_path")
         for name in ("position_weight", "std_weight"):
             value = getattr(self, name)
             if not abs(value) <= MAX_FEATURE_WEIGHT:
@@ -97,7 +68,7 @@ class EncoderConfig:
 @dataclass(frozen=True)
 class FeaturePyramid:
     """Per-frame feature maps at strides 16 and 8; C16 and C8 are
-    encoder.channels16 and channels8, or min(C, 8) in handcrafted mode."""
+    min(encoder.channels16, 8) and min(encoder.channels8, 8)."""
 
     level16: np.ndarray  # [ceil(H/16), ceil(W/16), C16]
     level8: np.ndarray  # [2*ceil(H/16), 2*ceil(W/16), C8]
@@ -182,140 +153,24 @@ def _fold(base: np.ndarray, channels: int) -> np.ndarray:
     return cols.reshape(hc, wc, -1, width).sum(axis=2, initial=0.0).astype(np.float32)
 
 
-@functools.lru_cache(maxsize=8)
-def _weights_maps(path, channels16, channels8, version) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only float32 [inputs, C] maps proj16 and proj8 of a weights
-    file, checked against the configured channels.
-
-    `version` is the file's (st_mtime_ns, st_size), so a rewritten file is
-    read and checked again.
-    """
-    weights = load_weights(path)
-    for name, stride, want in (("proj16", 16, channels16), ("proj8", 8, channels8)):
-        if name not in weights:
-            raise FormatError(f"weights file missing tensor {name!r}")
-        t = weights[name]
-        if t.ndim != 2 or t.shape[0] != stride * stride * 3:
-            raise FormatError(f"{name} must be [{stride * stride * 3}, C], got {t.shape}")
-        if t.shape[1] != want:
-            raise FormatError(
-                f"{name} provides {t.shape[1]} channels but config asks for {want}"
-            )
-        col = np.abs(t.astype(np.float64)).sum(axis=0)
-        if col.max() > MAX_WEIGHTS_COLUMN_SUM:
-            j = int(col.argmax())
-            raise FormatError(
-                f"tensor {name!r} in {path}: column {j} has absolute sum "
-                f"{col[j]:.3g} > {MAX_WEIGHTS_COLUMN_SUM:.3g}, so its features could "
-                "overflow float32"
-            )
-    return weights["proj16"], weights["proj8"]
-
-
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
     """Encode a validated frame into stride-16 and stride-8 feature maps.
 
     The frame is edge-padded to the next multiples of 16 first
-    (`pad_to_multiple`), so cell grids cover the padded frame.  In
-    handcrafted mode each level is `_fold(base features)`; in weights-file
-    mode it is `matmul(raw cell pixels, map)`, one row per cell in row-major
-    cell order.
+    (`pad_to_multiple`), so cell grids cover the padded frame.  Each level is
+    `_fold(base features)`, one row per cell in row-major cell order.
 
     Args:
         frame: [H,W,3] float32 in [0,1] from `validate_frame`, any H, W >= 1.
-        cfg: encoder configuration; the levels have C = cfg.channels16 /
-            cfg.channels8 channels, min(C, 8) in handcrafted mode.
+        cfg: encoder configuration; a level configured for C channels has
+            min(C, 8) of them.
 
     Returns:
-        FeaturePyramid with level16 [ceil(H/16),ceil(W/16),C16] and level8
-        twice that size, [2*ceil(H/16),2*ceil(W/16),C8].
+        FeaturePyramid with level16 [ceil(H/16),ceil(W/16),min(C16, 8)] and
+        level8 twice that size, [2*ceil(H/16),2*ceil(W/16),min(C8, 8)].
     """
     f = pad_to_multiple(frame)
-    if cfg.mode == "handcrafted":
-        return FeaturePyramid(*(
-            _fold(_cell_base_features(f, stride, cfg.position_weight, cfg.std_weight), channels)
-            for stride, channels in ((16, cfg.channels16), (8, cfg.channels8))
-        ))
-    st = os.stat(cfg.weights_path)
-    maps = _weights_maps(cfg.weights_path, cfg.channels16, cfg.channels8,
-                         (st.st_mtime_ns, st.st_size))
-    levels = []
-    for stride, m in zip((16, 8), maps):
-        hc, wc = f.shape[0] // stride, f.shape[1] // stride
-        cells = f.reshape(hc, stride, wc, stride, 3).transpose(0, 2, 1, 3, 4)
-        levels.append(matmul(cells.reshape(hc * wc, -1), m).reshape(hc, wc, -1))
-    return FeaturePyramid(*levels)
-
-
-def save_weights(path, tensors: dict[str, np.ndarray]) -> None:
-    """Serialize named float32 tensors in the MSWT container format."""
-    body = bytearray()
-    body += WEIGHTS_MAGIC
-    body += struct.pack("<I", WEIGHTS_VERSION)
-    for name, arr in tensors.items():
-        a = np.ascontiguousarray(arr, dtype=np.float32)
-        nb = name.encode("utf-8")
-        body += struct.pack("<I", len(nb))
-        body += nb
-        body += struct.pack("<I", a.ndim)
-        for d in a.shape:
-            body += struct.pack("<I", d)
-        body += a.astype("<f4").tobytes()
-    crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
-    body += struct.pack("<I", crc)
-    with open(path, "wb") as f:
-        f.write(bytes(body))
-
-
-def load_weights(path) -> dict[str, np.ndarray]:
-    """Load an MSWT weights file, verifying structure, checksum and finiteness."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < len(WEIGHTS_MAGIC) + 8:
-        raise FormatError(f"weights file {path} is truncated")
-    if blob[:4] != WEIGHTS_MAGIC:
-        raise FormatError(f"bad magic in {path}: {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != WEIGHTS_VERSION:
-        raise FormatError(f"unsupported weights version {version}")
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise FormatError(f"checksum mismatch in {path}")
-
-    tensors: dict[str, np.ndarray] = {}
-    off = 8
-    end = len(blob) - 4
-    while off < end:
-        if off + 4 > end:
-            raise FormatError(f"truncated tensor record in {path}")
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + nlen + 4 > end:
-            raise FormatError(f"truncated tensor record in {path}")
-        try:
-            name = blob[off : off + nlen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"tensor name at byte {off} in {path} is not UTF-8") from None
-        off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if rank > 8 or off + 4 * rank > end:
-            raise FormatError(f"bad tensor rank for {name!r} in {path}")
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        # an empty tensor is of no use, and NumPy refuses one whose other dims overflow
-        if 0 in dims:
-            raise FormatError(f"tensor {name!r} in {path} has a zero dimension")
-        # exact integer product: an int64 one can wrap and pass the size check
-        nbytes = 4 * math.prod(dims)
-        if off + nbytes > end:
-            raise FormatError(f"truncated data for tensor {name!r} in {path}")
-        arr = np.frombuffer(blob[off : off + nbytes], dtype="<f4").reshape(dims)
-        off += nbytes
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"tensor {name!r} in {path} has non-finite values")
-        tensors[name] = np.ascontiguousarray(arr, dtype=np.float32)
-        tensors[name].setflags(write=False)
-    if off != end:
-        raise FormatError(f"trailing bytes after tensor records in {path}")
-    return tensors
+    return FeaturePyramid(*(
+        _fold(_cell_base_features(f, stride, cfg.position_weight, cfg.std_weight), channels)
+        for stride, channels in ((16, cfg.channels16), (8, cfg.channels8))
+    ))

@@ -20,7 +20,6 @@ from mstrack.cli import (
     write_results,
 )
 from mstrack.errors import ConfigError, DataError
-from mstrack.features import ENCODER_MODES, save_weights
 from mstrack.pnm import read_pgm, read_ppm, write_pgm, write_ppm
 
 MINI_SCENE = """\
@@ -61,6 +60,28 @@ def test_synth_standard_suite(tmp_path, capsys):
     printed = capsys.readouterr().out.split()
     assert len(printed) == 10
     assert sorted(p.name for p in out.iterdir()) == sorted(printed)
+
+
+def test_synth_writes_every_scene_before_stdout_closes(tmp_path, monkeypatch, capsys):
+    # `synth ... | head -1` once stopped after the second scene
+    class ClosedAfterOneWrite:
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise BrokenPipeError(32, "Broken pipe")
+            return len(text)
+
+        def flush(self):
+            pass
+
+    out = tmp_path / "suite"
+    monkeypatch.setattr("sys.stdout", ClosedAfterOneWrite())
+    assert main(["synth", str(out), "--standard-suite"]) == 2
+    assert len([p for p in out.iterdir() if (p / "annotations.txt").is_file()]) == 10
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == "error: [Errno 32] Broken pipe"
 
 
 def test_synth_single_scene(mini_dataset):
@@ -307,42 +328,14 @@ def test_missing_mask_file_exits_two_naming_it(mini_dataset, tmp_path, capsys):
         assert line == f"error: {seq}: missing mask file {gone}"
 
 
-def _weights_config(tmp_path, scale, nan=False):
-    """Run config for weights-file mode with the default 32+32 channels."""
-    rng = np.random.default_rng(5)
-    proj16 = (scale * rng.normal(size=(16 * 16 * 3, 32))).astype(np.float32)
-    if nan:
-        proj16[0, 0] = np.nan
-    weights = tmp_path / "w.mswt"
-    save_weights(weights, {"proj16": proj16, "proj8": rng.normal(size=(8 * 8 * 3, 32))})
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"encoder.mode = weights-file\nencoder.weights_path = {weights}\n")
-    return str(cfg)
-
-
-def test_track_nan_weights_file_exits_two(mini_dataset, tmp_path, capsys):
-    cfg = _weights_config(tmp_path, 1.0, nan=True)
-    code = main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"), "--config", cfg])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "'proj16'" in err[0] and "non-finite" in err[0]
-
-
-def test_track_overflowing_weights_file_exits_two(mini_dataset, tmp_path, capsys):
-    # finite weights whose features would overflow float32 are rejected with the file
-    cfg = _weights_config(tmp_path, 1e37)
-    code = main(["track", str(mini_dataset / "mini"), str(tmp_path / "o.txt"), "--config", cfg])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "'proj16'" in err[0] and "overflow float32" in err[0]
-
-
-@pytest.mark.parametrize("key", ["engine.id_dim", "engine.seed", "encoder.seed"])
+@pytest.mark.parametrize(
+    "key", ["engine.id_dim", "engine.seed", "encoder.seed", "encoder.mode", "encoder.weights_path"]
+)
 @pytest.mark.parametrize("command", ["track", "eval"])
 def test_retired_bank_keys_are_unknown_when_the_config_loads(key, command, tmp_path, capsys):
     # id rows are one-hot label columns, so their width and seed are no keys,
-    # and no encoder draws a seeded map; checked before the data is read: a
-    # missing sequence would exit 2
+    # no encoder draws a seeded map, and the one encoder reads no weights
+    # file; checked before the data is read: a missing sequence would exit 2
     p = tmp_path / "run.cfg"
     p.write_text(f"{key} = 32\n")
     code = main([command, str(tmp_path / "no-such-data"), str(tmp_path / "out"),
@@ -586,9 +579,6 @@ def test_default_config_covers_every_schema_key(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = dict(re.findall(r"^\| `([a-z0-9_.]+)` \| `([^`]*)` \|", readme, flags=re.M))
     assert set(table) == set(CONFIG_SCHEMA)
-    # its encoder.mode row names every mode, and nothing else, in backticks
-    (row,) = re.findall(r"^\| `encoder\.mode` \| `[^`]*` \| (.*) \|$", readme, flags=re.M)
-    assert set(re.findall(r"`([^`]+)`", row)) == set(ENCODER_MODES)
     p = tmp_path / "readme.cfg"
     p.write_text("".join(f"{key} = {value}\n" for key, value in table.items()))
     assert load_run_config(p) == cfg
@@ -703,7 +693,7 @@ def test_extreme_config_values_inside_float32_still_track(line, mini_dataset, tm
     "lines, key",
     [
         (["engine.max_objects = -1"], "engine.max_objects"),
-        (["encoder.mode = random-projection"], "random-projection"),
+        (["encoder.mode = random-projection"], "encoder.mode"),
         (["engine.long_term_every = -5"], "engine.long_term_every"),
         (["encoder.position_weight = 1e39"], "encoder.position_weight"),
         (["encoder.std_weight = 1e39"], "encoder.std_weight"),
@@ -716,7 +706,7 @@ def test_out_of_range_config_values_exit_one_with_one_line(
     lines, key, command, mini_dataset, tmp_path, capsys
 ):
     # negative cadences once ran as 0, and overflowing weights and
-    # temperatures warned before failing; a retired encoder mode is unknown
+    # temperatures warned before failing; the retired encoder.mode key is unknown
     p = tmp_path / "run.cfg"
     p.write_text("".join(line + "\n" for line in lines))
     src = mini_dataset / "mini" if command == "track" else mini_dataset

@@ -237,17 +237,6 @@ def test_merged_long_term_memory_equals_the_merge_of_its_entries(monkeypatch):
         assert got.channels == want.channels == 32
 
 
-def _weights_encoder(tmp_path, channels):
-    path = tmp_path / "w.mswt"
-    rng = np.random.default_rng(41)
-    features.save_weights(path, {
-        "proj16": rng.normal(size=(16 * 16 * 3, channels)).astype(np.float32),
-        "proj8": rng.normal(size=(8 * 8 * 3, channels)).astype(np.float32),
-    })
-    return EncoderConfig(mode="weights-file", weights_path=str(path), channels16=channels,
-                         channels8=channels)
-
-
 @pytest.mark.parametrize(
     "mode, channels, width",
     [
@@ -255,18 +244,14 @@ def _weights_encoder(tmp_path, channels):
         ("handcrafted", 8, 8),
         ("handcrafted", 12, 8),
         ("handcrafted", 32, 8),
-        ("weights-file", 12, 12),
     ],
 )
 def test_the_encoder_sets_the_key_width_and_the_config_the_norm(
-    mode, channels, width, tmp_path, monkeypatch
+    mode, channels, width, monkeypatch
 ):
-    # the handcrafted encoder emits min(C, 8) channels, a weights file C; queries
+    # the encoder emits min(C, 8) channels (`mode` only names the rows); queries
     # and memory keys keep that width, while C sets their norm and score scale
-    if mode == "weights-file":
-        enc = _weights_encoder(tmp_path, channels)
-    else:
-        enc = EncoderConfig(mode=mode, channels16=channels, channels8=channels)
+    enc = EncoderConfig(channels16=channels, channels8=channels)
     cfg = EngineConfig(encoder=enc)
     queries = []
     gpm_stage = engine.gpm_stage

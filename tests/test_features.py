@@ -1,9 +1,6 @@
-"""Encoder tests: per-cell oracles, covariance, MSWT container handling."""
+"""Encoder tests: per-cell oracles, covariance, padding and config bounds."""
 
 import dataclasses
-import os
-import struct
-import zlib
 
 import numpy as np
 import pytest
@@ -12,16 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mstrack import features, kernels
-from mstrack.engine import EngineConfig, track_sequence
-from mstrack.errors import ConfigError, FormatError, ShapeError
+from mstrack.errors import ConfigError, ShapeError
 from mstrack.features import (
     BASE_CHANNELS,
     MAX_FEATURE_WEIGHT,
     EncoderConfig,
     encode_frame,
-    load_weights,
     pad_to_multiple,
-    save_weights,
     validate_frame,
 )
 
@@ -287,145 +281,28 @@ def test_level8_shape():
 
 
 def test_encoder_config_validation():
-    for mode in ("learned", "random-projection"):
-        with pytest.raises(ConfigError, match=mode):
-            EncoderConfig(mode=mode)
+    # one handcrafted encoder: no mode to pick and no weights file to name
+    assert [f.name for f in dataclasses.fields(EncoderConfig)] == [
+        "channels16", "channels8", "position_weight", "std_weight"]
+    for retired in ({"mode": "handcrafted"}, {"weights_path": "w.mswt"}):
+        with pytest.raises(TypeError):
+            EncoderConfig(**retired)
     with pytest.raises(ConfigError):
         EncoderConfig(channels16=0)
-    with pytest.raises(ConfigError):
-        EncoderConfig(mode="weights-file")
 
 
-def _weights_dict(c16=6, c8=4):
-    rng = np.random.default_rng(34)
-    return {
-        "proj16": rng.normal(size=(16 * 16 * 3, c16)).astype(np.float32),
-        "proj8": rng.normal(size=(8 * 8 * 3, c8)).astype(np.float32),
-    }
-
-
-def test_weights_round_trip(tmp_path):
-    path = tmp_path / "w.mswt"
-    tensors = _weights_dict()
-    save_weights(path, tensors)
-    loaded = load_weights(path)
-    assert set(loaded) == set(tensors)
-    for k in tensors:
-        np.testing.assert_array_equal(loaded[k], tensors[k])
-
-
-def test_weights_file_mode_end_to_end(tmp_path):
-    path = tmp_path / "w.mswt"
-    save_weights(path, _weights_dict())
-    cfg = EncoderConfig(mode="weights-file", weights_path=str(path), channels16=6, channels8=4)
-    frame = np.random.default_rng(35).random((32, 32, 3)).astype(np.float32)
-    pyr = encode_frame(frame, cfg)
-    assert pyr.level16.shape == (2, 2, 6)
-    assert pyr.level8.shape == (4, 4, 4)
-
-
-def test_weights_channel_mismatch_names_both_counts(tmp_path):
-    path = tmp_path / "w.mswt"
-    save_weights(path, _weights_dict(c16=6, c8=4))
-    cfg = EncoderConfig(mode="weights-file", weights_path=str(path), channels16=9, channels8=4)
-    frame = np.zeros((32, 32, 3), dtype=np.float32)
-    with pytest.raises(FormatError, match=r"6.*9"):
-        encode_frame(frame, cfg)
-
-
-def test_weights_corruption_detected(tmp_path):
-    path = tmp_path / "w.mswt"
-    save_weights(path, _weights_dict())
-    blob = bytearray(path.read_bytes())
-    blob[10] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="checksum"):
-        load_weights(path)
-
-
-def test_weights_truncation_detected(tmp_path):
-    path = tmp_path / "w.mswt"
-    save_weights(path, _weights_dict())
-    blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(FormatError):
-        load_weights(path)
-
-
-def test_weights_bad_magic(tmp_path):
-    path = tmp_path / "w.mswt"
-    path.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(FormatError, match="magic"):
-        load_weights(path)
-
-
-def test_weights_non_finite_rejected(tmp_path):
-    path = tmp_path / "w.mswt"
-    for bad in (np.nan, np.inf):
-        tensors = _weights_dict()
-        tensors["proj16"][3, 2] = bad
-        save_weights(path, tensors)
-        with pytest.raises(FormatError, match="'proj16'.*non-finite"):
-            load_weights(path)
-
-
-def test_weights_file_read_once_per_file_version(tmp_path, monkeypatch):
-    path = tmp_path / "w.mswt"
-    save_weights(path, _weights_dict())
-    reads = []
-
-    def counted(p):
-        reads.append(p)
-        return load_weights(p)
-
-    monkeypatch.setattr(features, "load_weights", counted)
-    enc = EncoderConfig(mode="weights-file", weights_path=str(path), channels16=6, channels8=4)
-    cfg = EngineConfig(encoder=enc)
-    rng = np.random.default_rng(36)
-    frames = [rng.random((32, 32, 3)).astype(np.float32) for _ in range(10)]
-    mask = np.zeros((32, 32), dtype=np.int32)
-    mask[8:24, 8:24] = 1
-    track_sequence(frames, mask, cfg)
-    assert reads == [str(path)]
-    # the maps depend on the file and the channels, not on the handcrafted weights
-    encode_frame(frames[0], dataclasses.replace(enc, position_weight=0.5))
-    assert reads == [str(path)]
-    # a rewritten file is read again
-    save_weights(path, {k: v + 1.0 for k, v in _weights_dict().items()})
-    st = os.stat(path)
-    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
-    track_sequence(frames, mask, cfg)
-    assert reads == [str(path)] * 2
-
-
-def test_handcrafted_levels_make_no_product(tmp_path, monkeypatch):
+def test_handcrafted_levels_make_no_product(monkeypatch):
     class ProductCalled(Exception):
         pass
 
     def no_product(*args, **kwargs):
         raise ProductCalled
 
-    monkeypatch.setattr(features, "matmul", no_product)
+    monkeypatch.setattr(kernels, "matmul", no_product)
+    assert not hasattr(features, "matmul")
     frame = np.random.default_rng(38).random((40, 56, 3)).astype(np.float32)
-    maps = features._weights_maps.cache_info()
     for channels in (3, 8, 32):
         encode_frame(frame, EncoderConfig(channels16=channels, channels8=channels))
-    assert features._weights_maps.cache_info() == maps
-    path = tmp_path / "w.mswt"
-    save_weights(path, _weights_dict())
-    with pytest.raises(ProductCalled):
-        encode_frame(frame, EncoderConfig(mode="weights-file", weights_path=str(path),
-                                          channels16=6, channels8=4))
-
-
-def test_weights_rewrite_is_not_cached(tmp_path):
-    path = tmp_path / "w.mswt"
-    first = _weights_dict()
-    save_weights(path, first)
-    load_weights(path)
-    second = {k: v + 1.0 for k, v in first.items()}
-    save_weights(path, second)
-    np.testing.assert_array_equal(load_weights(path)["proj16"], second["proj16"])
 
 
 @pytest.mark.parametrize(
@@ -434,19 +311,15 @@ def test_weights_rewrite_is_not_cached(tmp_path):
         ("handcrafted", 32, 8),
         ("handcrafted", 8, 8),
         ("handcrafted", 4, 4),
-        ("weights-file", 32, 32),
     ],
 )
-def test_encode_frame_pads_any_frame_size(mode, channels, width, tmp_path):
+def test_encode_frame_pads_any_frame_size(mode, channels, width):
+    # `mode` only names the rows: there is one encoder
     rng = np.random.default_rng(11)
     frame = rng.random((75, 100, 3)).astype(np.float32)
-    path = tmp_path / "w.mswt"
-    save_weights(path, _weights_dict(c16=channels, c8=channels))
-    cfg = EncoderConfig(mode=mode, channels16=channels, channels8=channels,
-                        weights_path=str(path) if mode == "weights-file" else None)
+    cfg = EncoderConfig(channels16=channels, channels8=channels)
     pyr = encode_frame(frame, cfg)
-    # the handcrafted encoder emits only its min(C, 8) real channels, each non-zero
-    # somewhere; a weights file's maps emit C
+    # the encoder emits only its min(C, 8) real channels, each non-zero somewhere
     for level in (pyr.level16, pyr.level8):
         assert level.shape[2] == width
         assert np.all(np.any(level, axis=(0, 1)))
@@ -456,24 +329,3 @@ def test_encode_frame_pads_any_frame_size(mode, channels, width, tmp_path):
     assert np.array_equal(pyr.level16, ref.level16) and np.array_equal(pyr.level8, ref.level8)
     one = encode_frame(np.full((1, 1, 3), 0.5, dtype=np.float32), cfg)
     assert one.level16.shape[:2] == (1, 1) and one.level8.shape[:2] == (2, 2)
-
-
-def _mswt_blob(name: bytes, dims) -> bytes:
-    body = features.WEIGHTS_MAGIC + struct.pack("<I", features.WEIGHTS_VERSION)
-    body += struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
-    body += b"".join(struct.pack("<I", d) for d in dims)
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-
-
-def test_weights_bad_name_or_dims_are_format_errors(tmp_path):
-    p = tmp_path / "w.mswt"
-    for name, dims, match in (
-        (b"\xff\xfe", [1], "not UTF-8"),
-        # the int64 products of these two dims wrap, to a negative count and to 0
-        (b"x", [2**32 - 1] * 4 + [16], "truncated data"),
-        (b"x", [2**31, 2**31, 4], "truncated data"),
-        (b"x", [0, 2**31, 2**31], "zero dimension"),
-    ):
-        p.write_bytes(_mswt_blob(name, dims))
-        with pytest.raises(FormatError, match=match):
-            load_weights(p)

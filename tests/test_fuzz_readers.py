@@ -1,5 +1,5 @@
 """Hypothesis fuzzing of the file readers: PNM frames and masks, annotations,
-run configs, scene files and MSWT weights.
+run configs and scene files.
 
 Each reader either returns a value or raises its documented MstrackError
 subclass, and when it raises, the CLI command that reads the same file exits
@@ -8,8 +8,6 @@ with that class's documented code and one `error:` line.
 
 import contextlib
 import io
-import struct
-import zlib
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,7 +16,6 @@ from hypothesis import strategies as st
 from mstrack.cli import CONFIG_SCHEMA, RunConfig, load_run_config, main
 from mstrack.errors import ConfigError, DataError, FormatError
 from mstrack.evaluation import SequenceRecord, load_sequence
-from mstrack.features import WEIGHTS_MAGIC, WEIGHTS_VERSION, load_weights
 from mstrack.flatcfg import parse_flat_text
 from mstrack.pnm import read_pgm, read_ppm
 from mstrack.synthgen import SceneSpec, parse_scene_file, render_frame
@@ -150,7 +147,7 @@ def test_run_config_loads_or_raises_config_error(tmp_path_factory, text):
         _assert_one_line_exit(["eval", root, root / "r.json", "--config", p], 1)
     else:
         assert isinstance(cfg, RunConfig)
-        assert not _sets_rejected(text, set(CONFIG_SCHEMA) - {"encoder.weights_path"})
+        assert not _sets_rejected(text, set(CONFIG_SCHEMA))
 
 
 # -- scene files -----------------------------------------------------------------
@@ -206,43 +203,3 @@ def test_scene_file_parses_or_raises_config_error(tmp_path_factory, text):
         assert b"object.01." not in text
         assert not _sets_rejected(text, set(_SCENE_KEYS) - {"scene.id"})
         render_frame(spec, spec.n_frames - 1)
-
-
-# -- MSWT weights ----------------------------------------------------------------
-
-_RECORD = st.tuples(
-    st.binary(max_size=6),
-    st.lists(st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1]), max_size=9),
-    st.binary(max_size=48),
-)
-
-
-def _mswt(records, version, chop):
-    body = WEIGHTS_MAGIC + struct.pack("<I", version)
-    for name, dims, data in records:
-        body += struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
-        body += b"".join(struct.pack("<I", d) for d in dims) + data
-    body = body[: len(body) - chop]
-    # a valid checksum, so the record parser sees every example
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-
-
-@FUZZ
-@given(
-    st.lists(_RECORD, max_size=3),
-    st.sampled_from([WEIGHTS_VERSION, WEIGHTS_VERSION, 2]),
-    st.integers(0, 6),
-)
-def test_weights_load_or_raise_format_error(tmp_path_factory, records, version, chop):
-    root = tmp_path_factory.mktemp("mswt")
-    p = root / "w.mswt"
-    p.write_bytes(_mswt(records, version, chop))
-    try:
-        tensors = load_weights(p)
-    except FormatError:
-        cfg = root / "run.cfg"
-        cfg.write_text(f"encoder.mode = weights-file\nencoder.weights_path = {p}\n")
-        seq = _sequence(root / "seq", b"P6\n2 2\n255\n" + bytes(12))
-        _assert_one_line_exit(["track", seq, root / "out.txt", "--config", cfg], 2)
-    else:
-        assert all(t.dtype == np.float32 for t in tensors.values())
