@@ -341,12 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # block-buffered output reaches a closed stdout only here, so the
+        # error meets the handler below and not the interpreter's exit
+        sys.stdout.flush()
+        return code
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (DataError, FormatError, InitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        if isinstance(e, BrokenPipeError) and sys.stdout is sys.__stdout__ is not None:
+            # what the closed pipe refused goes to os.devnull at exit, unreported
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2
     except MstrackError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -27,12 +27,11 @@ the predicted mask is cropped back to the frame before boxing, so masks and
 boxes are in frame coordinates.
 
 Matching uses cosine-style similarity: the engine rescales every feature row
-to a fixed L2 norm (match_norm * sqrt(C)) before attention, so the softmax
-logits are proportional to cosine similarity and sharp enough that a cell of
-the reference frame re-matches itself decisively.  C is the configured
-encoder.channels16 or channels8, not the level's width: the handcrafted
-encoder emits only its 8 real channels of the default 32, and memory records
-C, so the score scale stays temperature * sqrt(C).
+to a fixed L2 norm (match_norm * sqrt(L), L = 8 the level's width) before
+attention, so the softmax logits are proportional to cosine similarity and
+sharp enough that a cell of the reference frame re-matches itself
+decisively.  The score scale is temperature * sqrt(L), so a score over its
+scale is match_norm^2 * sqrt(L) / temperature times a cosine.
 
 Memory id rows are one-hot labels (majority-label encoding of the stored
 mask), so a memory row is [keys | max_objects + 1 labels] and a label's
@@ -64,7 +63,7 @@ import numpy as np
 
 from .boxmask import Box, SegmenterSpec, mask_to_box, segment_box
 from .errors import ConfigError, InitError, LabelError, ShapeError, check_range
-from .features import EncoderConfig, encode_frame, pad_to_multiple, validate_frame
+from .features import BASE_CHANNELS, EncoderConfig, encode_frame, pad_to_multiple, validate_frame
 from .kernels import FLOAT32_MAX, bilinear_resize, channel_argmax
 
 # unused here, but kept importable as engine.matmul: the benchmark's tracer
@@ -88,13 +87,14 @@ FUSE_GATE = 0.5
 class EngineConfig:
     """Engine settings, bounded so every attention and decode value fits float32.
 
-    Feature rows have norm r = match_norm * sqrt(C), with C = encoder.channels16
-    or channels8, and each gated read adds at most r, so after L layers at that
-    stride a query's norm is at most r * (1 + 2L).  So r^2 * (1 + 2L), the
-    largest score, must fit in float32, and so must its quotient by
-    float32(temperature * sqrt(C)), itself finite.  Stride-8 logits are at
-    most prior_weight / 2 + 2 * gpm_layers8, and the full-resolution resize
-    takes their differences, so that sum must stay <= FLOAT32_MAX / 2.
+    Feature rows have norm r = match_norm * sqrt(8), 8 being the encoder's
+    width, and each gated read adds at most r, so after N layers at a stride
+    a query's norm is at most r * (1 + 2N).  So r^2 * (1 + 2N), the largest
+    score, with N the larger of gpm_layers16 and gpm_layers8, must fit in
+    float32, and so must its quotient by float32(temperature * sqrt(8)),
+    itself finite.  Stride-8 logits are at most prior_weight / 2 +
+    2 * gpm_layers8, and the full-resolution resize takes their
+    differences, so that sum must stay <= FLOAT32_MAX / 2.
     prior_weight must be positive: a stride-8 cell stride 16 is sure of
     decodes its prior alone, and a zero or negative weight would decode it as
     label 0 or as the lowest-scoring label.  The
@@ -112,7 +112,7 @@ class EngineConfig:
     gpm_layers8: int = 1
     temperature: float = DEFAULT_TEMPERATURE
     long_term_every: int = 0  # 0 = reference frame only
-    match_norm: float = 6.0  # feature rows rescaled to match_norm * sqrt(C)
+    match_norm: float = 6.0  # feature rows rescaled to match_norm * sqrt(8)
     prior_weight: float = 0.5  # coarse-prior residual weight, scaled by FUSE_GATE
 
     def __post_init__(self):
@@ -126,21 +126,19 @@ class EngineConfig:
             raise ConfigError(f"match_norm must be positive and finite, got {self.match_norm}")
         if not (math.isfinite(self.prior_weight) and self.prior_weight > 0):
             raise ConfigError(f"prior_weight must be positive and finite, got {self.prior_weight}")
-        enc = self.encoder
-        for c, layers in ((enc.channels16, self.gpm_layers16), (enc.channels8, self.gpm_layers8)):
-            r = self.match_norm * math.sqrt(c)
-            score = r * r * (1 + 2 * layers)
-            with np.errstate(over="ignore"):
-                scale = float(np.float32(self.temperature * math.sqrt(c)))
-            if score > FLOAT32_MAX:
-                raise ConfigError(f"match_norm {self.match_norm} overflows float32 attention scores")
-            if scale == math.inf:
-                raise ConfigError(f"temperature {self.temperature} overflows float32")
-            if scale == 0.0 or score / scale > FLOAT32_MAX:
-                raise ConfigError(
-                    f"temperature {self.temperature} is too small for match_norm "
-                    f"{self.match_norm}: attention logits overflow float32"
-                )
+        r = self.match_norm * math.sqrt(BASE_CHANNELS)
+        score = r * r * (1 + 2 * max(self.gpm_layers16, self.gpm_layers8))
+        with np.errstate(over="ignore"):
+            scale = float(np.float32(self.temperature * math.sqrt(BASE_CHANNELS)))
+        if score > FLOAT32_MAX:
+            raise ConfigError(f"match_norm {self.match_norm} overflows float32 attention scores")
+        if scale == math.inf:
+            raise ConfigError(f"temperature {self.temperature} overflows float32")
+        if scale == 0.0 or score / scale > FLOAT32_MAX:
+            raise ConfigError(
+                f"temperature {self.temperature} is too small for match_norm "
+                f"{self.match_norm}: attention logits overflow float32"
+            )
         if self.prior_weight / 2 + 2 * self.gpm_layers8 > FLOAT32_MAX / 2:
             raise ConfigError(f"prior_weight {self.prior_weight} overflows float32 logits")
 
@@ -161,12 +159,11 @@ def _rows(grid: np.ndarray) -> np.ndarray:
 
 
 def _match_rows(pyr, cfg: EngineConfig) -> tuple:
-    """The rows of both levels, each scaled to norm match_norm * sqrt(C),
-    with C the level's encoder.channels16 or channels8."""
-    enc = cfg.encoder
+    """The rows of both levels, each scaled to norm match_norm * sqrt(L),
+    with L the level's width."""
     return tuple(
-        scale_rows(_rows(level), cfg.match_norm * np.sqrt(c))
-        for level, c in ((pyr.level16, enc.channels16), (pyr.level8, enc.channels8))
+        scale_rows(_rows(level), cfg.match_norm * np.sqrt(level.shape[2]))
+        for level in (pyr.level16, pyr.level8)
     )
 
 
@@ -186,13 +183,12 @@ def _validate_mask(mask: np.ndarray, frame: np.ndarray, cfg: EngineConfig) -> np
     return m.astype(np.uint8)
 
 
-def _write_memory(memory: MemoryBank, num_labels, mask, f16, f8, frame_index, long_term, enc):
+def _write_memory(memory: MemoryBank, num_labels, mask, f16, f8, frame_index, long_term):
     """Store one frame's match rows and mask, as one-hot rows of `num_labels`
-    labels, as memory at both scales; each entry records its level's channel
-    count, which sets the score scale."""
-    for scale, rows, c in ((16, f16, enc.channels16), (8, f8, enc.channels8)):
+    labels, as memory at both scales."""
+    for scale, rows in ((16, f16), (8, f8)):
         ids = _rows(encode_mask_to_ids(mask, num_labels, scale))
-        memory.write(MemoryEntry(scale, rows, ids, frame_index, channels=c), long_term)
+        memory.write(MemoryEntry(scale, rows, ids, frame_index), long_term)
 
 
 def init_reference(
@@ -214,8 +210,7 @@ def init_reference(
     memory = MemoryBank()
     f16, f8 = _match_rows(pyr, cfg)
     _write_memory(
-        memory, cfg.max_objects + 1, pad_to_multiple(m), f16, f8,
-        frame_index=0, long_term=True, enc=cfg.encoder,
+        memory, cfg.max_objects + 1, pad_to_multiple(m), f16, f8, frame_index=0, long_term=True
     )
     boxes = {label: mask_to_box(m, label) for label in range(1, k + 1)}
     return EngineState(
@@ -322,8 +317,7 @@ def step(state: EngineState, frame: np.ndarray):
         every = cfg.long_term_every
         cadence = every > 0 and state.frame_index % every == 0
         _write_memory(
-            state.memory, cfg.max_objects + 1, padded, f16, f8, state.frame_index, cadence,
-            cfg.encoder,
+            state.memory, cfg.max_objects + 1, padded, f16, f8, state.frame_index, cadence
         )
     return pred, boxes, state
 

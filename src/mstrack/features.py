@@ -4,10 +4,8 @@ The engine consumes feature maps at strides 16 and 8.  Instead of a learned
 backbone, one deterministic handcrafted encoder holds one row per stride-s
 cell: the cell's mean RGB, its normalized (x, y) cell-center coordinates
 scaled by a position weight, and its per-channel RGB standard deviation
-scaled by a std weight (8 base channels), folded to min(C, 8) channels: base
-channel i adds into channel i % C (`_fold`).  So the encoder emits only its
-min(C, 8) real channels; C still sets the engine's sqrt(C) score scale and
-its row norm.
+scaled by a std weight, 8 channels at both strides.  The engine's score
+scale and row norm follow from that width (`propagation`, `engine`).
 
 The std weight defaults low: cells straddling an object boundary share a
 common high-variance signature regardless of which side holds the majority,
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_range
+from .errors import ConfigError, ShapeError
 from .kernels import FLOAT32_MAX
 
 BASE_CHANNELS = 8  # mean RGB (3) + cell-center xy (2) + RGB std (3)
@@ -36,26 +34,17 @@ MAX_FEATURE_WEIGHT = FLOAT32_MAX / 2**19  # see EncoderConfig
 class EncoderConfig:
     """Encoder settings, bounded so every feature fits float32.
 
-    Base features are means in [0, 1], cell centres in (0, 1) times
+    Features are means in [0, 1], cell centres in (0, 1) times
     position_weight, and standard deviations of values in [0, 1], at most
     1/2, times std_weight, so none exceeds w = max(1, |position_weight|,
-    |std_weight|).  Each output folds at most 8 of them, so it stays below
-    8w, and w <= MAX_FEATURE_WEIGHT = FLOAT32_MAX / 2^19 keeps it 2^16 times
-    inside float32: the bound has room to spare, and keeps its value so the
-    weights a config may set do not change.
-
-    channels16 and channels8 lie in [1, 1024]; a level emits min(C, 8) of
-    them, and C sets the engine's score scale and row norm.
+    |std_weight|), and w <= MAX_FEATURE_WEIGHT = FLOAT32_MAX / 2^19 keeps
+    them well inside float32.
     """
 
-    channels16: int = 32
-    channels8: int = 32
     position_weight: float = 0.15
     std_weight: float = 0.1
 
     def __post_init__(self):
-        check_range("encoder.channels16", self.channels16, 1, 1024)
-        check_range("encoder.channels8", self.channels8, 1, 1024)
         for name in ("position_weight", "std_weight"):
             value = getattr(self, name)
             if not abs(value) <= MAX_FEATURE_WEIGHT:
@@ -67,11 +56,10 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-frame feature maps at strides 16 and 8; C16 and C8 are
-    min(encoder.channels16, 8) and min(encoder.channels8, 8)."""
+    """Per-frame feature maps at strides 16 and 8, 8 channels each."""
 
-    level16: np.ndarray  # [ceil(H/16), ceil(W/16), C16]
-    level8: np.ndarray  # [2*ceil(H/16), 2*ceil(W/16), C8]
+    level16: np.ndarray  # [ceil(H/16), ceil(W/16), 8]
+    level8: np.ndarray  # [2*ceil(H/16), 2*ceil(W/16), 8]
 
 
 def validate_frame(frame: np.ndarray) -> np.ndarray:
@@ -137,40 +125,24 @@ def _cell_base_features(
     return out
 
 
-def _fold(base: np.ndarray, channels: int) -> np.ndarray:
-    """Fold [hc, wc, 8] base features to min(C, 8) channels, float32.
-
-    Base channel i adds into channel i % C, in ascending i, in one float64
-    sum that starts from +0.0 and is cast to float32 once.  A BLAS product
-    with a 0/1 [8, min(C, 8)] map sums the same way at C >= 2, and so also
-    turns the -0.0 of a zero-deviation cell times a negative std weight into
-    +0.0; tests/test_features.py keeps that product as the reference.
-    """
-    hc, wc, _ = base.shape
-    width = min(channels, BASE_CHANNELS)
-    cols = np.zeros((hc, wc, -(-BASE_CHANNELS // width) * width))
-    cols[..., :BASE_CHANNELS] = base
-    return cols.reshape(hc, wc, -1, width).sum(axis=2, initial=0.0).astype(np.float32)
-
-
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig) -> FeaturePyramid:
     """Encode a validated frame into stride-16 and stride-8 feature maps.
 
     The frame is edge-padded to the next multiples of 16 first
     (`pad_to_multiple`), so cell grids cover the padded frame.  Each level is
-    `_fold(base features)`, one row per cell in row-major cell order.
+    `_cell_base_features`, one row per cell in row-major cell order, with
+    -0.0 (a flat cell times a negative std weight) made +0.0.
 
     Args:
         frame: [H,W,3] float32 in [0,1] from `validate_frame`, any H, W >= 1.
-        cfg: encoder configuration; a level configured for C channels has
-            min(C, 8) of them.
+        cfg: encoder configuration.
 
     Returns:
-        FeaturePyramid with level16 [ceil(H/16),ceil(W/16),min(C16, 8)] and
-        level8 twice that size, [2*ceil(H/16),2*ceil(W/16),min(C8, 8)].
+        FeaturePyramid with level16 [ceil(H/16),ceil(W/16),8] and level8
+        twice that size, [2*ceil(H/16),2*ceil(W/16),8].
     """
     f = pad_to_multiple(frame)
-    return FeaturePyramid(*(
-        _fold(_cell_base_features(f, stride, cfg.position_weight, cfg.std_weight), channels)
-        for stride, channels in ((16, cfg.channels16), (8, cfg.channels8))
-    ))
+    levels = [_cell_base_features(f, s, cfg.position_weight, cfg.std_weight) for s in (16, 8)]
+    for level in levels:
+        level += 0.0  # -0.0 + 0.0 is +0.0
+    return FeaturePyramid(*levels)

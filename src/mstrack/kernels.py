@@ -120,7 +120,9 @@ def matmul(a: np.ndarray, b: np.ndarray, *, out=None, work=None) -> np.ndarray:
     replaced as the reference, at 1 and 2 BLAS threads.  A float64 operand
     is used without a copy; it must hold float32 values for that to hold.
     A transposed view (b = x.T of a row-major x) is passed to BLAS as a
-    transposed operand, also without a copy.  BLAS sums into `work`, a
+    transposed operand, also without a copy.  A one-row product is summed
+    as a row of a wider one, so a row's bytes do not depend on how many
+    rows share its product.  BLAS sums into `work`, a
     float64 [m,n] array, when given, and the float32 result goes to `out`
     when given; otherwise each is a new array.
     """
@@ -131,7 +133,14 @@ def matmul(a: np.ndarray, b: np.ndarray, *, out=None, work=None) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dims differ: {a.shape} x {b.shape}")
     shape = (a.shape[0], b.shape[1])
-    work = np.matmul(a, b, out=_checked_buffer(work, shape, np.float64, "matmul work"))
+    work = _checked_buffer(work, shape, np.float64, "matmul work")
+    if shape[0] > 1:
+        work = np.matmul(a, b, out=work)
+    else:
+        # NumPy hands one row to BLAS's gemv, which sums in an order of its
+        # own; the row taken twice is summed as every wider product is
+        work = np.empty(shape) if work is None else work
+        work[...] = np.matmul(np.concatenate([a, a]), b)[:1]
     out = _checked_buffer(out, shape, np.float32, "matmul out")
     # an overflowing cast gives inf, which the check below reports
     with np.errstate(over="ignore"):
@@ -144,10 +153,8 @@ def matmul(a: np.ndarray, b: np.ndarray, *, out=None, work=None) -> np.ndarray:
     return out
 
 
-def softmax(
-    x: np.ndarray, axis: int = -1, temperature: float = 1.0, out=None, *, work=None
-) -> np.ndarray:
-    """Temperature softmax along `axis` with max-subtraction.
+def softmax(x: np.ndarray, axis: int = -1, *, out=None, work=None) -> np.ndarray:
+    """Softmax along `axis` with max-subtraction; a caller scales its logits.
 
     Each slice of the output sums to 1 (within float tolerance) and the
     result is invariant to adding a constant to a slice.  The work is done
@@ -160,8 +167,6 @@ def softmax(
     x = np.ascontiguousarray(x, dtype=np.float32)
     if not _all_finite(x):
         raise NumericError("tensor contains non-finite values")
-    if temperature <= 0.0:
-        raise NumericError(f"temperature must be positive, got {temperature}")
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} out of range for rank-{x.ndim} tensor")
     out = _checked_buffer(out, x.shape, np.float32, "softmax out")
@@ -170,8 +175,6 @@ def softmax(
         z = x.astype(np.float64)
     else:
         z[...] = x
-    if temperature != 1.0:
-        z /= float(temperature)
     z -= z.max(axis=axis, keepdims=True)
     # exp(EXP_CLAMP) / sum stays a normal double; see the module docstring
     np.maximum(z, EXP_CLAMP, out=z)

@@ -14,15 +14,14 @@ long-term then short-term memory through shared softmax attention computed
 from visual features only, and applies the read to both branches through a
 sigmoid-gated residual:
 
-    att     = softmax(query . keys^T / (temperature * sqrt(C)))
+    att     = softmax(query . keys^T / (temperature * sqrt(L)))
     out     = in + sigmoid(bias) * (att . values)
 
 with values = memory keys on the visual branch and memory id_values on the
 ID branch.  Both branches come from one product, att . [keys | id_values].
 Each of the four reads has its own scalar gate bias; bias 0 (the default) is
-a uniform half-open gate.  C is the entry's `channels`, the encoder's
-configured channel count, which may exceed the key width L: the handcrafted
-encoder emits only its 8 real channels of the default C = 32.
+a uniform half-open gate.  L is the key width, the standard 1/sqrt(d_k)
+scale of scaled dot-product attention.
 
 An entry holds its rows once, as one float64 [N, L+D] array of float32
 values (`values`), 8 (L + D) bytes a row; its keys and id rows are views of
@@ -66,7 +65,7 @@ import numpy as np
 from .errors import LabelError, ShapeError, StateError, check_range
 from .kernels import matmul, softmax
 
-DEFAULT_TEMPERATURE = 0.1
+DEFAULT_TEMPERATURE = 0.05
 # labels 0..255: masks are 8-bit
 MAX_LABELS = 256
 # query rows x memory rows per attention chunk: 1 MB of float64 scores
@@ -85,11 +84,10 @@ class MemoryEntry:
     float32 values: the keys, then the id rows.  `keys` [N, L] and
     `id_values` [N, D] are views of it, so `matmul` takes them without
     converting memory on every read, and BLAS takes `keys.T` as a
-    transposed operand without a copy.  L is the key width, and the
-    keyword-only `channels` records the encoder's C (module docstring), the
-    width that sets a read's score scale; it defaults to L.  A row costs
-    8 (L+D) bytes: 104 in the engine at the defaults, L = 8 and one-hot id
-    rows of D = max_objects + 1 = 5 labels.  The arrays are read-only, and
+    transposed operand without a copy.  L is the key width, which sets a
+    read's score scale (module docstring).  A row costs 8 (L+D) bytes: 104
+    in the engine at the defaults, L = 8 and one-hot id rows of
+    D = max_objects + 1 = 5 labels.  The arrays are read-only, and
     each entry owns its `values`: one built from keys and id rows converts
     them, and one that `merge_entries` built holds the concatenation.
     """
@@ -98,7 +96,6 @@ class MemoryEntry:
     keys: np.ndarray  # [N, L] flattened spatial cells
     id_values: np.ndarray  # [N, D]
     frame_index: int
-    channels: int | None = field(default=None, kw_only=True)  # C; None means L
     values: np.ndarray = field(init=False, repr=False, compare=False)  # [N, L+D]
 
     def __post_init__(self):
@@ -112,28 +109,24 @@ class MemoryEntry:
         if self.keys.shape[0] == 0:
             raise ShapeError("memory entry has no rows; a read needs at least one")
         n, c = self.keys.shape
-        channels = c if self.channels is None else self.channels
-        if channels < c:
-            raise ShapeError(f"memory of {channels} channels cannot hold {c} key columns")
         values = np.empty((n, c + self.id_values.shape[1]), dtype=np.float64)
         values[:, :c] = np.asarray(self.keys, np.float32)
         values[:, c:] = np.asarray(self.id_values, np.float32)
-        self._view(values, c, channels)
+        self._view(values, c)
 
-    def _view(self, values: np.ndarray, c: int, channels: int) -> None:
+    def _view(self, values: np.ndarray, c: int) -> None:
         values.flags.writeable = False
-        object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "keys", values[:, :c])
         object.__setattr__(self, "id_values", values[:, c:])
 
     @classmethod
-    def _of_rows(cls, scale: int, values: np.ndarray, c: int, channels: int) -> "MemoryEntry":
+    def _of_rows(cls, scale: int, values: np.ndarray, c: int) -> "MemoryEntry":
         """The entry of the float64 rows `values`, viewed without a copy."""
         entry = object.__new__(cls)
         object.__setattr__(entry, "scale", scale)
         object.__setattr__(entry, "frame_index", -1)
-        entry._view(values, c, channels)
+        entry._view(values, c)
         return entry
 
 
@@ -180,7 +173,7 @@ def merge_entries(entries: list) -> MemoryEntry:
     """One entry holding the rows of `entries` in order, or a itself for [a].
 
     The rows are concatenated into one new array, which the entry owns.
-    Entries of different strides, widths or `channels` raise `ShapeError`.
+    Entries of different strides or widths raise `ShapeError`.
     """
     if not entries:
         raise StateError("empty long-term memory")
@@ -196,15 +189,10 @@ def merge_entries(entries: list) -> MemoryEntry:
                 f"cannot merge memory rows of {e.keys.shape[1]} key and {e.id_values.shape[1]} id "
                 f"columns into rows of {c} key and {d} id columns"
             )
-        if e.channels != first.channels:
-            raise ShapeError(
-                f"cannot merge memory of {e.channels} channels into memory of "
-                f"{first.channels} channels"
-            )
     if len(entries) == 1:
         return first
     values = np.concatenate([e.values for e in entries])
-    return MemoryEntry._of_rows(first.scale, values, c, first.channels)
+    return MemoryEntry._of_rows(first.scale, values, c)
 
 
 # --------------------------------------------------------------------------
@@ -285,11 +273,10 @@ def attention_read(
 ):
     """One softmax attention read over a memory entry.
 
-    att[i, j] = softmax_j(query_i . key_j / (temperature * sqrt(C))), with
-    C = `memory.channels`, not the key width; vis_read = att . keys and
-    id_read = att . id_values, both columns of the one product
-    att . [keys | id_values].  Returns (att, vis_read, id_read),
-    with att None under `keep_att=False`.  Query rows are read in chunks of
+    att[i, j] = softmax_j(query_i . key_j / (temperature * sqrt(L))), with
+    L the key width; vis_read = att . keys and id_read = att . id_values,
+    both columns of the one product att . [keys | id_values].  Returns
+    (att, vis_read, id_read), with att None under `keep_att=False`.  Query rows are read in chunks of
     `CELL_BUDGET // m` rows, one after another, which fill preallocated
     float32 read arrays, and `att` only when it is kept; every chunk reuses
     one set of scratch buffers.
@@ -303,7 +290,7 @@ def attention_read(
         )
     n, c = q.shape
     m, width = memory.values.shape
-    scale = np.float32(temperature * np.sqrt(memory.channels))
+    scale = np.float32(temperature * np.sqrt(c))
     chunk = max(1, CELL_BUDGET // m)
     rows = min(chunk, n)
     att = np.empty((n, m), dtype=np.float32) if keep_att else None

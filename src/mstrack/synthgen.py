@@ -187,7 +187,7 @@ class SceneSpec:
 # analytic geometry
 
 
-def _fold(value: float, lo: float, hi: float) -> float:
+def _reflect(value: float, lo: float, hi: float) -> float:
     """Reflect a coordinate into [lo, hi] (triangle-wave folding)."""
     if hi <= lo:
         return (lo + hi) / 2.0
@@ -214,8 +214,8 @@ def object_geometry(spec: SceneSpec, obj: ObjectSpec, t: int):
         phase = 2.0 * math.pi * t / obj.period
         ux = obj.start[0] + obj.amplitude[0] * math.sin(phase)
         uy = obj.start[1] + obj.amplitude[1] * math.sin(phase)
-    cx = _fold(ux, w / 2.0 + 1.0, spec.width - w / 2.0 - 1.0)
-    cy = _fold(uy, h / 2.0 + 1.0, spec.height - h / 2.0 - 1.0)
+    cx = _reflect(ux, w / 2.0 + 1.0, spec.width - w / 2.0 - 1.0)
+    cy = _reflect(uy, h / 2.0 + 1.0, spec.height - h / 2.0 - 1.0)
     return cx, cy, w, h
 
 

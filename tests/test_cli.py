@@ -1,8 +1,11 @@
 """CLI commands, config loading, results files, and exit codes."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,8 @@ from mstrack.cli import (
 )
 from mstrack.errors import ConfigError, DataError
 from mstrack.pnm import read_pgm, read_ppm, write_pgm, write_ppm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MINI_SCENE = """\
 scene.id = mini
@@ -82,6 +87,31 @@ def test_synth_writes_every_scene_before_stdout_closes(tmp_path, monkeypatch, ca
     assert len([p for p in out.iterdir() if (p / "annotations.txt").is_file()]) == 10
     (err,) = capsys.readouterr().err.splitlines()
     assert err == "error: [Errno 32] Broken pipe"
+
+
+def test_closed_stdout_exits_two_with_one_line_under_buffered_output(tmp_path):
+    # with stdout block-buffered (PYTHONUNBUFFERED unset), a closed stdout
+    # once surfaced only at interpreter exit: exit 120 and a two-line report
+    spec = tmp_path / "tiny.scene"
+    spec.write_text(
+        "scene.id = tiny\nscene.width = 16\nscene.height = 16\nscene.frames = 1\n"
+        "object.1.shape = rectangle\nobject.1.color = 0.2 0.2 0.8\n"
+        "object.1.size = 6 6\nobject.1.start = 8 8\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mstrack.cli", "synth", str(spec), str(tmp_path / "d")],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
+    assert (tmp_path / "d" / "tiny" / "annotations.txt").is_file()
 
 
 def test_synth_single_scene(mini_dataset):
@@ -329,13 +359,16 @@ def test_missing_mask_file_exits_two_naming_it(mini_dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key", ["engine.id_dim", "engine.seed", "encoder.seed", "encoder.mode", "encoder.weights_path"]
+    "key",
+    ["engine.id_dim", "engine.seed", "encoder.seed", "encoder.mode", "encoder.weights_path",
+     "encoder.channels16", "encoder.channels8"],
 )
 @pytest.mark.parametrize("command", ["track", "eval"])
 def test_retired_bank_keys_are_unknown_when_the_config_loads(key, command, tmp_path, capsys):
     # id rows are one-hot label columns, so their width and seed are no keys,
-    # no encoder draws a seeded map, and the one encoder reads no weights
-    # file; checked before the data is read: a missing sequence would exit 2
+    # no encoder draws a seeded map, the one encoder reads no weights file,
+    # and its 8 channels set the score scale; checked before the data is
+    # read: a missing sequence would exit 2
     p = tmp_path / "run.cfg"
     p.write_text(f"{key} = 32\n")
     code = main([command, str(tmp_path / "no-such-data"), str(tmp_path / "out"),
@@ -347,11 +380,10 @@ def test_retired_bank_keys_are_unknown_when_the_config_loads(key, command, tmp_p
 
 @pytest.mark.parametrize(
     "key",
-    ["encoder.channels16", "encoder.channels8", "engine.max_objects",
-     "engine.gpm_layers16", "engine.gpm_layers8"],
+    ["engine.max_objects", "engine.gpm_layers16", "engine.gpm_layers8"],
 )
 def test_track_absurd_sizes_exit_one_with_one_line(key, mini_dataset, tmp_path, capsys):
-    # 10^18 channels or objects once ended in a NumPy allocation
+    # 10^18 objects once ended in a NumPy allocation
     # error, and 10^18 gpm layers in a step that never ended
     p = tmp_path / "run.cfg"
     p.write_text(f"{key} = {10**18}\n")

@@ -17,7 +17,7 @@ from mstrack.engine import (
     track_sequence,
 )
 from mstrack.errors import ConfigError, InitError, LabelError, ShapeError
-from mstrack.features import EncoderConfig, pad_to_multiple
+from mstrack.features import pad_to_multiple
 from mstrack.kernels import bilinear_resize, channel_argmax, matmul
 from mstrack.propagation import (
     MemoryBank,
@@ -54,8 +54,8 @@ def test_init_stores_reference_memory_at_both_scales():
         assert mem.short_term is mem.long_term[0]
         assert mem.short_term.keys.shape[0] == cells
         norms = np.linalg.norm(mem.short_term.keys, axis=1)
-        c = mem.short_term.channels
-        np.testing.assert_allclose(norms, CFG.match_norm * np.sqrt(c), rtol=1e-5)
+        assert mem.short_term.keys.shape[1] == 8
+        np.testing.assert_allclose(norms, CFG.match_norm * np.sqrt(8), rtol=1e-5)
     assert state.last_boxes[1] == mask_to_box(mask, 1)
 
 
@@ -234,25 +234,11 @@ def test_merged_long_term_memory_equals_the_merge_of_its_entries(monkeypatch):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         # the read's transposed key operand is a view of the bank's rows
         assert np.shares_memory(got.keys.T, got.values)
-        assert got.channels == want.channels == 32
 
 
-@pytest.mark.parametrize(
-    "mode, channels, width",
-    [
-        ("handcrafted", 4, 4),
-        ("handcrafted", 8, 8),
-        ("handcrafted", 12, 8),
-        ("handcrafted", 32, 8),
-    ],
-)
-def test_the_encoder_sets_the_key_width_and_the_config_the_norm(
-    mode, channels, width, monkeypatch
-):
-    # the encoder emits min(C, 8) channels (`mode` only names the rows); queries
-    # and memory keys keep that width, while C sets their norm and score scale
-    enc = EncoderConfig(channels16=channels, channels8=channels)
-    cfg = EngineConfig(encoder=enc)
+def test_the_key_width_sets_the_row_norm(monkeypatch):
+    # the encoder emits 8 channels; queries and memory keys keep that width
+    # L and are scaled to norm match_norm * sqrt(L)
     queries = []
     gpm_stage = engine.gpm_stage
 
@@ -262,52 +248,52 @@ def test_the_encoder_sets_the_key_width_and_the_config_the_norm(
 
     monkeypatch.setattr(engine, "gpm_stage", spy)
     frame, mask = make_square_frame(64, (16, 16), 32)
-    pyr = features.encode_frame(frame, enc)
-    assert pyr.level16.shape[2] == pyr.level8.shape[2] == width
-    state = init_reference(frame, mask, cfg)
+    pyr = features.encode_frame(frame, CFG.encoder)
+    assert pyr.level16.shape[2] == pyr.level8.shape[2] == 8
+    state = init_reference(frame, mask, CFG)
     step(state, frame)
     entries = [state.memory.at(scale).short_term for scale in (16, 8)]
-    assert [e.channels for e in entries] == [channels, channels]
     assert len(queries) == 2
     for rows in queries + [e.keys for e in entries]:
-        assert rows.shape[1] == width
+        assert rows.shape[1] == 8
         norms = np.linalg.norm(rows.astype(np.float64), axis=1)
-        np.testing.assert_allclose(norms, cfg.match_norm * np.sqrt(channels), rtol=1e-5)
+        np.testing.assert_allclose(norms, CFG.match_norm * np.sqrt(8), rtol=1e-5)
 
 
 def test_narrow_levels_keep_the_bytes_of_zero_padded_levels(rendered_suite, monkeypatch):
-    # the handcrafted encoder emits its 8 real channels of C = 32: with the
-    # score scale kept at sqrt(32), every mask, box and memory row is the one
-    # levels zero-padded to 32 columns give, also across target loss, over a
-    # growing long-term memory, and whatever MSTRACK_THREADS says
+    # scores scale by temperature * sqrt(L) and rows have norm
+    # match_norm * sqrt(L): the 8 real columns at the default temperature,
+    # 0.05, give every mask, box and id row that levels zero-padded to 32
+    # columns give at temperature 0.1, as sqrt(32) = 2 sqrt(8) exactly, also
+    # across target loss and over a growing long-term memory; each key is
+    # exactly half the padded one
     frames, masks, _ = rendered_suite["s06_full_occ"]
     cfg = EngineConfig(long_term_every=3)
+    assert cfg.temperature == 0.05
     writes = _record_writes(monkeypatch)
     narrow = engine.encode_frame
 
     def padded(frame, enc):
         pyr = narrow(frame, enc)
         return features.FeaturePyramid(*(
-            np.pad(level, ((0, 0), (0, 0), (0, c - level.shape[2])))
-            for level, c in ((pyr.level16, enc.channels16), (pyr.level8, enc.channels8))
+            np.pad(level, ((0, 0), (0, 0), (0, 32 - level.shape[2])))
+            for level in (pyr.level16, pyr.level8)
         ))
 
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MSTRACK_THREADS", threads)
-        runs = []
-        for encode in (narrow, padded):
-            monkeypatch.setattr(engine, "encode_frame", encode)
-            writes.clear()
-            runs.append((track_sequence(frames, masks[0], cfg), [e for _, e, _ in writes]))
-        (got, got_rows), (full, full_rows) = runs
-        assert any(box.lost for box, _ in got)
-        assert [box for box, _ in got] == [box for box, _ in full]
-        assert [m.tobytes() for _, m in got] == [m.tobytes() for _, m in full]
-        assert len(got_rows) == len(full_rows)
-        for a, b in zip(got_rows, full_rows):
-            assert (a.keys.shape[1], b.keys.shape[1], a.channels, b.channels) == (8, 32, 32, 32)
-            assert a.id_values.tobytes() == b.id_values.tobytes()
-            assert a.keys.tobytes() == b.keys[:, :8].tobytes()
+    runs = []
+    for encode, run_cfg in ((narrow, cfg), (padded, dataclasses.replace(cfg, temperature=0.1))):
+        monkeypatch.setattr(engine, "encode_frame", encode)
+        writes.clear()
+        runs.append((track_sequence(frames, masks[0], run_cfg), [e for _, e, _ in writes]))
+    (got, got_rows), (full, full_rows) = runs
+    assert any(box.lost for box, _ in got)
+    assert [box for box, _ in got] == [box for box, _ in full]
+    assert [m.tobytes() for _, m in got] == [m.tobytes() for _, m in full]
+    assert len(got_rows) == len(full_rows)
+    for a, b in zip(got_rows, full_rows):
+        assert (a.keys.shape[1], b.keys.shape[1]) == (8, 32) and not np.any(b.keys[:, 8:])
+        assert a.id_values.tobytes() == b.id_values.tobytes()
+        assert a.keys.tobytes() == (b.keys[:, :8] / 2).tobytes()
 
 
 def test_lost_target_repeats_last_box_and_freezes_memory():
@@ -511,7 +497,7 @@ def _moved_onto(state, basis):
 
     def moved(e):
         ids = (e.id_values @ rows).astype(np.float32)
-        return MemoryEntry(e.scale, e.keys, ids, e.frame_index, channels=e.channels)
+        return MemoryEntry(e.scale, e.keys, ids, e.frame_index)
 
     memory = MemoryBank({
         scale: ScaleMemory(tuple(moved(e) for e in mem.long_term), moved(mem.short_term))
@@ -783,26 +769,26 @@ def test_engine_config_size_bounds_are_inclusive():
         (name,) = kw
         with pytest.raises(ConfigError, match=f"engine.{name} must be <= "):
             EngineConfig(**kw)
-    EncoderConfig(channels16=1024, channels8=1024)
-    for name in ("channels16", "channels8"):
-        with pytest.raises(ConfigError, match=f"encoder.{name} must be <= "):
-            EncoderConfig(**{name: 1025})
 
 
 def test_engine_config_bounds_keep_attention_and_logits_in_float32():
-    # a score is at most (match_norm * sqrt(32))^2 * (1 + 2 * 2) at stride 16
-    EngineConfig(match_norm=1.45e18, temperature=1e10)
+    # a score is at most (match_norm * sqrt(8))^2 * (1 + 2 * 2) at stride 16,
+    # so match_norm <= sqrt(FLOAT32_MAX / 40) = 2.9167e18
+    EngineConfig(match_norm=2.91e18, temperature=1e10)
     with pytest.raises(ConfigError, match="match_norm"):
-        EngineConfig(match_norm=1.46e18, temperature=1e10)
-    # default scores reach 36 * 32 * 5 = 5760, divided by float32(t * sqrt(32))
-    EngineConfig(temperature=3.0e-36)
-    for t in (2.98e-36, 1e-40, 1e-46):
+        EngineConfig(match_norm=2.92e18, temperature=1e10)
+    # default scores reach 36 * 8 * 5 = 1440, divided by float32(t * sqrt(8)),
+    # so t >= 1440 / (FLOAT32_MAX * sqrt(8)) = 1.4962e-36
+    EngineConfig(temperature=1.50e-36)
+    for t in (1.49e-36, 1e-40, 1e-46):
         with pytest.raises(ConfigError, match="temperature"):
             EngineConfig(temperature=t)
-    # more stride-8 channels raise the stride-8 score bound
-    with pytest.raises(ConfigError, match="match_norm"):
-        EngineConfig(encoder=EncoderConfig(channels8=1024), match_norm=4e17)
-    EngineConfig(match_norm=4e17)
+    # more layers at either stride raise the score bound: 8 * (1 + 2 * 64)
+    # match_norm^2 overflows from match_norm = 5.742e17
+    for layers in ("gpm_layers16", "gpm_layers8"):
+        with pytest.raises(ConfigError, match="match_norm"):
+            EngineConfig(match_norm=5.75e17, temperature=1e10, **{layers: 64})
+    EngineConfig(match_norm=5.74e17, temperature=1e10, gpm_layers16=64, gpm_layers8=64)
     # prior_weight / 2 + 2 must stay within half the float32 range
     EngineConfig(prior_weight=3.4e38)
     with pytest.raises(ConfigError, match="prior_weight"):

@@ -74,48 +74,7 @@ def test_cell_features_bytes_equal_mean_std_on_float_frames(sf, pw, sw):
     assert features._cell_base_features(frame, stride, pw, sw).tobytes() == want.tobytes()
 
 
-def fit_channels_loop(base, channels):
-    """The handcrafted channel fit before the 0/1 channel map: zero-pad, or
-    fold base channel i into channel i % channels with float32 adds."""
-    c = base.shape[2]
-    if channels == c:
-        return base
-    out = np.zeros(base.shape[:2] + (channels,), dtype=np.float32)
-    if channels > c:
-        out[:, :, :c] = base
-        return out
-    for i in range(c):
-        out[:, :, i % channels] += base[:, :, i]
-    return out
-
-
-def map_product(base, channels):
-    """The handcrafted level before the fold: the base rows times a cached
-    0/1 [8, min(C, 8)] float32 map, adding base channel i into channel
-    i % C, in one `kernels.matmul`."""
-    b = np.arange(BASE_CHANNELS)
-    m = (b[:, None] % channels == b[: min(channels, BASE_CHANNELS)]).astype(np.float32)
-    hc, wc, _ = base.shape
-    return kernels.matmul(base.reshape(hc * wc, -1), m).reshape(hc, wc, -1)
-
-
-def _reference_levels(frame, cfg, fit):
-    """Both levels as the replaced forms computed them; `fit(base, level)`."""
-    f = pad_to_multiple(frame)
-    return [
-        fit(features._cell_base_features(f, stride, cfg.position_weight, cfg.std_weight), level)
-        for level, stride in enumerate((16, 8))
-    ]
-
-
 _FEATURE_WEIGHTS = st.floats(-MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT)
-
-
-@st.composite
-def encoder_frames(draw):
-    h, w = draw(st.integers(1, 64)), draw(st.integers(1, 64))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return rng.integers(0, 256, size=(h, w, 3)).astype(np.float32) / 255.0
 
 
 @st.composite
@@ -128,64 +87,28 @@ def palette_frames(draw):
     return (rng.integers(0, levels, size=(h, w, 3)) / max(levels - 1, 1)).astype(np.float32)
 
 
-@settings(max_examples=60, deadline=None)
-@given(encoder_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS, st.integers(8, 40), st.integers(8, 40))
-def test_handcrafted_map_bytes_equal_pad_loop(frame, pw, sw, c16, c8):
-    # the fold's sum starts from +0.0, so the -0.0 of a zero-deviation cell
-    # times a negative (or -0.0) weight comes out as +0.0; adding 0.0 to both
-    # sides maps -0.0 to +0.0 and leaves every other value as it is.  The
-    # encoder emits the 8 real channels, the loop's columns past them are zero
-    cfg = EncoderConfig(channels16=c16, channels8=c8, position_weight=pw, std_weight=sw)
-    pyr = encode_frame(frame, cfg)
-    want = _reference_levels(frame, cfg, lambda base, level: fit_channels_loop(base, (c16, c8)[level]))
-    for got, padded in zip((pyr.level16, pyr.level8), want):
-        assert got.shape[2] == BASE_CHANNELS and not np.any(padded[:, :, BASE_CHANNELS:])
-        assert (got + 0.0).tobytes() == (padded[:, :, :BASE_CHANNELS] + 0.0).tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(encoder_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS, st.integers(1, 7), st.integers(1, 7))
-def test_handcrafted_fold_map_matches_fold_loop(frame, pw, sw, c16, c8):
-    # the fold sums each channel in float64 and rounds once; the loop rounded
-    # after every float32 add, so a channel of 3 or more base channels can
-    # differ in its last bits.  The tolerance is relative to the fold of the
-    # absolute terms, which bounds the loop's rounding when terms cancel.
-    cfg = EncoderConfig(channels16=c16, channels8=c8, position_weight=pw, std_weight=sw)
-    pyr = encode_frame(frame, cfg)
-    for got, level, c in ((pyr.level16, 0, c16), (pyr.level8, 1, c8)):
-        want = _reference_levels(frame, cfg, lambda base, _: fit_channels_loop(base, c))[level]
-        scale = _reference_levels(frame, cfg, lambda base, _: fit_channels_loop(np.abs(base), c))[level]
-        assert np.all(np.abs(got.astype(np.float64) - want) <= 1e-6 * scale)
-
-
 @settings(max_examples=100, deadline=None)
-@given(palette_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS, st.integers(1, 40), st.integers(1, 40))
-def test_handcrafted_fold_bytes_equal_map_product(frame, pw, sw, c16, c8):
-    # both add base channel i into channel i % C in float64 from +0.0 and
-    # round once, so the bytes match, signed zeros included.  At C = 1 NumPy
-    # hands the [8, 1] map to BLAS's matrix-vector kernel, which sums the 8
-    # terms in partial sums of its own, so there the last place can differ
-    cfg = EncoderConfig(channels16=c16, channels8=c8, position_weight=pw, std_weight=sw)
-    pyr = encode_frame(frame, cfg)
-    want = _reference_levels(frame, cfg, lambda base, level: map_product(base, (c16, c8)[level]))
-    for got, ref, c in zip((pyr.level16, pyr.level8), want, (c16, c8)):
-        if c == 1:
-            np.testing.assert_array_max_ulp(got, ref, maxulp=1)
-        else:
-            assert got.tobytes() == ref.tobytes()
+@given(palette_frames(), _FEATURE_WEIGHTS, _FEATURE_WEIGHTS)
+def test_handcrafted_map_bytes_equal_pad_loop(frame, pw, sw):
+    # each level is its stride's base features, with the -0.0 of a
+    # zero-deviation cell times a negative (or -0.0) weight made +0.0: the
+    # bytes the channel loop and the fold that replaced it gave
+    pyr = encode_frame(frame, EncoderConfig(position_weight=pw, std_weight=sw))
+    f = pad_to_multiple(frame)
+    for got, stride in ((pyr.level16, 16), (pyr.level8, 8)):
+        want = features._cell_base_features(f, stride, pw, sw) + np.float32(0.0)
+        assert got.shape[2] == BASE_CHANNELS and got.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(got[got == 0.0]))
 
 
 def test_encoder_weight_bound_keeps_features_in_float32():
     # cells of alternating 0 and 1 pixels have mean 1/2 and the largest std, 1/2
     frame = np.zeros((32, 32, 3), dtype=np.float32)
     frame[::2, ::2] = frame[1::2, 1::2] = 1.0
-    for channels in (1, 3, 8, 32):
-        for pw, sw in ((MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT),
-                       (-MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT)):
-            cfg = EncoderConfig(channels16=channels, channels8=channels,
-                                position_weight=pw, std_weight=sw)
-            pyr = encode_frame(frame, cfg)
-            assert np.all(np.isfinite(pyr.level16)) and np.all(np.isfinite(pyr.level8))
+    for pw, sw in ((MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT),
+                   (-MAX_FEATURE_WEIGHT, MAX_FEATURE_WEIGHT)):
+        pyr = encode_frame(frame, EncoderConfig(position_weight=pw, std_weight=sw))
+        assert np.all(np.isfinite(pyr.level16)) and np.all(np.isfinite(pyr.level8))
     for name in ("position_weight", "std_weight"):
         for value in (np.nextafter(MAX_FEATURE_WEIGHT, np.inf), -1e39, np.inf, np.nan):
             with pytest.raises(ConfigError, match=name):
@@ -259,20 +182,6 @@ def test_translation_covariance_of_appearance_channels():
     np.testing.assert_allclose(b[:, 1:, 3:5], a[:, 1:, 3:5], atol=1e-6)
 
 
-def test_channel_folding_and_padding():
-    frame = np.random.default_rng(32).random((32, 32, 3)).astype(np.float32)
-    ref = encode_frame(frame, EncoderConfig(channels16=BASE_CHANNELS, channels8=BASE_CHANNELS)).level16
-    # past the 8 base channels, C adds no zero columns: the level is the C = 8 one
-    wide = encode_frame(frame, EncoderConfig(channels16=12, channels8=12))
-    assert wide.level16.tobytes() == ref.tobytes()
-    narrow = encode_frame(frame, EncoderConfig(channels16=5, channels8=5))
-    assert narrow.level16.shape[2] == 5
-    folded = ref[:, :, :5].copy()
-    for i in range(5, BASE_CHANNELS):
-        folded[:, :, i % 5] += ref[:, :, i]
-    np.testing.assert_allclose(narrow.level16, folded, atol=1e-6)
-
-
 def test_level8_shape():
     frame = np.zeros((48, 80, 3), dtype=np.float32)
     pyr = encode_frame(frame, EncoderConfig())
@@ -281,14 +190,15 @@ def test_level8_shape():
 
 
 def test_encoder_config_validation():
-    # one handcrafted encoder: no mode to pick and no weights file to name
-    assert [f.name for f in dataclasses.fields(EncoderConfig)] == [
-        "channels16", "channels8", "position_weight", "std_weight"]
-    for retired in ({"mode": "handcrafted"}, {"weights_path": "w.mswt"}):
+    # one handcrafted encoder of 8 channels: no mode to pick, no weights file
+    # to name and no channel count to set
+    assert [f.name for f in dataclasses.fields(EncoderConfig)] == ["position_weight", "std_weight"]
+    for retired in ({"mode": "handcrafted"}, {"weights_path": "w.mswt"},
+                    {"channels16": 32}, {"channels8": 32}):
         with pytest.raises(TypeError):
             EncoderConfig(**retired)
     with pytest.raises(ConfigError):
-        EncoderConfig(channels16=0)
+        EncoderConfig(std_weight=np.nan)
 
 
 def test_handcrafted_levels_make_no_product(monkeypatch):
@@ -301,27 +211,17 @@ def test_handcrafted_levels_make_no_product(monkeypatch):
     monkeypatch.setattr(kernels, "matmul", no_product)
     assert not hasattr(features, "matmul")
     frame = np.random.default_rng(38).random((40, 56, 3)).astype(np.float32)
-    for channels in (3, 8, 32):
-        encode_frame(frame, EncoderConfig(channels16=channels, channels8=channels))
+    encode_frame(frame, EncoderConfig())
 
 
-@pytest.mark.parametrize(
-    "mode, channels, width",
-    [
-        ("handcrafted", 32, 8),
-        ("handcrafted", 8, 8),
-        ("handcrafted", 4, 4),
-    ],
-)
-def test_encode_frame_pads_any_frame_size(mode, channels, width):
-    # `mode` only names the rows: there is one encoder
+def test_encode_frame_pads_any_frame_size():
     rng = np.random.default_rng(11)
     frame = rng.random((75, 100, 3)).astype(np.float32)
-    cfg = EncoderConfig(channels16=channels, channels8=channels)
+    cfg = EncoderConfig()
     pyr = encode_frame(frame, cfg)
-    # the encoder emits only its min(C, 8) real channels, each non-zero somewhere
+    # the encoder's 8 channels, each non-zero somewhere
     for level in (pyr.level16, pyr.level8):
-        assert level.shape[2] == width
+        assert level.shape[2] == BASE_CHANNELS
         assert np.all(np.any(level, axis=(0, 1)))
     assert pyr.level16.shape[:2] == (5, 7) and pyr.level8.shape[:2] == (10, 14)
     edge = np.pad(frame, ((0, 5), (0, 12), (0, 0)), mode="edge")

@@ -240,6 +240,8 @@ def _assert_read_bytes(q, keys, ids, temperature):
     st.integers(0, 2**32 - 1),
 )
 @example(CELL_BUDGET + 1, 2, 1, 3, 2, DEFAULT_TEMPERATURE, True, 0)  # one-row chunks
+# a one-row chunk once went to BLAS's gemv, whose score differed by a float32 ulp
+@example(CELL_BUDGET + 1, 1, 1, 5, 1, 0.05, False, 1780650)
 def test_chunked_attention_read_bytes_equal_one_composed_read(
     m, k, offset, c, d, temperature, wide, seed
 ):
@@ -673,15 +675,9 @@ def test_merging_refuses_entries_of_another_stride_or_width():
         with pytest.raises(ShapeError, match=f"{widths} columns"):
             bank.write(other, long_term=True)
         assert bank.at(8) is mem
-    # rows of the same width scored at another sqrt(C) do not mix either
-    wider = MemoryEntry(8, np.ones((2, 3)), np.zeros((2, 4)), 0, channels=32)
-    with pytest.raises(ShapeError, match="memory of 32 channels into memory of 3 channels"):
-        merge_entries([a, wider])
-    with pytest.raises(ShapeError, match="32 channels"):
-        bank.write(wider, long_term=True)
-    assert bank.at(8) is mem
-    with pytest.raises(ShapeError, match="memory of 2 channels cannot hold 3 key columns"):
-        MemoryEntry(8, np.ones((2, 3)), np.zeros((2, 4)), 0, channels=2)
+    # an entry has no score width of its own: the key width sets the scale
+    with pytest.raises(TypeError):
+        MemoryEntry(8, np.ones((2, 3)), np.zeros((2, 4)), 0, channels=32)
     # the refused writes left long term as it was: the next write holds the
     # kept rows, then the new one
     last = entry(2 * np.ones((1, 3)), np.ones((1, 4)), scale=8)
