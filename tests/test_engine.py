@@ -236,9 +236,19 @@ def test_merged_long_term_memory_equals_the_merge_of_its_entries(monkeypatch):
         assert np.shares_memory(got.keys.T, got.values)
 
 
-def test_the_key_width_sets_the_row_norm(monkeypatch):
-    # the encoder emits 8 channels; queries and memory keys keep that width
-    # L and are scaled to norm match_norm * sqrt(L)
+@pytest.mark.parametrize(
+    "mode, side, width",
+    [
+        ("handcrafted", 32, 8),
+        ("handcrafted", 8, 8),
+    ],
+)
+def test_the_encoder_sets_the_key_width_and_the_config_the_norm(
+    mode, side, width, monkeypatch
+):
+    # the encoder emits 8 channels (`mode` only names the rows) whatever the
+    # target's side; queries and memory keys keep that width L and are scaled
+    # to the config's norm, match_norm * sqrt(L)
     queries = []
     gpm_stage = engine.gpm_stage
 
@@ -247,17 +257,17 @@ def test_the_key_width_sets_the_row_norm(monkeypatch):
         return gpm_stage(feats, *args, **kwargs)
 
     monkeypatch.setattr(engine, "gpm_stage", spy)
-    frame, mask = make_square_frame(64, (16, 16), 32)
+    frame, mask = make_square_frame(64, (16, 16), side)
     pyr = features.encode_frame(frame, CFG.encoder)
-    assert pyr.level16.shape[2] == pyr.level8.shape[2] == 8
+    assert pyr.level16.shape[2] == pyr.level8.shape[2] == width
     state = init_reference(frame, mask, CFG)
     step(state, frame)
     entries = [state.memory.at(scale).short_term for scale in (16, 8)]
     assert len(queries) == 2
     for rows in queries + [e.keys for e in entries]:
-        assert rows.shape[1] == 8
+        assert rows.shape[1] == width
         norms = np.linalg.norm(rows.astype(np.float64), axis=1)
-        np.testing.assert_allclose(norms, CFG.match_norm * np.sqrt(8), rtol=1e-5)
+        np.testing.assert_allclose(norms, CFG.match_norm * np.sqrt(width), rtol=1e-5)
 
 
 def test_narrow_levels_keep_the_bytes_of_zero_padded_levels(rendered_suite, monkeypatch):

@@ -214,14 +214,24 @@ def test_handcrafted_levels_make_no_product(monkeypatch):
     encode_frame(frame, EncoderConfig())
 
 
-def test_encode_frame_pads_any_frame_size():
+@pytest.mark.parametrize(
+    "mode, size, width",
+    [
+        ("handcrafted", 32, 8),
+        ("handcrafted", 8, 8),
+    ],
+)
+def test_encode_frame_pads_any_frame_size(mode, size, width):
+    # `mode` only names the rows: there is one encoder; `size` is the side of
+    # a square frame that pads up to whole stride-16 cells
     rng = np.random.default_rng(11)
     frame = rng.random((75, 100, 3)).astype(np.float32)
     cfg = EncoderConfig()
     pyr = encode_frame(frame, cfg)
     # the encoder's 8 channels, each non-zero somewhere
+    assert width == BASE_CHANNELS
     for level in (pyr.level16, pyr.level8):
-        assert level.shape[2] == BASE_CHANNELS
+        assert level.shape[2] == width
         assert np.all(np.any(level, axis=(0, 1)))
     assert pyr.level16.shape[:2] == (5, 7) and pyr.level8.shape[:2] == (10, 14)
     edge = np.pad(frame, ((0, 5), (0, 12), (0, 0)), mode="edge")
@@ -229,3 +239,7 @@ def test_encode_frame_pads_any_frame_size():
     assert np.array_equal(pyr.level16, ref.level16) and np.array_equal(pyr.level8, ref.level8)
     one = encode_frame(np.full((1, 1, 3), 0.5, dtype=np.float32), cfg)
     assert one.level16.shape[:2] == (1, 1) and one.level8.shape[:2] == (2, 2)
+    square = encode_frame(rng.random((size, size, 3)).astype(np.float32), cfg)
+    cells = -(-size // 16)
+    assert square.level16.shape == (cells, cells, width)
+    assert square.level8.shape == (2 * cells, 2 * cells, width)
